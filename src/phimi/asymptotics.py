@@ -13,8 +13,7 @@ converges in distribution to ``Z'Z`` with ``Z ~ N(0, C)`` and
 Moments are estimated from ``m`` independent product draws when the
 margins are continuous, and by exact enumeration when both margins are
 finite-discrete.  For the saturated finite-discrete model the limit is
-the chi-square law with (K1 - 1)(K2 - 1) degrees of freedom, for which an
-exact quantile routine is provided.
+the chi-square law with (K1 - 1)(K2 - 1) degrees of freedom.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import chdtri, gammaincc
 
 from .errors import DomainError, SingularityError
 from .divergence import Interval
@@ -108,14 +107,7 @@ def _moment_inputs(model, marg_x, marg_y, m, seed):
     return xi, ze, weights
 
 
-def _v_matrix(xi, ze):
-    npts = xi.shape[0]
-    return np.hstack([np.ones((npts, 1)), xi, ze, xi * ze])
-
-
-def sigma1_under_h0(model, marg_x, marg_y, m: int = 1_000_000, seed: int = 0) -> np.ndarray:
-    """E[w w'] under the product measure, w = (1, xi_k(X) zeta_k(Y))."""
-    xi, ze, w = _moment_inputs(model, marg_x, marg_y, m, seed)
+def _sigma1(xi, ze, w) -> np.ndarray:
     feats = np.hstack([np.ones((xi.shape[0], 1)), xi * ze])
     sigma1 = _symmetrize(feats.T @ (feats * w[:, None]))
     if np.linalg.cond(sigma1) > _COND_LIMIT:
@@ -123,18 +115,11 @@ def sigma1_under_h0(model, marg_x, marg_y, m: int = 1_000_000, seed: int = 0) ->
     return sigma1
 
 
-def sigma2_under_h0(model, marg_x, marg_y, m: int = 1_000_000, seed: int = 0) -> np.ndarray:
-    """Delta-method covariance of the score at theta = 0.
-
-    Returns J Cov(V) J' padded with a zero first row and column, where
-    row k of J reads the moments (mu_zeta_k, mu_xi_k, -1) off the slots
-    of V = (1, xi, zeta, xi*zeta).
-    """
-    xi, ze, w = _moment_inputs(model, marg_x, marg_y, m, seed)
-    v = _v_matrix(xi, ze)
+def _sigma2(xi, ze, w) -> np.ndarray:
+    v = np.hstack([np.ones((xi.shape[0], 1)), xi, ze, xi * ze])
     mu = w @ v
-    centered = v - mu
-    cov = centered.T @ (centered * w[:, None])
+    v -= mu
+    cov = v.T @ (v * w[:, None])
     d = xi.shape[1]
     jac = np.zeros((1 + d, 1 + 3 * d))
     for k in range(1, d + 1):
@@ -144,26 +129,26 @@ def sigma2_under_h0(model, marg_x, marg_y, m: int = 1_000_000, seed: int = 0) ->
     return _symmetrize(jac @ cov @ jac.T)
 
 
+def sigma1_under_h0(model, marg_x, marg_y, m: int = 1_000_000, seed: int = 0) -> np.ndarray:
+    """E[w w'] under the product measure, w = (1, xi_k(X) zeta_k(Y))."""
+    return _sigma1(*_moment_inputs(model, marg_x, marg_y, m, seed))
+
+
+def sigma2_under_h0(model, marg_x, marg_y, m: int = 1_000_000, seed: int = 0) -> np.ndarray:
+    """Delta-method covariance of the score at theta = 0.
+
+    Returns J Cov(V) J' padded with a zero first row and column, where
+    row k of J reads the moments (mu_zeta_k, mu_xi_k, -1) off the slots
+    of V = (1, xi, zeta, xi*zeta).
+    """
+    return _sigma2(*_moment_inputs(model, marg_x, marg_y, m, seed))
+
+
 def covariances_under_h0(model, marg_x, marg_y, m: int = 1_000_000,
                          seed: int = 0) -> AsymptoticCovariances:
     """Sigma1, Sigma2 and C from a single set of product draws."""
-    xi, ze, w = _moment_inputs(model, marg_x, marg_y, m, seed)
-    feats = np.hstack([np.ones((xi.shape[0], 1)), xi * ze])
-    sigma1 = _symmetrize(feats.T @ (feats * w[:, None]))
-    if np.linalg.cond(sigma1) > _COND_LIMIT:
-        raise SingularityError("estimated Sigma1 is numerically singular")
-    v = _v_matrix(xi, ze)
-    mu = w @ v
-    centered = v - mu
-    cov = centered.T @ (centered * w[:, None])
-    d = xi.shape[1]
-    jac = np.zeros((1 + d, 1 + 3 * d))
-    for k in range(1, d + 1):
-        jac[k, k] = mu[d + k]
-        jac[k, d + k] = mu[k]
-        jac[k, 2 * d + k] = -1.0
-    sigma2 = _symmetrize(jac @ cov @ jac.T)
-    return AsymptoticCovariances.from_sigmas(sigma1, sigma2)
+    inputs = _moment_inputs(model, marg_x, marg_y, m, seed)
+    return AsymptoticCovariances.from_sigmas(_sigma1(*inputs), _sigma2(*inputs))
 
 
 def limit_quantile_ztz(cov, alpha: float, n_draws: int = 10_000, seed: int = 0) -> float:
@@ -200,75 +185,9 @@ def chi2_sf(x: float, df: float) -> float:
 
 
 def chi2_quantile(p: float, df: float) -> float:
-    """Chi-square quantile: invert gammainc(df/2, q/2) = p.
-
-    Newton iterations safeguarded by bisection on a bracketing interval;
-    accurate to ~1e-12 relative.
-    """
+    """Chi-square quantile: the q with P(chi2_df <= q) = p."""
     if not 0.0 < p < 1.0:
         raise DomainError(p, Interval(0.0, 1.0), what="probability")
     if df <= 0.0:
-        raise DomainError(df, _POSITIVE_DF, what="df")
-    a = df / 2.0
-
-    def cdf(q):
-        return float(gammainc(a, q / 2.0))
-
-    def log_pdf(q):
-        return (a - 1.0) * np.log(q) - q / 2.0 - a * np.log(2.0) - gammaln(a)
-
-    # bracket the root
-    lo, hi = 0.0, df + 10.0 * np.sqrt(2.0 * df) + 10.0
-    while cdf(hi) < p:
-        lo, hi = hi, 2.0 * hi
-    # Wilson-Hilferty start
-    z = _normal_quantile(p)
-    q = df * (1.0 - 2.0 / (9.0 * df) + z * np.sqrt(2.0 / (9.0 * df))) ** 3
-    if not lo < q < hi:
-        q = 0.5 * (lo + hi)
-    for _ in range(100):
-        f = cdf(q) - p
-        if f > 0.0:
-            hi = q
-        else:
-            lo = q
-        step = f / np.exp(log_pdf(q))
-        q_new = q - step
-        if not lo < q_new < hi:
-            q_new = 0.5 * (lo + hi)
-        if abs(q_new - q) <= 1e-13 * max(1.0, q):
-            return float(q_new)
-        q = q_new
-    return float(q)
-
-
-_POSITIVE_DF = Interval(0.0, np.inf)
-
-
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile (Acklam's rational approximation).
-
-    Only used to seed the chi-square Newton iteration, so modest accuracy
-    (~1e-9) is plenty.
-    """
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = np.sqrt(-2.0 * np.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - p_low:
-        q = np.sqrt(-2.0 * np.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+        raise DomainError(df, Interval(0.0, np.inf), what="df")
+    return float(chdtri(df, 1.0 - p))

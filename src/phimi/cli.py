@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import secrets
 import sys
@@ -48,7 +49,7 @@ def ingest_csv(path: str, x_col: str, y_col: str, kind: str = "real") -> PairedS
     """Read two columns of a CSV file into a PairedSample.
 
     Raises ParseError (with the offending line number) for missing
-    columns or non-numeric cells under kind="real", and
+    columns or non-numeric or non-finite cells under kind="real", and
     MissingValueError for empty cells.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -74,11 +75,14 @@ def ingest_csv(path: str, x_col: str, y_col: str, kind: str = "real") -> PairedS
                     raise MissingValueError(f"empty {name!r} cell", line=lineno)
                 if kind == "real":
                     try:
-                        values.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise ParseError(
                             f"non-numeric {name!r} value {cell!r}", line=lineno
                         ) from None
+                    if not math.isfinite(value):
+                        raise ParseError(f"non-finite {name!r} value {cell!r}", line=lineno)
+                    values.append(value)
                 else:
                     values.append(cell)
     if kind == "real":

@@ -60,6 +60,10 @@ class PairedSample:
         if self.kind == "real":
             x = np.asarray(x, dtype=float)
             y = np.asarray(y, dtype=float)
+            for name, arr in (("x", x), ("y", y)):
+                if not np.isfinite(arr).all():
+                    i = np.flatnonzero(~np.isfinite(arr))[0]
+                    raise ValueError(f"{name}[{i}] = {arr.flat[i]} is not finite")
         if x.ndim != 1 or y.ndim != 1:
             raise ValueError("x and y must be one-dimensional")
         if x.size != y.size:
@@ -113,18 +117,23 @@ class ObjectiveContext:
         return self.sample.n
 
 
-def _evaluate(ctx: ObjectiveContext, theta, need_grad: bool):
+def _terms(ctx: ObjectiveContext, theta, need_grad: bool):
+    """Paired term, cross term and (if asked) the gradient of M_n."""
     div = ctx.divergence
     model = ctx.model
     cache = ctx._cache
     h_p, w_p = model._h_pair(theta, cache)
-    h_c, w_c = model._h_cross(theta, cache)
-    value = float(w_p @ div.phi_prime(h_p) - np.sum(w_c * div.conj_of_prime(h_c)))
+    paired = float(w_p @ div.phi_prime(h_p))
+    cross, cross_grad = model._cross_term(div, theta, cache, need_grad)
     if not need_grad:
-        return value, None
+        return paired, cross, None
     grad = model._jac_pair(w_p * div.phi_second(h_p), h_p, theta, cache)
-    grad -= model._jac_cross(w_c * h_c * div.phi_second(h_c), h_c, theta, cache)
-    return value, grad
+    return paired, cross, grad - cross_grad
+
+
+def _evaluate(ctx: ObjectiveContext, theta, need_grad: bool):
+    paired, cross, grad = _terms(ctx, theta, need_grad)
+    return paired - cross, grad
 
 
 def objective(ctx: ObjectiveContext, theta) -> float:
@@ -162,11 +171,8 @@ def objective_with_grad(ctx: ObjectiveContext, theta):
 
 def objective_terms(ctx: ObjectiveContext, theta):
     """(paired term, cross term) of M_n, for diagnostics and tests."""
-    theta = ctx.model._validate_theta(theta)
-    div = ctx.divergence
-    h_p, w_p = ctx.model._h_pair(theta, ctx._cache)
-    h_c, w_c = ctx.model._h_cross(theta, ctx._cache)
-    return float(w_p @ div.phi_prime(h_p)), float(np.sum(w_c * div.conj_of_prime(h_c)))
+    paired, cross, _ = _terms(ctx, ctx.model._validate_theta(theta), need_grad=False)
+    return paired, cross
 
 
 def _projected_grad_norm(theta, grad, bounds, tol=1e-9):

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import BoundsError, LengthMismatchError, SupportError
+from .errors import BoundsError, DomainError, LengthMismatchError, SupportError
 
 __all__ = [
     "ParamVector",
@@ -170,6 +170,19 @@ class RatioModel:
     def _jac_cross(self, vec, h, theta, cache) -> np.ndarray:
         raise NotImplementedError
 
+    def _cross_term(self, divergence, theta, cache, need_grad: bool):
+        """``sum_c w_c g(h(c))`` over the cross points, and its gradient.
+
+        ``g(h) = h phi'(h) - phi(h)``, so ``dg/dtheta = h phi''(h) dh/dtheta``.
+        Raises DomainError when some ``h(c)`` leaves the interior of
+        ``dom phi``.  The gradient is ``None`` unless ``need_grad``.
+        """
+        h, w = self._h_cross(theta, cache)
+        value = float(np.sum(w * divergence.conj_of_prime(h)))
+        if not need_grad:
+            return value, None
+        return value, self._jac_cross(w * h * divergence.phi_second(h), h, theta, cache)
+
     def suggest_starts(self, cache) -> list[np.ndarray]:
         """Extra deterministic optimizer starts beyond theta0."""
         return []
@@ -228,26 +241,81 @@ class ExpBilinearModel(RatioModel):
         xi = np.stack([p.xi(x) for p in self.basis], axis=1)    # (n, d)
         ze = np.stack([p.zeta(y) for p in self.basis], axis=1)  # (n, d)
         n = x.size
-        return {"xi": xi, "ze": ze, "paired": xi * ze, "n": n}
+        # A term whose zeta (xi) column is constant on the sample adds its
+        # paired column, a vector over x (y), to the cross exponent; the
+        # other terms are coupled.
+        x_only = np.all(ze == ze[:1], axis=0)
+        y_only = np.all(xi == xi[:1], axis=0) & ~x_only
+        xi1 = np.hstack([np.ones((n, 1)), xi])
+        ze1 = np.hstack([np.ones((n, 1)), ze])
+        return {
+            "xi": xi, "ze": ze, "paired": xi * ze, "n": n,
+            "x_only": np.flatnonzero(x_only),
+            "y_only": np.flatnonzero(y_only),
+            "coupled": np.flatnonzero(~(x_only | y_only)),
+            "xi1": xi1, "ze1": ze1,
+            # mean of (1, xi_k zeta_k) over the n^2 cross pairs
+            "cross_mean": xi1.mean(axis=0) * ze1.mean(axis=0),
+        }
 
     def _h_pair(self, theta, cache):
         with np.errstate(over="ignore"):
             h = np.exp(theta[0] + cache["paired"] @ theta[1:])
         return h, np.full(cache["n"], 1.0 / cache["n"])
 
-    def _h_cross(self, theta, cache):
-        with np.errstate(over="ignore"):
-            h = np.exp(theta[0] + (cache["xi"] * theta[1:]) @ cache["ze"].T)
-        return h, 1.0 / cache["n"] ** 2
-
     def _jac_pair(self, vec, h, theta, cache):
         u = vec * h
         return np.concatenate([[u.sum()], u @ cache["paired"]])
 
-    def _jac_cross(self, vec, h, theta, cache):
-        u = vec * h                                   # (n, n)
-        beta_part = np.einsum("ik,ik->k", cache["xi"], u @ cache["ze"])
-        return np.concatenate([[u.sum()], beta_part])
+    def _cross_exponent(self, theta, cache) -> np.ndarray:
+        """``s_ij = alpha + sum_k beta_k xi_k(x_i) zeta_k(y_j)``, built by broadcasting."""
+        beta = theta[1:]
+        x_only, y_only = cache["x_only"], cache["y_only"]
+        a = theta[0] + cache["paired"][:, x_only] @ beta[x_only]
+        b = cache["paired"][:, y_only] @ beta[y_only]
+        coupled = cache["coupled"]
+        if coupled.size == 0:
+            return np.add.outer(a, b)
+        xi, ze = cache["xi"], cache["ze"]
+        k = coupled[0]
+        s = np.multiply.outer(beta[k] * xi[:, k], ze[:, k])
+        for k in coupled[1:]:
+            s += np.multiply.outer(beta[k] * xi[:, k], ze[:, k])
+        s += a[:, None]
+        s += b
+        return s
+
+    def _cross_term(self, divergence, theta, cache, need_grad: bool):
+        """Cross term in exponent space.
+
+        With ``h = exp(s)`` and the power kernel, ``g(h) = expm1(gamma s) /
+        gamma`` (``s`` for gamma = 0) and ``dg/dtheta = exp(gamma s) (1,
+        xi_k zeta_k)``.  ``M = expm1(gamma s)`` is contracted once with
+        ``(1, zeta)``; the ``exp(gamma s) - M = 1`` part of the gradient is
+        the O(n) cross mean of ``(1, xi_k zeta_k)``.  Since exp is monotone
+        and the domain an interval, checking ``exp`` of the extremes of
+        ``s`` is the elementwise domain check of ``h``.
+        """
+        s = self._cross_exponent(theta, cache)
+        with np.errstate(over="ignore"):
+            extremes = np.exp([s.min(), s.max()])
+        dom = divergence.dom_phi_interior
+        if not dom.contains(extremes):
+            raise DomainError(dom.first_violation(extremes), dom, what="x")
+        mean_w = cache["cross_mean"]
+        g = divergence.gamma
+        if g == 0.0:
+            return float(theta @ mean_w), (mean_w.copy() if need_grad else None)
+        if g != 1.0:
+            s *= g
+        with np.errstate(over="ignore"):
+            m = np.expm1(s, out=s)
+        rows = m @ cache["ze1"]                                # (n, 1 + d)
+        n2 = cache["n"] ** 2
+        value = float(rows[:, 0].sum()) / (g * n2)
+        if not need_grad:
+            return value, None
+        return value, np.einsum("ik,ik->k", cache["xi1"], rows) / n2 + mean_w
 
     def to_config(self) -> str:
         names = [p.name for p in self.basis]

@@ -212,65 +212,9 @@ def kendall_test(sample: PairedSample, alpha: float = 0.05) -> TestResult:
 
 
 def kendall_tau(x, y) -> float:
-    """tau_b by merge-sort concordance counting, O(n log n), tie-corrected."""
+    """Kendall's tau_b (tie-corrected), as computed by scipy."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    n = x.size
-    order = np.lexsort((y, x))
-    xs = x[order]
-    ys = y[order]
-
-    n0 = n * (n - 1) // 2
-    ties_x = _tie_pair_count(xs)
-    ties_xy = _tie_pair_count(xs + 1j * ys)  # joint runs of equal (x, y)
-    swaps = _count_inversions(ys.tolist())
-    ties_y = _tie_pair_count(np.sort(ys))
-    denom = (n0 - ties_x) * (n0 - ties_y)
-    if denom <= 0:
+    if np.all(x == x[:1]) or np.all(y == y[:1]):
         raise DegenerateInputError("all x or all y values tied")
-    con_minus_dis = n0 - ties_x - ties_y + ties_xy - 2 * swaps
-    return con_minus_dis / np.sqrt(denom)
-
-
-def _tie_pair_count(sorted_vals) -> int:
-    """Number of tied pairs sum t(t-1)/2 over runs of equal adjacent values."""
-    total = 0
-    run = 1
-    flat = np.asarray(sorted_vals).ravel()
-    for i in range(1, flat.size):
-        if flat[i] == flat[i - 1]:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
-
-
-def _count_inversions(seq: list) -> int:
-    """Merge-sort inversion count; equal elements are not inversions."""
-    if len(seq) < 2:
-        return 0
-    mid = len(seq) // 2
-    left = seq[:mid]
-    right = seq[mid:]
-    count = _count_inversions(left) + _count_inversions(right)
-    i = j = k = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            seq[k] = left[i]
-            i += 1
-        else:
-            seq[k] = right[j]
-            count += len(left) - i
-            j += 1
-        k += 1
-    while i < len(left):
-        seq[k] = left[i]
-        i += 1
-        k += 1
-    while j < len(right):
-        seq[k] = right[j]
-        j += 1
-        k += 1
-    return count
+    return float(sps.kendalltau(x, y).statistic)

@@ -50,6 +50,23 @@ class TestIngestCsv:
         with pytest.raises(ParseError, match="line 3"):
             ingest_csv(str(f), "x", "y")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_reports_line(self, tmp_path, cell):
+        f = tmp_path / "d.csv"
+        f.write_text(f"x,y\n1,2\n3,4\n{cell},6\n")
+        with pytest.raises(ParseError, match="line 4"):
+            ingest_csv(str(f), "x", "y")
+
+    def test_non_finite_estimate_exits_nonzero(self, tmp_path, capsys):
+        f = write_gaussian_csv(tmp_path / "d.csv")
+        lines = f.read_text().splitlines()
+        lines[5] = "nan," + lines[5].split(",")[1]
+        f.write_text("\n".join(lines) + "\n")
+        code = main(["estimate", "--csv", str(f), "--x", "x", "--y", "y",
+                     "--model", "gaussian", "--seed", "3"])
+        assert code == 2
+        assert "line 6" in capsys.readouterr().err
+
     def test_empty_cell(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x,y\n1,2\n,4\n")

@@ -1,5 +1,8 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from phimi import (
     DivergenceSpec,
@@ -20,7 +23,9 @@ from phimi import (
     sample_gaussian,
 )
 from phimi.errors import LengthMismatchError
+from phimi.divergence import NAMED_GAMMAS
 from phimi.estimator import objective_terms
+from phimi.models import BasisPair
 
 KL = DivergenceSpec(1.0)
 CHISQ = DivergenceSpec(2.0)
@@ -168,6 +173,131 @@ class TestObjectiveGrad:
             assert np.max(np.abs(grad - fd)) / denom <= 1e-5
 
 
+ORACLE_DIVERGENCES = [DivergenceSpec(g) for g in NAMED_GAMMAS.values()] + [
+    DivergenceSpec(1.5), DivergenceSpec(-0.5)]
+ORACLE_BASES = {
+    "gaussian": ["x2", "y2", "xy"],
+    "x,y,xy": ["x", "y", "xy"],
+    "xy": ["xy"],
+    "1,x,xy": ["1", "x", "xy"],
+    "xy,x2y2": ["xy", BasisPair("x2y2", np.square, np.square)],
+}
+
+
+def brute_force_terms(div, model, sample, theta):
+    """Paired and cross terms of M_n and its gradient, pair by pair.
+
+    Uses only ``model.h``, ``model.h_grad`` and the divergence's functions
+    on all n^2 cross pairs; raises DomainError as they do.
+    """
+    x, y = sample.x, sample.y
+    n = x.size
+    xc, yc = np.repeat(x, n), np.tile(y, n)
+    with np.errstate(all="ignore"):
+        h_p = model.h(theta, x, y)
+        h_c = model.h(theta, xc, yc)
+        paired = np.mean(div.phi_prime(h_p))
+        cross = np.mean(div.conj_of_prime(h_c))
+        grad = (np.mean(div.phi_second(h_p)[:, None] * model.h_grad(theta, x, y), axis=0)
+                - np.mean((h_c * div.phi_second(h_c))[:, None]
+                          * model.h_grad(theta, xc, yc), axis=0))
+    return paired, cross, grad
+
+
+def brute_force_leaves_domain(div, model, sample, theta):
+    """True when h leaves the interior of dom phi on some cross pair (pairs included)."""
+    n = sample.n
+    with np.errstate(over="ignore"):
+        h_c = model.h(theta, np.repeat(sample.x, n), np.tile(sample.y, n))
+    return not div.dom_phi_interior.contains(h_c)
+
+
+class TestExpBilinearOracle:
+    """The exponent-space cross term against the pair-by-pair brute force."""
+
+    @pytest.mark.parametrize("basis", list(ORACLE_BASES), ids=list(ORACLE_BASES))
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    def test_value_and_gradient(self, div, basis):
+        model = ExpBilinearModel(ORACLE_BASES[basis])
+        sample = sample_gaussian(GaussianSpec(0.4), 60, 3)
+        ctx = ObjectiveContext(div, model, sample)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            theta = rng.uniform(-0.4, 0.4, model.dim)
+            paired, cross, grad = brute_force_terms(div, model, sample, theta)
+            assert objective_terms(ctx, theta) == pytest.approx((paired, cross), rel=1e-10)
+            value, got = objective_with_grad(ctx, theta)
+            assert value == pytest.approx(paired - cross, rel=1e-10)
+            assert np.allclose(got, grad, rtol=1e-10, atol=1e-10 * np.max(np.abs(grad)))
+
+    @pytest.mark.parametrize("const", ["x", "y"])
+    @pytest.mark.parametrize("basis", ["gaussian", "x,y,xy"])
+    def test_constant_margin_on_sample(self, const, basis):
+        # a margin constant on the sample makes every term separable
+        model = ExpBilinearModel(ORACLE_BASES[basis])
+        rng = np.random.default_rng(12)
+        free = rng.standard_normal(20)
+        x, y = (np.full(20, 1.7), free) if const == "x" else (free, np.full(20, -2.3))
+        sample = PairedSample(x, y)
+        for div in (KL, HELL):
+            ctx = ObjectiveContext(div, model, sample)
+            theta = rng.uniform(-0.3, 0.3, model.dim)
+            paired, cross, grad = brute_force_terms(div, model, sample, theta)
+            value, got = objective_with_grad(ctx, theta)
+            assert value == pytest.approx(paired - cross, rel=1e-10)
+            assert np.allclose(got, grad, rtol=1e-10, atol=1e-10 * np.max(np.abs(grad)))
+
+    @pytest.mark.parametrize("basis", list(ORACLE_BASES), ids=list(ORACLE_BASES))
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    def test_zero_at_theta0(self, div, basis):
+        model = ExpBilinearModel(ORACLE_BASES[basis])
+        ctx = ObjectiveContext(div, model, sample_gaussian(GaussianSpec(0.4), 30, 4))
+        assert objective(ctx, model.theta0) == 0.0
+
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    def test_domain_error_exactly_when_brute_force_leaves_domain(self, div):
+        # positive data: beta > 0 overflows h, beta < 0 underflows it.  The
+        # pairing is anti-sorted, so that max x_i y_i is well below max x
+        # max y and only cross pairs leave the domain over a range of beta.
+        rng = np.random.default_rng(6)
+        x = np.sort(rng.uniform(1.0, 30.0, 25))
+        sample = PairedSample(x, np.sort(rng.uniform(1.0, 30.0, 25))[::-1])
+        model = ExpBilinearModel(["xy"])
+        ctx = ObjectiveContext(div, model, sample)
+        for beta in np.linspace(-10.0, 10.0, 81):
+            theta = np.array([0.0, beta])
+            expect = brute_force_leaves_domain(div, model, sample, theta)
+            try:
+                objective_terms(ctx, theta)
+                raised = False
+            except DomainError:
+                raised = True
+            assert raised == expect, beta
+        # overflow leaves every domain, underflow all but chi-square's
+        for beta, leaves in ((10.0, True), (-10.0, div.gamma != 2.0)):
+            theta = np.array([0.0, beta])
+            with pytest.raises(DomainError) if leaves else nullcontext():
+                brute_force_terms(div, model, sample, theta)
+            with pytest.raises(DomainError) if leaves else nullcontext():
+                objective_with_grad(ctx, theta)
+
+    def test_estimate_matches_brute_force_lbfgsb(self):
+        model = gaussian_model()
+        sample = sample_gaussian(GaussianSpec(0.3), 500, 21)
+        ctx = ObjectiveContext(KL, model, sample)
+
+        def fun(theta):
+            paired, cross, grad = brute_force_terms(KL, model, sample, theta)
+            return cross - paired, -grad
+
+        res = minimize(fun, model.theta0, jac=True, method="L-BFGS-B",
+                       bounds=[tuple(b) for b in model.bounds],
+                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-9, "maxls": 60})
+        est = estimate(ctx)
+        assert est.converged
+        assert est.i_hat == pytest.approx(-res.fun, rel=1e-10)
+
+
 class TestEstimate:
     def test_dual_equals_plugin_random_tables(self):
         rng = np.random.default_rng(123)
@@ -276,6 +406,17 @@ class TestPairedSample:
             PairedSample([1.0], [1.0])
         with pytest.raises(ValueError):
             PairedSample([1.0, 2.0], [1.0, 2.0], kind="weird")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_real_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"x\[1\]"):
+            PairedSample([1.0, bad, 3.0], [4.0, 5.0, 6.0])
+        with pytest.raises(ValueError, match=r"y\[2\]"):
+            PairedSample([1.0, 2.0, 3.0], [4.0, 5.0, bad])
+
+    def test_categorical_tokens_not_checked(self):
+        s = PairedSample(np.array(["nan", "a"]), np.array(["b", "inf"]), kind="categorical")
+        assert s.n == 2
 
     def test_subset(self):
         s = PairedSample([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
