@@ -96,11 +96,13 @@ class ObjectiveContext:
     """Precomputed per-pair quantities for one (divergence, model, sample).
 
     Immutable; objective and gradient evaluations are pure functions of
-    ``theta`` given the context and may run concurrently.
+    ``theta`` given the context and may run concurrently.  ``rows``
+    restricts both sums to those pairs of ``sample``: a held-out fold,
+    which may hold a single pair.  Such a context has no ``sample``.
     """
 
     def __init__(self, divergence: DivergenceSpec, model: RatioModel,
-                 sample: PairedSample):
+                 sample: PairedSample, rows=None):
         if isinstance(model, FiniteDiscreteModel):
             if sample.kind != "categorical":
                 raise SupportError("finite-discrete models need a categorical sample")
@@ -108,13 +110,11 @@ class ObjectiveContext:
             raise SupportError(f"{model.family} models need a real-valued sample")
         self.divergence = divergence
         self.model = model
-        self.sample = sample
-        px, py = model.prepare_sample(sample.x, sample.y)
+        self.sample = sample if rows is None else None
+        x, y = (sample.x, sample.y) if rows is None else (sample.x[rows], sample.y[rows])
+        self.n = x.size
+        px, py = model.prepare_sample(x, y)
         self._cache = model._build_cache(px, py)
-
-    @property
-    def n(self) -> int:
-        return self.sample.n
 
 
 def _terms(ctx: ObjectiveContext, theta, need_grad: bool):
@@ -122,13 +122,11 @@ def _terms(ctx: ObjectiveContext, theta, need_grad: bool):
     div = ctx.divergence
     model = ctx.model
     cache = ctx._cache
-    h_p, w_p = model._h_pair(theta, cache)
-    paired = float(w_p @ div.phi_prime(h_p))
+    paired, paired_grad = model._paired_term(div, theta, cache, need_grad)
     cross, cross_grad = model._cross_term(div, theta, cache, need_grad)
     if not need_grad:
         return paired, cross, None
-    grad = model._jac_pair(w_p * div.phi_second(h_p), h_p, theta, cache)
-    return paired, cross, grad - cross_grad
+    return paired, cross, paired_grad - cross_grad
 
 
 def _evaluate(ctx: ObjectiveContext, theta, need_grad: bool):
@@ -200,14 +198,21 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
     model = ctx.model
     bounds = model.bounds
     evals = 0
+    last_theta, last = None, None   # the latest evaluation, reused at res.x
+
+    def evaluate(theta):
+        try:
+            return _evaluate(ctx, theta, need_grad=True)
+        except DomainError as exc:
+            return exc
 
     def fun(theta):
-        nonlocal evals
+        nonlocal evals, last_theta, last
         evals += 1
-        try:
-            value, grad = _evaluate(ctx, theta, need_grad=True)
-        except DomainError:
+        last_theta, last = theta.copy(), evaluate(theta)
+        if isinstance(last, DomainError):
             return np.inf, np.zeros(model.dim)
+        value, grad = last
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             return np.inf, np.zeros(model.dim)
         return -value, -grad
@@ -218,10 +223,10 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
     def run(x0):
         res = minimize(fun, x0, jac=True, method="L-BFGS-B",
                        bounds=scipy_bounds, options=options)
-        try:
-            value, grad = _evaluate(ctx, res.x, need_grad=True)
-        except DomainError:
+        out = last if np.array_equal(res.x, last_theta) else evaluate(res.x)
+        if isinstance(out, DomainError):
             return res.x, -np.inf, np.inf
+        value, grad = out
         if not np.isfinite(value):
             return res.x, -np.inf, np.inf
         return res.x, value, _projected_grad_norm(res.x, grad, bounds)

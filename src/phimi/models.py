@@ -170,6 +170,18 @@ class RatioModel:
     def _jac_cross(self, vec, h, theta, cache) -> np.ndarray:
         raise NotImplementedError
 
+    def _paired_term(self, divergence, theta, cache, need_grad: bool):
+        """``sum_p w_p phi'(h(p))`` over the paired points, and its gradient.
+
+        Raises DomainError when some ``h(p)`` leaves the interior of
+        ``dom phi``.  The gradient is ``None`` unless ``need_grad``.
+        """
+        h, w = self._h_pair(theta, cache)
+        value = float(w @ divergence.phi_prime(h))
+        if not need_grad:
+            return value, None
+        return value, self._jac_pair(w * divergence.phi_second(h), h, theta, cache)
+
     def _cross_term(self, divergence, theta, cache, need_grad: bool):
         """``sum_c w_c g(h(c))`` over the cross points, and its gradient.
 
@@ -236,43 +248,65 @@ class ExpBilinearModel(RatioModel):
         return h[..., None] * w
 
     def _build_cache(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        xi = np.stack([p.xi(x) for p in self.basis], axis=1)    # (n, d)
-        ze = np.stack([p.zeta(y) for p in self.basis], axis=1)  # (n, d)
-        n = x.size
-        # A term whose zeta (xi) column is constant on the sample adds its
-        # paired column, a vector over x (y), to the cross exponent; the
-        # other terms are coupled.
+        # The cross pairs (x_i, y_j) run over the product of the empirical
+        # margins, which sits on distinct x times distinct y values with
+        # multiplicity weights c_x c_y / n^2.
+        ux, ix, cx = np.unique(np.asarray(x, dtype=float), return_inverse=True,
+                               return_counts=True)
+        uy, iy, cy = np.unique(np.asarray(y, dtype=float), return_inverse=True,
+                               return_counts=True)
+        xi = np.stack([p.xi(ux) for p in self.basis], axis=1)    # (nx, d)
+        ze = np.stack([p.zeta(uy) for p in self.basis], axis=1)  # (ny, d)
+        n = ix.size
+        # A term whose zeta (xi) is constant on the sample adds a vector
+        # over x (y) to the cross exponent; the other terms are coupled.
         x_only = np.all(ze == ze[:1], axis=0)
         y_only = np.all(xi == xi[:1], axis=0) & ~x_only
-        xi1 = np.hstack([np.ones((n, 1)), xi])
-        ze1 = np.hstack([np.ones((n, 1)), ze])
+        xi1 = cx[:, None] * np.hstack([np.ones((ux.size, 1)), xi])
+        ze1 = cy[:, None] * np.hstack([np.ones((uy.size, 1)), ze])
         return {
-            "xi": xi, "ze": ze, "paired": xi * ze, "n": n,
-            "x_only": np.flatnonzero(x_only),
-            "y_only": np.flatnonzero(y_only),
+            "xi": xi, "ze": ze, "paired": xi[ix] * ze[iy], "n": n, "cx": cx.astype(float),
+            "a": xi[:, x_only] * ze[0, x_only], "x_only": np.flatnonzero(x_only),
+            "b": xi[0, y_only] * ze[:, y_only], "y_only": np.flatnonzero(y_only),
             "coupled": np.flatnonzero(~(x_only | y_only)),
-            "xi1": xi1, "ze1": ze1,
+            "xi1": xi1, "ze1": ze1,   # count-weighted (1, xi) and (1, zeta)
             # mean of (1, xi_k zeta_k) over the n^2 cross pairs
-            "cross_mean": xi1.mean(axis=0) * ze1.mean(axis=0),
+            "cross_mean": xi1.sum(axis=0) * ze1.sum(axis=0) / n**2,
         }
 
-    def _h_pair(self, theta, cache):
+    @staticmethod
+    def _check_exponent(divergence, s):
+        """DomainError iff some ``exp(s)`` leaves the interior of ``dom phi``
+        (exp is monotone and the domain an interval: the extremes decide)."""
         with np.errstate(over="ignore"):
-            h = np.exp(theta[0] + cache["paired"] @ theta[1:])
-        return h, np.full(cache["n"], 1.0 / cache["n"])
+            extremes = np.exp([s.min(), s.max()])
+        dom = divergence.dom_phi_interior
+        if not dom.contains(extremes):
+            raise DomainError(dom.first_violation(extremes), dom, what="x")
 
-    def _jac_pair(self, vec, h, theta, cache):
-        u = vec * h
-        return np.concatenate([[u.sum()], u @ cache["paired"]])
+    def _paired_term(self, divergence, theta, cache, need_grad: bool):
+        """Paired term in exponent space.
+
+        With ``h = exp(s)``, ``phi'(h) = expm1((gamma - 1) s) / (gamma - 1)``
+        (``s`` for KL) and ``h phi''(h) = exp((gamma - 1) s)``, which stays
+        finite where ``h * h**(gamma - 2)`` would overflow.
+        """
+        s = theta[0] + cache["paired"] @ theta[1:]
+        self._check_exponent(divergence, s)
+        g1 = divergence.gamma - 1.0
+        with np.errstate(over="ignore"):   # M_n itself is infinite there
+            value = float(s.mean() if g1 == 0.0 else np.expm1(g1 * s).mean() / g1)
+            if not need_grad:
+                return value, None
+            e = np.exp(g1 * s) / s.size
+        return value, np.concatenate([[e.sum()], e @ cache["paired"]])
 
     def _cross_exponent(self, theta, cache) -> np.ndarray:
-        """``s_ij = alpha + sum_k beta_k xi_k(x_i) zeta_k(y_j)``, built by broadcasting."""
+        """``s_ij = alpha + sum_k beta_k xi_k(x_i) zeta_k(y_j)`` on distinct
+        values, shape (nx, ny), built by broadcasting."""
         beta = theta[1:]
-        x_only, y_only = cache["x_only"], cache["y_only"]
-        a = theta[0] + cache["paired"][:, x_only] @ beta[x_only]
-        b = cache["paired"][:, y_only] @ beta[y_only]
+        a = theta[0] + cache["a"] @ beta[cache["x_only"]]
+        b = cache["b"] @ beta[cache["y_only"]]
         coupled = cache["coupled"]
         if coupled.size == 0:
             return np.add.outer(a, b)
@@ -286,22 +320,16 @@ class ExpBilinearModel(RatioModel):
         return s
 
     def _cross_term(self, divergence, theta, cache, need_grad: bool):
-        """Cross term in exponent space.
+        """Cross term in exponent space, over distinct values.
 
         With ``h = exp(s)`` and the power kernel, ``g(h) = expm1(gamma s) /
         gamma`` (``s`` for gamma = 0) and ``dg/dtheta = exp(gamma s) (1,
-        xi_k zeta_k)``.  ``M = expm1(gamma s)`` is contracted once with
-        ``(1, zeta)``; the ``exp(gamma s) - M = 1`` part of the gradient is
-        the O(n) cross mean of ``(1, xi_k zeta_k)``.  Since exp is monotone
-        and the domain an interval, checking ``exp`` of the extremes of
-        ``s`` is the elementwise domain check of ``h``.
+        xi_k zeta_k)``.  ``M = expm1(gamma s)`` is contracted once with the
+        count-weighted ``(1, zeta)``; the ``exp(gamma s) - M = 1`` part of
+        the gradient is the cross mean of ``(1, xi_k zeta_k)``.
         """
         s = self._cross_exponent(theta, cache)
-        with np.errstate(over="ignore"):
-            extremes = np.exp([s.min(), s.max()])
-        dom = divergence.dom_phi_interior
-        if not dom.contains(extremes):
-            raise DomainError(dom.first_violation(extremes), dom, what="x")
+        self._check_exponent(divergence, s)
         mean_w = cache["cross_mean"]
         g = divergence.gamma
         if g == 0.0:
@@ -310,9 +338,9 @@ class ExpBilinearModel(RatioModel):
             s *= g
         with np.errstate(over="ignore"):
             m = np.expm1(s, out=s)
-        rows = m @ cache["ze1"]                                # (n, 1 + d)
+        rows = m @ cache["ze1"]                                # (nx, 1 + d)
         n2 = cache["n"] ** 2
-        value = float(rows[:, 0].sum()) / (g * n2)
+        value = float(cache["cx"] @ rows[:, 0]) / (g * n2)
         if not need_grad:
             return value, None
         return value, np.einsum("ik,ik->k", cache["xi1"], rows) / n2 + mean_w

@@ -51,18 +51,6 @@ class CvReport:
     disqualified: tuple[int, ...] = ()    # candidates with a failed fold
 
 
-def _heldout_context(divergence, model, x, y) -> ObjectiveContext:
-    """Context on a held-out fold, bypassing the n >= 2 sample guard so
-    that leave-one-out folds (a single g term) remain well-defined."""
-    ctx = object.__new__(ObjectiveContext)
-    ctx.divergence = divergence
-    ctx.model = model
-    ctx.sample = None
-    px, py = model.prepare_sample(x, y)
-    ctx._cache = model._build_cache(px, py)
-    return ctx
-
-
 def fold_indices(n: int, k: int, seed) -> list[np.ndarray]:
     """Seeded shuffle split: disjoint folds covering all indices, sizes
     floor(n/k) or ceil(n/k)."""
@@ -106,8 +94,7 @@ def cross_validate(sample: PairedSample, cfg: CvConfig) -> CvReport:
                 break
             theta = est.theta_hat.to_array()
             try:
-                held = _heldout_context(cfg.divergence, model,
-                                         sample.x[fold], sample.y[fold])
+                held = ObjectiveContext(cfg.divergence, model, sample, rows=fold)
                 fold_scores[ell, i] = objective(held, theta)
             except (ConjugateDomainError, LengthMismatchError):
                 ok = False

@@ -1,4 +1,5 @@
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from phimi import (
     plugin_estimate,
     sample_gaussian,
 )
+import phimi.estimator
 from phimi.errors import LengthMismatchError
 from phimi.divergence import NAMED_GAMMAS
-from phimi.estimator import objective_terms
+from phimi.estimator import _projected_grad_norm, objective_terms
 from phimi.models import BasisPair
 
 KL = DivergenceSpec(1.0)
@@ -212,6 +214,22 @@ def brute_force_leaves_domain(div, model, sample, theta):
     return not div.dom_phi_interior.contains(h_c)
 
 
+def tied_samples(n=80):
+    """Samples with repeated values on both margins, as the cross term sees them."""
+    rng = np.random.default_rng(8)
+    base = sample_gaussian(GaussianSpec(0.5), n, 9)
+    return {
+        # one decimal, like the CLI's CSV inputs
+        "rounded": PairedSample(np.round(base.x, 1), np.round(base.y, 1)),
+        # a bootstrap resample: each margin drawn with replacement
+        "resample": PairedSample(base.x[rng.integers(0, n, n)], base.y[rng.integers(0, n, n)]),
+        "two-valued": PairedSample(rng.choice([-1.0, 2.0], n), np.round(base.y, 1)),
+    }
+
+
+TIED = tied_samples()
+
+
 class TestExpBilinearOracle:
     """The exponent-space cross term against the pair-by-pair brute force."""
 
@@ -281,13 +299,103 @@ class TestExpBilinearOracle:
             with pytest.raises(DomainError) if leaves else nullcontext():
                 objective_with_grad(ctx, theta)
 
-    def test_estimate_matches_brute_force_lbfgsb(self):
-        model = gaussian_model()
-        sample = sample_gaussian(GaussianSpec(0.3), 500, 21)
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    @pytest.mark.parametrize("tied", list(TIED))
+    def test_tied_value_and_gradient(self, tied, div):
+        sample = TIED[tied]
+        rng = np.random.default_rng(13)
+        for basis in ("gaussian", "x,y,xy", "xy,x2y2"):
+            model = ExpBilinearModel(ORACLE_BASES[basis])
+            ctx = ObjectiveContext(div, model, sample)
+            for _ in range(2):
+                theta = rng.uniform(-0.3, 0.3, model.dim)
+                paired, cross, grad = brute_force_terms(div, model, sample, theta)
+                assert objective_terms(ctx, theta) == pytest.approx((paired, cross), rel=1e-10)
+                value, got = objective_with_grad(ctx, theta)
+                assert value == pytest.approx(paired - cross, rel=1e-10)
+                assert np.allclose(got, grad, rtol=1e-10, atol=1e-10 * np.max(np.abs(grad)))
+
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    def test_tied_domain_error_exactly_when_brute_force_leaves_domain(self, div):
+        model = ExpBilinearModel(["xy"])
+        for tied in TIED.values():
+            sample = PairedSample(10.0 * tied.x, 10.0 * tied.y)
+            ctx = ObjectiveContext(div, model, sample)
+            for beta in np.linspace(-2.0, 2.0, 201):
+                theta = np.array([0.0, beta])
+                expect = brute_force_leaves_domain(div, model, sample, theta)
+                try:
+                    objective_terms(ctx, theta)
+                    raised = False
+                except DomainError:
+                    raised = True
+                assert raised == expect, beta
+
+    @pytest.mark.parametrize("tied", list(TIED))
+    @pytest.mark.parametrize("basis", [["x2", "y2", "xy"], ["x", "y"]],
+                             ids=["coupled", "separable"])
+    def test_cross_exponent_runs_over_distinct_values(self, tied, basis):
+        sample = TIED[tied]
+        model = ExpBilinearModel(basis)
         ctx = ObjectiveContext(KL, model, sample)
+        s = model._cross_exponent(np.full(model.dim, 0.1), ctx._cache)
+        assert s.shape == (np.unique(sample.x).size, np.unique(sample.y).size)
+
+    @pytest.mark.parametrize("rows", [[3], [0, 5, 9, 11, 40, 41, 77]], ids=["one", "seven"])
+    def test_heldout_fold_matches_brute_force(self, rows):
+        sample = TIED["rounded"]
+        fold = SimpleNamespace(x=sample.x[rows], y=sample.y[rows], n=len(rows))
+        model = gaussian_model()
+        theta = np.array([0.1, -0.2, 0.15, 0.3])
+        for div in (KL, HELL, DivergenceSpec(0.0)):
+            ctx = ObjectiveContext(div, model, sample, rows=rows)
+            assert ctx.n == len(rows) and ctx.sample is None
+            paired, cross, grad = brute_force_terms(div, model, fold, theta)
+            value, got = objective_with_grad(ctx, theta)
+            assert value == pytest.approx(paired - cross, rel=1e-10, abs=1e-15)
+            assert np.allclose(got, grad, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("div,s_min", [(DivergenceSpec(0.0), -400.0), (HELL, -600.0),
+                                           (DivergenceSpec(-0.5), -400.0)], ids=str)
+    def test_paired_gradient_finite_where_h_phi_second_overflows(self, div, s_min):
+        # one pair with x y = -64 puts h = exp(s_min) < 1e-154 on the
+        # paired term; h * h**(gamma - 2) overflows there, exp((gamma - 1)
+        # s) does not
+        rng = np.random.default_rng(14)
+        x = np.concatenate([[8.0], rng.uniform(-1.0, 1.0, 30)])
+        y = np.concatenate([[-8.0], rng.uniform(-1.0, 1.0, 30)])
+        sample = PairedSample(x, y)
+        model = ExpBilinearModel(["xy"])
+        ctx = ObjectiveContext(div, model, sample)
+        theta = np.array([0.0, s_min / -64.0])
+        h = model.h(theta, x[:1], y[:1])
+        assert h[0] < 1e-154
+        with np.errstate(over="ignore"):
+            assert np.isinf(div.phi_second(h)[0])
+        value, grad = objective_with_grad(ctx, theta)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        fd = np.empty(2)
+        for k in range(2):
+            dt = np.zeros(2)
+            dt[k] = 1e-6
+            fd[k] = (objective(ctx, theta + dt) - objective(ctx, theta - dt)) / 2e-6
+        assert np.allclose(grad, fd, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("div,basis", [(KL, "gaussian"), (CHISQ, "x,y,xy")], ids=str)
+    def test_tied_estimate_matches_brute_force_lbfgsb(self, div, basis):
+        model = ExpBilinearModel(ORACLE_BASES[basis])
+        sample = tied_samples(200)["rounded"]
+        self._check_estimate(div, model, sample)
+
+    def test_estimate_matches_brute_force_lbfgsb(self):
+        self._check_estimate(KL, gaussian_model(), sample_gaussian(GaussianSpec(0.3), 500, 21))
+
+    @staticmethod
+    def _check_estimate(div, model, sample):
+        ctx = ObjectiveContext(div, model, sample)
 
         def fun(theta):
-            paired, cross, grad = brute_force_terms(KL, model, sample, theta)
+            paired, cross, grad = brute_force_terms(div, model, sample, theta)
             return cross - paired, -grad
 
         res = minimize(fun, model.theta0, jac=True, method="L-BFGS-B",
@@ -329,6 +437,32 @@ class TestEstimate:
             objective(ctx, est.theta_hat.to_array()), abs=1e-12)
         assert est.converged
         assert est.objective_evals > 0
+
+    @pytest.mark.parametrize("case", ["gaussian-kl", "tied-chisq"])
+    def test_last_evaluation_reused(self, case, monkeypatch):
+        if case == "gaussian-kl":
+            ctx = ObjectiveContext(KL, gaussian_model(),
+                                   sample_gaussian(GaussianSpec(0.4), 200, 5))
+        else:
+            ctx = ObjectiveContext(CHISQ, ExpBilinearModel(["x", "y", "xy"]),
+                                   tied_samples(200)["rounded"])
+        calls = 0
+        evaluate = phimi.estimator._evaluate
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(phimi.estimator, "_evaluate", counting)
+        est = estimate(ctx)
+        monkeypatch.undo()
+        assert est.converged
+        assert calls == est.objective_evals
+        theta = est.theta_hat.to_array()
+        assert est.i_hat == objective(ctx, theta)
+        grad = objective_with_grad(ctx, theta)[1]
+        assert est.grad_norm == _projected_grad_norm(theta, grad, ctx.model.bounds)
 
     def test_multistart_agreement_kl(self):
         # concave surface: independent starts land on the same maximum
