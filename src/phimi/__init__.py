@@ -47,6 +47,7 @@ from .estimator import (
     objective_grad,
     objective_with_grad,
     plugin_estimate,
+    plugin_statistics,
 )
 from .asymptotics import (
     AsymptoticCovariances,

@@ -13,7 +13,8 @@ the model's box, attained at ``theta_hat``.
 
 For finite-discrete data the same maximization collapses to the direct
 plug-in estimate; :func:`plugin_estimate` computes that independently and
-serves as an oracle for the optimizer.
+serves as an oracle for the optimizer, and :func:`plugin_statistics`
+evaluates it on a whole batch of contingency tables.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     LengthMismatchError,
     SupportError,
 )
-from .models import FiniteDiscreteModel, ParamVector, RatioModel
+from .models import FiniteDiscreteModel, ParamVector, RatioModel, encode_tokens
 
 __all__ = [
     "PairedSample",
@@ -41,6 +42,7 @@ __all__ = [
     "objective_with_grad",
     "estimate",
     "plugin_estimate",
+    "plugin_statistics",
 ]
 
 
@@ -255,36 +257,33 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
     )
 
 
+def plugin_statistics(divergence: DivergenceSpec, counts) -> np.ndarray:
+    """Plug-in phi-MI of every contingency table in ``counts`` (..., K1, K2).
+
+    ``sum phi(p_xy / (p_x p_y)) p_x p_y`` per table.  A cell with an empty
+    margin gets ratio 1 and contributes zero; an empty cell under a
+    divergence with phi(0) = +inf (gamma <= 0) raises DomainError.
+    """
+    p = np.asarray(counts, dtype=float)
+    p = p / p.sum(axis=(-2, -1), keepdims=True)
+    q = p.sum(axis=-1, keepdims=True) * p.sum(axis=-2, keepdims=True)
+    ratios = np.divide(p, q, out=np.ones_like(p), where=q > 0.0)
+    # one dot product per table, as on a single table
+    rows = divergence.phi(ratios).reshape(p.shape[:-2] + (1, -1))
+    return (rows @ q.reshape(p.shape[:-2] + (-1, 1)))[..., 0, 0]
+
+
 def plugin_estimate(divergence: DivergenceSpec, sample: PairedSample,
                     levels=None) -> float:
     """Direct plug-in phi-MI of the empirical contingency table.
 
-    ``sum phi(p_xy / (p_x p_y)) p_x p_y`` over all cells of the support.
-    Cells with an empty margin contribute zero; an empty cell under a
-    divergence with phi(0) = +inf (gamma <= 0) raises DomainError.
+    ``levels`` is a pair of level arrays; by default the observed values.
+    See :func:`plugin_statistics`.
     """
     if levels is None:
-        levels_x = np.unique(np.asarray(sample.x))
-        levels_y = np.unique(np.asarray(sample.y))
-    else:
-        levels_x, levels_y = (np.asarray(side) for side in levels)
-    ix = _codes(sample.x, levels_x, "x")
-    iy = _codes(sample.y, levels_y, "y")
-    counts = np.zeros((levels_x.size, levels_y.size))
-    np.add.at(counts, (ix, iy), 1.0)
-    p = counts / sample.n
-    q = np.outer(p.sum(axis=1), p.sum(axis=0))
-    mask = q > 0.0
-    ratios = p[mask] / q[mask]
-    return float(divergence.phi(ratios) @ q[mask])
-
-
-def _codes(values, levels, which):
-    table = {tok: i for i, tok in enumerate(levels.tolist())}
-    out = np.empty(np.asarray(values).size, dtype=np.intp)
-    for pos, tok in enumerate(np.asarray(values).tolist()):
-        try:
-            out[pos] = table[tok]
-        except KeyError:
-            raise SupportError(f"observed {which} value {tok!r} not in levels") from None
-    return out
+        levels = (np.unique(sample.x), np.unique(sample.y))
+    k1, k2 = (np.size(side) for side in levels)
+    ix = encode_tokens(sample.x, levels[0], "x")
+    iy = encode_tokens(sample.y, levels[1], "y")
+    counts = np.bincount(ix * k2 + iy, minlength=k1 * k2).reshape(k1, k2)
+    return float(plugin_statistics(divergence, counts))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
+from urllib.parse import quote, unquote
 
 import numpy as np
 from scipy.stats import rankdata
@@ -34,6 +35,7 @@ __all__ = [
     "FiniteDiscreteModel",
     "FgmCopulaModel",
     "EmpiricalMargins",
+    "encode_tokens",
     "rank_transform",
     "gaussian_model",
     "gaussian_ratio_coefficients",
@@ -109,6 +111,40 @@ def _as_bounds(lo_hi, dim: int) -> np.ndarray:
     if arr.shape != (dim, 2) or np.any(arr[:, 0] >= arr[:, 1]):
         raise ValueError(f"bounds must be (lo, hi) or ({dim}, 2) with lo < hi")
     return arr
+
+
+def encode_tokens(tokens, levels, which: str = "token") -> np.ndarray:
+    """Index into ``levels`` (any order) of every token, same shape.
+
+    One sort of the levels, one ``searchsorted`` of the tokens and an
+    equality check at the found positions.  Raises SupportError naming
+    the first token that is not a level, or when tokens and levels
+    cannot be ordered against each other (mixed strings and numbers).
+    """
+    tokens = np.asarray(tokens)
+    levels = np.asarray(levels)
+    if levels.size == 0:
+        raise SupportError(f"no {which} levels to encode against")
+    try:
+        order = np.argsort(levels, kind="stable")
+        ranked = levels[order]
+        pos = np.minimum(np.searchsorted(ranked, tokens), levels.size - 1)
+        known = ranked[pos] == tokens
+    except TypeError as exc:
+        raise SupportError(f"{which} tokens and levels do not compare: {exc}") from None
+    if not np.all(known):
+        raise SupportError(f"unknown {which} level {tokens[~known].tolist()[0]!r}")
+    return order[pos]
+
+
+def _level_array(levels) -> np.ndarray:
+    """Levels as a native numpy array where that keeps every value, so that
+    encoding is a numeric or string search; else an object array (numpy
+    would turn mixed types into strings and drop trailing NULs)."""
+    arr = np.asarray(levels)
+    if arr.ndim == 1 and arr.tolist() == list(levels):
+        return arr
+    return np.fromiter(levels, dtype=object)
 
 
 class RatioModel:
@@ -336,14 +372,15 @@ class ExpBilinearModel(RatioModel):
             return float(theta @ mean_w), (mean_w.copy() if need_grad else None)
         if g != 1.0:
             s *= g
-        with np.errstate(over="ignore"):
-            m = np.expm1(s, out=s)
-        rows = m @ cache["ze1"]                                # (nx, 1 + d)
         n2 = cache["n"] ** 2
-        value = float(cache["cx"] @ rows[:, 0]) / (g * n2)
-        if not need_grad:
-            return value, None
-        return value, np.einsum("ik,ik->k", cache["xi1"], rows) / n2 + mean_w
+        # where a product overflows, M_n is infinite and the point infeasible
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.expm1(s, out=s)
+            rows = m @ cache["ze1"]                            # (nx, 1 + d)
+            value = float(cache["cx"] @ rows[:, 0]) / (g * n2)
+            if not need_grad:
+                return value, None
+            return value, np.einsum("ik,ik->k", cache["xi1"], rows) / n2 + mean_w
 
     def to_config(self) -> str:
         names = [p.name for p in self.basis]
@@ -360,8 +397,9 @@ class FiniteDiscreteModel(RatioModel):
     """Saturated exponential model on a known finite support.
 
     ``h_theta(a_i, b_j) = exp(alpha + beta_ij)`` with ``beta_11`` removed;
-    free dimension ``1 + (K1 K2 - 1)``.  Category labels are arbitrary
-    hashable tokens, mapped to indices at construction.
+    free dimension ``1 + (K1 K2 - 1)``.  Category labels are strings or
+    numbers, mutually comparable within each margin, and are mapped to
+    indices by :func:`encode_tokens`.
 
     The default box is wide: with empty cells the supremum sits at the
     boundary, and the box must leave the plug-in value reachable to well
@@ -383,28 +421,29 @@ class FiniteDiscreteModel(RatioModel):
         self.k2 = len(self.levels_y)
         if self.k1 < 2 or self.k2 < 2:
             raise ValueError("need at least two levels per margin")
-        self._ix = {tok: i for i, tok in enumerate(self.levels_x)}
-        self._iy = {tok: j for j, tok in enumerate(self.levels_y)}
+        self._lx = _level_array(self.levels_x)
+        self._ly = _level_array(self.levels_y)
+        for which, lv in (("x", self._lx), ("y", self._ly)):
+            try:
+                encode_tokens(lv, lv, which)
+            except SupportError:
+                raise ValueError(f"{which} levels must be mutually comparable, "
+                                 "e.g. all strings or all numbers") from None
         d = self.k1 * self.k2 - 1
         self.bounds = np.vstack([_as_bounds(alpha_bounds, 1), _as_bounds(beta_bounds, d)])
         self.bounds.setflags(write=False)
 
     def encode_x(self, x) -> np.ndarray:
-        return self._encode(x, self._ix, "x")
+        return self._encode(x, self._lx, "x")
 
     def encode_y(self, y) -> np.ndarray:
-        return self._encode(y, self._iy, "y")
+        return self._encode(y, self._ly, "y")
 
     @staticmethod
-    def _encode(values, table, which) -> np.ndarray:
-        vals = np.asarray(values, dtype=object).ravel()
-        out = np.empty(vals.size, dtype=np.intp)
-        for pos, tok in enumerate(vals):
-            try:
-                out[pos] = table[tok]
-            except (KeyError, TypeError):
-                raise SupportError(f"unknown {which} category {tok!r}") from None
-        return out
+    def _encode(tokens, levels, which) -> np.ndarray:
+        # against object levels, tokens stay Python objects too
+        dtype = object if levels.dtype == object else None
+        return encode_tokens(np.asarray(tokens, dtype=dtype).ravel(), levels, which)
 
     def _cell_exponents(self, theta) -> np.ndarray:
         """(K1*K2,) exponent per flat cell; cell 0 carries only alpha."""
@@ -510,8 +549,8 @@ class FiniteDiscreteModel(RatioModel):
     def to_config(self) -> str:
         return "\n".join([
             "family=finite",
-            "levels_x=" + ",".join(str(t) for t in self.levels_x),
-            "levels_y=" + ",".join(str(t) for t in self.levels_y),
+            "levels_x=" + ",".join(_fmt_level(t) for t in self.levels_x),
+            "levels_y=" + ",".join(_fmt_level(t) for t in self.levels_y),
             "bounds=" + _fmt_bounds(self.bounds),
         ])
 
@@ -629,6 +668,27 @@ def h_grad(model: RatioModel, theta, x, y):
 # -- plain-text model descriptors ---------------------------------------
 
 
+def _fmt_level(tok) -> str:
+    """Typed level: ``i:<int>``, ``f:<float repr>`` or ``s:<percent-escaped>``."""
+    if isinstance(tok, (bool, int, np.integer)):
+        return f"i:{int(tok)}"
+    if isinstance(tok, (float, np.floating)):
+        return f"f:{float(tok)!r}"
+    if isinstance(tok, str):
+        return "s:" + quote(tok, safe="")
+    raise ValueError(f"level {tok!r} is not serializable: use str, int or float")
+
+
+def _parse_level(text: str):
+    kind, sep, body = text.partition(":")
+    if sep and kind in _LEVEL_TYPES:
+        return _LEVEL_TYPES[kind](body)
+    return text   # untyped: a plain string, as written by hand
+
+
+_LEVEL_TYPES = {"i": int, "f": float, "s": unquote}
+
+
 def _fmt_bounds(bounds: np.ndarray) -> str:
     return ",".join(f"{lo:.17g}:{hi:.17g}" for lo, hi in bounds)
 
@@ -665,8 +725,8 @@ def model_from_config(text: str) -> RatioModel:
             raise ValueError("bounds row count does not match model dimension")
         return ExpBilinearModel(names, alpha_bounds=bounds[0], beta_bounds=bounds[1:])
     if family == "finite":
-        lx = fields["levels_x"].split(",")
-        ly = fields["levels_y"].split(",")
+        lx = [_parse_level(t) for t in fields["levels_x"].split(",")]
+        ly = [_parse_level(t) for t in fields["levels_y"].split(",")]
         if bounds is None:
             return FiniteDiscreteModel(lx, ly)
         if bounds.shape != (len(lx) * len(ly), 2):

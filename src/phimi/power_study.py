@@ -7,6 +7,13 @@ exact chi-square quantiles for the finite family, the simulated Z'Z
 limit law for the Gaussian family, and a single bootstrap on an
 independence pilot sample for the bootstrap route.
 
+A finite-family grid point is evaluated as one batch: its replicates
+are drawn from their own streams, stacked into one (reps, K, K) count
+tensor, and every test's plug-in statistic is computed on the whole
+tensor.  Fitted families (Gaussian, FGM) run replicate by replicate,
+optionally on ``threads`` worker threads; finite studies ignore
+``threads``.
+
 Re-running with an identical configuration (seed included) reproduces
 the table bit for bit.
 """
@@ -23,8 +30,8 @@ import numpy as np
 from .asymptotics import chi2_quantile, covariances_under_h0, limit_quantile_ztz
 from .divergence import DivergenceSpec
 from .errors import ParseError, PhimiError, RouteMismatchError
-from .estimator import ObjectiveContext, estimate, plugin_estimate
-from .models import FgmCopulaModel, gaussian_model
+from .estimator import ObjectiveContext, estimate, plugin_statistics
+from .models import FgmCopulaModel, encode_tokens, gaussian_model
 from .samplers import (
     FgmSpec,
     FiniteMixtureSpec,
@@ -194,24 +201,71 @@ def _study_model(cfg: PowerStudyConfig):
     raise RouteMismatchError("finite family uses the plug-in statistic directly")
 
 
+def _finite_counts(spec: FiniteMixtureSpec, n: int, rep_seqs) -> np.ndarray:
+    """(reps, K, K) contingency tables, one replicate per stream."""
+    # spawn(1)[0] is the sample stream a fitted replicate gets as spawn(2)[0]
+    draws = [sample_finite(spec, n, seq.spawn(1)[0]) for seq in rep_seqs]
+    levels_x, levels_y = spec.levels
+    ix = encode_tokens(np.stack([d.x for d in draws]), levels_x, "x")
+    iy = encode_tokens(np.stack([d.y for d in draws]), levels_y, "y")
+    k1, k2 = levels_x.size, levels_y.size
+    flat = np.arange(len(draws))[:, None] * (k1 * k2) + ix * k2 + iy
+    counts = np.bincount(flat.ravel(), minlength=len(draws) * k1 * k2)
+    return counts.reshape(len(draws), k1, k2)
+
+
+def _finite_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
+                       crits: dict[str, float]) -> tuple[dict[str, int], int]:
+    """All replicates of one grid point as one count tensor.
+
+    Dual and plug-in estimates coincide on the saturated finite-discrete
+    model, so each test's statistic is the plug-in one, for every table
+    at once.
+    """
+    counts = _finite_counts(FiniteMixtureSpec(cfg.k, param), cfg.n, rep_seqs)
+    rejections = {
+        t: int(np.count_nonzero(
+            2.0 * cfg.n * plugin_statistics(_DIVERGENCES[t], counts) > crits[t]))
+        for t in cfg.tests
+    }
+    return rejections, counts.shape[0]
+
+
 def _one_replicate(cfg: PowerStudyConfig, param: float, seq,
-                   crits: dict[str, float], levels) -> dict[str, bool]:
+                   crits: dict[str, float]) -> dict[str, bool]:
     s_sample, s_est = seq.spawn(2)
     sample = _draw_sample(cfg, param, s_sample)
     rejects: dict[str, bool] = {}
     for t in cfg.tests:
         if t in PHI_TESTS:
-            if cfg.family == "finite":
-                # dual and plug-in estimates coincide on the saturated
-                # finite-discrete model, so use the direct formula
-                i_hat = plugin_estimate(_DIVERGENCES[t], sample, levels)
-            else:
-                ctx = ObjectiveContext(_DIVERGENCES[t], _study_model(cfg), sample)
-                i_hat = estimate(ctx, seed=s_est).i_hat
-            rejects[t] = 2.0 * cfg.n * i_hat > crits[t]
+            ctx = ObjectiveContext(_DIVERGENCES[t], _study_model(cfg), sample)
+            rejects[t] = 2.0 * cfg.n * estimate(ctx, seed=s_est).i_hat > crits[t]
         else:
             rejects[t] = _BASELINES[t](sample, cfg.alpha).reject
     return rejects
+
+
+def _fitted_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
+                       crits: dict[str, float]) -> tuple[dict[str, int], int]:
+    """Replicate by replicate, dropping up to 2% that fail."""
+    def job(seq):
+        try:
+            return _one_replicate(cfg, param, seq, crits)
+        except PhimiError:
+            return None
+
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            results = list(pool.map(job, rep_seqs))
+    else:
+        results = [job(seq) for seq in rep_seqs]
+
+    failures = sum(r is None for r in results)
+    if failures > 0.02 * cfg.reps:
+        raise PhimiError(
+            f"{failures}/{cfg.reps} replicates failed at parameter {param}")
+    valid = [r for r in results if r is not None]
+    return {t: sum(r[t] for r in valid) for t in cfg.tests}, len(valid)
 
 
 def run_power_study(cfg: PowerStudyConfig) -> PowerTable:
@@ -219,36 +273,18 @@ def run_power_study(cfg: PowerStudyConfig) -> PowerTable:
     root = np.random.SeedSequence(cfg.seed)
     calib_seq, mc_seq = root.spawn(2)
     crits = _phi_critical_values(cfg, calib_seq)
-    levels = FiniteMixtureSpec(cfg.k, 0.0).levels if cfg.family == "finite" else None
+    rejections = _finite_rejections if cfg.family == "finite" else _fitted_rejections
 
     grid_seqs = mc_seq.spawn(len(cfg.grid))
     rows: dict[str, list[PowerRow]] = {t: [] for t in cfg.tests}
     for param, gseq in zip(cfg.grid, grid_seqs):
-        rep_seqs = gseq.spawn(cfg.reps)
-
-        def job(seq, param=param):
-            try:
-                return _one_replicate(cfg, param, seq, crits, levels)
-            except PhimiError:
-                return None
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(job, rep_seqs))
-        else:
-            results = [job(seq) for seq in rep_seqs]
-
-        failures = sum(r is None for r in results)
-        if failures > 0.02 * cfg.reps:
-            raise PhimiError(
-                f"{failures}/{cfg.reps} replicates failed at parameter {param}")
-        valid = [r for r in results if r is not None]
+        rejected, reps = rejections(cfg, param, gseq.spawn(cfg.reps), crits)
         for t in cfg.tests:
             rows[t].append(PowerRow(
                 test=t,
                 param=param,
-                rejections=sum(r[t] for r in valid),
-                reps=len(valid),
+                rejections=rejected[t],
+                reps=reps,
                 n=cfg.n,
                 alpha=cfg.alpha,
             ))

@@ -21,6 +21,7 @@ from phimi import (
     objective_grad,
     objective_with_grad,
     plugin_estimate,
+    plugin_statistics,
     sample_gaussian,
 )
 import phimi.estimator
@@ -530,6 +531,36 @@ class TestPluginEstimate:
         sample = table_to_sample(np.array([[2, 2], [2, 2]]))
         with pytest.raises(SupportError):
             plugin_estimate(KL, sample, (np.array([0]), np.array([0, 1])))
+
+
+class TestPluginStatistics:
+    def test_batch_matches_per_table_oracle(self):
+        rng = np.random.default_rng(71)
+        tables = np.stack([random_table(rng, 3, 4, 40) for _ in range(25)])
+        # an empty row and an empty column: those cells contribute nothing
+        tables[3] = [[0, 0, 0, 0], [5, 0, 2, 0], [1, 0, 9, 3]]
+        for div in (KL, CHISQ, HELL):
+            batch = plugin_statistics(div, tables)
+            assert batch.shape == (25,)
+            ref = [direct_plugin(div, t) for t in tables]
+            np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=1e-15)
+            # any leading shape; a single table gives a 0-d result
+            assert plugin_statistics(div, tables.reshape(5, 5, 3, 4)).shape == (5, 5)
+            assert plugin_statistics(div, tables[7]) == batch[7]
+
+    def test_empty_cell_infinite_phi_raises_in_batch(self):
+        tables = np.array([[[2, 2], [2, 2]], [[5, 0], [3, 2]]])
+        assert np.all(np.isfinite(plugin_statistics(DivergenceSpec(0.0), tables[:1])))
+        for gamma in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                plugin_statistics(DivergenceSpec(gamma), tables)
+
+    def test_plugin_estimate_is_the_single_table_case(self):
+        rng = np.random.default_rng(72)
+        counts = random_table(rng, 3, 2, 50)
+        sample = table_to_sample(counts)
+        for div in (KL, CHISQ, HELL):
+            assert plugin_estimate(div, sample) == plugin_statistics(div, counts)
 
 
 class TestPairedSample:

@@ -20,7 +20,7 @@ from phimi import (
     model_to_config,
     rank_transform,
 )
-from phimi.models import BasisPair
+from phimi.models import BasisPair, encode_tokens
 
 MODELS = {
     "expbilinear": lambda: ExpBilinearModel(["x", "y", "xy"]),
@@ -230,6 +230,108 @@ class TestSerialization:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             model_from_config("family=weird")
+
+    def test_finite_integer_levels_keep_their_type(self):
+        model = FiniteDiscreteModel([0, 1], [0, 1])
+        back = model_from_config(model_to_config(model))
+        assert back.levels_x == (0, 1) and back.levels_y == (0, 1)
+        assert all(type(t) is int for t in back.levels_x + back.levels_y)
+        theta = np.linspace(-0.5, 0.5, model.dim)
+        x, y = np.array([0, 1, 1, 0]), np.array([1, 1, 0, 0])
+        assert np.array_equal(back.h(theta, x, y), model.h(theta, x, y))
+
+    def test_finite_levels_with_separators(self):
+        levels = ["a,b", "c:d", " e ", "100%", "x\ny", "s:t", "#", "=", ""]
+        model = FiniteDiscreteModel(levels, [1.5, -0.0, float("inf")])
+        back = model_from_config(model_to_config(model))
+        assert back.levels_x == tuple(levels)
+        assert back.levels_y == (1.5, 0.0, float("inf"))
+        assert np.array_equal(back.bounds, model.bounds)
+
+    def test_untyped_levels_read_as_strings(self):
+        back = model_from_config("family=finite\nlevels_x=a,b\nlevels_y=1,2")
+        assert back.levels_x == ("a", "b") and back.levels_y == ("1", "2")
+
+    def test_unserializable_level(self):
+        with pytest.raises(ValueError):
+            model_to_config(FiniteDiscreteModel([b"a", b"b"], [0, 1]))
+
+
+_LEVELS = st.one_of(
+    st.lists(st.integers(), min_size=2, max_size=4, unique=True),
+    st.lists(st.floats(allow_nan=False), min_size=2, max_size=4, unique=True),
+    st.lists(st.text(), min_size=2, max_size=4, unique=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lx=_LEVELS, ly=_LEVELS, lo=st.floats(-40.0, -0.01), hi=st.floats(0.01, 40.0),
+       data=st.data())
+def test_finite_config_round_trip_property(lx, ly, lo, hi, data):
+    model = FiniteDiscreteModel(lx, ly, alpha_bounds=(lo, hi), beta_bounds=(2 * lo, hi))
+    back = model_from_config(model_to_config(model))
+    assert back.levels_x == model.levels_x and back.levels_y == model.levels_y
+    assert [type(t) for t in back.levels_x + back.levels_y] == \
+        [type(t) for t in model.levels_x + model.levels_y]
+    assert np.array_equal(back.bounds, model.bounds)
+    pick = st.lists(st.integers(0, 3), min_size=1, max_size=12)
+    x = [lx[i % len(lx)] for i in data.draw(pick)]
+    y = [ly[i % len(ly)] for i in data.draw(pick)][:len(x)]
+    x = x[:len(y)]
+    b = model.bounds
+    theta = b[:, 0] + (b[:, 1] - b[:, 0]) * np.linspace(0.2, 0.8, model.dim)
+    assert np.array_equal(back.h(theta, x, y), model.h(theta, x, y))
+
+
+class TestEncodeTokens:
+    def test_string_tokens(self):
+        codes = encode_tokens(np.array([["b", "a"], ["c", "a"]]), np.array(["a", "b", "c"]))
+        assert codes.tolist() == [[1, 0], [2, 0]]
+
+    def test_integer_tokens(self):
+        codes = encode_tokens(np.array([3, 1, 2, 3, 1]), np.arange(1, 4), "x")
+        assert codes.tolist() == [2, 0, 1, 2, 0]
+        assert codes.dtype.kind == "i"
+
+    def test_unsorted_levels(self):
+        levels = np.array(["c", "a", "b"], dtype=object)
+        assert encode_tokens(np.array(["a", "b", "c"]), levels).tolist() == [1, 2, 0]
+        model = FiniteDiscreteModel([20, 10, 30], ["z", "y"])
+        assert model.encode_x([10, 30, 20]).tolist() == [1, 2, 0]
+        assert model.encode_y(["y", "z"]).tolist() == [1, 0]
+
+    def test_model_levels_keep_every_value(self):
+        # a native array would drop the NUL and merge the two large ints
+        model = FiniteDiscreteModel(["a\x00", "a"], [2**63, 2**63 + 1])
+        assert model.encode_x(["a", "a\x00"]).tolist() == [1, 0]
+        assert model.encode_y([2**63 + 1, 2**63]).tolist() == [1, 0]
+
+    def test_matches_dict_encoding(self):
+        rng = np.random.default_rng(4)
+        levels = rng.permutation(np.arange(-5, 40, 3))
+        tokens = rng.choice(levels, size=(7, 30))
+        table = {tok: i for i, tok in enumerate(levels.tolist())}
+        expected = [[table[t] for t in row] for row in tokens.tolist()]
+        assert encode_tokens(tokens, levels).tolist() == expected
+
+    def test_unknown_token(self):
+        with pytest.raises(SupportError, match="unknown y level 7"):
+            encode_tokens(np.array([1, 2, 7, 9]), np.array([2, 1]), "y")
+        with pytest.raises(SupportError, match="unknown x level 'zz'"):
+            encode_tokens(np.array(["a", "zz"]), np.array(["a", "b"]), "x")
+        with pytest.raises(SupportError):   # beyond the largest level
+            encode_tokens(np.array(["c"]), np.array(["a", "b"]))
+        with pytest.raises(SupportError):
+            encode_tokens(np.array([1]), np.array([], dtype=int))
+
+    def test_mixed_type_token(self):
+        levels = np.array(["a", "b"], dtype=object)
+        with pytest.raises(SupportError):
+            encode_tokens(np.array(["a", 1], dtype=object), levels)
+        with pytest.raises(SupportError):
+            FiniteDiscreteModel(["a", "b"], ["c", "d"]).h(np.zeros(4), 1, "c")
+        with pytest.raises(ValueError):
+            FiniteDiscreteModel(["a", 1], ["c", "d"])
 
 
 def test_finite_dimension_and_theta0():

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from phimi import (
+    DivergenceSpec,
+    FiniteMixtureSpec,
     ParseError,
     PowerRow,
     PowerStudyConfig,
     PowerTable,
+    chi2_quantile,
     emit_results,
     parse_results,
+    plugin_estimate,
+    plugin_statistics,
     run_power_study,
+    sample_finite,
 )
 from phimi.errors import RouteMismatchError
+from phimi.power_study import _finite_counts
 
 
 def small_finite_cfg(**overrides):
@@ -94,9 +101,60 @@ class TestRunStudy:
                 assert power[hi] >= power[lo] - slack
 
     def test_threaded_run_matches_serial(self):
-        serial = run_power_study(small_finite_cfg(threads=1))
-        threaded = run_power_study(small_finite_cfg(threads=4))
+        # threads apply to fitted families; here KL on the ztz route
+        cfg = dict(family="gaussian", grid=(0.0, 0.5), n=40, reps=100, alpha=0.05,
+                   tests=("kl",), seed=6, moment_draws=20_000, ztz_draws=2000)
+        serial = run_power_study(PowerStudyConfig(**cfg, threads=1))
+        threaded = run_power_study(PowerStudyConfig(**cfg, threads=2))
+        assert serial.power("kl")[0.5] > serial.power("kl")[0.0]
         assert serial == threaded
+
+
+def reference_plugin(divergence, sample, levels):
+    """The per-table plug-in, built as a dict encoding and a scattered table."""
+    tables = [{tok: i for i, tok in enumerate(side.tolist())} for side in levels]
+    ix = [tables[0][tok] for tok in sample.x.tolist()]
+    iy = [tables[1][tok] for tok in sample.y.tolist()]
+    counts = np.zeros((len(tables[0]), len(tables[1])))
+    np.add.at(counts, (ix, iy), 1.0)
+    p = counts / sample.n
+    q = np.outer(p.sum(axis=1), p.sum(axis=0))
+    mask = q > 0.0
+    return float(divergence.phi(p[mask] / q[mask]) @ q[mask])
+
+
+class TestFiniteBatch:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_batched_statistics_match_reference(self, k, seed):
+        n = 12 if k == 3 else 30   # k = 3 at n = 12 leaves some margins empty
+        for param in (0.0, 0.4, 1.0):
+            spec = FiniteMixtureSpec(k, param)
+            counts = _finite_counts(spec, n, np.random.SeedSequence(seed).spawn(300))
+            assert counts.shape == (300, k, k)
+            samples = [sample_finite(spec, n, seq.spawn(2)[0])
+                       for seq in np.random.SeedSequence(seed).spawn(300)]
+            for div in (DivergenceSpec(1.0), DivergenceSpec(2.0), DivergenceSpec(0.5)):
+                batch = plugin_statistics(div, counts)
+                ref = [reference_plugin(div, s, spec.levels) for s in samples]
+                np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("k, seed", [(2, 5), (3, 8)])
+    def test_study_matches_replicate_loop(self, k, seed):
+        cfg = small_finite_cfg(k=k, seed=seed, n=20, grid=(0.0, 0.3, 0.6))
+        table = run_power_study(cfg)
+        calib_seq, mc_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+        crit = chi2_quantile(1.0 - cfg.alpha, (k - 1) ** 2)
+        for param, gseq in zip(cfg.grid, mc_seq.spawn(len(cfg.grid))):
+            spec = FiniteMixtureSpec(k, param)
+            samples = [sample_finite(spec, cfg.n, seq.spawn(2)[0])
+                       for seq in gseq.spawn(cfg.reps)]
+            for test, gamma in (("kl", 1.0), ("chisq", 2.0)):
+                expected = sum(
+                    2.0 * cfg.n * plugin_estimate(DivergenceSpec(gamma), s, spec.levels)
+                    > crit for s in samples)
+                row, = (r for r in table.rows if r.test == test and r.param == param)
+                assert (row.rejections, row.reps) == (expected, cfg.reps)
 
 
 class TestEmitParse:
