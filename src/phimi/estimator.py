@@ -12,9 +12,9 @@ i = j.  The mutual-information estimate is ``sup_theta M_n(theta)`` over
 the model's box, attained at ``theta_hat``.
 
 For finite-discrete data the same maximization collapses to the direct
-plug-in estimate; :func:`plugin_estimate` computes that independently and
-serves as an oracle for the optimizer, and :func:`plugin_statistics`
-evaluates it on a whole batch of contingency tables.
+plug-in estimate; :func:`plugin_estimate` computes that independently,
+for one sample or a whole batch, and serves as an oracle for the
+optimizer.
 """
 
 from __future__ import annotations
@@ -273,17 +273,23 @@ def plugin_statistics(divergence: DivergenceSpec, counts) -> np.ndarray:
     return (rows @ q.reshape(p.shape[:-2] + (-1, 1)))[..., 0, 0]
 
 
-def plugin_estimate(divergence: DivergenceSpec, sample: PairedSample,
-                    levels=None) -> float:
+def plugin_estimate(divergence: DivergenceSpec, sample, levels=None):
     """Direct plug-in phi-MI of the empirical contingency table.
 
-    ``levels`` is a pair of level arrays; by default the observed values.
-    See :func:`plugin_statistics`.
+    ``sample`` is one PairedSample (the result is a float) or a sequence
+    of them (an array, one estimate per sample, from one count tensor).
+    ``levels`` is a pair of level arrays; by default the values observed
+    in all samples.  See :func:`plugin_statistics`.
     """
+    samples = [sample] if isinstance(sample, PairedSample) else list(sample)
+    x = np.concatenate([s.x for s in samples])
+    y = np.concatenate([s.y for s in samples])
     if levels is None:
-        levels = (np.unique(sample.x), np.unique(sample.y))
+        levels = (np.unique(x), np.unique(y))
     k1, k2 = (np.size(side) for side in levels)
-    ix = encode_tokens(sample.x, levels[0], "x")
-    iy = encode_tokens(sample.y, levels[1], "y")
-    counts = np.bincount(ix * k2 + iy, minlength=k1 * k2).reshape(k1, k2)
-    return float(plugin_statistics(divergence, counts))
+    table = np.repeat(np.arange(len(samples)), [s.n for s in samples])
+    cells = ((table * k1 + encode_tokens(x, levels[0], "x")) * k2
+             + encode_tokens(y, levels[1], "y"))
+    counts = np.bincount(cells, minlength=len(samples) * k1 * k2)
+    stats = plugin_statistics(divergence, counts.reshape(-1, k1, k2))
+    return float(stats[0]) if isinstance(sample, PairedSample) else stats

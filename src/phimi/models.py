@@ -137,16 +137,6 @@ def encode_tokens(tokens, levels, which: str = "token") -> np.ndarray:
     return order[pos]
 
 
-def _level_array(levels) -> np.ndarray:
-    """Levels as a native numpy array where that keeps every value, so that
-    encoding is a numeric or string search; else an object array (numpy
-    would turn mixed types into strings and drop trailing NULs)."""
-    arr = np.asarray(levels)
-    if arr.ndim == 1 and arr.tolist() == list(levels):
-        return arr
-    return np.fromiter(levels, dtype=object)
-
-
 class RatioModel:
     """Base class; concrete families implement the hooks below."""
 
@@ -421,8 +411,10 @@ class FiniteDiscreteModel(RatioModel):
         self.k2 = len(self.levels_y)
         if self.k1 < 2 or self.k2 < 2:
             raise ValueError("need at least two levels per margin")
-        self._lx = _level_array(self.levels_x)
-        self._ly = _level_array(self.levels_y)
+        # object arrays keep every level as given (numpy would turn mixed
+        # types into strings and drop trailing NULs)
+        self._lx = np.fromiter(self.levels_x, dtype=object)
+        self._ly = np.fromiter(self.levels_y, dtype=object)
         for which, lv in (("x", self._lx), ("y", self._ly)):
             try:
                 encode_tokens(lv, lv, which)
@@ -441,9 +433,7 @@ class FiniteDiscreteModel(RatioModel):
 
     @staticmethod
     def _encode(tokens, levels, which) -> np.ndarray:
-        # against object levels, tokens stay Python objects too
-        dtype = object if levels.dtype == object else None
-        return encode_tokens(np.asarray(tokens, dtype=dtype).ravel(), levels, which)
+        return encode_tokens(np.asarray(tokens, dtype=object).ravel(), levels, which)
 
     def _cell_exponents(self, theta) -> np.ndarray:
         """(K1*K2,) exponent per flat cell; cell 0 carries only alpha."""
@@ -669,14 +659,17 @@ def h_grad(model: RatioModel, theta, x, y):
 
 
 def _fmt_level(tok) -> str:
-    """Typed level: ``i:<int>``, ``f:<float repr>`` or ``s:<percent-escaped>``."""
-    if isinstance(tok, (bool, int, np.integer)):
+    """Typed level: ``b:<0|1>``, ``i:<int>``, ``f:<float repr>`` or
+    ``s:<percent-escaped>``."""
+    if isinstance(tok, (bool, np.bool_)):
+        return f"b:{int(tok)}"
+    if isinstance(tok, (int, np.integer)):
         return f"i:{int(tok)}"
     if isinstance(tok, (float, np.floating)):
         return f"f:{float(tok)!r}"
     if isinstance(tok, str):
         return "s:" + quote(tok, safe="")
-    raise ValueError(f"level {tok!r} is not serializable: use str, int or float")
+    raise ValueError(f"level {tok!r} is not serializable: use str, int, float or bool")
 
 
 def _parse_level(text: str):
@@ -686,7 +679,13 @@ def _parse_level(text: str):
     return text   # untyped: a plain string, as written by hand
 
 
-_LEVEL_TYPES = {"i": int, "f": float, "s": unquote}
+def _parse_bool(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"boolean level must be b:0 or b:1, got b:{text}")
+    return text == "1"
+
+
+_LEVEL_TYPES = {"b": _parse_bool, "i": int, "f": float, "s": unquote}
 
 
 def _fmt_bounds(bounds: np.ndarray) -> str:

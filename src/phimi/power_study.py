@@ -8,11 +8,10 @@ limit law for the Gaussian family, and a single bootstrap on an
 independence pilot sample for the bootstrap route.
 
 A finite-family grid point is evaluated as one batch: its replicates
-are drawn from their own streams, stacked into one (reps, K, K) count
-tensor, and every test's plug-in statistic is computed on the whole
-tensor.  Fitted families (Gaussian, FGM) run replicate by replicate,
-optionally on ``threads`` worker threads; finite studies ignore
-``threads``.
+are drawn from their own streams, and each test's plug-in statistic is
+computed for all of them at once on one (reps, K, K) count tensor.
+Fitted families (Gaussian, FGM) run replicate by replicate, optionally
+on ``threads`` worker threads; finite studies ignore ``threads``.
 
 Re-running with an identical configuration (seed included) reproduces
 the table bit for bit.
@@ -30,8 +29,8 @@ import numpy as np
 from .asymptotics import chi2_quantile, covariances_under_h0, limit_quantile_ztz
 from .divergence import DivergenceSpec
 from .errors import ParseError, PhimiError, RouteMismatchError
-from .estimator import ObjectiveContext, estimate, plugin_statistics
-from .models import FgmCopulaModel, encode_tokens, gaussian_model
+from .estimator import ObjectiveContext, estimate, plugin_estimate
+from .models import FgmCopulaModel, gaussian_model
 from .samplers import (
     FgmSpec,
     FiniteMixtureSpec,
@@ -201,34 +200,23 @@ def _study_model(cfg: PowerStudyConfig):
     raise RouteMismatchError("finite family uses the plug-in statistic directly")
 
 
-def _finite_counts(spec: FiniteMixtureSpec, n: int, rep_seqs) -> np.ndarray:
-    """(reps, K, K) contingency tables, one replicate per stream."""
-    # spawn(1)[0] is the sample stream a fitted replicate gets as spawn(2)[0]
-    draws = [sample_finite(spec, n, seq.spawn(1)[0]) for seq in rep_seqs]
-    levels_x, levels_y = spec.levels
-    ix = encode_tokens(np.stack([d.x for d in draws]), levels_x, "x")
-    iy = encode_tokens(np.stack([d.y for d in draws]), levels_y, "y")
-    k1, k2 = levels_x.size, levels_y.size
-    flat = np.arange(len(draws))[:, None] * (k1 * k2) + ix * k2 + iy
-    counts = np.bincount(flat.ravel(), minlength=len(draws) * k1 * k2)
-    return counts.reshape(len(draws), k1, k2)
-
-
 def _finite_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
                        crits: dict[str, float]) -> tuple[dict[str, int], int]:
-    """All replicates of one grid point as one count tensor.
+    """All replicates of one grid point as one batch.
 
     Dual and plug-in estimates coincide on the saturated finite-discrete
-    model, so each test's statistic is the plug-in one, for every table
-    at once.
+    model, so each test's statistic is the plug-in one, for every
+    replicate at once.
     """
-    counts = _finite_counts(FiniteMixtureSpec(cfg.k, param), cfg.n, rep_seqs)
+    spec = FiniteMixtureSpec(cfg.k, param)
+    # spawn(1)[0] is the sample stream a fitted replicate gets as spawn(2)[0]
+    draws = [sample_finite(spec, cfg.n, seq.spawn(1)[0]) for seq in rep_seqs]
     rejections = {
         t: int(np.count_nonzero(
-            2.0 * cfg.n * plugin_statistics(_DIVERGENCES[t], counts) > crits[t]))
+            2.0 * cfg.n * plugin_estimate(_DIVERGENCES[t], draws, spec.levels) > crits[t]))
         for t in cfg.tests
     }
-    return rejections, counts.shape[0]
+    return rejections, len(draws)
 
 
 def _one_replicate(cfg: PowerStudyConfig, param: float, seq,

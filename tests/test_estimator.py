@@ -532,6 +532,15 @@ class TestPluginEstimate:
         with pytest.raises(SupportError):
             plugin_estimate(KL, sample, (np.array([0]), np.array([0, 1])))
 
+    def test_levels_that_do_not_compare_raise(self):
+        # levels are encoded by a sorted search, so they must be mutually
+        # comparable; mixed strings and numbers are rejected
+        sample = PairedSample(np.array(["a", "b"], dtype=object),
+                              np.array([0, 1]), kind="categorical")
+        levels = (np.array(["a", "b", 3], dtype=object), np.array([0, 1]))
+        with pytest.raises(SupportError, match="do not compare"):
+            plugin_estimate(KL, sample, levels)
+
 
 class TestPluginStatistics:
     def test_batch_matches_per_table_oracle(self):
@@ -561,6 +570,21 @@ class TestPluginStatistics:
         sample = table_to_sample(counts)
         for div in (KL, CHISQ, HELL):
             assert plugin_estimate(div, sample) == plugin_statistics(div, counts)
+
+    def test_plugin_estimate_on_a_batch_of_samples(self):
+        rng = np.random.default_rng(73)
+        tables = [random_table(rng, 3, 2, size) for size in (20, 35, 50)]
+        tables[1][2] = 0   # an empty row: that level is seen only in other samples
+        samples = [table_to_sample(t) for t in tables]
+        for div in (KL, CHISQ, HELL):
+            batch = plugin_estimate(div, samples, (np.arange(3), np.arange(2)))
+            assert batch.shape == (3,)
+            ref = [direct_plugin(div, t) for t in tables]
+            np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=1e-15)
+            # default levels: the values seen in any sample
+            np.testing.assert_allclose(plugin_estimate(div, samples), ref,
+                                       rtol=1e-12, atol=1e-15)
+            assert batch[2] == plugin_estimate(div, samples[2])
 
 
 class TestPairedSample:

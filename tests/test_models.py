@@ -248,6 +248,16 @@ class TestSerialization:
         assert back.levels_y == (1.5, 0.0, float("inf"))
         assert np.array_equal(back.bounds, model.bounds)
 
+    def test_finite_bool_levels_keep_their_type(self):
+        for levels in ([False, True], [np.bool_(False), np.bool_(True)]):
+            text = model_to_config(FiniteDiscreteModel(levels, [0, 1]))
+            assert "levels_x=b:0,b:1" in text
+            back = model_from_config(text)
+            assert back.levels_x == (False, True)
+            assert all(type(t) is bool for t in back.levels_x)
+        with pytest.raises(ValueError, match="b:0 or b:1"):
+            model_from_config("family=finite\nlevels_x=b:0,b:2\nlevels_y=i:0,i:1")
+
     def test_untyped_levels_read_as_strings(self):
         back = model_from_config("family=finite\nlevels_x=a,b\nlevels_y=1,2")
         assert back.levels_x == ("a", "b") and back.levels_y == ("1", "2")
@@ -261,6 +271,7 @@ _LEVELS = st.one_of(
     st.lists(st.integers(), min_size=2, max_size=4, unique=True),
     st.lists(st.floats(allow_nan=False), min_size=2, max_size=4, unique=True),
     st.lists(st.text(), min_size=2, max_size=4, unique=True),
+    st.permutations([False, True]),
 )
 
 
@@ -330,8 +341,15 @@ class TestEncodeTokens:
             encode_tokens(np.array(["a", 1], dtype=object), levels)
         with pytest.raises(SupportError):
             FiniteDiscreteModel(["a", "b"], ["c", "d"]).h(np.zeros(4), 1, "c")
-        with pytest.raises(ValueError):
-            FiniteDiscreteModel(["a", 1], ["c", "d"])
+
+    @pytest.mark.parametrize("levels", [["a", 1], ["a", None], [1, (2, 3)]])
+    def test_model_levels_must_compare(self, levels):
+        # the model encodes by a sorted search: levels of one margin must be
+        # mutually comparable (all strings, or all numbers)
+        with pytest.raises(ValueError, match="mutually comparable"):
+            FiniteDiscreteModel(levels, ["c", "d"])
+        with pytest.raises(ValueError, match="mutually comparable"):
+            FiniteDiscreteModel(["c", "d"], levels)
 
 
 def test_finite_dimension_and_theta0():

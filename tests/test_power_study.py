@@ -12,12 +12,10 @@ from phimi import (
     emit_results,
     parse_results,
     plugin_estimate,
-    plugin_statistics,
     run_power_study,
     sample_finite,
 )
 from phimi.errors import RouteMismatchError
-from phimi.power_study import _finite_counts
 
 
 def small_finite_cfg(**overrides):
@@ -130,12 +128,11 @@ class TestFiniteBatch:
         n = 12 if k == 3 else 30   # k = 3 at n = 12 leaves some margins empty
         for param in (0.0, 0.4, 1.0):
             spec = FiniteMixtureSpec(k, param)
-            counts = _finite_counts(spec, n, np.random.SeedSequence(seed).spawn(300))
-            assert counts.shape == (300, k, k)
             samples = [sample_finite(spec, n, seq.spawn(2)[0])
                        for seq in np.random.SeedSequence(seed).spawn(300)]
             for div in (DivergenceSpec(1.0), DivergenceSpec(2.0), DivergenceSpec(0.5)):
-                batch = plugin_statistics(div, counts)
+                batch = plugin_estimate(div, samples, spec.levels)
+                assert batch.shape == (300,)
                 ref = [reference_plugin(div, s, spec.levels) for s in samples]
                 np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=1e-15)
 
