@@ -12,7 +12,6 @@ import argparse
 import configparser
 import csv
 import math
-import os
 import secrets
 import sys
 
@@ -29,11 +28,9 @@ from .models import (
     gaussian_model,
     model_from_config,
 )
-from .power_study import PowerStudyConfig, emit_results, run_power_study, write_results
+from .power_study import FORMAT_HEADER, PowerStudyConfig, run_power_study, write_results
 from .selection import CvConfig, cross_validate
 from .testing import BootstrapConfig, bootstrap_statistics, test_independence
-
-FORMAT_HEADER = "phimi-format=1"
 
 
 class _UsageError(Exception):
@@ -198,7 +195,9 @@ def build_parser() -> _Parser:
     p_pow.add_argument("--format", choices=["csv", "text"], default="csv")
     p_pow.add_argument("--seed", type=int, default=None,
                        help="overrides the seed in the config file")
-    p_pow.add_argument("--threads", type=int, default=None)
+    p_pow.add_argument("--threads", type=int, default=1,
+                       help="worker threads for Gaussian/FGM studies; "
+                            "pays off only with BLAS on one thread")
 
     p_lim = sub.add_parser("limits", help="asymptotic critical value")
     p_lim.add_argument("--alpha", type=float, default=0.05)
@@ -326,10 +325,6 @@ def _cmd_power(args, out) -> int:
         seed = secrets.randbits(32)
     print(f"seed={seed}", file=out)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("PHIMI_THREADS", "1"))
-
     tests = tuple(t.strip() for t in raw.get("tests", "kl").split(",") if t.strip())
     calibration = {
         key.split(".", 1)[1]: value.strip()
@@ -350,7 +345,7 @@ def _cmd_power(args, out) -> int:
         b_reps=int(raw.get("b_reps", "1000")),
         moment_draws=int(raw.get("moment_draws", "1000000")),
         ztz_draws=int(raw.get("ztz_draws", "10000")),
-        threads=threads,
+        threads=args.threads,
     )
     table = run_power_study(cfg)
     write_results(table, args.out, args.format)

@@ -9,7 +9,8 @@ divergence kernel ``phi`` is
 with ``f_theta = phi'(h_theta)`` and ``g_theta = h_theta phi'(h_theta) -
 phi(h_theta)``; the double sum runs over all n^2 cross pairs including
 i = j.  The mutual-information estimate is ``sup_theta M_n(theta)`` over
-the model's box, attained at ``theta_hat``.
+the model's box, attained at ``theta_hat``.  The model evaluates both
+terms over a cache it builds once per :class:`ObjectiveContext`.
 
 For finite-discrete data the same maximization collapses to the direct
 plug-in estimate; :func:`plugin_estimate` computes that independently,
@@ -31,7 +32,7 @@ from .errors import (
     LengthMismatchError,
     SupportError,
 )
-from .models import FiniteDiscreteModel, ParamVector, RatioModel, encode_tokens
+from .models import ParamVector, RatioModel, encode_tokens
 
 __all__ = [
     "PairedSample",
@@ -46,6 +47,18 @@ __all__ = [
 ]
 
 
+def _tokens(values) -> np.ndarray:
+    """Categorical tokens as given.  An ndarray passes through; other input
+    becomes an object array where numpy would turn tokens into strings of
+    another value (numbers among strings, trailing NULs)."""
+    if isinstance(values, np.ndarray):
+        return values
+    arr = np.asarray(values)
+    if arr.dtype.kind in "SU" and arr.tolist() != list(values):
+        return np.asarray(values, dtype=object)
+    return arr
+
+
 @dataclass(frozen=True)
 class PairedSample:
     """n paired observations, real-valued or categorical tokens."""
@@ -55,13 +68,13 @@ class PairedSample:
     kind: str = "real"
 
     def __post_init__(self):
-        x = np.asarray(self.x)
-        y = np.asarray(self.y)
         if self.kind not in ("real", "categorical"):
             raise ValueError(f"kind must be 'real' or 'categorical', got {self.kind!r}")
-        if self.kind == "real":
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
+        if self.kind == "categorical":
+            x, y = _tokens(self.x), _tokens(self.y)
+        else:
+            x = np.asarray(self.x, dtype=float)
+            y = np.asarray(self.y, dtype=float)
             for name, arr in (("x", x), ("y", y)):
                 if not np.isfinite(arr).all():
                     i = np.flatnonzero(~np.isfinite(arr))[0]
@@ -105,18 +118,14 @@ class ObjectiveContext:
 
     def __init__(self, divergence: DivergenceSpec, model: RatioModel,
                  sample: PairedSample, rows=None):
-        if isinstance(model, FiniteDiscreteModel):
-            if sample.kind != "categorical":
-                raise SupportError("finite-discrete models need a categorical sample")
-        elif sample.kind != "real":
-            raise SupportError(f"{model.family} models need a real-valued sample")
+        if sample.kind != model.sample_kind:
+            raise SupportError(f"{model.family} models need a {model.sample_kind} sample")
         self.divergence = divergence
         self.model = model
         self.sample = sample if rows is None else None
         x, y = (sample.x, sample.y) if rows is None else (sample.x[rows], sample.y[rows])
         self.n = x.size
-        px, py = model.prepare_sample(x, y)
-        self._cache = model._build_cache(px, py)
+        self._cache = model._build_cache(x, y)
 
 
 def _terms(ctx: ObjectiveContext, theta, need_grad: bool):
@@ -285,7 +294,10 @@ def plugin_estimate(divergence: DivergenceSpec, sample, levels=None):
     x = np.concatenate([s.x for s in samples])
     y = np.concatenate([s.y for s in samples])
     if levels is None:
-        levels = (np.unique(x), np.unique(y))
+        try:
+            levels = (np.unique(x), np.unique(y))
+        except TypeError as exc:
+            raise SupportError(f"tokens do not compare: {exc}") from None
     k1, k2 = (np.size(side) for side in levels)
     table = np.repeat(np.arange(len(samples)), [s.n for s in samples])
     cells = ((table * k1 + encode_tokens(x, levels[0], "x")) * k2

@@ -10,6 +10,10 @@ Three families are provided:
 * :class:`FgmCopulaModel` -- the Farlie-Gumbel-Morgenstern copula density
   ``1 + theta (1 - 2u)(1 - 2v)`` applied to rank-transformed margins.
 
+Each family evaluates the two terms of the dual objective (see
+:mod:`phimi.estimator`) itself: the exponential families in exponent
+space ``s = log h``, the copula in ``h`` space, where ``h`` is in (0, 2).
+
 All models are immutable after construction and safe to share between
 threads.  The parameter space is a box, so that the feasible set is
 compact; evaluation outside the box raises :class:`BoundsError`.
@@ -137,11 +141,22 @@ def encode_tokens(tokens, levels, which: str = "token") -> np.ndarray:
     return order[pos]
 
 
+def _check_exponent(divergence, s):
+    """DomainError iff some ``exp(s)`` leaves the interior of ``dom phi``
+    (exp is monotone and the domain an interval: the extremes decide)."""
+    with np.errstate(over="ignore"):
+        extremes = np.exp([s.min(), s.max()])
+    dom = divergence.dom_phi_interior
+    if not dom.contains(extremes):
+        raise DomainError(dom.first_violation(extremes), dom, what="x")
+
+
 class RatioModel:
     """Base class; concrete families implement the hooks below."""
 
     family: str
     has_alpha: bool
+    sample_kind = "real"   # the PairedSample kind the model takes
 
     @property
     def dim(self) -> int:
@@ -173,53 +188,21 @@ class RatioModel:
         raise NotImplementedError
 
     # estimator hooks ------------------------------------------------------
-    # The dual objective is sum_p w_p f(h(p)) - sum_c w_c g(h(c)) over a
-    # set of "paired" evaluation points p and "cross" (product-measure)
-    # points c.  Each family chooses its own point layout and weights.
-
-    def prepare_sample(self, x, y):
-        return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    # Each family evaluates the dual objective's two terms itself, over a
+    # cache it builds from the raw sample (x, y) of kind ``sample_kind``.
+    # _paired_term is the mean of phi'(h) over the n pairs, _cross_term
+    # the mean of g(h) = h phi'(h) - phi(h) over all n^2 cross pairs; both
+    # return (value, gradient or None unless need_grad) and raise
+    # DomainError when some h leaves the interior of dom phi.
 
     def _build_cache(self, x, y):
         raise NotImplementedError
 
-    def _h_pair(self, theta, cache):
-        raise NotImplementedError
-
-    def _h_cross(self, theta, cache):
-        raise NotImplementedError
-
-    def _jac_pair(self, vec, h, theta, cache) -> np.ndarray:
-        """Contract ``sum vec * dh/dtheta`` over the paired points."""
-        raise NotImplementedError
-
-    def _jac_cross(self, vec, h, theta, cache) -> np.ndarray:
-        raise NotImplementedError
-
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
-        """``sum_p w_p phi'(h(p))`` over the paired points, and its gradient.
-
-        Raises DomainError when some ``h(p)`` leaves the interior of
-        ``dom phi``.  The gradient is ``None`` unless ``need_grad``.
-        """
-        h, w = self._h_pair(theta, cache)
-        value = float(w @ divergence.phi_prime(h))
-        if not need_grad:
-            return value, None
-        return value, self._jac_pair(w * divergence.phi_second(h), h, theta, cache)
+        raise NotImplementedError
 
     def _cross_term(self, divergence, theta, cache, need_grad: bool):
-        """``sum_c w_c g(h(c))`` over the cross points, and its gradient.
-
-        ``g(h) = h phi'(h) - phi(h)``, so ``dg/dtheta = h phi''(h) dh/dtheta``.
-        Raises DomainError when some ``h(c)`` leaves the interior of
-        ``dom phi``.  The gradient is ``None`` unless ``need_grad``.
-        """
-        h, w = self._h_cross(theta, cache)
-        value = float(np.sum(w * divergence.conj_of_prime(h)))
-        if not need_grad:
-            return value, None
-        return value, self._jac_cross(w * h * divergence.phi_second(h), h, theta, cache)
+        raise NotImplementedError
 
     def suggest_starts(self, cache) -> list[np.ndarray]:
         """Extra deterministic optimizer starts beyond theta0."""
@@ -300,16 +283,6 @@ class ExpBilinearModel(RatioModel):
             "cross_mean": xi1.sum(axis=0) * ze1.sum(axis=0) / n**2,
         }
 
-    @staticmethod
-    def _check_exponent(divergence, s):
-        """DomainError iff some ``exp(s)`` leaves the interior of ``dom phi``
-        (exp is monotone and the domain an interval: the extremes decide)."""
-        with np.errstate(over="ignore"):
-            extremes = np.exp([s.min(), s.max()])
-        dom = divergence.dom_phi_interior
-        if not dom.contains(extremes):
-            raise DomainError(dom.first_violation(extremes), dom, what="x")
-
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
         """Paired term in exponent space.
 
@@ -318,7 +291,7 @@ class ExpBilinearModel(RatioModel):
         finite where ``h * h**(gamma - 2)`` would overflow.
         """
         s = theta[0] + cache["paired"] @ theta[1:]
-        self._check_exponent(divergence, s)
+        _check_exponent(divergence, s)
         g1 = divergence.gamma - 1.0
         with np.errstate(over="ignore"):   # M_n itself is infinite there
             value = float(s.mean() if g1 == 0.0 else np.expm1(g1 * s).mean() / g1)
@@ -355,7 +328,7 @@ class ExpBilinearModel(RatioModel):
         the gradient is the cross mean of ``(1, xi_k zeta_k)``.
         """
         s = self._cross_exponent(theta, cache)
-        self._check_exponent(divergence, s)
+        _check_exponent(divergence, s)
         mean_w = cache["cross_mean"]
         g = divergence.gamma
         if g == 0.0:
@@ -398,6 +371,7 @@ class FiniteDiscreteModel(RatioModel):
 
     family = "finite"
     has_alpha = True
+    sample_kind = "categorical"
 
     def __init__(self, levels_x: Sequence, levels_y: Sequence,
                  alpha_bounds=(-40.0, 40.0), beta_bounds=(-80.0, 80.0)):
@@ -437,74 +411,65 @@ class FiniteDiscreteModel(RatioModel):
 
     def _cell_exponents(self, theta) -> np.ndarray:
         """(K1*K2,) exponent per flat cell; cell 0 carries only alpha."""
-        e = np.empty(self.k1 * self.k2)
-        e[0] = theta[0]
-        e[1:] = theta[0] + theta[1:]
-        return e
+        return theta[0] + np.concatenate([[0.0], theta[1:]])
+
+    def _cells(self, x, y) -> np.ndarray:
+        """Flat cell index ``i K2 + j`` of every token pair."""
+        ix, iy = self.encode_x(x), self.encode_y(y)
+        if ix.size != iy.size:
+            raise LengthMismatchError("x and y have different lengths")
+        return ix * self.k2 + iy
 
     def h(self, theta, x, y):
         theta = self._validate_theta(theta)
-        ix = self.encode_x(x)
-        iy = self.encode_y(y)
-        if ix.size != iy.size:
-            raise LengthMismatchError("x and y have different lengths")
-        cells = ix * self.k2 + iy
-        out = np.exp(self._cell_exponents(theta))[cells]
+        out = np.exp(self._cell_exponents(theta))[self._cells(x, y)]
         return out if np.ndim(x) or np.ndim(y) else float(out[0])
 
     def h_grad(self, theta, x, y):
         hv = np.atleast_1d(np.asarray(self.h(theta, x, y)))
-        ix = self.encode_x(x)
-        iy = self.encode_y(y)
-        cells = ix * self.k2 + iy
         grad = np.zeros((hv.size, self.dim))
+        grad[np.arange(hv.size), self._cells(x, y)] = hv
         grad[:, 0] = hv
-        sel = cells > 0
-        grad[np.nonzero(sel)[0], cells[sel]] = hv[sel]
-        if np.ndim(x) or np.ndim(y):
-            return grad
-        return grad[0]
+        return grad if np.ndim(x) or np.ndim(y) else grad[0]
 
-    def prepare_sample(self, x, y):
-        return self.encode_x(x), self.encode_y(y)
-
-    def _build_cache(self, ix, iy):
-        n = ix.size
-        counts = np.zeros((self.k1, self.k2))
-        np.add.at(counts, (ix, iy), 1.0)
+    def _build_cache(self, x, y):
+        cells = self._cells(x, y)
+        n = cells.size
+        counts = np.bincount(cells, minlength=self.dim).reshape(self.k1, self.k2)
         p = (counts / n).ravel()
         q = np.outer(counts.sum(axis=1), counts.sum(axis=0)).ravel() / n**2
         return {
-            "pair_cells": np.nonzero(p > 0)[0],
-            "pair_w": p[p > 0],
-            "cross_cells": np.nonzero(q > 0)[0],
-            "cross_w": q[q > 0],
-            "p": p,
-            "q": q,
-            "n": n,
+            "pair_cells": np.flatnonzero(p), "pair_w": p[p > 0],
+            "cross_cells": np.flatnonzero(q), "cross_w": q[q > 0],
+            "p": p, "q": q, "n": n,
         }
 
-    def _h_pair(self, theta, cache):
-        e = self._cell_exponents(theta)
-        return np.exp(e[cache["pair_cells"]]), cache["pair_w"]
-
-    def _h_cross(self, theta, cache):
-        e = self._cell_exponents(theta)
-        return np.exp(e[cache["cross_cells"]]), cache["cross_w"]
-
-    def _jac_cells(self, vec, h, cells) -> np.ndarray:
-        u = vec * h
-        jac = np.zeros(self.dim)
+    def _cell_term(self, c, divergence, theta, cells, w, need_grad: bool):
+        """``w @ expm1(c s) / c`` (``w @ s`` for c = 0) over the cell
+        exponents ``s``, and its gradient: ``u = w exp(c s)`` summed per
+        cell, with the alpha slot taking all of ``u``."""
+        s = self._cell_exponents(theta)[cells]
+        _check_exponent(divergence, s)
+        with np.errstate(over="ignore"):   # M_n itself is infinite there
+            value = float(w @ s if c == 0.0 else w @ np.expm1(c * s) / c)
+            if not need_grad:
+                return value, None
+            u = w * np.exp(c * s)
+        jac = np.bincount(cells, u, minlength=self.dim)
         jac[0] = u.sum()
-        sel = cells > 0
-        np.add.at(jac, cells[sel], u[sel])
-        return jac
+        return value, jac
 
-    def _jac_pair(self, vec, h, theta, cache):
-        return self._jac_cells(vec, h, cache["pair_cells"])
+    def _paired_term(self, divergence, theta, cache, need_grad: bool):
+        """Paired term in exponent space, over the cells with p > 0:
+        ``phi'(exp(s)) = expm1((gamma - 1) s) / (gamma - 1)``."""
+        return self._cell_term(divergence.gamma - 1.0, divergence, theta,
+                               cache["pair_cells"], cache["pair_w"], need_grad)
 
-    def _jac_cross(self, vec, h, theta, cache):
-        return self._jac_cells(vec, h, cache["cross_cells"])
+    def _cross_term(self, divergence, theta, cache, need_grad: bool):
+        """Cross term in exponent space, over the cells with q > 0:
+        ``g(exp(s)) = expm1(gamma s) / gamma``."""
+        return self._cell_term(divergence.gamma, divergence, theta,
+                               cache["cross_cells"], cache["cross_w"], need_grad)
 
     def suggest_starts(self, cache):
         """Additively smoothed log-ratio point, clipped into the box.
@@ -579,28 +544,31 @@ class FgmCopulaModel(RatioModel):
         g = (1.0 - 2.0 * u) * (1.0 - 2.0 * v)
         return np.asarray(g)[..., None]
 
-    def prepare_sample(self, x, y):
+    # h = 1 + theta a b stays in [1 - |theta|, 1 + |theta|], inside (0, 2)
+    # on the default box, so both terms are evaluated in h space.
+
+    def _build_cache(self, x, y):
         margins = rank_transform(x, y)
-        return margins.u, margins.v
+        a = 1.0 - 2.0 * margins.u
+        b = 1.0 - 2.0 * margins.v
+        n = a.size
+        return {"a": a, "b": b, "paired": a * b, "w": np.full(n, 1.0 / n), "n": n}
 
-    def _build_cache(self, u, v):
-        a = 1.0 - 2.0 * u
-        b = 1.0 - 2.0 * v
-        return {"a": a, "b": b, "paired": a * b, "n": u.size}
-
-    def _h_pair(self, theta, cache):
+    def _paired_term(self, divergence, theta, cache, need_grad: bool):
         h = 1.0 + theta[0] * cache["paired"]
-        return h, np.full(cache["n"], 1.0 / cache["n"])
+        w = cache["w"]
+        value = float(w @ divergence.phi_prime(h))
+        if not need_grad:
+            return value, None
+        return value, np.array([(w * divergence.phi_second(h)) @ cache["paired"]])
 
-    def _h_cross(self, theta, cache):
+    def _cross_term(self, divergence, theta, cache, need_grad: bool):
         h = 1.0 + theta[0] * np.outer(cache["a"], cache["b"])
-        return h, 1.0 / cache["n"] ** 2
-
-    def _jac_pair(self, vec, h, theta, cache):
-        return np.array([vec @ cache["paired"]])
-
-    def _jac_cross(self, vec, h, theta, cache):
-        return np.array([cache["a"] @ vec @ cache["b"]])
+        w = 1.0 / cache["n"] ** 2
+        value = float(np.sum(w * divergence.conj_of_prime(h)))
+        if not need_grad:
+            return value, None
+        return value, np.array([cache["a"] @ (w * h * divergence.phi_second(h)) @ cache["b"]])
 
     def to_config(self) -> str:
         return "\n".join(["family=fgm", "bounds=" + _fmt_bounds(self.bounds)])

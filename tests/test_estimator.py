@@ -28,7 +28,7 @@ import phimi.estimator
 from phimi.errors import LengthMismatchError
 from phimi.divergence import NAMED_GAMMAS
 from phimi.estimator import _projected_grad_norm, objective_terms
-from phimi.models import BasisPair
+from phimi.models import BasisPair, rank_transform
 
 KL = DivergenceSpec(1.0)
 CHISQ = DivergenceSpec(2.0)
@@ -386,25 +386,127 @@ class TestExpBilinearOracle:
     def test_tied_estimate_matches_brute_force_lbfgsb(self, div, basis):
         model = ExpBilinearModel(ORACLE_BASES[basis])
         sample = tied_samples(200)["rounded"]
-        self._check_estimate(div, model, sample)
+        check_estimate(div, model, sample)
 
     def test_estimate_matches_brute_force_lbfgsb(self):
-        self._check_estimate(KL, gaussian_model(), sample_gaussian(GaussianSpec(0.3), 500, 21))
+        check_estimate(KL, gaussian_model(), sample_gaussian(GaussianSpec(0.3), 500, 21))
 
-    @staticmethod
-    def _check_estimate(div, model, sample):
+
+def check_estimate(div, model, sample, oracle_sample=None):
+    """``estimate`` against L-BFGS-B on the brute force, which sees
+    ``oracle_sample`` (the sample as ``model.h`` takes it) if given."""
+    ctx = ObjectiveContext(div, model, sample)
+    oracle_sample = sample if oracle_sample is None else oracle_sample
+
+    def fun(theta):
+        paired, cross, grad = brute_force_terms(div, model, oracle_sample, theta)
+        return cross - paired, -grad
+
+    res = minimize(fun, model.theta0, jac=True, method="L-BFGS-B",
+                   bounds=[tuple(b) for b in model.bounds],
+                   options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-9, "maxls": 60})
+    est = estimate(ctx)
+    assert est.converged
+    assert est.i_hat == pytest.approx(-res.fun, rel=1e-10)
+
+
+def assert_terms_match_brute_force(div, model, ctx, oracle_sample, theta, abs_terms=0.0):
+    paired, cross, grad = brute_force_terms(div, model, oracle_sample, theta)
+    assert objective_terms(ctx, theta) == pytest.approx((paired, cross), rel=1e-10,
+                                                        abs=abs_terms)
+    value, got = objective_with_grad(ctx, theta)
+    assert value == pytest.approx(paired - cross, rel=1e-10, abs=abs_terms)
+    assert np.allclose(got, grad, rtol=1e-10, atol=1e-10 * np.max(np.abs(grad)))
+
+
+FINITE_TABLES = {
+    "full": np.array([[5, 3, 2], [1, 4, 6]]),
+    "empty-cell": np.array([[5, 0, 2], [1, 4, 6]]),
+    # level 2 of y is in the model but never observed
+    "unused-level": np.array([[5, 3, 0], [1, 4, 0]]),
+}
+
+
+class TestFiniteOracle:
+    """The finite model's exponent-space terms against the brute force."""
+
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    @pytest.mark.parametrize("table", list(FINITE_TABLES))
+    def test_value_and_gradient(self, table, div):
+        sample = table_to_sample(FINITE_TABLES[table])
+        model = finite_model(2, 3)
         ctx = ObjectiveContext(div, model, sample)
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            theta = rng.uniform(-1.5, 1.5, model.dim)
+            assert_terms_match_brute_force(div, model, ctx, sample, theta)
 
-        def fun(theta):
-            paired, cross, grad = brute_force_terms(div, model, sample, theta)
-            return cross - paired, -grad
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    def test_string_levels(self, div):
+        sample = PairedSample(["b", "a", "b", "b", "a"], ["u", "v", "v", "u", "u"],
+                              kind="categorical")
+        model = FiniteDiscreteModel(["b", "a"], ["v", "u"])
+        ctx = ObjectiveContext(div, model, sample)
+        assert_terms_match_brute_force(div, model, ctx, sample, np.array([0.3, -0.7, 1.1, 0.2]))
 
-        res = minimize(fun, model.theta0, jac=True, method="L-BFGS-B",
-                       bounds=[tuple(b) for b in model.bounds],
-                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-9, "maxls": 60})
-        est = estimate(ctx)
-        assert est.converged
-        assert est.i_hat == pytest.approx(-res.fun, rel=1e-10)
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    def test_domain_error_exactly_when_brute_force_leaves_domain(self, div):
+        # exp overflows past s = 709.8 and underflows to 0 below s = -745;
+        # the empty cell (0, 1) is seen only by the cross term
+        sample = table_to_sample(FINITE_TABLES["empty-cell"])
+        model = FiniteDiscreteModel(range(2), range(3), beta_bounds=(-800.0, 800.0))
+        ctx = ObjectiveContext(div, model, sample)
+        raised_any = {False: 0, True: 0}
+        for cell in (1, 3):
+            for beta in np.linspace(-800.0, 800.0, 161):
+                theta = np.zeros(model.dim)
+                theta[cell] = beta
+                expect = brute_force_leaves_domain(div, model, sample, theta)
+                try:
+                    objective_terms(ctx, theta)
+                    raised = False
+                except DomainError:
+                    raised = True
+                assert raised == expect, (cell, beta)
+                raised_any[raised] += 1
+        assert raised_any[True] and raised_any[False]
+
+    def test_estimate_matches_brute_force_lbfgsb(self):
+        check_estimate(KL, finite_model(2, 3), table_to_sample(FINITE_TABLES["full"]))
+
+
+FGM_SAMPLES = {
+    "gaussian": sample_gaussian(GaussianSpec(0.4), 60, 3),
+    **{name: TIED[name] for name in ("rounded", "two-valued")},
+}
+
+
+def margins_sample(sample):
+    """The rank-transformed sample, as ``FgmCopulaModel.h`` takes it."""
+    m = rank_transform(sample.x, sample.y)
+    return PairedSample(m.u, m.v)
+
+
+class TestFgmOracle:
+    """The FGM model's h-space terms against the brute force on its margins."""
+
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    @pytest.mark.parametrize("name", list(FGM_SAMPLES))
+    def test_value_and_gradient(self, name, div):
+        sample = FGM_SAMPLES[name]
+        model = FgmCopulaModel()
+        ctx = ObjectiveContext(div, model, sample)
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            # mid-ranks have mean(1 - 2u) = 0, so the KL cross term and
+            # the theta-linear part of the others vanish up to round-off
+            assert_terms_match_brute_force(div, model, ctx, margins_sample(sample),
+                                           rng.uniform(-0.95, 0.95, 1), abs_terms=1e-14)
+
+    @pytest.mark.parametrize("div", [KL, CHISQ], ids=str)
+    def test_estimate_matches_brute_force_lbfgsb(self, div):
+        sample = TIED["rounded"]
+        check_estimate(div, FgmCopulaModel(), sample, margins_sample(sample))
 
 
 class TestEstimate:
@@ -606,6 +708,26 @@ class TestPairedSample:
     def test_categorical_tokens_not_checked(self):
         s = PairedSample(np.array(["nan", "a"]), np.array(["b", "inf"]), kind="categorical")
         assert s.n == 2
+
+    def test_categorical_tokens_keep_their_value(self):
+        # numpy's default conversion would give ['a' '1' 'b'] and drop the NUL
+        s = PairedSample(["a", 1, "b"], ["x\x00", "y", "x"], kind="categorical")
+        assert s.x.tolist() == ["a", 1, "b"]
+        assert s.y.tolist() == ["x\x00", "y", "x"]
+        with pytest.raises(SupportError, match="do not compare"):
+            plugin_estimate(KL, s)
+        # 'x\x00' and 'x' are two levels: a perfectly dependent 2x2 table
+        s = PairedSample(["x\x00", "x", "x\x00", "x"], ["u", "v", "u", "v"],
+                         kind="categorical")
+        assert plugin_estimate(KL, s) == pytest.approx(np.log(2.0))
+        # plain lists that numpy converts faithfully keep numpy's dtype
+        assert PairedSample(["a", "b"], [1, 2], kind="categorical").x.dtype.kind == "U"
+
+    def test_categorical_arrays_pass_through(self):
+        x = np.array(["a", "b", "a"])
+        y = np.array([0, 1, 1])
+        s = PairedSample(x, y, kind="categorical")
+        assert s.x is x and s.y is y
 
     def test_subset(self):
         s = PairedSample([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
