@@ -232,6 +232,7 @@ def _cmd_estimate(args, out) -> int:
     print(f"converged={_bool(est.converged)}", file=out)
     print(f"grad_norm={_fmt(est.grad_norm)}", file=out)
     print(f"objective_evals={est.objective_evals}", file=out)
+    print(f"method={est.method}", file=out)
     return 0
 
 

@@ -12,6 +12,11 @@ i = j.  The mutual-information estimate is ``sup_theta M_n(theta)`` over
 the model's box, attained at ``theta_hat``.  The model evaluates both
 terms over a cache it builds once per :class:`ObjectiveContext`.
 
+:func:`estimate` fits exponential bilinear models by Newton's method on
+the profile of M_n in beta, with the normalizer alpha in closed form, and
+checks the result with one full evaluation of M_n; where that fails, and
+for the other families, L-BFGS-B on M_n does the fit.
+
 For finite-discrete data the same maximization collapses to the direct
 plug-in estimate; :func:`plugin_estimate` computes that independently,
 for one sample or a whole batch, and serves as an oracle for the
@@ -23,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .divergence import DivergenceSpec
@@ -32,7 +38,7 @@ from .errors import (
     LengthMismatchError,
     SupportError,
 )
-from .models import ParamVector, RatioModel, encode_tokens
+from .models import ExpBilinearModel, ParamVector, RatioModel, encode_tokens
 
 __all__ = [
     "PairedSample",
@@ -105,6 +111,7 @@ class DualEstimate:
     objective_evals: int
     converged: bool
     grad_norm: float
+    method: str   # "newton" (profiled Newton) or "lbfgsb"
 
 
 class ObjectiveContext:
@@ -117,7 +124,7 @@ class ObjectiveContext:
     """
 
     def __init__(self, divergence: DivergenceSpec, model: RatioModel,
-                 sample: PairedSample, rows=None):
+                 sample: PairedSample, rows=None, *, _drawn_from=None):
         if sample.kind != model.sample_kind:
             raise SupportError(f"{model.family} models need a {model.sample_kind} sample")
         self.divergence = divergence
@@ -125,7 +132,19 @@ class ObjectiveContext:
         self.sample = sample if rows is None else None
         x, y = (sample.x, sample.y) if rows is None else (sample.x[rows], sample.y[rows])
         self.n = x.size
-        self._cache = model._build_cache(x, y)
+        if _drawn_from is None:
+            self._cache = model._build_cache(x, y)
+        else:
+            parent, ix, iy = _drawn_from
+            self._cache = model._draw_cache(parent._cache, x, y, ix, iy)
+
+    def resample(self, ix, iy) -> "ObjectiveContext":
+        """Context on the sample ``(x[ix], y[iy])``, as a bootstrap draws it
+        from this context's sample; the model may derive its cache from
+        this context's instead of building it anew."""
+        s = self.sample
+        return ObjectiveContext(self.divergence, self.model,
+                                PairedSample(s.x[ix], s.y[iy], s.kind), _drawn_from=(self, ix, iy))
 
 
 def _terms(ctx: ObjectiveContext, theta, need_grad: bool):
@@ -194,17 +213,80 @@ def _projected_grad_norm(theta, grad, bounds, tol=1e-9):
     return float(np.max(np.abs(g))) if g.size else 0.0
 
 
+_NEWTON_PASSES = 20
+
+
+def _profiled_newton(ctx: ObjectiveContext):
+    """Newton's method on the profile of M_n in beta, from beta = 0.
+
+    The profile maximizes over alpha in closed form (see
+    :meth:`ExpBilinearModel._profile`).  Each step solves with the Hessian
+    where ``-H`` is positive definite and follows the gradient elsewhere,
+    and backtracks until it stays in the box and gains the Armijo share
+    of its slope.  The run stops when the Newton decrement ``g'(-H)^-1 g``
+    is at most ``1e-14 max(1, |M|)``.  Returns the number of profiled
+    passes and ``(alpha*, beta_hat)``, or ``None`` in its place when the
+    pass cap is reached or alpha* leaves the box.
+    """
+    model, div, cache = ctx.model, ctx.divergence, ctx._cache
+    lo, hi = model.bounds[:, 0], model.bounds[:, 1]
+    beta = np.zeros(model.dim - 1)
+    value, grad, hess, alpha = model._profile(div, beta, cache)
+    passes = 1
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        return passes, None
+    # an unbounded profile may overflow; the pass cap ends such a run
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            try:
+                step = cho_solve(cho_factor(-hess), grad)
+            except LinAlgError:   # -H is not positive definite: a gradient step
+                step = grad
+                slope = grad @ step
+            else:
+                slope = grad @ step   # the Newton decrement
+                if slope <= 1e-14 * max(1.0, abs(value)):
+                    theta = np.concatenate([[alpha], beta])
+                    return passes, (theta if lo[0] <= alpha <= hi[0] else None)
+            t = 1.0
+            while True:
+                trial = beta + t * step
+                if np.all(trial >= lo[1:]) and np.all(trial <= hi[1:]):
+                    if passes == _NEWTON_PASSES:
+                        return passes, None
+                    passes += 1
+                    new = model._profile(div, trial, cache)
+                    if (new[0] >= value + 1e-4 * t * slope and np.all(np.isfinite(new[1]))
+                            and np.all(np.isfinite(new[2]))):
+                        break
+                t *= 0.5
+            beta = trial
+            value, grad, hess, alpha = new
+
+
 def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
              grad_tol: float = 1e-6, multistart: int = 5) -> DualEstimate:
     """Maximize M_n over the model's box and return (theta_hat, I_hat).
 
-    Box-constrained quasi-Newton (L-BFGS-B) with the analytic gradient,
+    Exponential bilinear models first run Newton's method on the profile
+    of M_n in beta, with alpha in closed form (:func:`_profiled_newton`),
+    and then evaluate M_n and its gradient once at ``(alpha*, beta_hat)``;
+    that evaluation gives ``i_hat`` and ``grad_norm``.  The result stands
+    (``method="newton"``) unless the point leaves the box or the domain of
+    phi, the value is not finite, the projected gradient exceeds
+    ``grad_tol``, or Newton hits its pass cap.
+
+    Otherwise, and for the other families (``method="lbfgsb"``):
+    box-constrained quasi-Newton (L-BFGS-B) with the analytic gradient,
     started at the independence point theta0 = 0 (so the returned value
     is never below M_n(theta0) = 0 for exponential families), plus any
     deterministic warm starts the model suggests; the best final value
     wins.  On non-convergence, up to ``multistart`` extra seeded starts
     are tried; the result is returned either way, flagged through
     ``converged``.
+
+    ``objective_evals`` counts the profiled passes and the full
+    evaluations of M_n, Newton's included where L-BFGS-B takes over.
     """
     model = ctx.model
     bounds = model.bounds
@@ -216,6 +298,26 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
             return _evaluate(ctx, theta, need_grad=True)
         except DomainError as exc:
             return exc
+
+    def result(theta, value, pgnorm, method):
+        return DualEstimate(
+            theta_hat=model.param_vector(theta),
+            i_hat=value,
+            objective_evals=evals,
+            converged=bool(pgnorm <= grad_tol),
+            grad_norm=pgnorm,
+            method=method,
+        )
+
+    if isinstance(model, ExpBilinearModel):
+        evals, theta = _profiled_newton(ctx)
+        if theta is not None:
+            evals += 1
+            out = evaluate(theta)
+            if not isinstance(out, DomainError) and np.isfinite(out[0]):
+                pgnorm = _projected_grad_norm(theta, out[1], bounds)
+                if pgnorm <= grad_tol:
+                    return result(theta, out[0], pgnorm, "newton")
 
     def fun(theta):
         nonlocal evals, last_theta, last
@@ -257,13 +359,7 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
             if pgnorm <= grad_tol:
                 break
 
-    return DualEstimate(
-        theta_hat=model.param_vector(theta),
-        i_hat=value,
-        objective_evals=evals,
-        converged=bool(pgnorm <= grad_tol),
-        grad_norm=pgnorm,
-    )
+    return result(theta, value, pgnorm, "lbfgsb")
 
 
 def plugin_statistics(divergence: DivergenceSpec, counts) -> np.ndarray:

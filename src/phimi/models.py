@@ -198,6 +198,11 @@ class RatioModel:
     def _build_cache(self, x, y):
         raise NotImplementedError
 
+    def _draw_cache(self, cache, x, y, ix, iy):
+        """Cache of the resample ``(x, y)`` drawn from the sample of
+        ``cache`` at indices ``ix`` and ``iy``; equal to ``_build_cache(x, y)``."""
+        return self._build_cache(x, y)
+
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
         raise NotImplementedError
 
@@ -234,6 +239,7 @@ class ExpBilinearModel(RatioModel):
         d = len(pairs)
         self.bounds = np.vstack([_as_bounds(alpha_bounds, 1), _as_bounds(beta_bounds, d)])
         self.bounds.setflags(write=False)
+        self._pairs = np.triu_indices(d)   # (k, l), k <= l: the second moments
 
     def feature_pairs(self):
         return [(p.xi, p.zeta) for p in self.basis]
@@ -266,22 +272,52 @@ class ExpBilinearModel(RatioModel):
                                return_counts=True)
         xi = np.stack([p.xi(ux) for p in self.basis], axis=1)    # (nx, d)
         ze = np.stack([p.zeta(uy) for p in self.basis], axis=1)  # (ny, d)
+        return self._distinct_cache(xi, ix, cx, ze, iy, cy)
+
+    def _draw_cache(self, cache, x, y, ix, iy):
+        """A resample's distinct values are some of the parent's: count the
+        parent's value index of every draw and keep the values drawn."""
+        sides = []
+        for inverse, values in ((cache["ix"][ix], cache["xi"]), (cache["iy"][iy], cache["ze"])):
+            counts = np.bincount(inverse, minlength=len(values))
+            drawn = counts > 0
+            sides += [values[drawn], (np.cumsum(drawn) - 1)[inverse], counts[drawn]]
+        return self._distinct_cache(*sides)
+
+    def _distinct_cache(self, xi, ix, cx, ze, iy, cy):
+        """Cache from the basis on distinct values, (nx, d) and (ny, d), the
+        value index of every observation and the value counts."""
         n = ix.size
+        d = xi.shape[1]
         # A term whose zeta (xi) is constant on the sample adds a vector
         # over x (y) to the cross exponent; the other terms are coupled.
         x_only = np.all(ze == ze[:1], axis=0)
         y_only = np.all(xi == xi[:1], axis=0) & ~x_only
-        xi1 = cx[:, None] * np.hstack([np.ones((ux.size, 1)), xi])
-        ze1 = cy[:, None] * np.hstack([np.ones((uy.size, 1)), ze])
+        xi2, ze2 = self._moment_columns(xi, cx), self._moment_columns(ze, cy)
+        xi1, ze1 = xi2[:, :1 + d].copy(), ze2[:, :1 + d].copy()
         return {
-            "xi": xi, "ze": ze, "paired": xi[ix] * ze[iy], "n": n, "cx": cx.astype(float),
+            "xi": xi, "ze": ze, "ix": ix, "iy": iy, "paired": xi[ix] * ze[iy], "n": n,
+            "cx": cx.astype(float),
             "a": xi[:, x_only] * ze[0, x_only], "x_only": np.flatnonzero(x_only),
             "b": xi[0, y_only] * ze[:, y_only], "y_only": np.flatnonzero(y_only),
             "coupled": np.flatnonzero(~(x_only | y_only)),
             "xi1": xi1, "ze1": ze1,   # count-weighted (1, xi) and (1, zeta)
             # mean of (1, xi_k zeta_k) over the n^2 cross pairs
             "cross_mean": xi1.sum(axis=0) * ze1.sum(axis=0) / n**2,
+            # the profile's cross moments; zeta side in blocks of <= 4 columns
+            "xi2": xi2, "ze2_blocks": [ze2[:, j:j + 4].copy() for j in range(0, ze2.shape[1], 4)],
         }
+
+    def _moment_columns(self, v, counts):
+        """Count-weighted ``(1, v, v_k v_l)`` for k <= l, shape (len(v), 1 +
+        d + d (d + 1) / 2), from the basis on one side's distinct values."""
+        k, l = self._pairs
+        d = v.shape[1]
+        out = np.empty((v.shape[0], 1 + d + k.size))
+        out[:, 0] = counts
+        np.multiply(v, counts[:, None], out=out[:, 1:1 + d])
+        np.multiply(v[:, k] * v[:, l], counts[:, None], out=out[:, 1 + d:])
+        return out
 
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
         """Paired term in exponent space.
@@ -344,6 +380,73 @@ class ExpBilinearModel(RatioModel):
             if not need_grad:
                 return value, None
             return value, np.einsum("ik,ik->k", cache["xi1"], rows) / n2 + mean_w
+
+    def _profile(self, divergence, beta, cache):
+        """M_n maximized over alpha in closed form, with its beta derivatives.
+
+        Let ``A`` be the paired mean of ``exp((gamma - 1) beta.f)`` and ``B``
+        the cross mean of ``exp(gamma beta.f)``.  ``dM_n/dalpha = 0`` at
+        ``e^alpha* = A / B``, a maximum in alpha for every gamma, where
+        ``M_n = expm1(L) / (gamma (gamma - 1))`` with ``L = gamma log A +
+        (1 - gamma) log B`` (KL: ``beta.mean f_p - log B``; KLm: ``-log A -
+        beta.mean f_c``).  With ``E_A``, ``E_B`` the means under the weights
+        that make up ``A`` and ``B`` and ``d = E_A f - E_B f``, the gradient
+        is ``e^L d`` and the Hessian ``e^L (gamma (gamma - 1) d d' + (gamma -
+        1) Cov_A f - gamma Cov_B f)``: concave for gamma in [0, 1].
+
+        ``log A`` and ``log B`` are log-sum-exps shifted by the largest
+        exponent, so no exp overflows.  ``E_B[f_k f_l]`` comes from one exp
+        pass over the distinct-value block contracted with the count-weighted
+        ``(1, zeta, zeta_k zeta_l)`` and read off ``(1, xi, xi_k xi_l)``; the
+        products take at most 4 columns each, because OpenBLAS's threaded
+        path for wider ones can stall.  Returns (value, gradient, Hessian,
+        alpha*); a non-finite value means the profile overflows there.
+        """
+        g = divergence.gamma
+        f = cache["paired"]
+        d = beta.size
+        k, l = self._pairs
+        with np.errstate(over="ignore", invalid="ignore"):
+            if g == 1.0:
+                log_a, mean_a, cov_a = 0.0, f.mean(axis=0), 0.0
+            else:
+                u = (g - 1.0) * (f @ beta)
+                shift = u.max()
+                w = np.exp(u - shift)
+                total = w.sum()
+                log_a = shift + np.log(total / f.shape[0])
+                w /= total
+                mean_a = w @ f
+                cov_a = (f.T * w) @ f - np.outer(mean_a, mean_a)
+            if g == 0.0:
+                log_b, mean_b, cov_b = 0.0, cache["cross_mean"][1:], 0.0
+            else:
+                t = self._cross_exponent(np.concatenate([[0.0], beta]), cache)
+                if g != 1.0:
+                    t *= g
+                shift = t.max()
+                e = np.exp(np.subtract(t, shift, out=t), out=t)
+                rows = np.hstack([e @ block for block in cache["ze2_blocks"]])
+                moments = np.einsum("ik,ik->k", cache["xi2"], rows)
+                total = moments[0]
+                log_b = shift + np.log(total / cache["n"] ** 2)
+                moments /= total
+                mean_b = moments[1:1 + d]
+                second = np.empty((d, d))
+                second[k, l] = second[l, k] = moments[1 + d:]
+                cov_b = second - np.outer(mean_b, mean_b)
+            big_l = g * log_a + (1.0 - g) * log_b
+            if g == 1.0:
+                value = beta @ mean_a - log_b
+            elif g == 0.0:
+                value = -log_a - beta @ mean_b
+            else:
+                value = np.expm1(big_l) / (g * (g - 1.0))
+            scale = np.exp(big_l)
+            diff = mean_a - mean_b
+            hess = scale * (g * (g - 1.0) * np.outer(diff, diff) + (g - 1.0) * cov_a
+                            - g * cov_b)
+            return float(value), scale * diff, hess, log_a - log_b
 
     def to_config(self) -> str:
         names = [p.name for p in self.basis]

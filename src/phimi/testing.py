@@ -129,23 +129,20 @@ def bootstrap_statistics(ctx: ObjectiveContext, cfg: BootstrapConfig) -> np.ndar
 
     Each replicate draws the x side and the y side independently with
     replacement (separate RNG streams), so the pairing is broken; rank
-    and cell statistics are recomputed on each replicate sample.  Fails
+    and cell statistics are recomputed on each replicate sample, whose
+    context the model may derive from ``ctx``
+    (:meth:`ObjectiveContext.resample`).  Fails
     if more than 5% of the replicate optimizations do not converge.  A fit
     of an exponential bilinear model costs (distinct x) × (distinct y)
     values per evaluation, about 0.63² n² for continuous data.
     """
     n = ctx.n
-    x = np.asarray(ctx.sample.x)
-    y = np.asarray(ctx.sample.y)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.b_reps)
     out = np.empty(cfg.b_reps)
     failures = 0
     for b, seq in enumerate(seeds):
         rng_x, rng_y = (np.random.default_rng(child) for child in seq.spawn(2))
-        resample = PairedSample(x[rng_x.integers(0, n, n)],
-                                y[rng_y.integers(0, n, n)], ctx.sample.kind)
-        ctx_b = ObjectiveContext(ctx.divergence, ctx.model, resample)
-        est = estimate(ctx_b, seed=b)
+        est = estimate(ctx.resample(rng_x.integers(0, n, n), rng_y.integers(0, n, n)), seed=b)
         failures += not est.converged
         out[b] = 2.0 * n * est.i_hat
     if failures > 0.05 * cfg.b_reps:

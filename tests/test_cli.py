@@ -89,6 +89,7 @@ class TestEstimateCommand:
         assert code == 0
         assert "i_hat=" in text
         assert "converged=true" in text
+        assert "method=newton" in text
 
     def test_fgm_estimate_with_gamma(self, tmp_path):
         f = write_gaussian_csv(tmp_path / "d.csv", rho=0.3)
@@ -96,6 +97,7 @@ class TestEstimateCommand:
                              "--model", "fgm", "--gamma", "2.0", "--seed", "1"])
         assert code == 0
         assert "beta=" in text
+        assert "method=lbfgsb" in text
 
 
 class TestTestCommand:

@@ -392,22 +392,122 @@ class TestExpBilinearOracle:
         check_estimate(KL, gaussian_model(), sample_gaussian(GaussianSpec(0.3), 500, 21))
 
 
-def check_estimate(div, model, sample, oracle_sample=None):
-    """``estimate`` against L-BFGS-B on the brute force, which sees
-    ``oracle_sample`` (the sample as ``model.h`` takes it) if given."""
-    ctx = ObjectiveContext(div, model, sample)
-    oracle_sample = sample if oracle_sample is None else oracle_sample
+def check_profile(ctx, beta, step=1e-5):
+    """The profile against M_n at (alpha*(beta), beta) and central differences."""
+    model, div = ctx.model, ctx.divergence
 
+    def profile(b):
+        return model._profile(div, b, ctx._cache)
+
+    value, grad, hess, alpha = profile(beta)
+    theta = np.concatenate([[alpha], beta])
+    full, full_grad = objective_with_grad(ctx, theta)
+    assert value == pytest.approx(full, rel=1e-10, abs=1e-15)
+    scale = np.max(np.abs(full_grad))
+    assert abs(full_grad[0]) <= 1e-12 * max(1.0, scale)   # alpha* is stationary
+    assert np.allclose(grad, full_grad[1:], rtol=1e-10, atol=1e-10 * scale)
+    d = beta.size
+    fd_grad, fd_hess = np.empty(d), np.empty((d, d))
+    for k in range(d):
+        db = np.zeros(d)
+        db[k] = step
+        hi, lo = profile(beta + db), profile(beta - db)
+        fd_grad[k] = (hi[0] - lo[0]) / (2 * step)
+        fd_hess[:, k] = (hi[1] - lo[1]) / (2 * step)
+    assert np.max(np.abs(fd_grad - grad)) <= 1e-6 * max(scale, 1e-3)
+    assert np.max(np.abs(fd_hess - hess)) <= 1e-6 * max(np.max(np.abs(hess)), 1e-3)
+
+
+NEWTON_SAMPLES = {
+    "dependent": sample_gaussian(GaussianSpec(0.4), 60, 3),
+    "independent": sample_gaussian(GaussianSpec(0.0), 60, 4),
+    "rounded": TIED["rounded"],
+}
+
+
+def brute_force_lbfgsb(div, model, sample):
+    """sup M_n by L-BFGS-B on the pair-by-pair brute force."""
     def fun(theta):
-        paired, cross, grad = brute_force_terms(div, model, oracle_sample, theta)
+        paired, cross, grad = brute_force_terms(div, model, sample, theta)
         return cross - paired, -grad
 
     res = minimize(fun, model.theta0, jac=True, method="L-BFGS-B",
                    bounds=[tuple(b) for b in model.bounds],
                    options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-9, "maxls": 60})
+    return -res.fun
+
+
+def lbfgsb_only(ctx, monkeypatch):
+    """``estimate`` with the profiled Newton run switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(phimi.estimator, "_profiled_newton", lambda ctx: (0, None))
+        return estimate(ctx)
+
+
+class TestProfiledNewton:
+    """The profiled dual in beta and the Newton run on it."""
+
+    @pytest.mark.parametrize("basis", list(ORACLE_BASES), ids=list(ORACLE_BASES))
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    def test_profile_matches_objective_and_differences(self, div, basis):
+        # alpha* leaves the default box at some of these points
+        model = ExpBilinearModel(ORACLE_BASES[basis], alpha_bounds=(-40.0, 40.0))
+        ctx = ObjectiveContext(div, model, NEWTON_SAMPLES["dependent"])
+        rng = np.random.default_rng(18)
+        for _ in range(2):
+            check_profile(ctx, rng.uniform(-0.3, 0.3, model.dim - 1))
+
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    @pytest.mark.parametrize("tied", list(TIED))
+    def test_tied_profile_matches_objective_and_differences(self, tied, div):
+        rng = np.random.default_rng(19)
+        for basis in ("gaussian", "x,y,xy", "xy,x2y2"):
+            model = ExpBilinearModel(ORACLE_BASES[basis], alpha_bounds=(-40.0, 40.0))
+            ctx = ObjectiveContext(div, model, TIED[tied])
+            check_profile(ctx, rng.uniform(-0.3, 0.3, model.dim - 1))
+
+    @pytest.mark.parametrize("basis", ["gaussian", "x,y,xy", "xy", "xy,x2y2"])
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    def test_newton_not_below_brute_force_lbfgsb(self, div, basis):
+        # below gamma = 0 the sup over the box is unbounded on dependent
+        # samples (huge, at the box's edge); Newton then hands over
+        names = list(NEWTON_SAMPLES) if div.gamma >= 0.0 else ["independent"]
+        model = ExpBilinearModel(ORACLE_BASES[basis])
+        for name in names:
+            sample = NEWTON_SAMPLES[name]
+            est = estimate(ObjectiveContext(div, model, sample))
+            oracle = brute_force_lbfgsb(div, model, sample)
+            assert est.method == "newton" and est.converged, name
+            assert est.i_hat >= oracle - 1e-10 * abs(oracle), name
+
+    @pytest.mark.parametrize("case", ["alpha-box", "beta-bound", "pass-cap"])
+    def test_forced_fallback_returns_lbfgsb_result(self, case, monkeypatch):
+        sample, div = NEWTON_SAMPLES["dependent"], KL
+        if case == "alpha-box":      # alpha* ~ 0.07
+            model = gaussian_model(alpha_bounds=(0.5, 1.0))
+        elif case == "beta-bound":   # the xy coefficient wants ~0.4
+            model = gaussian_model(beta_bounds=(-0.05, 0.05))
+        else:                        # the sup is unbounded: no convergence
+            model, div = gaussian_model(), DivergenceSpec(-1.0)
+        ctx = ObjectiveContext(div, model, sample)
+        est = estimate(ctx)
+        ref = lbfgsb_only(ctx, monkeypatch)
+        assert est.method == ref.method == "lbfgsb"
+        assert est.theta_hat == ref.theta_hat
+        assert est.i_hat == ref.i_hat and est.grad_norm == ref.grad_norm
+        assert est.converged == ref.converged
+        assert est.objective_evals > ref.objective_evals   # Newton's passes count
+
+
+def check_estimate(div, model, sample, oracle_sample=None):
+    """``estimate`` against L-BFGS-B on the brute force, which sees
+    ``oracle_sample`` (the sample as ``model.h`` takes it) if given."""
+    ctx = ObjectiveContext(div, model, sample)
+    oracle = brute_force_lbfgsb(div, model, sample if oracle_sample is None else oracle_sample)
     est = estimate(ctx)
     assert est.converged
-    assert est.i_hat == pytest.approx(-res.fun, rel=1e-10)
+    assert est.method == ("newton" if isinstance(model, ExpBilinearModel) else "lbfgsb")
+    assert est.i_hat == pytest.approx(oracle, rel=1e-10)
 
 
 def assert_terms_match_brute_force(div, model, ctx, oracle_sample, theta, abs_terms=0.0):
@@ -541,26 +641,36 @@ class TestEstimate:
         assert est.converged
         assert est.objective_evals > 0
 
-    @pytest.mark.parametrize("case", ["gaussian-kl", "tied-chisq"])
+    @pytest.mark.parametrize("case", ["gaussian-kl", "tied-chisq", "fallback"])
     def test_last_evaluation_reused(self, case, monkeypatch):
+        # objective_evals counts the profiled passes and the full
+        # evaluations; L-BFGS-B's last evaluation is reused at res.x
         if case == "gaussian-kl":
             ctx = ObjectiveContext(KL, gaussian_model(),
                                    sample_gaussian(GaussianSpec(0.4), 200, 5))
-        else:
+        elif case == "tied-chisq":
             ctx = ObjectiveContext(CHISQ, ExpBilinearModel(["x", "y", "xy"]),
                                    tied_samples(200)["rounded"])
+        else:   # alpha* ~ 0.1 lies outside the alpha box
+            ctx = ObjectiveContext(KL, gaussian_model(alpha_bounds=(0.5, 1.0)),
+                                   sample_gaussian(GaussianSpec(0.4), 200, 5))
         calls = 0
         evaluate = phimi.estimator._evaluate
+        profile = ExpBilinearModel._profile
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return evaluate(*args, **kwargs)
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(phimi.estimator, "_evaluate", counting)
+        monkeypatch.setattr(phimi.estimator, "_evaluate", counting(evaluate))
+        monkeypatch.setattr(ExpBilinearModel, "_profile", counting(profile))
         est = estimate(ctx)
         monkeypatch.undo()
         assert est.converged
+        assert est.method == ("lbfgsb" if case == "fallback" else "newton")
         assert calls == est.objective_evals
         theta = est.theta_hat.to_array()
         assert est.i_hat == objective(ctx, theta)
@@ -598,6 +708,40 @@ class TestEstimate:
         s = sample_gaussian(GaussianSpec(rho), 2000, 17)
         est = estimate(ObjectiveContext(KL, gaussian_model(), s))
         assert est.i_hat == pytest.approx(true_mi, abs=0.05)
+
+
+def assert_same_cache(got, expect):
+    assert got.keys() == expect.keys()
+    for key in expect:
+        a, b = got[key], expect[key]
+        if isinstance(b, (list, tuple)):
+            assert len(a) == len(b), key
+            pairs = zip(a, b)
+        else:
+            pairs = [(a, b)]
+        for u, v in pairs:
+            assert np.asarray(u).dtype == np.asarray(v).dtype, key
+            assert np.array_equal(u, v), key
+
+
+class TestResample:
+    @pytest.mark.parametrize("name", ["rounded", "two-valued", "continuous"])
+    def test_cache_equals_a_fresh_context(self, name):
+        sample = TIED[name] if name in TIED else NEWTON_SAMPLES["dependent"]
+        n = sample.n
+        rng = np.random.default_rng(20)
+        draws = [(rng.integers(0, n, n), rng.integers(0, n, n)) for _ in range(4)]
+        draws.append((np.full(n, 3), rng.integers(0, n, n)))   # a single x value
+        for model in (gaussian_model(), ExpBilinearModel(["x", "y", "xy"]),
+                      ExpBilinearModel(["1", "x", "xy"]), FgmCopulaModel()):
+            ctx = ObjectiveContext(CHISQ, model, sample)
+            for ix, iy in draws:
+                drawn = ctx.resample(ix, iy)
+                fresh = ObjectiveContext(CHISQ, model, PairedSample(sample.x[ix], sample.y[iy]))
+                assert drawn.n == n
+                assert np.array_equal(drawn.sample.x, fresh.sample.x)
+                assert np.array_equal(drawn.sample.y, fresh.sample.y)
+                assert_same_cache(drawn._cache, fresh._cache)
 
 
 class TestPluginEstimate:
