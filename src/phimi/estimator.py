@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .divergence import DivergenceSpec
@@ -38,7 +37,7 @@ from .errors import (
     LengthMismatchError,
     SupportError,
 )
-from .models import ExpBilinearModel, ParamVector, RatioModel, encode_tokens
+from .models import ParamVector, RatioModel, encode_tokens
 
 __all__ = [
     "PairedSample",
@@ -214,23 +213,45 @@ def _projected_grad_norm(theta, grad, bounds, tol=1e-9):
 
 
 _NEWTON_PASSES = 20
+_HALVINGS = 60
+_RANK_TOL = 1e-10   # -H eigenvalues below this share of the largest are null
+
+
+def _ascent_step(value, grad, hess):
+    """Step, slope ``grad . step`` and whether the run has converged.
+
+    Where ``-H`` is positive semidefinite, the Newton step on its range,
+    so a direction in which the profile is flat (a basis term constant on
+    both margins duplicates alpha) neither blocks nor blows up the step;
+    the run converges at Newton decrement ``g'(-H)^+ g <= 1e-14 max(1,
+    |M|)``.  Elsewhere (gamma outside [0, 1]) a gradient step, converged at
+    ``max |g| <= 1e-10 max(1, |M|)``.
+    """
+    scale = max(1.0, abs(value))
+    w, v = np.linalg.eigh(-hess)
+    top = np.max(np.abs(w))
+    if w[0] >= -_RANK_TOL * top:
+        keep = w > _RANK_TOL * top
+        step = v[:, keep] @ ((grad @ v[:, keep]) / w[keep])
+        slope = grad @ step   # the Newton decrement
+        return step, slope, slope <= 1e-14 * scale
+    return grad, grad @ grad, np.max(np.abs(grad)) <= 1e-10 * scale
 
 
 def _profiled_newton(ctx: ObjectiveContext):
-    """Newton's method on the profile of M_n in beta, from beta = 0.
+    """Newton's method on the profile of M_n in beta, from the box point
+    nearest beta = 0.
 
-    The profile maximizes over alpha in closed form (see
-    :meth:`ExpBilinearModel._profile`).  Each step solves with the Hessian
-    where ``-H`` is positive definite and follows the gradient elsewhere,
-    and backtracks until it stays in the box and gains the Armijo share
-    of its slope.  The run stops when the Newton decrement ``g'(-H)^-1 g``
-    is at most ``1e-14 max(1, |M|)``.  Returns the number of profiled
-    passes and ``(alpha*, beta_hat)``, or ``None`` in its place when the
-    pass cap is reached or alpha* leaves the box.
+    The profile maximizes over alpha in closed form (see the model's
+    ``_profile``).  Each step (:func:`_ascent_step`) backtracks, at most
+    ``_HALVINGS`` times, until it stays in the box and gains the Armijo
+    share of its slope.  Returns the number of profiled passes and
+    ``(alpha*, beta_hat)``, or ``None`` in its place when the pass cap is
+    reached, no halving stays in the box, or alpha* leaves the box.
     """
     model, div, cache = ctx.model, ctx.divergence, ctx._cache
     lo, hi = model.bounds[:, 0], model.bounds[:, 1]
-    beta = np.zeros(model.dim - 1)
+    beta = np.clip(0.0, lo[1:], hi[1:])
     value, grad, hess, alpha = model._profile(div, beta, cache)
     passes = 1
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
@@ -238,18 +259,12 @@ def _profiled_newton(ctx: ObjectiveContext):
     # an unbounded profile may overflow; the pass cap ends such a run
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            try:
-                step = cho_solve(cho_factor(-hess), grad)
-            except LinAlgError:   # -H is not positive definite: a gradient step
-                step = grad
-                slope = grad @ step
-            else:
-                slope = grad @ step   # the Newton decrement
-                if slope <= 1e-14 * max(1.0, abs(value)):
-                    theta = np.concatenate([[alpha], beta])
-                    return passes, (theta if lo[0] <= alpha <= hi[0] else None)
+            step, slope, done = _ascent_step(value, grad, hess)
+            if done:
+                theta = np.concatenate([[alpha], beta])
+                return passes, (theta if lo[0] <= alpha <= hi[0] else None)
             t = 1.0
-            while True:
+            for _ in range(_HALVINGS):
                 trial = beta + t * step
                 if np.all(trial >= lo[1:]) and np.all(trial <= hi[1:]):
                     if passes == _NEWTON_PASSES:
@@ -260,6 +275,8 @@ def _profiled_newton(ctx: ObjectiveContext):
                             and np.all(np.isfinite(new[2]))):
                         break
                 t *= 0.5
+            else:
+                return passes, None
             beta = trial
             value, grad, hess, alpha = new
 
@@ -268,13 +285,14 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
              grad_tol: float = 1e-6, multistart: int = 5) -> DualEstimate:
     """Maximize M_n over the model's box and return (theta_hat, I_hat).
 
-    Exponential bilinear models first run Newton's method on the profile
-    of M_n in beta, with alpha in closed form (:func:`_profiled_newton`),
-    and then evaluate M_n and its gradient once at ``(alpha*, beta_hat)``;
-    that evaluation gives ``i_hat`` and ``grad_norm``.  The result stands
-    (``method="newton"``) unless the point leaves the box or the domain of
-    phi, the value is not finite, the projected gradient exceeds
-    ``grad_tol``, or Newton hits its pass cap.
+    Models with a ``_profile`` (exponential bilinear) first run Newton's
+    method on the profile of M_n in beta, with alpha in closed form
+    (:func:`_profiled_newton`), and then evaluate M_n and its gradient
+    once at ``(alpha*, beta_hat)``; that evaluation gives ``i_hat`` and
+    ``grad_norm``.  The result stands (``method="newton"``) unless alpha*
+    leaves the box, the point leaves the domain of phi, the value is not
+    finite, the projected gradient exceeds ``grad_tol``, or Newton hits
+    its pass cap or cannot step inside the box.
 
     Otherwise, and for the other families (``method="lbfgsb"``):
     box-constrained quasi-Newton (L-BFGS-B) with the analytic gradient,
@@ -309,7 +327,7 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
             method=method,
         )
 
-    if isinstance(model, ExpBilinearModel):
+    if model._profile is not None:
         evals, theta = _profiled_newton(ctx)
         if theta is not None:
             evals += 1

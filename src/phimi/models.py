@@ -213,6 +213,11 @@ class RatioModel:
         """Extra deterministic optimizer starts beyond theta0."""
         return []
 
+    # A family whose dual has the normalizer alpha in closed form sets
+    # _profile(divergence, beta, cache) -> (value, gradient, Hessian,
+    # alpha*), M_n maximized over alpha; estimate then fits beta by Newton.
+    _profile = None
+
     def to_config(self) -> str:
         raise NotImplementedError
 
@@ -293,19 +298,18 @@ class ExpBilinearModel(RatioModel):
         # over x (y) to the cross exponent; the other terms are coupled.
         x_only = np.all(ze == ze[:1], axis=0)
         y_only = np.all(xi == xi[:1], axis=0) & ~x_only
-        xi2, ze2 = self._moment_columns(xi, cx), self._moment_columns(ze, cy)
-        xi1, ze1 = xi2[:, :1 + d].copy(), ze2[:, :1 + d].copy()
+        # count-weighted (1, xi, xi_k xi_l) and (1, zeta, zeta_k zeta_l); the
+        # cross term reads the first 1 + d columns, the profile all of them
+        xim, zem = self._moment_columns(xi, cx), self._moment_columns(ze, cy)
         return {
             "xi": xi, "ze": ze, "ix": ix, "iy": iy, "paired": xi[ix] * ze[iy], "n": n,
             "cx": cx.astype(float),
             "a": xi[:, x_only] * ze[0, x_only], "x_only": np.flatnonzero(x_only),
             "b": xi[0, y_only] * ze[:, y_only], "y_only": np.flatnonzero(y_only),
             "coupled": np.flatnonzero(~(x_only | y_only)),
-            "xi1": xi1, "ze1": ze1,   # count-weighted (1, xi) and (1, zeta)
+            "xim": xim, "zem": zem,
             # mean of (1, xi_k zeta_k) over the n^2 cross pairs
-            "cross_mean": xi1.sum(axis=0) * ze1.sum(axis=0) / n**2,
-            # the profile's cross moments; zeta side in blocks of <= 4 columns
-            "xi2": xi2, "ze2_blocks": [ze2[:, j:j + 4].copy() for j in range(0, ze2.shape[1], 4)],
+            "cross_mean": xim[:, :1 + d].sum(axis=0) * zem[:, :1 + d].sum(axis=0) / n**2,
         }
 
     def _moment_columns(self, v, counts):
@@ -372,14 +376,15 @@ class ExpBilinearModel(RatioModel):
         if g != 1.0:
             s *= g
         n2 = cache["n"] ** 2
+        cols = theta.size   # (1, xi) and (1, zeta)
         # where a product overflows, M_n is infinite and the point infeasible
         with np.errstate(over="ignore", invalid="ignore"):
             m = np.expm1(s, out=s)
-            rows = m @ cache["ze1"]                            # (nx, 1 + d)
+            rows = m @ cache["zem"][:, :cols]                  # (nx, 1 + d)
             value = float(cache["cx"] @ rows[:, 0]) / (g * n2)
             if not need_grad:
                 return value, None
-            return value, np.einsum("ik,ik->k", cache["xi1"], rows) / n2 + mean_w
+            return value, np.einsum("ik,ik->k", cache["xim"][:, :cols], rows) / n2 + mean_w
 
     def _profile(self, divergence, beta, cache):
         """M_n maximized over alpha in closed form, with its beta derivatives.
@@ -426,8 +431,9 @@ class ExpBilinearModel(RatioModel):
                     t *= g
                 shift = t.max()
                 e = np.exp(np.subtract(t, shift, out=t), out=t)
-                rows = np.hstack([e @ block for block in cache["ze2_blocks"]])
-                moments = np.einsum("ik,ik->k", cache["xi2"], rows)
+                zem = cache["zem"]
+                rows = np.hstack([e @ zem[:, j:j + 4] for j in range(0, zem.shape[1], 4)])
+                moments = np.einsum("ik,ik->k", cache["xim"], rows)
                 total = moments[0]
                 log_b = shift + np.log(total / cache["n"] ** 2)
                 moments /= total

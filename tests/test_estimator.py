@@ -466,7 +466,7 @@ class TestProfiledNewton:
             ctx = ObjectiveContext(div, model, TIED[tied])
             check_profile(ctx, rng.uniform(-0.3, 0.3, model.dim - 1))
 
-    @pytest.mark.parametrize("basis", ["gaussian", "x,y,xy", "xy", "xy,x2y2"])
+    @pytest.mark.parametrize("basis", ["gaussian", "x,y,xy", "xy", "1,x,xy", "xy,x2y2"])
     @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
     def test_newton_not_below_brute_force_lbfgsb(self, div, basis):
         # below gamma = 0 the sup over the box is unbounded on dependent
@@ -480,13 +480,18 @@ class TestProfiledNewton:
             assert est.method == "newton" and est.converged, name
             assert est.i_hat >= oracle - 1e-10 * abs(oracle), name
 
-    @pytest.mark.parametrize("case", ["alpha-box", "beta-bound", "pass-cap"])
+    @pytest.mark.parametrize("case", ["alpha-box", "beta-bound", "beta-box-off-zero",
+                                      "stationary-off-box", "pass-cap"])
     def test_forced_fallback_returns_lbfgsb_result(self, case, monkeypatch):
         sample, div = NEWTON_SAMPLES["dependent"], KL
         if case == "alpha-box":      # alpha* ~ 0.07
             model = gaussian_model(alpha_bounds=(0.5, 1.0))
         elif case == "beta-bound":   # the xy coefficient wants ~0.4
             model = gaussian_model(beta_bounds=(-0.05, 0.05))
+        elif case == "beta-box-off-zero":   # every beta at its lower bound
+            model = gaussian_model(beta_bounds=(0.5, 2.0))
+        elif case == "stationary-off-box":  # the profile peaks at beta = 0
+            model = ExpBilinearModel(["x"], beta_bounds=(0.5, 2.0))
         else:                        # the sup is unbounded: no convergence
             model, div = gaussian_model(), DivergenceSpec(-1.0)
         ctx = ObjectiveContext(div, model, sample)
@@ -497,6 +502,28 @@ class TestProfiledNewton:
         assert est.i_hat == ref.i_hat and est.grad_norm == ref.grad_norm
         assert est.converged == ref.converged
         assert est.objective_evals > ref.objective_evals   # Newton's passes count
+
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES[:2], ids=str)
+    def test_starts_at_the_box_point_nearest_zero(self, div):
+        # beta = 0 is outside the box; the optimum (~0.4) is inside
+        model = ExpBilinearModel(["xy"], beta_bounds=(0.2, 2.0))
+        sample = NEWTON_SAMPLES["dependent"]
+        est = estimate(ObjectiveContext(div, model, sample))
+        oracle = brute_force_lbfgsb(div, model, sample)
+        assert est.method == "newton" and est.converged
+        assert est.i_hat >= oracle - 1e-10 * abs(oracle)
+
+    @pytest.mark.parametrize("div", [d for d in ORACLE_DIVERGENCES if d.gamma >= 0.0], ids=str)
+    def test_flat_profile_direction_costs_no_extra_evaluations(self, div, monkeypatch):
+        # the basis term "1" duplicates alpha, so the profile is flat along
+        # its coefficient and -H is singular
+        model = ExpBilinearModel(ORACLE_BASES["1,x,xy"])
+        for name in ("dependent", "rounded"):
+            ctx = ObjectiveContext(div, model, NEWTON_SAMPLES[name])
+            est = estimate(ctx)
+            ref = lbfgsb_only(ctx, monkeypatch)
+            assert est.method == "newton", name
+            assert est.objective_evals <= ref.objective_evals, name
 
 
 def check_estimate(div, model, sample, oracle_sample=None):
