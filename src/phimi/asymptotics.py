@@ -10,9 +10,13 @@ converges in distribution to ``Z'Z`` with ``Z ~ N(0, C)`` and
   built from the moment vector of ``V = (1, xi_k(X), zeta_k(Y),
   xi_k(X) zeta_k(Y))``.
 
-Moments are estimated from ``m`` independent product draws when the
-margins are continuous, and by exact enumeration when both margins are
-finite-discrete.  For the saturated finite-discrete model the limit is
+Under the null every moment is an x-moment times a y-moment, so both
+matrices come from the Gram matrices ``G_x = E[a a']``, ``a = (1, xi(X))``,
+and ``G_y`` of ``(1, zeta(Y))``: ``Sigma1 = G_x * G_y`` entrywise, and
+``E[V V']`` picks the x-slot and y-slot of each entry of V.  Each margin
+is a finite ``(values, probs)`` pair, a sample (weight 1/n per
+observation, so all n^2 product pairs count exactly) or a sampler that
+gives ``m`` draws.  For the saturated finite-discrete model the limit is
 the chi-square law with (K1 - 1)(K2 - 1) degrees of freedom.
 """
 
@@ -64,74 +68,63 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _margin_draws(margin, rng, m):
-    """Draw m values from a margin given as sampler, sample, or (values, probs)."""
-    if callable(margin):
-        return np.asarray(margin(rng, m))
+def _support(margin, rng, m):
+    """Support points and weights of a margin: a (values, probs) pair as
+    given, a sample with weight 1/n per observation, or m sampler draws."""
     if isinstance(margin, tuple) and len(margin) == 2:
         values, probs = margin
-        idx = rng.choice(len(values), size=m, p=np.asarray(probs, dtype=float))
-        return np.asarray(values)[idx]
-    arr = np.asarray(margin)
-    return arr[rng.integers(0, arr.size, size=m)]
+        return np.asarray(values), np.asarray(probs, dtype=float)
+    values = np.asarray(margin(rng, m) if callable(margin) else margin)
+    return values, np.full(values.size, 1.0 / values.size)
 
 
-def _is_exact(margin) -> bool:
-    return isinstance(margin, tuple) and len(margin) == 2
+def _gram(funcs, values, weights) -> np.ndarray:
+    """E[a a'] with a = (1, f_1(v), ..., f_d(v)) over weighted support points."""
+    a = np.stack([np.ones(values.size)] + [f(values) for f in funcs], axis=1).astype(float)
+    return _symmetrize((a.T * weights) @ a)
 
 
-def _moment_inputs(model, marg_x, marg_y, m, seed):
-    """Feature matrices Xi, Ze and point weights for moment computation.
+def _grams(model, marg_x, marg_y, m, seed):
+    """Gram matrices G_x of (1, xi(X)) and G_y of (1, zeta(Y)).
 
-    Exact enumeration over the product support when both margins are
-    finite-discrete; otherwise m independent product draws.
+    Sampler margins draw m values each: x from ``default_rng(seed)``, then
+    y from a generator seeded by that stream after the x draws.
     """
-    pairs = model.feature_pairs()
-    if _is_exact(marg_x) and _is_exact(marg_y):
-        vx, px = marg_x
-        vy, py = marg_y
-        vx = np.asarray(vx)
-        vy = np.asarray(vy)
-        px = np.asarray(px, dtype=float)
-        py = np.asarray(py, dtype=float)
-        xs = np.repeat(vx, vy.size)
-        ys = np.tile(vy, vx.size)
-        weights = np.repeat(px, py.size) * np.tile(py, px.size)
-    else:
-        rng = np.random.default_rng(seed)
-        xs = _margin_draws(marg_x, rng, m)
-        ys = _margin_draws(marg_y, np.random.default_rng(rng.integers(2**63)), m)
-        weights = np.full(xs.size, 1.0 / xs.size)
-    xi = np.stack([p[0](xs) for p in pairs], axis=1).astype(float)
-    ze = np.stack([p[1](ys) for p in pairs], axis=1).astype(float)
-    return xi, ze, weights
+    if m < 1:
+        raise DomainError(m, Interval(1.0, np.inf, lo_closed=True), what="m")
+    xis, zetas = zip(*model.feature_pairs())
+    rng = np.random.default_rng(seed)
+    gx = _gram(xis, *_support(marg_x, rng, m))
+    gy = _gram(zetas, *_support(marg_y, np.random.default_rng(rng.integers(2**63)), m))
+    return gx, gy
 
 
-def _sigma1(xi, ze, w) -> np.ndarray:
-    feats = np.hstack([np.ones((xi.shape[0], 1)), xi * ze])
-    sigma1 = _symmetrize(feats.T @ (feats * w[:, None]))
+def _sigma1(gx, gy) -> np.ndarray:
+    sigma1 = gx * gy
     if np.linalg.cond(sigma1) > _COND_LIMIT:
         raise SingularityError("estimated Sigma1 is numerically singular")
     return sigma1
 
 
-def _sigma2(xi, ze, w) -> np.ndarray:
-    v = np.hstack([np.ones((xi.shape[0], 1)), xi, ze, xi * ze])
-    mu = w @ v
-    v -= mu
-    cov = v.T @ (v * w[:, None])
-    d = xi.shape[1]
+def _sigma2(gx, gy) -> np.ndarray:
+    d = gx.shape[0] - 1
+    k = np.arange(1, d + 1)
+    zero = np.zeros(d, dtype=int)
+    # x-slot and y-slot of each entry of V = (1, xi, zeta, xi*zeta)
+    p = np.concatenate([[0], k, zero, k])
+    q = np.concatenate([[0], zero, k, k])
+    mu = gx[0, p] * gy[0, q]
+    cov = gx[np.ix_(p, p)] * gy[np.ix_(q, q)] - np.outer(mu, mu)
     jac = np.zeros((1 + d, 1 + 3 * d))
-    for k in range(1, d + 1):
-        jac[k, k] = mu[d + k]
-        jac[k, d + k] = mu[k]
-        jac[k, 2 * d + k] = -1.0
+    jac[k, k] = mu[d + k]
+    jac[k, d + k] = mu[k]
+    jac[k, 2 * d + k] = -1.0
     return _symmetrize(jac @ cov @ jac.T)
 
 
 def sigma1_under_h0(model, marg_x, marg_y, m: int = 1_000_000, seed: int = 0) -> np.ndarray:
     """E[w w'] under the product measure, w = (1, xi_k(X) zeta_k(Y))."""
-    return _sigma1(*_moment_inputs(model, marg_x, marg_y, m, seed))
+    return _sigma1(*_grams(model, marg_x, marg_y, m, seed))
 
 
 def sigma2_under_h0(model, marg_x, marg_y, m: int = 1_000_000, seed: int = 0) -> np.ndarray:
@@ -141,14 +134,14 @@ def sigma2_under_h0(model, marg_x, marg_y, m: int = 1_000_000, seed: int = 0) ->
     row k of J reads the moments (mu_zeta_k, mu_xi_k, -1) off the slots
     of V = (1, xi, zeta, xi*zeta).
     """
-    return _sigma2(*_moment_inputs(model, marg_x, marg_y, m, seed))
+    return _sigma2(*_grams(model, marg_x, marg_y, m, seed))
 
 
 def covariances_under_h0(model, marg_x, marg_y, m: int = 1_000_000,
                          seed: int = 0) -> AsymptoticCovariances:
-    """Sigma1, Sigma2 and C from a single set of product draws."""
-    inputs = _moment_inputs(model, marg_x, marg_y, m, seed)
-    return AsymptoticCovariances.from_sigmas(_sigma1(*inputs), _sigma2(*inputs))
+    """Sigma1, Sigma2 and C from one pair of margin Gram matrices."""
+    grams = _grams(model, marg_x, marg_y, m, seed)
+    return AsymptoticCovariances.from_sigmas(_sigma1(*grams), _sigma2(*grams))
 
 
 def limit_quantile_ztz(cov, alpha: float, n_draws: int = 10_000, seed: int = 0) -> float:
@@ -159,6 +152,8 @@ def limit_quantile_ztz(cov, alpha: float, n_draws: int = 10_000, seed: int = 0) 
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(alpha, Interval(0.0, 1.0), what="alpha")
+    if n_draws < 1:
+        raise DomainError(n_draws, Interval(1.0, np.inf, lo_closed=True), what="n_draws")
     c = np.asarray(getattr(cov, "c_matrix", cov), dtype=float)
     vals = np.linalg.eigvalsh(_symmetrize(c))
     vals = np.clip(vals, 0.0, None)

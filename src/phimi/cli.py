@@ -163,8 +163,6 @@ def build_parser() -> _Parser:
     p_test.add_argument("--route", choices=["ztz", "chisq", "bootstrap"], required=True)
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--b-reps", type=int, default=1000)
-    p_test.add_argument("--m", type=int, default=200_000,
-                        help="product draws for ztz moment estimation")
     p_test.add_argument("--n-draws", type=int, default=10_000)
     p_test.add_argument("--seed", type=int, default=None)
     p_test.add_argument("--format", choices=["text", "csv"], default="text")
@@ -210,7 +208,8 @@ def build_parser() -> _Parser:
     p_lim.add_argument("--csv", default=None)
     p_lim.add_argument("--x", default=None)
     p_lim.add_argument("--y", default=None)
-    p_lim.add_argument("--m", type=int, default=1_000_000)
+    p_lim.add_argument("--m", type=int, default=1_000_000,
+                       help="draws per margin for --margins normal")
     p_lim.add_argument("--n-draws", type=int, default=10_000)
     p_lim.add_argument("--seed", type=int, default=None)
 
@@ -257,7 +256,7 @@ def _cmd_test(args, out) -> int:
     model = _parse_model(args.model, sample)
     ctx = ObjectiveContext(_parse_divergence(args), model, sample)
     res = test_independence(
-        ctx, args.route, args.alpha, m=args.m, n_draws=args.n_draws, seed=seed,
+        ctx, args.route, args.alpha, n_draws=args.n_draws, seed=seed,
         bootstrap=BootstrapConfig(args.b_reps, args.alpha, seed),
     )
     text = _format_test_result(res, args.format)
@@ -288,8 +287,8 @@ def _cmd_select(args, out) -> int:
     seed = _resolve_seed(args, out)
     sample = ingest_csv(args.csv, args.x, args.y, args.kind)
     if args.candidates_file:
-        blocks = [b for b in open(args.candidates_file, encoding="utf-8")
-                  .read().split("\n\n") if b.strip()]
+        with open(args.candidates_file, encoding="utf-8") as fh:
+            blocks = [b for b in fh.read().split("\n\n") if b.strip()]
         specs = [b.replace("\n", " ").strip() for b in blocks]
         models = [model_from_config(b) for b in blocks]
     elif args.candidates:

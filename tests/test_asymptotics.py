@@ -12,6 +12,7 @@ from phimi import (
     chi2_sf,
     chisq_df_finite,
     covariances_under_h0,
+    gaussian_model,
     limit_quantile_ztz,
     sigma1_under_h0,
     sigma2_under_h0,
@@ -183,3 +184,124 @@ class TestEmpiricalMarginMode:
         cov = covariances_under_h0(IDENTITY_MODEL, x, y, m=100_000, seed=8)
         # plug-in moments of near-standard margins stay near the identity law
         assert cov.sigma1[1, 1] == pytest.approx(np.mean(x**2) * np.mean(y**2), rel=0.05)
+
+
+def enumerated_sigmas(model, marg_x, marg_y):
+    """Oracle: Sigma1 and Sigma2 over the enumerated, weighted product support."""
+    (vx, px), (vy, py) = marg_x, marg_y
+    xs = np.repeat(np.asarray(vx), len(vy))
+    ys = np.tile(np.asarray(vy), len(vx))
+    w = np.repeat(np.asarray(px, dtype=float), len(py)) * np.tile(np.asarray(py, dtype=float), len(px))
+    pairs = model.feature_pairs()
+    xi = np.stack([p[0](xs) for p in pairs], axis=1).astype(float)
+    ze = np.stack([p[1](ys) for p in pairs], axis=1).astype(float)
+    ones = np.ones((xs.size, 1))
+    feats = np.hstack([ones, xi * ze])
+    sigma1 = feats.T @ (feats * w[:, None])
+    v = np.hstack([ones, xi, ze, xi * ze])
+    mu = w @ v
+    v -= mu
+    cov = v.T @ (v * w[:, None])
+    d = xi.shape[1]
+    jac = np.zeros((1 + d, 1 + 3 * d))
+    for k in range(1, d + 1):
+        jac[k, k] = mu[d + k]
+        jac[k, d + k] = mu[k]
+        jac[k, 2 * d + k] = -1.0
+    sigma2 = jac @ cov @ jac.T
+    return (sigma1 + sigma1.T) / 2.0, (sigma2 + sigma2.T) / 2.0
+
+
+def uniform(sample):
+    sample = np.asarray(sample, dtype=float)
+    return sample, np.full(sample.size, 1.0 / sample.size)
+
+
+MARG_X = (np.array([-1.0, 0.3, 2.0]), np.array([0.2, 0.5, 0.3]))
+MARG_Y = (np.array([-0.5, 1.5, 0.1, 3.0]), np.array([0.1, 0.4, 0.3, 0.2]))
+
+
+class TestFactoredMoments:
+    @pytest.mark.parametrize("model, marg_x, marg_y", [
+        (gaussian_model(), MARG_X, MARG_Y),
+        (ExpBilinearModel(["x", "y", "xy", "x2"]), MARG_X, MARG_Y),
+        (FiniteDiscreteModel([0, 1, 2], [0, 1]),
+         (np.array([0, 1, 2]), np.array([0.2, 0.5, 0.3])),
+         (np.array([0, 1]), np.array([0.35, 0.65]))),
+    ], ids=["gaussian", "x-y-xy-x2", "finite-3x2"])
+    def test_finite_margins_match_enumeration(self, model, marg_x, marg_y):
+        sigma1, sigma2 = enumerated_sigmas(model, marg_x, marg_y)
+        cov = covariances_under_h0(model, marg_x, marg_y)
+        np.testing.assert_allclose(cov.sigma1, sigma1, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(cov.sigma2, sigma2, rtol=0.0, atol=1e-14)
+
+    def test_sample_margins_match_all_n2_pairs(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(200)
+        y = 0.5 + 2.0 * rng.standard_normal(200)
+        model = ExpBilinearModel(["x", "y", "xy", "x2", "y2"])
+        sigma1, sigma2 = enumerated_sigmas(model, uniform(x), uniform(y))
+        cov = covariances_under_h0(model, x, y)
+        assert np.abs(cov.sigma1 - sigma1).max() <= 1e-12 * np.abs(sigma1).max()
+        assert np.abs(cov.sigma2 - sigma2).max() <= 1e-12 * np.abs(sigma2).max()
+
+    def test_mixed_tuple_and_sample_margins_are_exact(self):
+        y = np.random.default_rng(32).exponential(size=150)
+        model = ExpBilinearModel(["x", "y", "xy"])
+        sigma1, sigma2 = enumerated_sigmas(model, MARG_X, uniform(y))
+        cov = covariances_under_h0(model, MARG_X, y, m=10, seed=3)
+        assert np.abs(cov.sigma1 - sigma1).max() <= 1e-12 * np.abs(sigma1).max()
+        assert np.abs(cov.sigma2 - sigma2).max() <= 1e-12 * np.abs(sigma2).max()
+
+    def test_exact_margins_ignore_seed_and_m(self):
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal(80)
+        y = rng.standard_normal(80)
+        model = gaussian_model()
+        for marg_x, marg_y in ((x, y), (uniform(x), uniform(y)), (MARG_X, MARG_Y)):
+            ref = covariances_under_h0(model, marg_x, marg_y)
+            for m, seed in ((1, 0), (7, 5), (50_000, 123)):
+                cov = covariances_under_h0(model, marg_x, marg_y, m=m, seed=seed)
+                assert np.array_equal(cov.sigma1, ref.sigma1)
+                assert np.array_equal(cov.sigma2, ref.sigma2)
+        # a sample is its (values, 1/n weights) pair, bit for bit
+        a = covariances_under_h0(model, x, y)
+        b = covariances_under_h0(model, uniform(x), uniform(y))
+        assert np.array_equal(a.sigma1, b.sigma1)
+        assert np.array_equal(a.sigma2, b.sigma2)
+
+    def test_sampler_streams(self):
+        calls = []
+
+        def recording(rng, size):
+            calls.append(rng.standard_normal(size))
+            return calls[-1]
+
+        m, seed = 1000, 17
+        cov = covariances_under_h0(gaussian_model(), recording, recording, m=m, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(m)
+        y = np.random.default_rng(rng.integers(2**63)).standard_normal(m)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], x)
+        assert np.array_equal(calls[1], y)
+        ref = covariances_under_h0(gaussian_model(), x, y)
+        assert np.array_equal(cov.sigma1, ref.sigma1)
+        assert np.array_equal(cov.sigma2, ref.sigma2)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_nonpositive_m_rejected_before_any_draw(self, m):
+        calls = []
+
+        def recording(rng, size):
+            calls.append(size)
+            return rng.standard_normal(size)
+
+        with pytest.raises(DomainError):
+            covariances_under_h0(IDENTITY_MODEL, recording, recording, m=m, seed=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_nonpositive_n_draws_rejected(self, n_draws):
+        with pytest.raises(DomainError):
+            limit_quantile_ztz(np.eye(1), 0.05, n_draws=n_draws)

@@ -3,7 +3,15 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from phimi import GaussianSpec, MissingValueError, ParseError, sample_gaussian
+from phimi import (
+    GaussianSpec,
+    MissingValueError,
+    ParseError,
+    covariances_under_h0,
+    gaussian_model,
+    limit_quantile_ztz,
+    sample_gaussian,
+)
 from phimi.cli import ingest_csv, main, run
 
 
@@ -129,6 +137,23 @@ class TestTestCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().startswith("phimi-format=1\n")
 
+    def test_ztz_route_critical_value_from_sample_moments(self, tmp_path):
+        f = write_gaussian_csv(tmp_path / "d.csv", rho=0.3, n=40, seed=4)
+        code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y",
+                             "--model", "gaussian", "--route", "ztz",
+                             "--alpha", "0.05", "--seed", "11"])
+        assert code == 0
+        sample = ingest_csv(str(f), "x", "y")
+        cov = covariances_under_h0(gaussian_model(), sample.x, sample.y)
+        expected = limit_quantile_ztz(cov, 0.05, seed=11)
+        assert f"critical_value={expected!r}\n" in text
+
+    def test_ztz_route_has_no_m_flag(self, tmp_path):
+        f = write_gaussian_csv(tmp_path / "d.csv", n=30)
+        assert main(["test", "--csv", str(f), "--x", "x", "--y", "y",
+                     "--model", "gaussian", "--route", "ztz", "--m", "1000",
+                     "--seed", "1"]) == 1
+
     def test_seed_printed_when_generated(self, tmp_path):
         f = write_gaussian_csv(tmp_path / "d.csv", n=30)
         code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y",
@@ -225,3 +250,7 @@ class TestExitCodes:
 
     def test_bad_basis_is_runtime_error(self):
         assert main(["limits", "--model", "expbilinear:bogus", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--n-draws", "--m"])
+    def test_zero_draw_count_is_runtime_error(self, flag):
+        assert main(["limits", "--model", "expbilinear:xy", flag, "0", "--seed", "1"]) == 2

@@ -82,7 +82,7 @@ class TestZtzRoute:
     def test_runs_with_explicit_cov_and_no_p_value(self):
         s = sample_gaussian(GaussianSpec(0.0), 60, 2)
         ctx = ObjectiveContext(KL, gaussian_model(), s)
-        res = test_independence(ctx, "ztz", alpha=0.05, m=50_000, seed=4)
+        res = test_independence(ctx, "ztz", alpha=0.05, seed=4)
         assert res.p_value is None
         assert res.critical_value > 0.0
         assert res.reject == (res.statistic > res.critical_value)
