@@ -12,10 +12,12 @@ i = j.  The mutual-information estimate is ``sup_theta M_n(theta)`` over
 the model's box, attained at ``theta_hat``.  The model evaluates both
 terms over a cache it builds once per :class:`ObjectiveContext`.
 
-:func:`estimate` fits exponential bilinear models by Newton's method on
-the profile of M_n in beta, with the normalizer alpha in closed form, and
-checks the result with one full evaluation of M_n; where that fails, and
-for the other families, L-BFGS-B on M_n does the fit.
+:func:`estimate` fits exponential bilinear models, finite-discrete ones
+included, by Newton's method on the profile of M_n in beta, with the
+normalizer alpha in closed form, and checks the result with one full
+evaluation of M_n; where that fails (a table with an empty cell has its
+supremum at the box's edge), and for the copula family, L-BFGS-B on M_n
+does the fit.
 
 For finite-discrete data the same maximization collapses to the direct
 plug-in estimate; :func:`plugin_estimate` computes that independently,
@@ -214,6 +216,9 @@ def _projected_grad_norm(theta, grad, bounds, tol=1e-9):
 
 _NEWTON_PASSES = 20
 _HALVINGS = 60
+_MAX_ITER = 500       # L-BFGS-B iterations per start
+_GRAD_TOL = 1e-6      # converged: projected gradient sup-norm at most this
+_MULTISTART = 5       # extra seeded L-BFGS-B starts on non-convergence
 _RANK_TOL = 1e-10   # -H eigenvalues below this share of the largest are null
 
 
@@ -281,25 +286,26 @@ def _profiled_newton(ctx: ObjectiveContext):
             value, grad, hess, alpha = new
 
 
-def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
-             grad_tol: float = 1e-6, multistart: int = 5) -> DualEstimate:
+def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
     """Maximize M_n over the model's box and return (theta_hat, I_hat).
 
-    Models with a ``_profile`` (exponential bilinear) first run Newton's
-    method on the profile of M_n in beta, with alpha in closed form
-    (:func:`_profiled_newton`), and then evaluate M_n and its gradient
-    once at ``(alpha*, beta_hat)``; that evaluation gives ``i_hat`` and
-    ``grad_norm``.  The result stands (``method="newton"``) unless alpha*
-    leaves the box, the point leaves the domain of phi, the value is not
-    finite, the projected gradient exceeds ``grad_tol``, or Newton hits
-    its pass cap or cannot step inside the box.
+    Models with a ``_profile`` (exponential bilinear, finite-discrete
+    included) first run Newton's method on the profile of M_n in beta,
+    with alpha in closed form (:func:`_profiled_newton`), and then
+    evaluate M_n and its gradient once at ``(alpha*, beta_hat)``; that
+    evaluation gives ``i_hat`` and ``grad_norm``.  The result stands
+    (``method="newton"``) unless alpha* leaves the box, the point leaves
+    the domain of phi, the value is not finite, the projected gradient
+    exceeds ``_GRAD_TOL``, or Newton hits
+    its pass cap or cannot step inside the box (as on a table with an
+    empty cell, whose supremum is at the box's edge).
 
-    Otherwise, and for the other families (``method="lbfgsb"``):
+    Otherwise, and for the copula family (``method="lbfgsb"``):
     box-constrained quasi-Newton (L-BFGS-B) with the analytic gradient,
     started at the independence point theta0 = 0 (so the returned value
     is never below M_n(theta0) = 0 for exponential families), plus any
     deterministic warm starts the model suggests; the best final value
-    wins.  On non-convergence, up to ``multistart`` extra seeded starts
+    wins.  On non-convergence, up to ``_MULTISTART`` extra seeded starts
     are tried; the result is returned either way, flagged through
     ``converged``.
 
@@ -322,7 +328,7 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
             theta_hat=model.param_vector(theta),
             i_hat=value,
             objective_evals=evals,
-            converged=bool(pgnorm <= grad_tol),
+            converged=bool(pgnorm <= _GRAD_TOL),
             grad_norm=pgnorm,
             method=method,
         )
@@ -334,7 +340,7 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
             out = evaluate(theta)
             if not isinstance(out, DomainError) and np.isfinite(out[0]):
                 pgnorm = _projected_grad_norm(theta, out[1], bounds)
-                if pgnorm <= grad_tol:
+                if pgnorm <= _GRAD_TOL:
                     return result(theta, out[0], pgnorm, "newton")
 
     def fun(theta):
@@ -348,7 +354,7 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
             return np.inf, np.zeros(model.dim)
         return -value, -grad
 
-    options = {"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-9, "maxls": 60}
+    options = {"maxiter": _MAX_ITER, "ftol": 1e-14, "gtol": 1e-9, "maxls": 60}
     scipy_bounds = [(lo, hi) for lo, hi in bounds]
 
     def run(x0):
@@ -367,14 +373,14 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0, max_iter: int = 500,
         cand = run(x0)
         if cand[1] > value:
             theta, value, pgnorm = cand
-    if pgnorm > grad_tol and multistart > 0:
+    if pgnorm > _GRAD_TOL:
         rng = np.random.default_rng(seed)
-        for _ in range(multistart):
+        for _ in range(_MULTISTART):
             x0 = rng.uniform(bounds[:, 0], bounds[:, 1])
             cand = run(x0)
             if cand[1] > value:
                 theta, value, pgnorm = cand
-            if pgnorm <= grad_tol:
+            if pgnorm <= _GRAD_TOL:
                 break
 
     return result(theta, value, pgnorm, "lbfgsb")

@@ -6,13 +6,15 @@ Three families are provided:
   xi_k(x) zeta_k(y))`` for univariate basis pairs ``(xi_k, zeta_k)``;
 * :class:`FiniteDiscreteModel` -- the saturated exponential model on a
   known finite support, one log-ratio parameter per cell with the first
-  cell's interaction folded into the normalizer;
+  cell's interaction folded into the normalizer: the exponential bilinear
+  model on the cell indicators of the level codes;
 * :class:`FgmCopulaModel` -- the Farlie-Gumbel-Morgenstern copula density
   ``1 + theta (1 - 2u)(1 - 2v)`` applied to rank-transformed margins.
 
 Each family evaluates the two terms of the dual objective (see
-:mod:`phimi.estimator`) itself: the exponential families in exponent
-space ``s = log h``, the copula in ``h`` space, where ``h`` is in (0, 2).
+:mod:`phimi.estimator`) itself: the exponential bilinear models, finite
+ones included, in exponent space ``s = log h`` over distinct x × distinct
+y values, the copula in ``h`` space, where ``h`` is in (0, 2).
 
 All models are immutable after construction and safe to share between
 threads.  The parameter space is a box, so that the feasible set is
@@ -139,6 +141,12 @@ def encode_tokens(tokens, levels, which: str = "token") -> np.ndarray:
     if not np.all(known):
         raise SupportError(f"unknown {which} level {tokens[~known].tolist()[0]!r}")
     return order[pos]
+
+
+def _contract(block, cols) -> np.ndarray:
+    """``block @ cols`` in slices of at most 4 columns: OpenBLAS's threaded
+    path for wider products can stall."""
+    return np.hstack([block @ cols[:, j:j + 4] for j in range(0, cols.shape[1], 4)])
 
 
 def _check_exponent(divergence, s):
@@ -380,7 +388,7 @@ class ExpBilinearModel(RatioModel):
         # where a product overflows, M_n is infinite and the point infeasible
         with np.errstate(over="ignore", invalid="ignore"):
             m = np.expm1(s, out=s)
-            rows = m @ cache["zem"][:, :cols]                  # (nx, 1 + d)
+            rows = _contract(m, cache["zem"][:, :cols])        # (nx, 1 + d)
             value = float(cache["cx"] @ rows[:, 0]) / (g * n2)
             if not need_grad:
                 return value, None
@@ -402,10 +410,9 @@ class ExpBilinearModel(RatioModel):
         ``log A`` and ``log B`` are log-sum-exps shifted by the largest
         exponent, so no exp overflows.  ``E_B[f_k f_l]`` comes from one exp
         pass over the distinct-value block contracted with the count-weighted
-        ``(1, zeta, zeta_k zeta_l)`` and read off ``(1, xi, xi_k xi_l)``; the
-        products take at most 4 columns each, because OpenBLAS's threaded
-        path for wider ones can stall.  Returns (value, gradient, Hessian,
-        alpha*); a non-finite value means the profile overflows there.
+        ``(1, zeta, zeta_k zeta_l)`` and read off ``(1, xi, xi_k xi_l)``.
+        Returns (value, gradient, Hessian, alpha*); a non-finite value means
+        the profile overflows there.
         """
         g = divergence.gamma
         f = cache["paired"]
@@ -431,9 +438,7 @@ class ExpBilinearModel(RatioModel):
                     t *= g
                 shift = t.max()
                 e = np.exp(np.subtract(t, shift, out=t), out=t)
-                zem = cache["zem"]
-                rows = np.hstack([e @ zem[:, j:j + 4] for j in range(0, zem.shape[1], 4)])
-                moments = np.einsum("ik,ik->k", cache["xim"], rows)
+                moments = np.einsum("ik,ik->k", cache["xim"], _contract(e, cache["zem"]))
                 total = moments[0]
                 log_b = shift + np.log(total / cache["n"] ** 2)
                 moments /= total
@@ -465,13 +470,23 @@ class ExpBilinearModel(RatioModel):
         ])
 
 
-class FiniteDiscreteModel(RatioModel):
+def _code_indicator(code):
+    """``1{c = code}`` as floats, on level codes ``c``."""
+    def indicator(codes):
+        return (np.asarray(codes) == code).astype(float)
+    return indicator
+
+
+class FiniteDiscreteModel(ExpBilinearModel):
     """Saturated exponential model on a known finite support.
 
     ``h_theta(a_i, b_j) = exp(alpha + beta_ij)`` with ``beta_11`` removed;
-    free dimension ``1 + (K1 K2 - 1)``.  Category labels are strings or
-    numbers, mutually comparable within each margin, and are mapped to
-    indices by :func:`encode_tokens`.
+    free dimension ``1 + (K1 K2 - 1)``.  This is the exponential bilinear
+    model on the cell indicators ``1{x = a_i} 1{y = b_j}``, (i, j) != (1,
+    1), over level codes: category labels (strings or numbers, mutually
+    comparable within each margin) are mapped to codes by
+    :func:`encode_tokens`, once per context, and everything else is
+    inherited, the profiled Newton fit included.
 
     The default box is wide: with empty cells the supremum sits at the
     boundary, and the box must leave the plug-in value reachable to well
@@ -479,7 +494,6 @@ class FiniteDiscreteModel(RatioModel):
     """
 
     family = "finite"
-    has_alpha = True
     sample_kind = "categorical"
 
     def __init__(self, levels_x: Sequence, levels_y: Sequence,
@@ -504,9 +518,10 @@ class FiniteDiscreteModel(RatioModel):
             except SupportError:
                 raise ValueError(f"{which} levels must be mutually comparable, "
                                  "e.g. all strings or all numbers") from None
-        d = self.k1 * self.k2 - 1
-        self.bounds = np.vstack([_as_bounds(alpha_bounds, 1), _as_bounds(beta_bounds, d)])
-        self.bounds.setflags(write=False)
+        # flat cell i K2 + j carries beta_(i K2 + j); cell 0 only alpha
+        cells = [BasisPair(f"cell_{i}_{j}", _code_indicator(i), _code_indicator(j))
+                 for i in range(self.k1) for j in range(self.k2) if i or j]
+        super().__init__(cells, alpha_bounds, beta_bounds)
 
     def encode_x(self, x) -> np.ndarray:
         return self._encode(x, self._lx, "x")
@@ -518,97 +533,37 @@ class FiniteDiscreteModel(RatioModel):
     def _encode(tokens, levels, which) -> np.ndarray:
         return encode_tokens(np.asarray(tokens, dtype=object).ravel(), levels, which)
 
-    def _cell_exponents(self, theta) -> np.ndarray:
-        """(K1*K2,) exponent per flat cell; cell 0 carries only alpha."""
-        return theta[0] + np.concatenate([[0.0], theta[1:]])
-
-    def _cells(self, x, y) -> np.ndarray:
-        """Flat cell index ``i K2 + j`` of every token pair."""
+    def _features(self, x, y):
         ix, iy = self.encode_x(x), self.encode_y(y)
         if ix.size != iy.size:
             raise LengthMismatchError("x and y have different lengths")
-        return ix * self.k2 + iy
-
-    def h(self, theta, x, y):
-        theta = self._validate_theta(theta)
-        out = np.exp(self._cell_exponents(theta))[self._cells(x, y)]
-        return out if np.ndim(x) or np.ndim(y) else float(out[0])
-
-    def h_grad(self, theta, x, y):
-        hv = np.atleast_1d(np.asarray(self.h(theta, x, y)))
-        grad = np.zeros((hv.size, self.dim))
-        grad[np.arange(hv.size), self._cells(x, y)] = hv
-        grad[:, 0] = hv
-        return grad if np.ndim(x) or np.ndim(y) else grad[0]
+        feats = super()._features(ix, iy)
+        return feats if np.ndim(x) or np.ndim(y) else feats[0]
 
     def _build_cache(self, x, y):
-        cells = self._cells(x, y)
-        n = cells.size
-        counts = np.bincount(cells, minlength=self.dim).reshape(self.k1, self.k2)
-        p = (counts / n).ravel()
-        q = np.outer(counts.sum(axis=1), counts.sum(axis=0)).ravel() / n**2
-        return {
-            "pair_cells": np.flatnonzero(p), "pair_w": p[p > 0],
-            "cross_cells": np.flatnonzero(q), "cross_w": q[q > 0],
-            "p": p, "q": q, "n": n,
-        }
-
-    def _cell_term(self, c, divergence, theta, cells, w, need_grad: bool):
-        """``w @ expm1(c s) / c`` (``w @ s`` for c = 0) over the cell
-        exponents ``s``, and its gradient: ``u = w exp(c s)`` summed per
-        cell, with the alpha slot taking all of ``u``."""
-        s = self._cell_exponents(theta)[cells]
-        _check_exponent(divergence, s)
-        with np.errstate(over="ignore"):   # M_n itself is infinite there
-            value = float(w @ s if c == 0.0 else w @ np.expm1(c * s) / c)
-            if not need_grad:
-                return value, None
-            u = w * np.exp(c * s)
-        jac = np.bincount(cells, u, minlength=self.dim)
-        jac[0] = u.sum()
-        return value, jac
-
-    def _paired_term(self, divergence, theta, cache, need_grad: bool):
-        """Paired term in exponent space, over the cells with p > 0:
-        ``phi'(exp(s)) = expm1((gamma - 1) s) / (gamma - 1)``."""
-        return self._cell_term(divergence.gamma - 1.0, divergence, theta,
-                               cache["pair_cells"], cache["pair_w"], need_grad)
-
-    def _cross_term(self, divergence, theta, cache, need_grad: bool):
-        """Cross term in exponent space, over the cells with q > 0:
-        ``g(exp(s)) = expm1(gamma s) / gamma``."""
-        return self._cell_term(divergence.gamma, divergence, theta,
-                               cache["cross_cells"], cache["cross_w"], need_grad)
+        return super()._build_cache(self.encode_x(x), self.encode_y(y))
 
     def suggest_starts(self, cache):
         """Additively smoothed log-ratio point, clipped into the box.
 
-        Starting from theta0 alone, quasi-Newton steps can strand
+        Where Newton hands over (an empty cell puts the supremum at the
+        box's edge), quasi-Newton steps from theta0 alone can strand
         low-count cells on the flat exp tail when the reference cell is
         empty (the normalizer must travel far and the stragglers' grad
         vanishes); a start near the saturated solution avoids the trek.
         """
         n = cache["n"]
-        t = np.log(n * cache["p"] + 0.5) - np.log(n * cache["q"] + 0.5)
+        p = cache["paired"].mean(axis=0)    # joint frequency of cells 1, 2, ...
+        q = cache["cross_mean"][1:]         # product of the margins there
+        t = (np.log(n * np.concatenate([[1.0 - p.sum()], p]) + 0.5)
+             - np.log(n * np.concatenate([[1.0 - q.sum()], q]) + 0.5))
         theta = np.concatenate([[t[0]], t[1:] - t[0]])
         return [np.clip(theta, self.bounds[:, 0], self.bounds[:, 1])]
 
     def feature_pairs(self):
-        """Indicator basis (on raw tokens) for cells (i, j) != (0, 0)."""
-        pairs = []
-        for i in range(self.k1):
-            for j in range(self.k2):
-                if i == 0 and j == 0:
-                    continue
-
-                def xi(x, i=i):
-                    return (self.encode_x(x) == i).astype(float)
-
-                def zeta(y, j=j):
-                    return (self.encode_y(y) == j).astype(float)
-
-                pairs.append((xi, zeta))
-        return pairs
+        """The cell indicators on raw tokens."""
+        return [(lambda x, xi=p.xi: xi(self.encode_x(x)),
+                 lambda y, zeta=p.zeta: zeta(self.encode_y(y))) for p in self.basis]
 
     def to_config(self) -> str:
         return "\n".join([

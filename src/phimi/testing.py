@@ -31,7 +31,7 @@ from .asymptotics import (
 )
 from .errors import DegenerateInputError, OptimFailureError, RouteMismatchError
 from .estimator import ObjectiveContext, PairedSample, estimate
-from .models import ExpBilinearModel, FiniteDiscreteModel
+from .models import FiniteDiscreteModel
 
 __all__ = [
     "TestResult",
@@ -99,7 +99,8 @@ def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
         crit = chi2_quantile(1.0 - alpha, df)
         p_value = chi2_sf(stat, df)
     elif route == "ztz":
-        if not isinstance(ctx.model, ExpBilinearModel):
+        # finite models subclass ExpBilinearModel; they take the chisq route
+        if ctx.model.family != "expbilinear":
             raise RouteMismatchError("ztz route requires an exponential bilinear model")
         if ctx.divergence.gamma != 1.0:
             raise RouteMismatchError("ztz route is derived for the KL divergence only")

@@ -125,6 +125,13 @@ class TestTestCommand:
         assert code == 0
         assert "reject=true" in text
 
+    def test_ztz_route_rejects_finite_model(self, tmp_path, capsys):
+        f = write_categorical_csv(tmp_path / "d.csv")
+        assert main(["test", "--csv", str(f), "--x", "x", "--y", "y",
+                     "--kind", "categorical", "--model", "finite",
+                     "--route", "ztz", "--seed", "0"]) == 2
+        assert "ztz route requires an exponential bilinear model" in capsys.readouterr().err
+
     def test_output_file_deterministic(self, tmp_path):
         f = write_gaussian_csv(tmp_path / "d.csv", rho=0.5, n=30)
         args = ["test", "--csv", str(f), "--x", "x", "--y", "y",

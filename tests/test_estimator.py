@@ -601,6 +601,27 @@ class TestFiniteOracle:
     def test_estimate_matches_brute_force_lbfgsb(self):
         check_estimate(KL, finite_model(2, 3), table_to_sample(FINITE_TABLES["full"]))
 
+    @pytest.mark.parametrize("table,div,method,tol", [
+        ("full", KL, "newton", 1e-12),
+        # the profile is not concave at beta = 0 for gamma > 1: gradient
+        # steps reach the pass cap here, and L-BFGS-B takes over
+        ("full", CHISQ, "lbfgsb", 1e-12),
+        ("full", HELL, "newton", 1e-12),
+        ("unused-level", KL, "newton", 1e-12),
+        ("unused-level", CHISQ, "newton", 1e-12),
+        ("unused-level", HELL, "newton", 1e-12),
+        # the supremum is at the box's edge, where the empty cell's h -> 0
+        ("empty-cell", KL, "lbfgsb", 1e-6),
+        ("empty-cell", CHISQ, "lbfgsb", 1e-6),
+        ("empty-cell", HELL, "lbfgsb", 1e-6),
+    ], ids=str)
+    def test_estimate_equals_plugin(self, table, div, method, tol):
+        sample = table_to_sample(FINITE_TABLES[table])
+        est = estimate(ObjectiveContext(div, finite_model(2, 3), sample))
+        assert est.method == method and est.converged
+        assert est.i_hat == pytest.approx(
+            plugin_estimate(div, sample, (np.arange(2), np.arange(3))), abs=tol)
+
 
 FGM_SAMPLES = {
     "gaussian": sample_gaussian(GaussianSpec(0.4), 60, 3),
@@ -769,6 +790,24 @@ class TestResample:
                 assert np.array_equal(drawn.sample.x, fresh.sample.x)
                 assert np.array_equal(drawn.sample.y, fresh.sample.y)
                 assert_same_cache(drawn._cache, fresh._cache)
+
+    def test_finite_cache_equals_a_fresh_context(self):
+        # tokens are encoded once, by the observed sample's context; level
+        # order differs from the tokens' sort order
+        rng = np.random.default_rng(21)
+        n = 40
+        sample = PairedSample(rng.choice(["a", "b", "c"], n), rng.choice(["u", "v"], n),
+                              kind="categorical")
+        model = FiniteDiscreteModel(["c", "a", "b"], ["v", "u"])
+        draws = [(rng.integers(0, n, n), rng.integers(0, n, n)) for _ in range(3)]
+        draws.append((np.full(n, 5), rng.integers(0, n, n)))   # a single x level
+        ctx = ObjectiveContext(CHISQ, model, sample)
+        for ix, iy in draws:
+            drawn = ctx.resample(ix, iy)
+            fresh = ObjectiveContext(CHISQ, model,
+                                     PairedSample(sample.x[ix], sample.y[iy], "categorical"))
+            assert np.array_equal(drawn.sample.x, fresh.sample.x)
+            assert_same_cache(drawn._cache, fresh._cache)
 
 
 class TestPluginEstimate:

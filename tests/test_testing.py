@@ -94,6 +94,12 @@ class TestZtzRoute:
         with pytest.raises(RouteMismatchError):
             test_independence(ctx, "ztz")
 
+    def test_rejects_finite_model(self):
+        # a finite model is an exponential bilinear model on cell indicators,
+        # calibrated by the chisq route
+        with pytest.raises(RouteMismatchError, match="exponential bilinear"):
+            test_independence(finite_ctx([[6, 3], [2, 7]]), "ztz")
+
     def test_requires_kl(self):
         s = sample_gaussian(GaussianSpec(0.0), 40, 5)
         ctx = ObjectiveContext(DivergenceSpec(2.0), gaussian_model(), s)
