@@ -15,9 +15,10 @@ terms over a cache it builds once per :class:`ObjectiveContext`.
 :func:`estimate` fits exponential bilinear models, finite-discrete ones
 included, by Newton's method on the profile of M_n in beta, with the
 normalizer alpha in closed form, and checks the result with one full
-evaluation of M_n; where that fails (a table with an empty cell has its
-supremum at the box's edge), and for the copula family, L-BFGS-B on M_n
-does the fit.
+evaluation of M_n.  Where that fails, where the model has more than
+``_NEWTON_MAX_DIM`` parameters, on a table with an empty cell (whose
+supremum is at the box's edge), and for the copula family, L-BFGS-B on
+M_n does the fit.
 
 For finite-discrete data the same maximization collapses to the direct
 plug-in estimate; :func:`plugin_estimate` computes that independently,
@@ -215,6 +216,7 @@ def _projected_grad_norm(theta, grad, bounds, tol=1e-9):
 
 
 _NEWTON_PASSES = 20
+_NEWTON_MAX_DIM = 256   # -H is eigendecomposed, O(dim^3) a pass
 _HALVINGS = 60
 _MAX_ITER = 500       # L-BFGS-B iterations per start
 _GRAD_TOL = 1e-6      # converged: projected gradient sup-norm at most this
@@ -245,7 +247,8 @@ def _ascent_step(value, grad, hess):
 
 def _profiled_newton(ctx: ObjectiveContext):
     """Newton's method on the profile of M_n in beta, from the box point
-    nearest beta = 0.
+    nearest the beta of the model's first suggested start, or nearest
+    beta = 0 where it suggests none.
 
     The profile maximizes over alpha in closed form (see the model's
     ``_profile``).  Each step (:func:`_ascent_step`) backtracks, at most
@@ -256,7 +259,8 @@ def _profiled_newton(ctx: ObjectiveContext):
     """
     model, div, cache = ctx.model, ctx.divergence, ctx._cache
     lo, hi = model.bounds[:, 0], model.bounds[:, 1]
-    beta = np.clip(0.0, lo[1:], hi[1:])
+    starts = model.suggest_starts(cache)
+    beta = np.clip(starts[0][1:] if starts else 0.0, lo[1:], hi[1:])
     value, grad, hess, alpha = model._profile(div, beta, cache)
     passes = 1
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
@@ -290,15 +294,16 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
     """Maximize M_n over the model's box and return (theta_hat, I_hat).
 
     Models with a ``_profile`` (exponential bilinear, finite-discrete
-    included) first run Newton's method on the profile of M_n in beta,
-    with alpha in closed form (:func:`_profiled_newton`), and then
-    evaluate M_n and its gradient once at ``(alpha*, beta_hat)``; that
-    evaluation gives ``i_hat`` and ``grad_norm``.  The result stands
-    (``method="newton"``) unless alpha* leaves the box, the point leaves
-    the domain of phi, the value is not finite, the projected gradient
-    exceeds ``_GRAD_TOL``, or Newton hits
-    its pass cap or cannot step inside the box (as on a table with an
-    empty cell, whose supremum is at the box's edge).
+    included) and at most ``_NEWTON_MAX_DIM`` parameters first run
+    Newton's method on the profile of M_n in beta, with alpha in closed
+    form (:func:`_profiled_newton`), and then evaluate M_n and its
+    gradient once at ``(alpha*, beta_hat)``; that evaluation gives
+    ``i_hat`` and ``grad_norm``.  The result stands (``method="newton"``)
+    unless alpha* leaves the box, the point leaves the domain of phi, the
+    value is not finite, the projected gradient exceeds ``_GRAD_TOL``, or
+    Newton hits its pass cap or cannot step inside the box.  Newton does
+    not run where the model's cache shows the supremum on the box's edge
+    (a finite table with an empty cell whose margins are not).
 
     Otherwise, and for the copula family (``method="lbfgsb"``):
     box-constrained quasi-Newton (L-BFGS-B) with the analytic gradient,
@@ -333,7 +338,8 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
             method=method,
         )
 
-    if model._profile is not None:
+    if (model._profile is not None and model.dim <= _NEWTON_MAX_DIM
+            and not model._sup_at_edge(ctx._cache)):
         evals, theta = _profiled_newton(ctx)
         if theta is not None:
             evals += 1

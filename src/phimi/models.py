@@ -14,7 +14,9 @@ Three families are provided:
 Each family evaluates the two terms of the dual objective (see
 :mod:`phimi.estimator`) itself: the exponential bilinear models, finite
 ones included, in exponent space ``s = log h`` over distinct x × distinct
-y values, the copula in ``h`` space, where ``h`` is in (0, 2).
+y values, the copula in ``h`` space, where ``h`` is in (0, 2).  The
+exponential bilinear terms reach the basis only through four feature
+maps; the finite model implements them over flat cells.
 
 All models are immutable after construction and safe to share between
 threads.  The parameter space is a box, so that the feasible set is
@@ -24,6 +26,7 @@ compact; evaluation outside the box raises :class:`BoundsError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 from urllib.parse import quote, unquote
 
@@ -143,12 +146,6 @@ def encode_tokens(tokens, levels, which: str = "token") -> np.ndarray:
     return order[pos]
 
 
-def _contract(block, cols) -> np.ndarray:
-    """``block @ cols`` in slices of at most 4 columns: OpenBLAS's threaded
-    path for wider products can stall."""
-    return np.hstack([block @ cols[:, j:j + 4] for j in range(0, cols.shape[1], 4)])
-
-
 def _check_exponent(divergence, s):
     """DomainError iff some ``exp(s)`` leaves the interior of ``dom phi``
     (exp is monotone and the domain an interval: the extremes decide)."""
@@ -223,8 +220,12 @@ class RatioModel:
 
     # A family whose dual has the normalizer alpha in closed form sets
     # _profile(divergence, beta, cache) -> (value, gradient, Hessian,
-    # alpha*), M_n maximized over alpha; estimate then fits beta by Newton.
+    # alpha*), M_n maximized over alpha; estimate then fits beta by Newton
+    # unless the cache shows that the supremum is on the box's edge.
     _profile = None
+
+    def _sup_at_edge(self, cache) -> bool:
+        return False
 
     def to_config(self) -> str:
         raise NotImplementedError
@@ -252,7 +253,6 @@ class ExpBilinearModel(RatioModel):
         d = len(pairs)
         self.bounds = np.vstack([_as_bounds(alpha_bounds, 1), _as_bounds(beta_bounds, d)])
         self.bounds.setflags(write=False)
-        self._pairs = np.triu_indices(d)   # (k, l), k <= l: the second moments
 
     def feature_pairs(self):
         return [(p.xi, p.zeta) for p in self.basis]
@@ -262,11 +262,15 @@ class ExpBilinearModel(RatioModel):
         y = np.asarray(y, dtype=float)
         return np.stack([p.xi(x) * p.zeta(y) for p in self.basis], axis=-1)
 
+    def _exponent(self, beta, x, y):
+        """``beta . f(x, y)`` at the points (x, y)."""
+        return self._features(x, y) @ beta
+
     def h(self, theta, x, y):
         theta = self._validate_theta(theta)
-        feats = self._features(x, y)
+        s = theta[0] + self._exponent(theta[1:], x, y)
         with np.errstate(over="ignore"):
-            out = np.exp(theta[0] + feats @ theta[1:])
+            out = np.exp(s)
         return out if np.ndim(out) else float(out)
 
     def h_grad(self, theta, x, y):
@@ -291,34 +295,49 @@ class ExpBilinearModel(RatioModel):
         """A resample's distinct values are some of the parent's: count the
         parent's value index of every draw and keep the values drawn."""
         sides = []
-        for inverse, values in ((cache["ix"][ix], cache["xi"]), (cache["iy"][iy], cache["ze"])):
+        for inverse, values in zip((cache["ix"][ix], cache["iy"][iy]), cache["values"]):
             counts = np.bincount(inverse, minlength=len(values))
             drawn = counts > 0
             sides += [values[drawn], (np.cumsum(drawn) - 1)[inverse], counts[drawn]]
         return self._distinct_cache(*sides)
 
-    def _distinct_cache(self, xi, ix, cx, ze, iy, cy):
-        """Cache from the basis on distinct values, (nx, d) and (ny, d), the
-        value index of every observation and the value counts."""
+    def _distinct_cache(self, xv, ix, cx, yv, iy, cy):
+        """Cache from what the model keeps per distinct value (here the
+        basis, (nx, d) and (ny, d)), the value index of every observation
+        and the value counts.  The n pairs sit on distinct (x, y) value
+        pairs, with multiplicity weights ``pw``."""
         n = ix.size
+        pairs, counts = np.unique(ix * cy.size + iy, return_counts=True)
+        cache = {"values": (xv, yv), "ix": ix, "iy": iy, "n": n, "cx": cx.astype(float),
+                 "cy": cy.astype(float), "pix": pairs // cy.size, "piy": pairs % cy.size,
+                 "pw": counts / n}
+        cache.update(self._design(xv, yv, cache))
+        return cache
+
+    def _design(self, xi, ze, cache):
+        """Basis columns and their count-weighted moments."""
         d = xi.shape[1]
         # A term whose zeta (xi) is constant on the sample adds a vector
         # over x (y) to the cross exponent; the other terms are coupled.
         x_only = np.all(ze == ze[:1], axis=0)
         y_only = np.all(xi == xi[:1], axis=0) & ~x_only
-        # count-weighted (1, xi, xi_k xi_l) and (1, zeta, zeta_k zeta_l); the
-        # cross term reads the first 1 + d columns, the profile all of them
-        xim, zem = self._moment_columns(xi, cx), self._moment_columns(ze, cy)
+        # count-weighted (1, xi, xi_k xi_l) and (1, zeta, zeta_k zeta_l);
+        # first moments read the first 1 + d columns, second ones all
+        xim, zem = self._moment_columns(xi, cache["cx"]), self._moment_columns(ze, cache["cy"])
         return {
-            "xi": xi, "ze": ze, "ix": ix, "iy": iy, "paired": xi[ix] * ze[iy], "n": n,
-            "cx": cx.astype(float),
+            "xi": xi, "ze": ze, "paired": xi[cache["pix"]] * ze[cache["piy"]],
             "a": xi[:, x_only] * ze[0, x_only], "x_only": np.flatnonzero(x_only),
             "b": xi[0, y_only] * ze[:, y_only], "y_only": np.flatnonzero(y_only),
             "coupled": np.flatnonzero(~(x_only | y_only)),
             "xim": xim, "zem": zem,
             # mean of (1, xi_k zeta_k) over the n^2 cross pairs
-            "cross_mean": xim[:, :1 + d].sum(axis=0) * zem[:, :1 + d].sum(axis=0) / n**2,
+            "cross_mean": xim[:, :1 + d].sum(axis=0) * zem[:, :1 + d].sum(axis=0)
+            / cache["n"] ** 2,
         }
+
+    @cached_property
+    def _pairs(self):
+        return np.triu_indices(self.dim - 1)   # (k, l), k <= l: the second moments
 
     def _moment_columns(self, v, counts):
         """Count-weighted ``(1, v, v_k v_l)`` for k <= l, shape (len(v), 1 +
@@ -331,22 +350,18 @@ class ExpBilinearModel(RatioModel):
         np.multiply(v[:, k] * v[:, l], counts[:, None], out=out[:, 1 + d:])
         return out
 
-    def _paired_term(self, divergence, theta, cache, need_grad: bool):
-        """Paired term in exponent space.
+    # The feature maps: the terms and the profile below reach the basis
+    # only through these four, which a basis with structure may override.
 
-        With ``h = exp(s)``, ``phi'(h) = expm1((gamma - 1) s) / (gamma - 1)``
-        (``s`` for KL) and ``h phi''(h) = exp((gamma - 1) s)``, which stays
-        finite where ``h * h**(gamma - 2)`` would overflow.
-        """
-        s = theta[0] + cache["paired"] @ theta[1:]
-        _check_exponent(divergence, s)
-        g1 = divergence.gamma - 1.0
-        with np.errstate(over="ignore"):   # M_n itself is infinite there
-            value = float(s.mean() if g1 == 0.0 else np.expm1(g1 * s).mean() / g1)
-            if not need_grad:
-                return value, None
-            e = np.exp(g1 * s) / s.size
-        return value, np.concatenate([[e.sum()], e @ cache["paired"]])
+    def _paired_exponent(self, beta, cache) -> np.ndarray:
+        """``beta . f`` on the distinct value pairs of the sample."""
+        return cache["paired"] @ beta
+
+    def _paired_moments(self, w, cache, second: bool = False):
+        """``sum w f`` over the distinct value pairs and, if asked, ``sum w
+        f f'``."""
+        f = cache["paired"]
+        return w @ f, ((f.T * w) @ f if second else None)
 
     def _cross_exponent(self, theta, cache) -> np.ndarray:
         """``s_ij = alpha + sum_k beta_k xi_k(x_i) zeta_k(y_j)`` on distinct
@@ -366,14 +381,50 @@ class ExpBilinearModel(RatioModel):
         s += b
         return s
 
+    def _cross_moments(self, block, cache, second: bool = False):
+        """Sums of ``c_x c_y block (1, f)`` over the distinct-value block
+        and, if asked, of ``c_x c_y block f f'``: ``block`` contracted with
+        the count-weighted ``(1, zeta[, zeta_k zeta_l])``, in slices of at
+        most 4 columns (OpenBLAS's threaded path for wider products can
+        stall), and read off ``(1, xi[, xi_k xi_l])``."""
+        xim, zem = cache["xim"], cache["zem"]
+        d = self.dim - 1
+        cols = xim.shape[1] if second else 1 + d
+        rows = np.hstack([block @ zem[:, j:min(j + 4, cols)] for j in range(0, cols, 4)])
+        m = np.einsum("ik,ik->k", xim[:, :cols], rows)
+        if not second:
+            return m, None
+        k, l = self._pairs
+        out = np.empty((d, d))
+        out[k, l] = out[l, k] = m[1 + d:]
+        return m[:1 + d], out
+
+    def _paired_term(self, divergence, theta, cache, need_grad: bool):
+        """Paired term in exponent space.
+
+        With ``h = exp(s)``, ``phi'(h) = expm1((gamma - 1) s) / (gamma - 1)``
+        (``s`` for KL) and ``h phi''(h) = exp((gamma - 1) s)``, which stays
+        finite where ``h * h**(gamma - 2)`` would overflow.
+        """
+        s = theta[0] + self._paired_exponent(theta[1:], cache)
+        _check_exponent(divergence, s)
+        pw = cache["pw"]
+        g1 = divergence.gamma - 1.0
+        with np.errstate(over="ignore"):   # M_n itself is infinite there
+            value = float(pw @ s if g1 == 0.0 else pw @ np.expm1(g1 * s) / g1)
+            if not need_grad:
+                return value, None
+            e = pw * np.exp(g1 * s)
+        return value, np.concatenate([[e.sum()], self._paired_moments(e, cache)[0]])
+
     def _cross_term(self, divergence, theta, cache, need_grad: bool):
         """Cross term in exponent space, over distinct values.
 
         With ``h = exp(s)`` and the power kernel, ``g(h) = expm1(gamma s) /
         gamma`` (``s`` for gamma = 0) and ``dg/dtheta = exp(gamma s) (1,
-        xi_k zeta_k)``.  ``M = expm1(gamma s)`` is contracted once with the
-        count-weighted ``(1, zeta)``; the ``exp(gamma s) - M = 1`` part of
-        the gradient is the cross mean of ``(1, xi_k zeta_k)``.
+        xi_k zeta_k)``.  ``M = expm1(gamma s)`` is summed once against
+        ``(1, f)``; the ``exp(gamma s) - M = 1`` part of the gradient is the
+        cross mean of ``(1, f)``.
         """
         s = self._cross_exponent(theta, cache)
         _check_exponent(divergence, s)
@@ -383,16 +434,11 @@ class ExpBilinearModel(RatioModel):
             return float(theta @ mean_w), (mean_w.copy() if need_grad else None)
         if g != 1.0:
             s *= g
-        n2 = cache["n"] ** 2
-        cols = theta.size   # (1, xi) and (1, zeta)
         # where a product overflows, M_n is infinite and the point infeasible
         with np.errstate(over="ignore", invalid="ignore"):
-            m = np.expm1(s, out=s)
-            rows = _contract(m, cache["zem"][:, :cols])        # (nx, 1 + d)
-            value = float(cache["cx"] @ rows[:, 0]) / (g * n2)
-            if not need_grad:
-                return value, None
-            return value, np.einsum("ik,ik->k", cache["xim"][:, :cols], rows) / n2 + mean_w
+            moments = self._cross_moments(np.expm1(s, out=s), cache)[0] / cache["n"] ** 2
+            value = float(moments[0]) / g
+            return value, (moments + mean_w if need_grad else None)
 
     def _profile(self, divergence, beta, cache):
         """M_n maximized over alpha in closed form, with its beta derivatives.
@@ -408,28 +454,21 @@ class ExpBilinearModel(RatioModel):
         1) Cov_A f - gamma Cov_B f)``: concave for gamma in [0, 1].
 
         ``log A`` and ``log B`` are log-sum-exps shifted by the largest
-        exponent, so no exp overflows.  ``E_B[f_k f_l]`` comes from one exp
-        pass over the distinct-value block contracted with the count-weighted
-        ``(1, zeta, zeta_k zeta_l)`` and read off ``(1, xi, xi_k xi_l)``.
-        Returns (value, gradient, Hessian, alpha*); a non-finite value means
-        the profile overflows there.
+        exponent, so no exp overflows.  Returns (value, gradient, Hessian,
+        alpha*); a non-finite value means the profile overflows there.
         """
         g = divergence.gamma
-        f = cache["paired"]
-        d = beta.size
-        k, l = self._pairs
         with np.errstate(over="ignore", invalid="ignore"):
             if g == 1.0:
-                log_a, mean_a, cov_a = 0.0, f.mean(axis=0), 0.0
+                log_a, mean_a, cov_a = 0.0, self._paired_moments(cache["pw"], cache)[0], 0.0
             else:
-                u = (g - 1.0) * (f @ beta)
+                u = (g - 1.0) * self._paired_exponent(beta, cache)
                 shift = u.max()
-                w = np.exp(u - shift)
+                w = cache["pw"] * np.exp(u - shift)
                 total = w.sum()
-                log_a = shift + np.log(total / f.shape[0])
-                w /= total
-                mean_a = w @ f
-                cov_a = (f.T * w) @ f - np.outer(mean_a, mean_a)
+                log_a = shift + np.log(total)
+                mean_a, second = self._paired_moments(w / total, cache, second=True)
+                cov_a = second - np.outer(mean_a, mean_a)
             if g == 0.0:
                 log_b, mean_b, cov_b = 0.0, cache["cross_mean"][1:], 0.0
             else:
@@ -438,14 +477,11 @@ class ExpBilinearModel(RatioModel):
                     t *= g
                 shift = t.max()
                 e = np.exp(np.subtract(t, shift, out=t), out=t)
-                moments = np.einsum("ik,ik->k", cache["xim"], _contract(e, cache["zem"]))
+                moments, second = self._cross_moments(e, cache, second=True)
                 total = moments[0]
                 log_b = shift + np.log(total / cache["n"] ** 2)
-                moments /= total
-                mean_b = moments[1:1 + d]
-                second = np.empty((d, d))
-                second[k, l] = second[l, k] = moments[1 + d:]
-                cov_b = second - np.outer(mean_b, mean_b)
+                mean_b = moments[1:] / total
+                cov_b = second / total - np.outer(mean_b, mean_b)
             big_l = g * log_a + (1.0 - g) * log_b
             if g == 1.0:
                 value = beta @ mean_a - log_b
@@ -533,30 +569,74 @@ class FiniteDiscreteModel(ExpBilinearModel):
     def _encode(tokens, levels, which) -> np.ndarray:
         return encode_tokens(np.asarray(tokens, dtype=object).ravel(), levels, which)
 
-    def _features(self, x, y):
+    def _cell_index(self, x, y):
+        """Flat cell ``i K2 + j`` of every token pair."""
         ix, iy = self.encode_x(x), self.encode_y(y)
         if ix.size != iy.size:
             raise LengthMismatchError("x and y have different lengths")
-        feats = super()._features(ix, iy)
-        return feats if np.ndim(x) or np.ndim(y) else feats[0]
+        cells = ix * self.k2 + iy
+        return cells if np.ndim(x) or np.ndim(y) else cells[0]
+
+    def _features(self, x, y):
+        return (self._cell_index(x, y)[..., None] == np.arange(1, self.dim)).astype(float)
+
+    def _exponent(self, beta, x, y):
+        return np.concatenate([[0.0], beta])[self._cell_index(x, y)]
 
     def _build_cache(self, x, y):
-        return super()._build_cache(self.encode_x(x), self.encode_y(y))
+        sides = []
+        for codes in (self.encode_x(x), self.encode_y(y)):
+            sides += np.unique(codes, return_inverse=True, return_counts=True)
+        return self._distinct_cache(*sides)
+
+    # The cells are disjoint, so the model keeps the level code of each
+    # distinct value instead of the basis, and its feature maps are gathers
+    # and bincounts over flat cells: O(K1 K2) per evaluation, where basis
+    # columns take O((K1 K2)^2) and their second moments O((K1 K2)^3).
+
+    def _design(self, ux, uy, cache):
+        """Flat cells of the distinct-value block and of the distinct pairs;
+        the joint (``p``) and product-of-margins (``q``) mass per cell."""
+        cells = ux[:, None] * self.k2 + uy
+        cw = np.outer(cache["cx"], cache["cy"])
+        pcells = cells[cache["pix"], cache["piy"]]
+        q = np.bincount(cells.ravel(), cw.ravel(), minlength=self.dim) / cache["n"] ** 2
+        return {"cells": cells, "cw": cw, "pcells": pcells,
+                "p": np.bincount(pcells, cache["pw"], minlength=self.dim), "q": q,
+                "cross_mean": np.concatenate([[1.0], q[1:]])}
+
+    def _paired_exponent(self, beta, cache):
+        return np.concatenate([[0.0], beta])[cache["pcells"]]
+
+    def _paired_moments(self, w, cache, second=False):
+        m = np.bincount(cache["pcells"], w, minlength=self.dim)[1:]
+        return m, (np.diag(m) if second else None)
+
+    def _cross_exponent(self, theta, cache):
+        return theta[0] + np.concatenate([[0.0], theta[1:]])[cache["cells"]]
+
+    def _cross_moments(self, block, cache, second=False):
+        w = (block * cache["cw"]).ravel()
+        m = np.bincount(cache["cells"].ravel(), w, minlength=self.dim)
+        m[0] = w.sum()
+        return m, (np.diag(m[1:]) if second else None)
+
+    def _sup_at_edge(self, cache):
+        """An empty cell whose margins are not: its h goes to 0 at the sup."""
+        return bool(np.any((cache["p"] == 0.0) & (cache["q"] > 0.0)))
 
     def suggest_starts(self, cache):
         """Additively smoothed log-ratio point, clipped into the box.
 
-        Where Newton hands over (an empty cell puts the supremum at the
-        box's edge), quasi-Newton steps from theta0 alone can strand
-        low-count cells on the flat exp tail when the reference cell is
-        empty (the normalizer must travel far and the stragglers' grad
-        vanishes); a start near the saturated solution avoids the trek.
+        Newton starts there: near the saturated solution the profile is
+        concave for every gamma, while at beta = 0 it is not for gamma > 1.
+        From theta0 alone, quasi-Newton steps can strand low-count cells on
+        the flat exp tail when the reference cell is empty (the normalizer
+        must travel far and the stragglers' grad vanishes); a start near
+        the saturated solution avoids the trek.
         """
         n = cache["n"]
-        p = cache["paired"].mean(axis=0)    # joint frequency of cells 1, 2, ...
-        q = cache["cross_mean"][1:]         # product of the margins there
-        t = (np.log(n * np.concatenate([[1.0 - p.sum()], p]) + 0.5)
-             - np.log(n * np.concatenate([[1.0 - q.sum()], q]) + 0.5))
+        t = np.log(n * cache["p"] + 0.5) - np.log(n * cache["q"] + 0.5)
         theta = np.concatenate([[t[0]], t[1:] - t[0]])
         return [np.clip(theta, self.bounds[:, 0], self.bounds[:, 1])]
 

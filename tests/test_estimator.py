@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from contextlib import nullcontext
 from types import SimpleNamespace
 
@@ -603,9 +605,7 @@ class TestFiniteOracle:
 
     @pytest.mark.parametrize("table,div,method,tol", [
         ("full", KL, "newton", 1e-12),
-        # the profile is not concave at beta = 0 for gamma > 1: gradient
-        # steps reach the pass cap here, and L-BFGS-B takes over
-        ("full", CHISQ, "lbfgsb", 1e-12),
+        ("full", CHISQ, "newton", 1e-12),
         ("full", HELL, "newton", 1e-12),
         ("unused-level", KL, "newton", 1e-12),
         ("unused-level", CHISQ, "newton", 1e-12),
@@ -621,6 +621,55 @@ class TestFiniteOracle:
         assert est.method == method and est.converged
         assert est.i_hat == pytest.approx(
             plugin_estimate(div, sample, (np.arange(2), np.arange(3))), abs=tol)
+
+    @pytest.mark.parametrize("div", ORACLE_DIVERGENCES, ids=str)
+    @pytest.mark.parametrize("table", list(FINITE_TABLES))
+    def test_profile_matches_objective_and_differences(self, table, div):
+        ctx = ObjectiveContext(div, finite_model(2, 3), table_to_sample(FINITE_TABLES[table]))
+        rng = np.random.default_rng(22)
+        for _ in range(2):
+            check_profile(ctx, rng.uniform(-0.3, 0.3, 5))
+
+    @pytest.mark.parametrize("div", [KL, CHISQ, HELL], ids=str)
+    def test_empty_cell_skips_newton(self, div, monkeypatch):
+        # the cache shows the supremum on the box's edge: no Newton pass
+        ctx = ObjectiveContext(div, finite_model(2, 3),
+                               table_to_sample(FINITE_TABLES["empty-cell"]))
+        assert estimate(ctx) == lbfgsb_only(ctx, monkeypatch)
+
+    @pytest.mark.parametrize("div", [KL, CHISQ, HELL], ids=str)
+    def test_newton_on_a_15x15_table(self, div):
+        rng = np.random.default_rng(23)
+        counts = 1 + rng.multinomial(3000, rng.dirichlet(np.full(225, 5.0))).reshape(15, 15)
+        sample = table_to_sample(counts)
+        est = estimate(ObjectiveContext(div, finite_model(15, 15), sample))
+        assert est.method == "newton" and est.converged
+        assert est.i_hat == pytest.approx(
+            plugin_estimate(div, sample, (np.arange(15), np.arange(15))), abs=1e-12)
+
+    def test_30x30_table_fits_in_cell_sized_memory(self):
+        # 899 cell terms: dense basis columns with their second moments
+        # would take about 100 MB a side, each evaluation O(899^2), and h
+        # on the sample an (n, 899) feature matrix
+        rng = np.random.default_rng(24)
+        n = 5000
+        x = rng.integers(0, 30, n)
+        y = np.where(rng.random(n) < 0.3, x, rng.integers(0, 30, n))
+        sample = PairedSample(x, y, kind="categorical")
+        model = finite_model(30, 30)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            est = estimate(ObjectiveContext(KL, model, sample))
+            h = model.h(est.theta_hat.to_array(), x, y)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.converged and h.shape == (n,)
+        assert est.i_hat == pytest.approx(
+            plugin_estimate(KL, sample, (np.arange(30), np.arange(30))), abs=1e-6)
+        assert peak < 8 * 2**20 and elapsed < 10.0
 
 
 FGM_SAMPLES = {
