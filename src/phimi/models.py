@@ -521,8 +521,9 @@ class FiniteDiscreteModel(ExpBilinearModel):
     model on the cell indicators ``1{x = a_i} 1{y = b_j}``, (i, j) != (1,
     1), over level codes: category labels (strings or numbers, mutually
     comparable within each margin) are mapped to codes by
-    :func:`encode_tokens`, once per context, and everything else is
-    inherited, the profiled Newton fit included.
+    :func:`encode_tokens`, once per context.  The exponent-space terms
+    and the profiled Newton fit are inherited; the feature maps they use
+    work on flat cells.
 
     The default box is wide: with empty cells the supremum sits at the
     boundary, and the box must leave the plug-in value reachable to well
