@@ -49,7 +49,7 @@ def ingest_csv(path: str, x_col: str, y_col: str, kind: str = "real") -> PairedS
     columns or non-numeric or non-finite cells under kind="real", and
     MissingValueError for empty cells.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

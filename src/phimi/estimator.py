@@ -15,10 +15,9 @@ terms over a cache it builds once per :class:`ObjectiveContext`.
 :func:`estimate` fits exponential bilinear models, finite-discrete ones
 included, by Newton's method on the profile of M_n in beta, with the
 normalizer alpha in closed form, and checks the result with one full
-evaluation of M_n.  Where that fails, where the model has more than
-``_NEWTON_MAX_DIM`` parameters, on a table with an empty cell (whose
-supremum is at the box's edge), and for the copula family, L-BFGS-B on
-M_n does the fit.
+evaluation of M_n; finite models start at their plug-in supremum.
+Where that fails, where the model has more than ``_NEWTON_MAX_DIM``
+parameters, and for the copula family, L-BFGS-B on M_n does the fit.
 
 For finite-discrete data the same maximization collapses to the direct
 plug-in estimate; :func:`plugin_estimate` computes that independently,
@@ -254,8 +253,8 @@ def _profiled_newton(ctx: ObjectiveContext):
     ``_profile``).  Each step (:func:`_ascent_step`) backtracks, at most
     ``_HALVINGS`` times, until it stays in the box and gains the Armijo
     share of its slope.  Returns the number of profiled passes and
-    ``(alpha*, beta_hat)``, or ``None`` in its place when the pass cap is
-    reached, no halving stays in the box, or alpha* leaves the box.
+    ``(alpha*, beta_hat)`` with alpha* clipped into the box, or ``None`` in
+    its place when the pass cap is reached or no halving stays in the box.
     """
     model, div, cache = ctx.model, ctx.divergence, ctx._cache
     lo, hi = model.bounds[:, 0], model.bounds[:, 1]
@@ -270,8 +269,7 @@ def _profiled_newton(ctx: ObjectiveContext):
         while True:
             step, slope, done = _ascent_step(value, grad, hess)
             if done:
-                theta = np.concatenate([[alpha], beta])
-                return passes, (theta if lo[0] <= alpha <= hi[0] else None)
+                return passes, np.concatenate([[np.clip(alpha, lo[0], hi[0])], beta])
             t = 1.0
             for _ in range(_HALVINGS):
                 trial = beta + t * step
@@ -296,14 +294,13 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
     Models with a ``_profile`` (exponential bilinear, finite-discrete
     included) and at most ``_NEWTON_MAX_DIM`` parameters first run
     Newton's method on the profile of M_n in beta, with alpha in closed
-    form (:func:`_profiled_newton`), and then evaluate M_n and its
-    gradient once at ``(alpha*, beta_hat)``; that evaluation gives
-    ``i_hat`` and ``grad_norm``.  The result stands (``method="newton"``)
-    unless alpha* leaves the box, the point leaves the domain of phi, the
+    form (:func:`_profiled_newton`), from the model's suggested start (a
+    finite model's plug-in supremum), and then evaluate M_n and its
+    gradient once at ``(alpha*, beta_hat)``, alpha* clipped into its box;
+    that evaluation gives ``i_hat`` and ``grad_norm``.  The result stands
+    (``method="newton"``) unless the point leaves the domain of phi, the
     value is not finite, the projected gradient exceeds ``_GRAD_TOL``, or
-    Newton hits its pass cap or cannot step inside the box.  Newton does
-    not run where the model's cache shows the supremum on the box's edge
-    (a finite table with an empty cell whose margins are not).
+    Newton hits its pass cap or cannot step inside the box.
 
     Otherwise, and for the copula family (``method="lbfgsb"``):
     box-constrained quasi-Newton (L-BFGS-B) with the analytic gradient,
@@ -338,8 +335,7 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
             method=method,
         )
 
-    if (model._profile is not None and model.dim <= _NEWTON_MAX_DIM
-            and not model._sup_at_edge(ctx._cache)):
+    if model._profile is not None and model.dim <= _NEWTON_MAX_DIM:
         evals, theta = _profiled_newton(ctx)
         if theta is not None:
             evals += 1

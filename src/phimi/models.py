@@ -220,12 +220,8 @@ class RatioModel:
 
     # A family whose dual has the normalizer alpha in closed form sets
     # _profile(divergence, beta, cache) -> (value, gradient, Hessian,
-    # alpha*), M_n maximized over alpha; estimate then fits beta by Newton
-    # unless the cache shows that the supremum is on the box's edge.
+    # alpha*), M_n maximized over alpha; estimate then fits beta by Newton.
     _profile = None
-
-    def _sup_at_edge(self, cache) -> bool:
-        return False
 
     def to_config(self) -> str:
         raise NotImplementedError
@@ -622,24 +618,15 @@ class FiniteDiscreteModel(ExpBilinearModel):
         m[0] = w.sum()
         return m, (np.diag(m[1:]) if second else None)
 
-    def _sup_at_edge(self, cache):
-        """An empty cell whose margins are not: its h goes to 0 at the sup."""
-        return bool(np.any((cache["p"] == 0.0) & (cache["q"] > 0.0)))
-
     def suggest_starts(self, cache):
-        """Additively smoothed log-ratio point, clipped into the box.
-
-        Newton starts there: near the saturated solution the profile is
-        concave for every gamma, while at beta = 0 it is not for gamma > 1.
-        From theta0 alone, quasi-Newton steps can strand low-count cells on
-        the flat exp tail when the reference cell is empty (the normalizer
-        must travel far and the stragglers' grad vanishes); a start near
-        the saturated solution avoids the trek.
-        """
-        n = cache["n"]
-        t = np.log(n * cache["p"] + 0.5) - np.log(n * cache["q"] + 0.5)
-        theta = np.concatenate([[t[0]], t[1:] - t[0]])
-        return [np.clip(theta, self.bounds[:, 0], self.bounds[:, 1])]
+        """The plug-in supremum ``h = p / q`` per cell, clipped into the box."""
+        p, q = cache["p"], cache["q"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a cell with q = 0 has a level absent from the sample
+            t = np.where(q > 0.0, np.log(p) - np.log(q), 0.0)
+        b = self.bounds
+        alpha = np.clip(t[0], *b[0])
+        return [np.concatenate([[alpha], np.clip(t[1:] - alpha, b[1:, 0], b[1:, 1])])]
 
     def feature_pairs(self):
         """The cell indicators on raw tokens."""

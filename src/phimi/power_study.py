@@ -103,6 +103,8 @@ class PowerStudyConfig:
             raise ValueError("parameter grid must be nonempty")
         if self.reps < 100:
             raise ValueError("need at least 100 Monte-Carlo replicates")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "tests", tuple(self.tests))
         known = PHI_TESTS + BASELINE_TESTS

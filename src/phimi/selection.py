@@ -4,7 +4,10 @@ For each candidate and each fold, the parameter is fitted on the
 retained observations and the dual criterion is re-evaluated on the
 held-out fold (both the single and the double sum running over held-out
 indices only).  The candidate maximizing the fold-averaged criterion is
-selected; exact ties go to the candidate with fewer parameters.
+selected; exact ties go to the candidate with fewer parameters.  A
+candidate with a fold that fails to converge or to evaluate is
+disqualified; if every candidate is, :func:`cross_validate` raises
+:class:`OptimFailureError`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import DivergenceSpec
-from .errors import ConjugateDomainError, LengthMismatchError
+from .errors import ConjugateDomainError, LengthMismatchError, OptimFailureError
 from .estimator import (
     DualEstimate,
     ObjectiveContext,
@@ -101,6 +104,8 @@ def cross_validate(sample: PairedSample, cfg: CvConfig) -> CvReport:
                 break
         if not ok:
             disqualified.append(ell)
+    if len(disqualified) == n_cand:
+        raise OptimFailureError(f"every candidate was disqualified: {disqualified}")
 
     scores = np.where(
         np.isin(np.arange(n_cand), disqualified),

@@ -77,13 +77,13 @@ class BootstrapConfig:
 
 
 def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
-                      cov=None, n_draws: int = 10_000, seed: int = 0,
+                      n_draws: int = 10_000, seed: int = 0,
                       bootstrap: BootstrapConfig | None = None) -> TestResult:
     """Test H0: X independent of Y with S_n = 2n I_hat at level alpha.
 
-    ``cov`` may carry precomputed asymptotic covariances for the ztz
-    route; otherwise they are computed exactly over the product of the
-    observed sample's empirical margins (all n^2 pairs, no draws).
+    The ztz route computes the asymptotic covariances exactly over the
+    product of the observed sample's empirical margins (all n^2 pairs, no
+    draws).
     ``n_draws`` and ``seed`` set the Monte-Carlo Z'Z quantile.
     """
     if route not in ROUTES:
@@ -104,9 +104,8 @@ def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
             raise RouteMismatchError("ztz route requires an exponential bilinear model")
         if ctx.divergence.gamma != 1.0:
             raise RouteMismatchError("ztz route is derived for the KL divergence only")
-        if cov is None:
-            cov = covariances_under_h0(ctx.model, np.asarray(ctx.sample.x, dtype=float),
-                                       np.asarray(ctx.sample.y, dtype=float))
+        cov = covariances_under_h0(ctx.model, np.asarray(ctx.sample.x, dtype=float),
+                                   np.asarray(ctx.sample.y, dtype=float))
         crit = limit_quantile_ztz(cov, alpha, n_draws=n_draws, seed=seed)
         p_value = None
     else:

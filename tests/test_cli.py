@@ -81,6 +81,13 @@ class TestIngestCsv:
         with pytest.raises(MissingValueError):
             ingest_csv(str(f), "x", "y")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain = write_gaussian_csv(tmp_path / "d.csv", n=10)
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = ingest_csv(str(plain), "x", "y"), ingest_csv(str(marked), "x", "y")
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
     def test_categorical_keeps_tokens(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x,y\nred,up\nblue,down\nred,down\n")
@@ -191,6 +198,24 @@ class TestSelectCommand:
         assert "candidate_0=" in text
         assert "selected=0" in text
 
+    @pytest.mark.parametrize("candidates,expect", [
+        ("fgm;fgm", None),
+        ("fgm;expbilinear:xy", 1),
+    ])
+    def test_leave_one_out_disqualification(self, tmp_path, capsys, candidates, expect):
+        # every 1-pair held-out fold fails the FGM rank transform
+        f = write_gaussian_csv(tmp_path / "d.csv", n=12)
+        code = main(["select", "--csv", str(f), "--x", "x", "--y", "y",
+                     "--candidates", candidates, "--k", "12", "--seed", "0"])
+        text, err = capsys.readouterr()
+        if expect is None:
+            assert code == 2 and "selected=" not in text
+            assert "every candidate was disqualified" in err
+        else:
+            assert code == 0
+            assert "candidate_0=fgm score=-inf (disqualified)" in text
+            assert f"selected={expect}" in text
+
 
 class TestPowerCommand:
     CONFIG = """[study]
@@ -218,6 +243,15 @@ seed = 99
 
         table = parse_results(out1.read_text())
         assert len(table.rows) == 4
+
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.2"])
+    def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys, alpha):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(self.CONFIG.replace("alpha = 0.01", f"alpha = {alpha}"))
+        code = main(["power", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "study.cfg"

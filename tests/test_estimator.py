@@ -553,6 +553,8 @@ FINITE_TABLES = {
     "empty-cell": np.array([[5, 0, 2], [1, 4, 6]]),
     # level 2 of y is in the model but never observed
     "unused-level": np.array([[5, 3, 0], [1, 4, 0]]),
+    # alpha* of the supremum, log p/q of cell (0, 0), is -inf
+    "empty-reference-cell": np.array([[0, 3, 2], [1, 4, 6]]),
 }
 
 
@@ -600,25 +602,32 @@ class TestFiniteOracle:
                 raised_any[raised] += 1
         assert raised_any[True] and raised_any[False]
 
-    def test_estimate_matches_brute_force_lbfgsb(self):
-        check_estimate(KL, finite_model(2, 3), table_to_sample(FINITE_TABLES["full"]))
+    @pytest.mark.parametrize("div", [KL, CHISQ, HELL], ids=str)
+    @pytest.mark.parametrize("table", ["full", "empty-cell", "empty-reference-cell"])
+    def test_estimate_matches_brute_force_lbfgsb(self, table, div):
+        # L-BFGS-B from theta0 checks that the plug-in start, on the box's
+        # face for an empty cell, is the supremum
+        check_estimate(div, finite_model(2, 3), table_to_sample(FINITE_TABLES[table]))
 
-    @pytest.mark.parametrize("table,div,method,tol", [
-        ("full", KL, "newton", 1e-12),
-        ("full", CHISQ, "newton", 1e-12),
-        ("full", HELL, "newton", 1e-12),
-        ("unused-level", KL, "newton", 1e-12),
-        ("unused-level", CHISQ, "newton", 1e-12),
-        ("unused-level", HELL, "newton", 1e-12),
-        # the supremum is at the box's edge, where the empty cell's h -> 0
-        ("empty-cell", KL, "lbfgsb", 1e-6),
-        ("empty-cell", CHISQ, "lbfgsb", 1e-6),
-        ("empty-cell", HELL, "lbfgsb", 1e-6),
+    @pytest.mark.parametrize("table,div,tol", [
+        ("full", KL, 1e-12),
+        ("full", CHISQ, 1e-12),
+        ("full", HELL, 1e-12),
+        ("unused-level", KL, 1e-12),
+        ("unused-level", CHISQ, 1e-12),
+        ("unused-level", HELL, 1e-12),
+        ("empty-cell", KL, 1e-12),
+        ("empty-cell", CHISQ, 1e-12),
+        ("empty-cell", HELL, 1e-12),
+        ("empty-reference-cell", KL, 1e-12),
+        ("empty-reference-cell", CHISQ, 1e-12),
+        # the empty cell's h stays above e^-40, the floor of the alpha box
+        ("empty-reference-cell", HELL, 1e-9),
     ], ids=str)
-    def test_estimate_equals_plugin(self, table, div, method, tol):
+    def test_estimate_equals_plugin(self, table, div, tol):
         sample = table_to_sample(FINITE_TABLES[table])
         est = estimate(ObjectiveContext(div, finite_model(2, 3), sample))
-        assert est.method == method and est.converged
+        assert est.method == "newton" and est.converged
         assert est.i_hat == pytest.approx(
             plugin_estimate(div, sample, (np.arange(2), np.arange(3))), abs=tol)
 
@@ -631,11 +640,12 @@ class TestFiniteOracle:
             check_profile(ctx, rng.uniform(-0.3, 0.3, 5))
 
     @pytest.mark.parametrize("div", [KL, CHISQ, HELL], ids=str)
-    def test_empty_cell_skips_newton(self, div, monkeypatch):
-        # the cache shows the supremum on the box's edge: no Newton pass
-        ctx = ObjectiveContext(div, finite_model(2, 3),
-                               table_to_sample(FINITE_TABLES["empty-cell"]))
-        assert estimate(ctx) == lbfgsb_only(ctx, monkeypatch)
+    @pytest.mark.parametrize("table", list(FINITE_TABLES))
+    def test_starts_at_the_supremum(self, table, div):
+        # one profiled pass at the plug-in start and one full evaluation
+        ctx = ObjectiveContext(div, finite_model(2, 3), table_to_sample(FINITE_TABLES[table]))
+        est = estimate(ctx)
+        assert est.method == "newton" and est.converged and est.objective_evals == 2
 
     @pytest.mark.parametrize("div", [KL, CHISQ, HELL], ids=str)
     def test_newton_on_a_15x15_table(self, div):

@@ -50,6 +50,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_finite_cfg(reps=50)
 
+    @pytest.mark.parametrize("alpha", [1.5, -0.2])
+    def test_alpha_outside_unit_interval(self, alpha):
+        # a baseline-only Gaussian study would otherwise report power 1 or 0
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            PowerStudyConfig(family="gaussian", grid=(0.0,), n=50, reps=100,
+                             alpha=alpha, tests=("pearson", "kendall", "spearman"), seed=1)
+
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             small_finite_cfg(grid=())

@@ -5,7 +5,9 @@ from phimi import (
     CvConfig,
     DivergenceSpec,
     ExpBilinearModel,
+    FgmCopulaModel,
     GaussianSpec,
+    OptimFailureError,
     PairedSample,
     cross_validate,
     gaussian_model,
@@ -50,6 +52,21 @@ class TestCrossValidate:
         report = cross_validate(s, cfg)
         assert report.fold_scores.shape == (1, 8)
         assert np.all(np.isfinite(report.fold_scores))
+
+    def test_every_candidate_disqualified_raises(self):
+        # leave-one-out: a 1-pair held-out fold has no FGM rank transform
+        s = sample_gaussian(GaussianSpec(0.4), 12, 1)
+        cfg = CvConfig([FgmCopulaModel(), FgmCopulaModel()], KL, k=12, seed=0)
+        with pytest.raises(OptimFailureError, match=r"\[0, 1\]"):
+            cross_validate(s, cfg)
+
+    def test_disqualified_candidate_loses(self):
+        s = sample_gaussian(GaussianSpec(0.4), 12, 1)
+        cfg = CvConfig([FgmCopulaModel(), ExpBilinearModel(["xy"])], KL, k=12, seed=0)
+        report = cross_validate(s, cfg)
+        assert report.disqualified == (0,)
+        assert report.scores[0] == -np.inf and np.isfinite(report.scores[1])
+        assert report.selected == 1
 
     def test_identical_candidates_tie_to_first(self):
         s = sample_gaussian(GaussianSpec(0.4), 40, 4)
