@@ -255,10 +255,10 @@ def _cmd_test(args, out) -> int:
     sample = ingest_csv(args.csv, args.x, args.y, args.kind)
     model = _parse_model(args.model, sample)
     ctx = ObjectiveContext(_parse_divergence(args), model, sample)
-    res = test_independence(
-        ctx, args.route, args.alpha, n_draws=args.n_draws, seed=seed,
-        bootstrap=BootstrapConfig(args.b_reps, args.alpha, seed),
-    )
+    # only the bootstrap route reads (and so validates) --b-reps
+    boot = BootstrapConfig(args.b_reps, args.alpha, seed) if args.route == "bootstrap" else None
+    res = test_independence(ctx, args.route, args.alpha, n_draws=args.n_draws, seed=seed,
+                            bootstrap=boot)
     text = _format_test_result(res, args.format)
     out.write(text)
     if args.out:
@@ -318,19 +318,13 @@ def _read_study_config(path: str) -> dict:
 
 def _cmd_power(args, out) -> int:
     raw = _read_study_config(args.config)
-    seed = args.seed
-    if seed is None and "seed" in raw:
-        seed = int(raw["seed"])
-    if seed is None:
-        seed = secrets.randbits(32)
-    print(f"seed={seed}", file=out)
+    if args.seed is None and "seed" in raw:
+        args.seed = int(raw["seed"])
+    seed = _resolve_seed(args, out)
 
     tests = tuple(t.strip() for t in raw.get("tests", "kl").split(",") if t.strip())
-    calibration = {
-        key.split(".", 1)[1]: value.strip()
-        for key, value in raw.items()
-        if key.startswith("route.")
-    }
+    calibration = {key.split(".", 1)[1]: value.strip()
+                   for key, value in raw.items() if key.startswith("route.")}
     cfg = PowerStudyConfig(
         family=raw["family"].strip(),
         grid=tuple(float(v) for v in raw["grid"].split(",")),

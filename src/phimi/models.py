@@ -15,8 +15,11 @@ Each family evaluates the two terms of the dual objective (see
 :mod:`phimi.estimator`) itself: the exponential bilinear models, finite
 ones included, in exponent space ``s = log h`` over distinct x × distinct
 y values, the copula in ``h`` space, where ``h`` is in (0, 2).  The
-exponential bilinear terms reach the basis only through four feature
-maps; the finite model implements them over flat cells.
+exponential bilinear terms reach the basis only through three feature
+maps; the finite model implements them over flat cells.  Where the
+exponent has one coupled term ``c u(x) v(y)``, the cross sums are a
+truncated series in ``c u v``, O((nx + ny) K) per moment column; other
+bases sum the dense nx × ny block.
 
 All models are immutable after construction and safe to share between
 threads.  The parameter space is a box, so that the feasible set is
@@ -154,6 +157,39 @@ def _check_exponent(divergence, s):
     dom = divergence.dom_phi_interior
     if not dom.contains(extremes):
         raise DomainError(dom.first_violation(extremes), dom, what="x")
+
+
+def _exp_block(divergence, s, shifted: bool):
+    """``(exp(gamma s - shift), shift)`` with ``shift = max gamma s`` where
+    ``shifted``, else ``(expm1(gamma s), 0)`` after the domain check on
+    ``s``; computed in place."""
+    if not shifted:
+        _check_exponent(divergence, s)
+    if divergence.gamma != 1.0:
+        s *= divergence.gamma
+    if not shifted:
+        return np.expm1(s, out=s), 0.0
+    shift = s.max()
+    return np.exp(np.subtract(s, shift, out=s), out=s), shift
+
+
+# ExpBilinearModel._lowrank_sums: used where the distinct-value block has
+# at least _LOWRANK_MIN (nx + ny) pairs and |s|, |gamma s| <= _EXP_BOUND
+_LOWRANK_MIN = 26
+_EXP_BOUND = 700.0
+_TERM_TOL = 2.0 ** -60   # the series' last term: this share of the largest
+_MAX_TERMS = 120
+_SERIES_RTOL = 1e-13     # rounding bound per sum, as a share of its scale
+
+
+def _series_coefficients(r):
+    """``r^k / k!`` for k < K, the smallest k > |r| whose term is at most
+    ``_TERM_TOL`` of the largest; ``None`` where K exceeds ``_MAX_TERMS``."""
+    coef = np.cumprod(np.concatenate([[1.0], r / np.arange(1.0, _MAX_TERMS + 1)]))
+    mag = np.abs(coef)
+    last = (np.arange(_MAX_TERMS + 1) > abs(r)) & (mag <= _TERM_TOL * mag.max())
+    k = int(np.argmax(last))
+    return coef[:k] if last[k] else None
 
 
 class RatioModel:
@@ -320,16 +356,23 @@ class ExpBilinearModel(RatioModel):
         # count-weighted (1, xi, xi_k xi_l) and (1, zeta, zeta_k zeta_l);
         # first moments read the first 1 + d columns, second ones all
         xim, zem = self._moment_columns(xi, cache["cx"]), self._moment_columns(ze, cache["cy"])
-        return {
+        coupled = np.flatnonzero(~(x_only | y_only))
+        nx, ny = xi.shape[0], ze.shape[0]
+        design = {
             "xi": xi, "ze": ze, "paired": xi[cache["pix"]] * ze[cache["piy"]],
             "a": xi[:, x_only] * ze[0, x_only], "x_only": np.flatnonzero(x_only),
             "b": xi[0, y_only] * ze[:, y_only], "y_only": np.flatnonzero(y_only),
-            "coupled": np.flatnonzero(~(x_only | y_only)),
-            "xim": xim, "zem": zem,
+            "coupled": coupled, "xim": xim, "zem": zem,
             # mean of (1, xi_k zeta_k) over the n^2 cross pairs
             "cross_mean": xim[:, :1 + d].sum(axis=0) * zem[:, :1 + d].sum(axis=0)
             / cache["n"] ** 2,
+            "lowrank": coupled.size == 1 and nx * ny >= _LOWRANK_MIN * (nx + ny),
         }
+        if design["lowrank"]:   # the coupled columns scaled to max |t| = 1
+            scales = [np.abs(t[:, coupled[0]]).max() for t in (xi, ze)]
+            design.update(scale=scales[0] * scales[1], powers=[np.ones((1, nx)), np.ones((1, ny))],
+                          scaled=[t[:, coupled[0]] / m for t, m in zip((xi, ze), scales)])
+        return design
 
     @cached_property
     def _pairs(self):
@@ -347,7 +390,7 @@ class ExpBilinearModel(RatioModel):
         return out
 
     # The feature maps: the terms and the profile below reach the basis
-    # only through these four, which a basis with structure may override.
+    # only through these three, which a basis with structure may override.
 
     def _paired_exponent(self, beta, cache) -> np.ndarray:
         """``beta . f`` on the distinct value pairs of the sample."""
@@ -358,6 +401,81 @@ class ExpBilinearModel(RatioModel):
         f f'``."""
         f = cache["paired"]
         return w @ f, ((f.T * w) @ f if second else None)
+
+    def _cross_sums(self, divergence, theta, cache, second: bool, shifted: bool):
+        """(sums of ``c_x c_y E (1, f)`` over the distinct-value block, of
+        ``c_x c_y E f f'`` if ``second`` else None, shift), with ``E =
+        exp(gamma s - shift)`` where ``shifted`` (no exp overflows), else
+        ``E = expm1(gamma s)`` and shift 0, raising DomainError where some
+        ``exp(s)`` leaves dom phi.  One coupled term and a large enough
+        block take the series of :meth:`_lowrank_sums`, O((nx + ny) K) per
+        moment column; elsewhere, or where it declines, the dense block."""
+        d = self.dim - 1
+        cols = cache["xim"].shape[1] if second else 1 + d
+        out = (self._lowrank_sums(divergence.gamma, theta, cache, cols, shifted)
+               if cache["lowrank"] else None)
+        if out is None:
+            block, shift = _exp_block(divergence, self._cross_exponent(theta, cache), shifted)
+            out = self._cross_moments(block, cache, cols), shift
+        m, shift = out
+        if not second:
+            return m, None, shift
+        k, l = self._pairs
+        pairs = np.empty((d, d))
+        pairs[k, l] = pairs[l, k] = m[1 + d:]
+        return m[:1 + d], pairs, shift
+
+    def _lowrank_sums(self, gamma, theta, cache, cols, shifted):
+        """The sums of :meth:`_cross_sums` over the first ``cols`` moment
+        columns and the shift, without the block, or ``None``.
+
+        With ``s_ij = a_i + b_j + c u_i v_j`` (alpha in ``a``; ``u``, ``v``
+        scaled to max 1), every sum is ``sum_k (gamma c)^k / k! U_k V_k``,
+        ``U_k`` the x moment columns weighted by ``e^{gamma a} u^k`` (``V_k``
+        likewise): the Taylor series of the fast Gauss transform, exact up
+        to truncation for one product.  ``None`` where the bound on ``|s|``
+        or ``|gamma s|`` passes ``_EXP_BOUND``, the series needs over
+        ``_MAX_TERMS`` terms, or its rounding bound (the series on absolute
+        values) passes ``_SERIES_RTOL`` of a sum's scale ``sum |weights|
+        e^{gamma s}``.
+        """
+        beta = theta[1:]
+        a = theta[0] + cache["a"] @ beta[cache["x_only"]]
+        b = cache["b"] @ beta[cache["y_only"]]
+        c = beta[cache["coupled"][0]] * cache["scale"]
+        if max(1.0, abs(gamma)) * (np.abs(a).max() + np.abs(b).max() + abs(c)) > _EXP_BOUND:
+            return None
+        coef = _series_coefficients(gamma * c)
+        if coef is None:
+            return None
+        pu, pv = self._powers(cache, coef.size)
+        xw, yw = cache["xim"][:, :cols], cache["zem"][:, :cols]
+        ga, gb = gamma * a, gamma * b
+        top = (ga.max(), gb.max()) if shifted else (0.0, 0.0)
+        u, v = xw * np.exp(ga - top[0])[:, None], yw * np.exp(gb - top[1])[:, None]
+        su, sv = pu @ np.hstack([u, np.abs(u)]), pv @ np.hstack([v, np.abs(v)])
+        scale = coef @ (su[:, cols:] * sv[:, cols:])
+        rounding = np.abs(coef) @ ((np.abs(pu) @ np.abs(u)) * (np.abs(pv) @ np.abs(v)))
+        if not np.all(np.finfo(float).eps * coef.size * rounding <= _SERIES_RTOL * scale):
+            return None
+        if shifted:
+            return coef @ (su[:, :cols] * sv[:, :cols]), sum(top)
+        # k = 0: (1 + A)(1 + B) - 1 = A B + A + B, with A, B from expm1
+        a1, b1 = np.expm1(ga) @ xw, np.expm1(gb) @ yw
+        first = a1 * b1 + a1 * yw.sum(axis=0) + xw.sum(axis=0) * b1
+        return first + coef[1:] @ (su[1:, :cols] * sv[1:, :cols]), 0.0
+
+    @staticmethod
+    def _powers(cache, k):
+        """Rows ``t^0 .. t^(k-1)`` of both scaled coupled columns; the cache
+        keeps the rows computed so far and is extended as passes need more."""
+        powers = cache["powers"]
+        if powers[0].shape[0] < k:
+            powers = [np.vstack([p, p[-1] * np.cumprod(np.broadcast_to(t, (k - len(p), t.size)),
+                                                        axis=0)])
+                      for t, p in zip(cache["scaled"], powers)]
+            cache["powers"] = powers
+        return [p[:k] for p in powers]
 
     def _cross_exponent(self, theta, cache) -> np.ndarray:
         """``s_ij = alpha + sum_k beta_k xi_k(x_i) zeta_k(y_j)`` on distinct
@@ -377,23 +495,16 @@ class ExpBilinearModel(RatioModel):
         s += b
         return s
 
-    def _cross_moments(self, block, cache, second: bool = False):
-        """Sums of ``c_x c_y block (1, f)`` over the distinct-value block
-        and, if asked, of ``c_x c_y block f f'``: ``block`` contracted with
-        the count-weighted ``(1, zeta[, zeta_k zeta_l])``, in slices of at
+    @staticmethod
+    def _cross_moments(block, cache, cols):
+        """Sums of ``c_x c_y block`` times the first ``cols`` moment columns
+        ``(1, f, f_k f_l)`` over the distinct-value block: ``block``
+        contracted with the count-weighted ``zeta`` columns, in slices of at
         most 4 columns (OpenBLAS's threaded path for wider products can
-        stall), and read off ``(1, xi[, xi_k xi_l])``."""
+        stall), and read off the ``xi`` columns."""
         xim, zem = cache["xim"], cache["zem"]
-        d = self.dim - 1
-        cols = xim.shape[1] if second else 1 + d
         rows = np.hstack([block @ zem[:, j:min(j + 4, cols)] for j in range(0, cols, 4)])
-        m = np.einsum("ik,ik->k", xim[:, :cols], rows)
-        if not second:
-            return m, None
-        k, l = self._pairs
-        out = np.empty((d, d))
-        out[k, l] = out[l, k] = m[1 + d:]
-        return m[:1 + d], out
+        return np.einsum("ik,ik->k", xim[:, :cols], rows)
 
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
         """Paired term in exponent space.
@@ -419,22 +530,20 @@ class ExpBilinearModel(RatioModel):
         With ``h = exp(s)`` and the power kernel, ``g(h) = expm1(gamma s) /
         gamma`` (``s`` for gamma = 0) and ``dg/dtheta = exp(gamma s) (1,
         xi_k zeta_k)``.  ``M = expm1(gamma s)`` is summed once against
-        ``(1, f)``; the ``exp(gamma s) - M = 1`` part of the gradient is the
-        cross mean of ``(1, f)``.
+        ``(1, f)`` by :meth:`_cross_sums`, which also checks the domain: in
+        O((nx + ny) K) for one coupled term, else over the dense block.  The
+        ``exp(gamma s) - M = 1`` part of the gradient is the cross mean of
+        ``(1, f)``.
         """
-        s = self._cross_exponent(theta, cache)
-        _check_exponent(divergence, s)
+        # where a product overflows, M_n is infinite and the point infeasible
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = self._cross_sums(divergence, theta, cache, False, False)[0]
         mean_w = cache["cross_mean"]
         g = divergence.gamma
         if g == 0.0:
             return float(theta @ mean_w), (mean_w.copy() if need_grad else None)
-        if g != 1.0:
-            s *= g
-        # where a product overflows, M_n is infinite and the point infeasible
-        with np.errstate(over="ignore", invalid="ignore"):
-            moments = self._cross_moments(np.expm1(s, out=s), cache)[0] / cache["n"] ** 2
-            value = float(moments[0]) / g
-            return value, (moments + mean_w if need_grad else None)
+        moments = sums / cache["n"] ** 2
+        return float(moments[0]) / g, (moments + mean_w if need_grad else None)
 
     def _profile(self, divergence, beta, cache):
         """M_n maximized over alpha in closed form, with its beta derivatives.
@@ -450,8 +559,10 @@ class ExpBilinearModel(RatioModel):
         1) Cov_A f - gamma Cov_B f)``: concave for gamma in [0, 1].
 
         ``log A`` and ``log B`` are log-sum-exps shifted by the largest
-        exponent, so no exp overflows.  Returns (value, gradient, Hessian,
-        alpha*); a non-finite value means the profile overflows there.
+        exponent (for ``B``, a bound on it where :meth:`_cross_sums` sums
+        the series of one coupled term), so no exp overflows.  Returns
+        (value, gradient, Hessian, alpha*); a non-finite value means the
+        profile overflows there.
         """
         g = divergence.gamma
         with np.errstate(over="ignore", invalid="ignore"):
@@ -468,12 +579,8 @@ class ExpBilinearModel(RatioModel):
             if g == 0.0:
                 log_b, mean_b, cov_b = 0.0, cache["cross_mean"][1:], 0.0
             else:
-                t = self._cross_exponent(np.concatenate([[0.0], beta]), cache)
-                if g != 1.0:
-                    t *= g
-                shift = t.max()
-                e = np.exp(np.subtract(t, shift, out=t), out=t)
-                moments, second = self._cross_moments(e, cache, second=True)
+                moments, second, shift = self._cross_sums(
+                    divergence, np.concatenate([[0.0], beta]), cache, True, True)
                 total = moments[0]
                 log_b = shift + np.log(total / cache["n"] ** 2)
                 mean_b = moments[1:] / total
@@ -609,14 +716,13 @@ class FiniteDiscreteModel(ExpBilinearModel):
         m = np.bincount(cache["pcells"], w, minlength=self.dim)[1:]
         return m, (np.diag(m) if second else None)
 
-    def _cross_exponent(self, theta, cache):
-        return theta[0] + np.concatenate([[0.0], theta[1:]])[cache["cells"]]
-
-    def _cross_moments(self, block, cache, second=False):
+    def _cross_sums(self, divergence, theta, cache, second, shifted):
+        s = theta[0] + np.concatenate([[0.0], theta[1:]])[cache["cells"]]
+        block, shift = _exp_block(divergence, s, shifted)
         w = (block * cache["cw"]).ravel()
         m = np.bincount(cache["cells"].ravel(), w, minlength=self.dim)
         m[0] = w.sum()
-        return m, (np.diag(m[1:]) if second else None)
+        return m, (np.diag(m[1:]) if second else None), shift
 
     def suggest_starts(self, cache):
         """The plug-in supremum ``h = p / q`` per cell, clipped into the box."""

@@ -270,14 +270,7 @@ def run_power_study(cfg: PowerStudyConfig) -> PowerTable:
     for param, gseq in zip(cfg.grid, grid_seqs):
         rejected, reps = rejections(cfg, param, gseq.spawn(cfg.reps), crits)
         for t in cfg.tests:
-            rows[t].append(PowerRow(
-                test=t,
-                param=param,
-                rejections=rejected[t],
-                reps=reps,
-                n=cfg.n,
-                alpha=cfg.alpha,
-            ))
+            rows[t].append(PowerRow(t, param, rejected[t], reps, cfg.n, cfg.alpha))
     ordered = tuple(row for t in cfg.tests for row in rows[t])
     return PowerTable(ordered)
 

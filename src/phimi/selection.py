@@ -19,13 +19,7 @@ import numpy as np
 
 from .divergence import DivergenceSpec
 from .errors import ConjugateDomainError, LengthMismatchError, OptimFailureError
-from .estimator import (
-    DualEstimate,
-    ObjectiveContext,
-    PairedSample,
-    estimate,
-    objective,
-)
+from .estimator import DualEstimate, ObjectiveContext, PairedSample, estimate, objective
 from .models import RatioModel
 
 __all__ = ["CvConfig", "CvReport", "cross_validate"]
@@ -77,9 +71,7 @@ def cross_validate(sample: PairedSample, cfg: CvConfig) -> CvReport:
 
     n_cand = len(cfg.candidates)
     fold_scores = np.full((n_cand, cfg.k), np.nan)
-    fold_estimates: list[list[DualEstimate | None]] = [
-        [None] * cfg.k for _ in range(n_cand)
-    ]
+    fold_estimates: list[list[DualEstimate | None]] = [[None] * cfg.k for _ in range(n_cand)]
     disqualified = []
 
     for ell, model in enumerate(cfg.candidates):
@@ -87,10 +79,8 @@ def cross_validate(sample: PairedSample, cfg: CvConfig) -> CvReport:
         for i, fold in enumerate(folds):
             keep = np.setdiff1d(perm, fold, assume_unique=True)
             train = sample.subset(keep)
-            est = estimate(
-                ObjectiveContext(cfg.divergence, model, train),
-                seed=int(fit_seeds[ell, i]),
-            )
+            est = estimate(ObjectiveContext(cfg.divergence, model, train),
+                           seed=int(fit_seeds[ell, i]))
             fold_estimates[ell][i] = est
             if not est.converged:
                 ok = False
@@ -107,11 +97,8 @@ def cross_validate(sample: PairedSample, cfg: CvConfig) -> CvReport:
     if len(disqualified) == n_cand:
         raise OptimFailureError(f"every candidate was disqualified: {disqualified}")
 
-    scores = np.where(
-        np.isin(np.arange(n_cand), disqualified),
-        -np.inf,
-        fold_scores.mean(axis=1),
-    )
+    scores = np.where(np.isin(np.arange(n_cand), disqualified), -np.inf,
+                      fold_scores.mean(axis=1))
     best = np.max(scores)
     tied = [i for i in range(n_cand) if scores[i] == best]
     selected = min(tied, key=lambda i: cfg.candidates[i].dim)

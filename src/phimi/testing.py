@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as sps
+from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .asymptotics import (
     chi2_quantile,
@@ -88,23 +89,25 @@ def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
     """
     if route not in ROUTES:
         raise RouteMismatchError(f"unknown route {route!r}; choose from {ROUTES}")
+    model = ctx.model
+    if route == "chisq" and not isinstance(model, FiniteDiscreteModel):
+        raise RouteMismatchError("chisq route requires a finite-discrete model")
+    # finite models subclass ExpBilinearModel; they take the chisq route
+    if route == "ztz" and model.family != "expbilinear":
+        raise RouteMismatchError("ztz route requires an exponential bilinear model")
+    if route == "ztz" and ctx.divergence.gamma != 1.0:
+        raise RouteMismatchError("ztz route is derived for the KL divergence only")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     est = estimate(ctx, seed=seed)
     stat = 2.0 * ctx.n * est.i_hat
 
     if route == "chisq":
-        model = ctx.model
-        if not isinstance(model, FiniteDiscreteModel):
-            raise RouteMismatchError("chisq route requires a finite-discrete model")
         df = chisq_df_finite(model.k1, model.k2)
         crit = chi2_quantile(1.0 - alpha, df)
         p_value = chi2_sf(stat, df)
     elif route == "ztz":
-        # finite models subclass ExpBilinearModel; they take the chisq route
-        if ctx.model.family != "expbilinear":
-            raise RouteMismatchError("ztz route requires an exponential bilinear model")
-        if ctx.divergence.gamma != 1.0:
-            raise RouteMismatchError("ztz route is derived for the KL divergence only")
-        cov = covariances_under_h0(ctx.model, np.asarray(ctx.sample.x, dtype=float),
+        cov = covariances_under_h0(model, np.asarray(ctx.sample.x, dtype=float),
                                    np.asarray(ctx.sample.y, dtype=float))
         crit = limit_quantile_ztz(cov, alpha, n_draws=n_draws, seed=seed)
         p_value = None
@@ -129,11 +132,10 @@ def bootstrap_statistics(ctx: ObjectiveContext, cfg: BootstrapConfig) -> np.ndar
     Each replicate draws the x side and the y side independently with
     replacement (separate RNG streams), so the pairing is broken; rank
     and cell statistics are recomputed on each replicate sample, whose
-    context the model may derive from ``ctx``
-    (:meth:`ObjectiveContext.resample`).  Fails
-    if more than 5% of the replicate optimizations do not converge.  A fit
-    of an exponential bilinear model costs (distinct x) × (distinct y)
-    values per evaluation, about 0.63² n² for continuous data.
+    context the model may derive from ``ctx`` (:meth:`ObjectiveContext.resample`).
+    Fails if more than 5% of the replicate optimizations do not converge.
+    A replicate of continuous data has about 0.63 n distinct values per
+    side: the size of the cross sums of an exponential bilinear fit.
     """
     n = ctx.n
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.b_reps)
@@ -173,11 +175,11 @@ def _check_baseline_sample(sample: PairedSample):
 
 def _t_test_result(r: float, n: int, alpha: float, route: str) -> TestResult:
     df = n - 2
-    crit = float(sps.t.ppf(1.0 - alpha / 2.0, df))
+    crit = float(stdtrit(df, 1.0 - alpha / 2.0))
     if 1.0 - r * r <= 1e-15:
         return TestResult(np.inf, crit, 0.0, True, route, alpha)
     t = abs(r) * np.sqrt(df / (1.0 - r * r))
-    p = 2.0 * float(sps.t.sf(t, df))
+    p = 2.0 * float(stdtr(df, -t))
     return TestResult(float(t), crit, p, bool(t > crit), route, alpha)
 
 
@@ -204,8 +206,8 @@ def kendall_test(sample: PairedSample, alpha: float = 0.05) -> TestResult:
     n = sample.n
     tau = kendall_tau(x, y)
     z = abs(3.0 * tau * np.sqrt(n * (n - 1.0)) / np.sqrt(2.0 * (2.0 * n + 5.0)))
-    crit = float(sps.norm.ppf(1.0 - alpha / 2.0))
-    p = 2.0 * float(sps.norm.sf(z))
+    crit = float(ndtri(1.0 - alpha / 2.0))
+    p = 2.0 * float(ndtr(-z))
     return TestResult(float(z), crit, p, bool(z > crit), "kendall", alpha)
 
 

@@ -168,6 +168,19 @@ class TestTestCommand:
                      "--model", "gaussian", "--route", "ztz", "--m", "1000",
                      "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize("route", ["ztz", "chisq"])
+    def test_b_reps_ignored_off_the_bootstrap_route(self, tmp_path, route):
+        if route == "ztz":
+            f = write_gaussian_csv(tmp_path / "d.csv", n=40)
+            flags = ["--model", "gaussian"]
+        else:
+            f = write_categorical_csv(tmp_path / "d.csv")
+            flags = ["--model", "finite", "--kind", "categorical"]
+        code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y", *flags,
+                             "--route", route, "--b-reps", "10", "--seed", "3"])
+        assert code == 0
+        assert f"route={route}\n" in text
+
     def test_seed_printed_when_generated(self, tmp_path):
         f = write_gaussian_csv(tmp_path / "d.csv", n=30)
         code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y",

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from contextlib import nullcontext
@@ -30,7 +31,7 @@ import phimi.estimator
 from phimi.errors import LengthMismatchError
 from phimi.divergence import NAMED_GAMMAS
 from phimi.estimator import _projected_grad_norm, objective_terms
-from phimi.models import BasisPair, rank_transform
+from phimi.models import BasisPair, _series_coefficients, rank_transform
 
 KL = DivergenceSpec(1.0)
 CHISQ = DivergenceSpec(2.0)
@@ -526,6 +527,196 @@ class TestProfiledNewton:
             ref = lbfgsb_only(ctx, monkeypatch)
             assert est.method == "newton", name
             assert est.objective_evals <= ref.objective_evals, name
+
+
+def cross_paths(monkeypatch):
+    """Counts, from here on, of cross sums taken by the low-rank series and
+    of dense cross blocks built."""
+    counts = {"lowrank": 0, "dense": 0}
+    lowrank, dense = ExpBilinearModel._lowrank_sums, ExpBilinearModel._cross_exponent
+
+    def lowrank_spy(self, *args):
+        out = lowrank(self, *args)
+        counts["lowrank"] += out is not None
+        return out
+
+    def dense_spy(self, *args):
+        counts["dense"] += 1
+        return dense(self, *args)
+
+    monkeypatch.setattr(ExpBilinearModel, "_lowrank_sums", lowrank_spy)
+    monkeypatch.setattr(ExpBilinearModel, "_cross_exponent", dense_spy)
+    return counts
+
+
+def dense_cache(ctx):
+    """The context's cache with the low-rank path switched off."""
+    return dict(ctx._cache, lowrank=False)
+
+
+def lowrank_samples(rho, n=500):
+    """A continuous sample and a bootstrap resample of it, each margin drawn
+    with replacement: ~63% distinct values, some repeated up to 5 times."""
+    base = sample_gaussian(GaussianSpec(rho), n, 7)
+    rng = np.random.default_rng(23)
+    return {"continuous": base,
+            "tied": PairedSample(base.x[rng.integers(0, n, n)], base.y[rng.integers(0, n, n)])}
+
+
+LOWRANK_BASES = {"gaussian": ["x2", "y2", "xy"], "x,y,xy": ["x", "y", "xy"],
+                 "x2,y2,xy,x,y": ["x2", "y2", "xy", "x", "y"]}
+LOWRANK_DIVERGENCES = [DivergenceSpec(g) for g in (1.0, 2.0, 0.5, 0.0, -1.0, 1.5)]
+
+
+def assert_profiles_match(model, div, beta, cache, dense, tol=1e-12):
+    """Profile value, gradient, Hessian and alpha* from the low-rank sums
+    against the dense block, each to ``tol`` of its own scale."""
+    got, want = model._profile(div, beta, cache), model._profile(div, beta, dense)
+    g = div.gamma
+    # gradient e^L (E_A f - E_B f): its scale is e^L times the larger mean
+    u = (g - 1.0) * model._paired_exponent(beta, dense)
+    w = dense["pw"] * np.exp(u - u.max())
+    mean_a = model._paired_moments(w / w.sum(), dense)[0]
+    m = (model._cross_sums(div, np.concatenate([[0.0], beta]), dense, False, True)[0]
+         if g != 0.0 else np.concatenate([[1.0], dense["cross_mean"][1:]]))
+    e_l = 1.0 + g * (g - 1.0) * want[0]
+    grad_scale = e_l * max(np.max(np.abs(mean_a)), np.max(np.abs(m[1:] / m[0])))
+    assert abs(got[0] - want[0]) <= tol * max(1.0, abs(want[0]))
+    assert np.max(np.abs(got[1] - want[1])) <= tol * grad_scale
+    assert np.max(np.abs(got[2] - want[2])) <= tol * np.max(np.abs(want[2]))
+    assert abs(got[3] - want[3]) <= tol * max(1.0, abs(want[3]))
+
+
+def assert_cross_terms_match(model, div, theta, cache, dense, tol=1e-12):
+    got = model._cross_term(div, theta, cache, True)
+    want = model._cross_term(div, theta, dense, True)
+    assert abs(got[0] - want[0]) <= tol * max(1.0, abs(want[0]))
+    assert np.max(np.abs(got[1] - want[1])) <= tol * np.max(np.abs(want[1]))
+
+
+class TestLowRankCrossSums:
+    """Cross sums of one coupled term by its series, against the dense block."""
+
+    @pytest.mark.parametrize("basis", list(LOWRANK_BASES))
+    def test_matches_dense_block(self, basis, monkeypatch):
+        model = ExpBilinearModel(LOWRANK_BASES[basis])
+        paths = cross_paths(monkeypatch)
+        rng = np.random.default_rng(20)
+        taken = checks = 0
+        for rho in (0.0, 0.1, 0.3, 0.5, 0.8):
+            for name, sample in lowrank_samples(rho).items():
+                for div in LOWRANK_DIVERGENCES:
+                    ctx = ObjectiveContext(div, model, sample)
+                    assert ctx._cache["lowrank"], name
+                    dense = dense_cache(ctx)
+                    est = estimate(ctx)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(ExpBilinearModel, "_lowrank_sums", lambda *args: None)
+                        ref = estimate(ObjectiveContext(div, model, sample))
+                    assert (est.method, est.objective_evals) == (ref.method, ref.objective_evals)
+                    assert est.i_hat == pytest.approx(ref.i_hat, rel=1e-12, abs=1e-15)
+                    fitted = np.clip(est.theta_hat.to_array(), *model.bounds.T)
+                    for theta in [fitted] + [np.clip(fitted + rng.uniform(-0.05, 0.05, model.dim),
+                                                     *model.bounds.T) for _ in range(2)]:
+                        before = paths["lowrank"]
+                        assert_profiles_match(model, div, theta[1:], ctx._cache, dense)
+                        assert_cross_terms_match(model, div, theta, ctx._cache, dense)
+                        checks += 2
+                        taken += paths["lowrank"] - before
+        # the series, not the fallback, answered most of the checks above
+        assert taken >= 3 * checks // 4
+
+    def test_value_keeps_expm1_precision_near_theta0(self):
+        # sum (e^{gamma s} - 1) is tiny next to sum e^{gamma s}: subtracting
+        # the two would lose about 7 digits at this theta
+        rng = np.random.default_rng(21)
+        sample = lowrank_samples(0.3)["continuous"]
+        for basis in LOWRANK_BASES.values():
+            model = ExpBilinearModel(basis)
+            for div in (KL, CHISQ, HELL, DivergenceSpec(-1.0)):
+                ctx = ObjectiveContext(div, model, sample)
+                theta = 1e-9 * rng.uniform(-1.0, 1.0, model.dim)
+                got = model._cross_term(div, theta, ctx._cache, False)[0]
+                want = model._cross_term(div, theta, dense_cache(ctx), False)[0]
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+                assert objective_terms(ctx, model.theta0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-8, 0.24, -1.2, 3.5, -6.9, 20.0, 60.0, -90.0])
+    def test_series_length(self, r):
+        # K: the smallest k > |r| with |r|^k / k! at most 2^-60 of the
+        # largest term, from log terms
+        def log_term(k):
+            return (k * math.log(abs(r)) if r else (0.0 if k == 0 else -math.inf)) \
+                - math.lgamma(k + 1)
+
+        top = max(log_term(k) for k in range(121))
+        small = [k for k in range(121)
+                 if k > abs(r) and log_term(k) <= top - 60.0 * math.log(2.0)]
+        coef = _series_coefficients(r)
+        if not small:
+            assert coef is None
+            return
+        assert coef.size == small[0]
+        assert np.allclose(coef, [r**k / math.factorial(k) for k in range(coef.size)],
+                           rtol=1e-13, atol=0.0)
+
+    def test_two_coupled_terms_stay_dense(self, monkeypatch):
+        model = ExpBilinearModel(ORACLE_BASES["xy,x2y2"])
+        sample = lowrank_samples(0.3)["continuous"]
+        ctx = ObjectiveContext(KL, model, sample)
+        assert not ctx._cache["lowrank"]
+        self.check_dense(monkeypatch, ctx, np.array([0.1, 0.2, -0.05]))
+
+    def test_small_tied_block_stays_dense(self, monkeypatch):
+        # ~30 distinct values per side: nx ny < 26 (nx + ny)
+        ctx = ObjectiveContext(CHISQ, gaussian_model(), TIED["rounded"])
+        nx, ny = (np.unique(v).size for v in (TIED["rounded"].x, TIED["rounded"].y))
+        assert nx * ny < 26 * (nx + ny) and not ctx._cache["lowrank"]
+        self.check_dense(monkeypatch, ctx, np.array([0.1, -0.2, -0.1, 0.3]))
+
+    def test_exponent_bound_falls_back(self, monkeypatch):
+        # |x|, |y| up to ~50: the bound on |s| passes 700 while s <= 0
+        base = lowrank_samples(0.3)["continuous"]
+        sample = PairedSample(15.0 * base.x, 15.0 * base.y)
+        theta = np.array([0.0, -0.5, -0.5, 0.1])
+        for div in (CHISQ, KL):   # chi-square takes exp(s) = 0, KL does not
+            ctx = ObjectiveContext(div, gaussian_model(), sample)
+            assert ctx._cache["lowrank"]
+            if div is KL:
+                with pytest.raises(DomainError):
+                    objective_terms(ctx, theta)
+                with pytest.raises(DomainError):
+                    gaussian_model()._cross_term(div, theta, dense_cache(ctx), False)
+            else:
+                self.check_dense(monkeypatch, ctx, theta)
+
+    def test_rounding_guard_falls_back(self, monkeypatch):
+        # positive u, v and c < 0: the series alternates and cancels to
+        # about 1e-8 of the result; the guard sends it to the dense block
+        rng = np.random.default_rng(22)
+        sample = PairedSample(rng.uniform(1.0, 2.5, 500), rng.uniform(1.0, 2.5, 500))
+        model = ExpBilinearModel(["x", "y", "xy"])
+        theta = np.array([0.0, 0.0, 0.0, -4.0])
+        ctx = ObjectiveContext(KL, model, sample)
+        r = -4.0 * ctx._cache["scale"]
+        assert _series_coefficients(r) is not None and abs(r) < 700.0
+        self.check_dense(monkeypatch, ctx, theta)
+
+    @staticmethod
+    def check_dense(monkeypatch, ctx, theta):
+        """The evaluation at theta and the profile at its beta build the
+        dense block, and give exactly what the dense block gives."""
+        model, div = ctx.model, ctx.divergence
+        dense = dense_cache(ctx)
+        want = (model._cross_term(div, theta, dense, True),
+                model._profile(div, theta[1:], dense))
+        with monkeypatch.context() as patch:
+            paths = cross_paths(patch)
+            got = (model._cross_term(div, theta, ctx._cache, True),
+                   model._profile(div, theta[1:], ctx._cache))
+        assert paths == {"lowrank": 0, "dense": 2}
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.array_equal(g, w)
 
 
 def check_estimate(div, model, sample, oracle_sample=None):

@@ -22,6 +22,7 @@ from phimi import (
     spearman_test,
     test_independence,
 )
+import phimi.testing
 
 KL = DivergenceSpec(1.0)
 
@@ -111,6 +112,34 @@ class TestZtzRoute:
         ctx = ObjectiveContext(KL, gaussian_model(), s)
         with pytest.raises(RouteMismatchError):
             test_independence(ctx, "asymptotic")
+
+
+@pytest.mark.parametrize("case,error", [
+    ("chisq-on-gaussian", RouteMismatchError),
+    ("ztz-on-finite", RouteMismatchError),
+    ("ztz-on-fgm", RouteMismatchError),
+    ("ztz-with-chisq", RouteMismatchError),
+    ("alpha-zero", ValueError),
+    ("alpha-one", ValueError),
+])
+def test_route_and_alpha_checked_before_fitting(monkeypatch, case, error):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("estimate ran before the route was checked")
+
+    monkeypatch.setattr(phimi.testing, "estimate", no_fit)
+    s = sample_gaussian(GaussianSpec(0.2), 40, 0)
+    u = PairedSample(np.linspace(0.1, 0.9, 20), np.linspace(0.9, 0.1, 20))
+    route, ctx, alpha = {
+        "chisq-on-gaussian": ("chisq", ObjectiveContext(KL, gaussian_model(), s), 0.05),
+        "ztz-on-finite": ("ztz", finite_ctx([[6, 3], [2, 7]]), 0.05),
+        "ztz-on-fgm": ("ztz", ObjectiveContext(KL, FgmCopulaModel(), u), 0.05),
+        "ztz-with-chisq": ("ztz", ObjectiveContext(DivergenceSpec(2.0), gaussian_model(), s),
+                           0.05),
+        "alpha-zero": ("ztz", ObjectiveContext(KL, gaussian_model(), s), 0.0),
+        "alpha-one": ("chisq", finite_ctx([[6, 3], [2, 7]]), 1.0),
+    }[case]
+    with pytest.raises(error):
+        test_independence(ctx, route, alpha)
 
 
 class TestBootstrap:
@@ -239,6 +268,23 @@ class TestKendall:
     def test_all_tied_degenerate(self):
         with pytest.raises(DegenerateInputError):
             kendall_tau(np.ones(10), np.arange(10.0))
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.37])
+def test_baseline_calibration_equals_scipy_stats(alpha):
+    # the baselines call scipy.special directly; scipy.stats gives the same bits
+    rng = np.random.default_rng(15)
+    for n in (4, 5, 12, 40, 500):
+        x = rng.standard_normal(n)
+        y = 0.3 * x + rng.standard_normal(n)
+        sample = PairedSample(x, y)
+        res = kendall_test(sample, alpha)
+        assert res.critical_value == float(sps.norm.ppf(1.0 - alpha / 2.0))
+        assert res.p_value == 2.0 * float(sps.norm.sf(res.statistic))
+        for test in (pearson_test, spearman_test):
+            res = test(sample, alpha)
+            assert res.critical_value == float(sps.t.ppf(1.0 - alpha / 2.0, n - 2))
+            assert res.p_value == 2.0 * float(sps.t.sf(res.statistic, n - 2))
 
 
 def test_baseline_needs_enough_points():
