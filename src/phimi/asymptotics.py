@@ -16,8 +16,9 @@ and ``G_y`` of ``(1, zeta(Y))``: ``Sigma1 = G_x * G_y`` entrywise, and
 ``E[V V']`` picks the x-slot and y-slot of each entry of V.  Each margin
 is a finite ``(values, probs)`` pair, a sample (weight 1/n per
 observation, so all n^2 product pairs count exactly) or a sampler that
-gives ``m`` draws.  For the saturated finite-discrete model the limit is
-the chi-square law with (K1 - 1)(K2 - 1) degrees of freedom.
+gives ``m`` draws; :func:`normal_margin` gives N(0, sigma^2) exactly, as
+a finite pair.  For the saturated finite-discrete model the limit is the
+chi-square law with (K1 - 1)(K2 - 1) degrees of freedom.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import chdtri, gammaincc
 
 from .errors import DomainError, SingularityError
@@ -33,6 +35,7 @@ from .divergence import Interval
 __all__ = [
     "AsymptoticCovariances",
     "covariances_under_h0",
+    "normal_margin",
     "sigma1_under_h0",
     "sigma2_under_h0",
     "limit_quantile_ztz",
@@ -76,6 +79,15 @@ def _support(margin, rng, m):
         return np.asarray(values), np.asarray(probs, dtype=float)
     values = np.asarray(margin(rng, m) if callable(margin) else margin)
     return values, np.full(values.size, 1.0 / values.size)
+
+
+def normal_margin(sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """N(0, sigma^2) as five Gauss-Hermite nodes, exact to degree 9, so every
+    registry basis's Gram matrix (degree <= 4) is exact."""
+    if not sigma > 0.0:
+        raise DomainError(sigma, Interval(0.0, np.inf), what="sigma")
+    nodes, weights = hermegauss(5)
+    return sigma * nodes, weights / weights.sum()
 
 
 def _gram(funcs, values, weights) -> np.ndarray:

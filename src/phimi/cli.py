@@ -17,7 +17,8 @@ import sys
 
 import numpy as np
 
-from .asymptotics import chi2_quantile, chisq_df_finite, covariances_under_h0, limit_quantile_ztz
+from .asymptotics import (chi2_quantile, chisq_df_finite, covariances_under_h0,
+                          limit_quantile_ztz, normal_margin)
 from .divergence import NAMED_GAMMAS, DivergenceSpec, from_name
 from .errors import MissingValueError, ParseError, PhimiError
 from .estimator import ObjectiveContext, PairedSample, estimate
@@ -193,9 +194,6 @@ def build_parser() -> _Parser:
     p_pow.add_argument("--format", choices=["csv", "text"], default="csv")
     p_pow.add_argument("--seed", type=int, default=None,
                        help="overrides the seed in the config file")
-    p_pow.add_argument("--threads", type=int, default=1,
-                       help="worker threads for Gaussian/FGM studies; "
-                            "pays off only with BLAS on one thread")
 
     p_lim = sub.add_parser("limits", help="asymptotic critical value")
     p_lim.add_argument("--alpha", type=float, default=0.05)
@@ -203,13 +201,14 @@ def build_parser() -> _Parser:
     p_lim.add_argument("--k2", type=int, default=None, help="finite-discrete levels of y")
     p_lim.add_argument("--model", default=None,
                        help="expbilinear model spec for the ztz route")
-    p_lim.add_argument("--margins", choices=["normal", "csv"], default="normal")
+    p_lim.add_argument("--margins", choices=["normal", "csv"], default="normal",
+                       help="normal: N(0, sigma^2) margins, moments exact through "
+                            "five Gauss-Hermite nodes; csv: the sample's margins, "
+                            "exact over all n^2 pairs")
     p_lim.add_argument("--sigma", type=float, default=1.0)
     p_lim.add_argument("--csv", default=None)
     p_lim.add_argument("--x", default=None)
     p_lim.add_argument("--y", default=None)
-    p_lim.add_argument("--m", type=int, default=1_000_000,
-                       help="draws per margin for --margins normal")
     p_lim.add_argument("--n-draws", type=int, default=10_000)
     p_lim.add_argument("--seed", type=int, default=None)
 
@@ -337,9 +336,7 @@ def _cmd_power(args, out) -> int:
         k=int(raw.get("k", "2")),
         sigma=float(raw.get("sigma", "1.0")),
         b_reps=int(raw.get("b_reps", "1000")),
-        moment_draws=int(raw.get("moment_draws", "1000000")),
         ztz_draws=int(raw.get("ztz_draws", "10000")),
-        threads=args.threads,
     )
     table = run_power_study(cfg)
     write_results(table, args.out, args.format)
@@ -368,13 +365,8 @@ def _cmd_limits(args, out) -> int:
         sample = ingest_csv(args.csv, args.x, args.y, "real")
         marg_x, marg_y = np.asarray(sample.x), np.asarray(sample.y)
     else:
-        sigma = args.sigma
-
-        def marg(rng, size, sigma=sigma):
-            return sigma * rng.standard_normal(size)
-
-        marg_x = marg_y = marg
-    cov = covariances_under_h0(model, marg_x, marg_y, m=args.m, seed=seed)
+        marg_x = marg_y = normal_margin(args.sigma)
+    cov = covariances_under_h0(model, marg_x, marg_y)
     crit = limit_quantile_ztz(cov, args.alpha, n_draws=args.n_draws, seed=seed)
     print(f"route=ztz", file=out)
     print(f"critical_value={_fmt(crit)}", file=out)

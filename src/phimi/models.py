@@ -34,7 +34,6 @@ from typing import Callable, Sequence
 from urllib.parse import quote, unquote
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import BoundsError, DomainError, LengthMismatchError, SupportError
 
@@ -828,6 +827,7 @@ def rank_transform(x, y) -> EmpiricalMargins:
         raise LengthMismatchError(f"len(x)={x.size} != len(y)={y.size}")
     if x.size < 2:
         raise LengthMismatchError("need at least two observations")
+    from scipy.stats import rankdata  # loaded on first use: slow to import
     n = x.size
     return EmpiricalMargins(rankdata(x, method="average") / (n + 1),
                             rankdata(y, method="average") / (n + 1))

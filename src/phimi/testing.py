@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .asymptotics import (
@@ -192,9 +191,10 @@ def pearson_test(sample: PairedSample, alpha: float = 0.05) -> TestResult:
 
 def spearman_test(sample: PairedSample, alpha: float = 0.05) -> TestResult:
     """Pearson's t statistic applied to the mid-rank correlation."""
+    from scipy.stats import rankdata  # loaded on first use: slow to import
     x, y = _check_baseline_sample(sample)
-    rx = sps.rankdata(x, method="average")
-    ry = sps.rankdata(y, method="average")
+    rx = rankdata(x, method="average")
+    ry = rankdata(y, method="average")
     r = float(np.corrcoef(rx, ry)[0, 1])
     return _t_test_result(r, sample.n, alpha, "spearman")
 
@@ -213,8 +213,9 @@ def kendall_test(sample: PairedSample, alpha: float = 0.05) -> TestResult:
 
 def kendall_tau(x, y) -> float:
     """Kendall's tau_b (tie-corrected), as computed by scipy."""
+    from scipy.stats import kendalltau  # loaded on first use: slow to import
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if np.all(x == x[:1]) or np.all(y == y[:1]):
         raise DegenerateInputError("all x or all y values tied")
-    return float(sps.kendalltau(x, y).statistic)
+    return float(kendalltau(x, y).statistic)

@@ -17,6 +17,8 @@ from phimi import (
     sigma1_under_h0,
     sigma2_under_h0,
 )
+from phimi.asymptotics import _grams, normal_margin
+from phimi.models import BASIS_REGISTRY
 
 
 def standard_normal_margin(rng, size):
@@ -305,3 +307,55 @@ class TestFactoredMoments:
     def test_nonpositive_n_draws_rejected(self, n_draws):
         with pytest.raises(DomainError):
             limit_quantile_ztz(np.eye(1), 0.05, n_draws=n_draws)
+
+
+# (power of x in xi, power of y in zeta) of each registry term
+REGISTRY_POWERS = {"1": (0, 0), "x": (1, 0), "y": (0, 1),
+                   "x2": (2, 0), "y2": (0, 2), "xy": (1, 1)}
+
+
+def normal_moment(p, sigma):
+    """E X^p for X ~ N(0, sigma^2): (p - 1)!! sigma^p for even p, 0 for odd."""
+    return 0.0 if p % 2 else float(np.prod(np.arange(p - 1, 0, -2))) * sigma**p
+
+
+class TestNormalMargin:
+    def test_registry_powers(self):
+        t = np.linspace(-2.0, 3.0, 7)
+        assert set(REGISTRY_POWERS) == set(BASIS_REGISTRY)
+        for name, (a, b) in REGISTRY_POWERS.items():
+            assert np.array_equal(BASIS_REGISTRY[name].xi(t), t**a)
+            assert np.array_equal(BASIS_REGISTRY[name].zeta(t), t**b)
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_gram_entries_are_the_analytic_moments(self, sigma):
+        margin = normal_margin(sigma)
+        names = list(BASIS_REGISTRY)
+        gx, gy = _grams(ExpBilinearModel(names), margin, margin, 1, 0)
+        for gram, side in ((gx, 0), (gy, 1)):
+            powers = [0] + [REGISTRY_POWERS[name][side] for name in names]
+            expected = np.array([[normal_moment(a + b, sigma) for b in powers]
+                                 for a in powers])
+            np.testing.assert_allclose(gram, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    @pytest.mark.parametrize("basis", [["x2", "y2", "xy"], ["x", "y", "xy"],
+                                       ["x2", "y2", "xy", "x", "y"]])
+    def test_c_has_the_single_eigenvalue_one(self, basis, sigma):
+        margin = normal_margin(sigma)
+        cov = covariances_under_h0(ExpBilinearModel(basis), margin, margin)
+        expected = np.zeros(len(basis) + 1)
+        expected[-1] = 1.0
+        np.testing.assert_allclose(np.linalg.eigvalsh(cov.c_matrix), expected,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_agrees_with_sampled_moments(self):
+        margin = normal_margin()
+        exact = covariances_under_h0(gaussian_model(), margin, margin)
+        drawn = covariances_under_h0(gaussian_model(), standard_normal_margin,
+                                     standard_normal_margin, m=1_000_000, seed=5)
+        # the largest entry, E X^4 = 3, has a Monte-Carlo sd of about 0.01
+        np.testing.assert_allclose(drawn.sigma1, exact.sigma1, rtol=0.0, atol=0.06)
+        np.testing.assert_allclose(drawn.sigma2, exact.sigma2, rtol=0.0, atol=0.06)
+        np.testing.assert_allclose(drawn.c_matrix, exact.c_matrix, rtol=0.0, atol=1e-4)

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from io import StringIO
 
 import numpy as np
 import pytest
 
+import phimi
 from phimi import (
     GaussianSpec,
     MissingValueError,
@@ -12,6 +16,7 @@ from phimi import (
     limit_quantile_ztz,
     sample_gaussian,
 )
+from phimi.asymptotics import normal_margin
 from phimi.cli import ingest_csv, main, run
 
 
@@ -275,6 +280,13 @@ seed = 99
         assert code == 0
         assert "seed=123" in text
 
+    def test_has_no_threads_flag(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(self.CONFIG)
+        assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
+                     "--threads", "2"]) == 1
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestLimitsCommand:
     def test_finite_route(self):
@@ -284,11 +296,19 @@ class TestLimitsCommand:
         assert "6.63" in text
 
     def test_ztz_route_normal_margins(self):
-        code, text = invoke(["limits", "--model", "expbilinear:xy",
-                             "--alpha", "0.05", "--m", "50000",
-                             "--n-draws", "5000", "--seed", "3"])
-        assert code == 0
-        assert "critical_value=" in text
+        for sigma in (1.0, 2.5):
+            code, text = invoke(["limits", "--model", "expbilinear:x2,y2,xy",
+                                 "--alpha", "0.05", "--sigma", repr(sigma),
+                                 "--n-draws", "5000", "--seed", "3"])
+            assert code == 0
+            margin = normal_margin(sigma)
+            cov = covariances_under_h0(gaussian_model(), margin, margin)
+            expected = limit_quantile_ztz(cov, 0.05, n_draws=5000, seed=3)
+            assert f"critical_value={expected!r}\n" in text
+
+    def test_has_no_m_flag(self):
+        assert main(["limits", "--model", "expbilinear:xy", "--m", "1000",
+                     "--seed", "1"]) == 1
 
 
 class TestExitCodes:
@@ -305,6 +325,20 @@ class TestExitCodes:
     def test_bad_basis_is_runtime_error(self):
         assert main(["limits", "--model", "expbilinear:bogus", "--seed", "1"]) == 2
 
-    @pytest.mark.parametrize("flag", ["--n-draws", "--m"])
-    def test_zero_draw_count_is_runtime_error(self, flag):
-        assert main(["limits", "--model", "expbilinear:xy", flag, "0", "--seed", "1"]) == 2
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
+    def test_nonpositive_sigma_is_runtime_error(self, sigma):
+        assert main(["limits", "--model", "expbilinear:xy", f"--sigma={sigma}",
+                     "--seed", "1"]) == 2
+
+    def test_zero_draw_count_is_runtime_error(self):
+        assert main(["limits", "--model", "expbilinear:xy", "--n-draws", "0",
+                     "--seed", "1"]) == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a bare import; only rank and Kendall code needs it
+    code = "import sys, phimi, phimi.cli; sys.exit('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(phimi.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
