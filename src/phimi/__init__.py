@@ -13,6 +13,7 @@ from .errors import (
     ConjugateDomainError,
     DegenerateInputError,
     DomainError,
+    FoldContextError,
     LengthMismatchError,
     MissingValueError,
     OptimFailureError,

@@ -62,18 +62,20 @@ class Interval:
     lo_closed: bool = False
     hi_closed: bool = False
 
-    def contains(self, x) -> bool:
+    def holds(self, x) -> np.ndarray:
+        """Whether each entry of ``x`` lies in the interval."""
         x = np.asarray(x, dtype=float)
         lo_ok = x >= self.lo if self.lo_closed else x > self.lo
         hi_ok = x <= self.hi if self.hi_closed else x < self.hi
-        return bool(np.all(lo_ok & hi_ok))
+        return lo_ok & hi_ok
+
+    def contains(self, x) -> bool:
+        return bool(np.all(self.holds(x)))
 
     def first_violation(self, x) -> float:
         """Some entry of ``x`` outside the interval (for error messages)."""
         x = np.asarray(x, dtype=float)
-        lo_ok = x >= self.lo if self.lo_closed else x > self.lo
-        hi_ok = x <= self.hi if self.hi_closed else x < self.hi
-        bad = ~(lo_ok & hi_ok)
+        bad = ~self.holds(x)
         return float(x[bad].flat[0]) if bad.any() else math.nan
 
     def __str__(self) -> str:

@@ -42,6 +42,11 @@ class RouteMismatchError(PhimiError):
     """Calibration route incompatible with the model or divergence."""
 
 
+class FoldContextError(PhimiError):
+    """A calibration needs the whole sample, but the context holds only a
+    held-out fold of it."""
+
+
 class DegenerateInputError(PhimiError):
     """Input with no variation where variation is required."""
 

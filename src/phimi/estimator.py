@@ -18,6 +18,9 @@ normalizer alpha in closed form, and checks the result with one full
 evaluation of M_n; finite models start at their plug-in supremum.
 Where that fails, where the model has more than ``_NEWTON_MAX_DIM``
 parameters, and for the copula family, L-BFGS-B on M_n does the fit.
+:func:`estimate_resamples` fits many resamples of one sample, as
+bootstrap replicates draw them: an exponential bilinear model fits them
+as stacks, one lockstep Newton run per stack.
 
 For finite-discrete data the same maximization collapses to the direct
 plug-in estimate; :func:`plugin_estimate` computes that independently,
@@ -28,6 +31,7 @@ optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.optimize import minimize
@@ -49,6 +53,7 @@ __all__ = [
     "objective_grad",
     "objective_with_grad",
     "estimate",
+    "estimate_resamples",
     "plugin_estimate",
     "plugin_statistics",
 ]
@@ -121,7 +126,9 @@ class ObjectiveContext:
     Immutable; objective and gradient evaluations are pure functions of
     ``theta`` given the context and may run concurrently.  ``rows``
     restricts both sums to those pairs of ``sample``: a held-out fold,
-    which may hold a single pair.  Such a context has no ``sample``.
+    which may hold a single pair.  Such a context has no ``sample``, and
+    neither has a stack of resamples (see :meth:`resample`), whose
+    ``resamples`` is the number of its rows (``None`` elsewhere).
     """
 
     def __init__(self, divergence: DivergenceSpec, model: RatioModel,
@@ -131,21 +138,33 @@ class ObjectiveContext:
         self.divergence = divergence
         self.model = model
         self.sample = sample if rows is None else None
+        self.resamples = None
         x, y = (sample.x, sample.y) if rows is None else (sample.x[rows], sample.y[rows])
         self.n = x.size
         if _drawn_from is None:
             self._cache = model._build_cache(x, y)
-        else:
-            parent, ix, iy = _drawn_from
+            return
+        parent, ix, iy = _drawn_from
+        if ix.ndim == 1:
             self._cache = model._draw_cache(parent._cache, x, y, ix, iy)
+            return
+        self.sample, (self.resamples, self.n) = None, ix.shape
+        self._cache = model._stack_cache(parent._cache, ix, iy)
 
     def resample(self, ix, iy) -> "ObjectiveContext":
         """Context on the sample ``(x[ix], y[iy])``, as a bootstrap draws it
         from this context's sample; the model may derive its cache from
-        this context's instead of building it anew."""
+        this context's instead of building it anew.
+
+        With (R, n) index arrays, one context on the R resamples, for a
+        model that stacks caches (``_stack_cache``): the objective terms
+        and the profile take an (R, dim) theta on it and give one row per
+        resample, NaN on rows where ``h`` leaves the domain of phi.
+        """
         s = self.sample
-        return ObjectiveContext(self.divergence, self.model,
-                                PairedSample(s.x[ix], s.y[iy], s.kind), _drawn_from=(self, ix, iy))
+        ix, iy = np.asarray(ix), np.asarray(iy)
+        sample = s if ix.ndim == 2 else PairedSample(s.x[ix], s.y[iy], s.kind)
+        return ObjectiveContext(self.divergence, self.model, sample, _drawn_from=(self, ix, iy))
 
 
 def _terms(ctx: ObjectiveContext, theta, need_grad: bool):
@@ -205,13 +224,10 @@ def objective_terms(ctx: ObjectiveContext, theta):
 
 
 def _projected_grad_norm(theta, grad, bounds, tol=1e-9):
-    """Sup-norm of the maximization gradient projected on the box."""
-    g = grad.copy()
-    at_lo = theta <= bounds[:, 0] + tol
-    at_hi = theta >= bounds[:, 1] - tol
-    g[at_lo & (g < 0.0)] = 0.0
-    g[at_hi & (g > 0.0)] = 0.0
-    return float(np.max(np.abs(g))) if g.size else 0.0
+    """Sup-norm of the maximization gradient projected on the box, per row."""
+    at_lo = (theta <= bounds[:, 0] + tol) & (grad < 0.0)
+    at_hi = (theta >= bounds[:, 1] - tol) & (grad > 0.0)
+    return np.abs(np.where(at_lo | at_hi, 0.0, grad)).max(axis=-1, initial=0.0)
 
 
 _NEWTON_PASSES = 20
@@ -224,7 +240,8 @@ _RANK_TOL = 1e-10   # -H eigenvalues below this share of the largest are null
 
 
 def _ascent_step(value, grad, hess):
-    """Step, slope ``grad . step`` and whether the run has converged.
+    """Step, slope ``grad . step`` and whether the run has converged, for
+    each row of ``value`` (R,), ``grad`` (R, d) and ``hess`` (R, d, d).
 
     Where ``-H`` is positive semidefinite, the Newton step on its range,
     so a direction in which the profile is flat (a basis term constant on
@@ -233,59 +250,102 @@ def _ascent_step(value, grad, hess):
     |M|)``.  Elsewhere (gamma outside [0, 1]) a gradient step, converged at
     ``max |g| <= 1e-10 max(1, |M|)``.
     """
-    scale = max(1.0, abs(value))
+    scale = np.maximum(1.0, np.abs(value))
     w, v = np.linalg.eigh(-hess)
-    top = np.max(np.abs(w))
-    if w[0] >= -_RANK_TOL * top:
-        keep = w > _RANK_TOL * top
-        step = v[:, keep] @ ((grad @ v[:, keep]) / w[keep])
-        slope = grad @ step   # the Newton decrement
-        return step, slope, slope <= 1e-14 * scale
-    return grad, grad @ grad, np.max(np.abs(grad)) <= 1e-10 * scale
+    top = np.abs(w).max(axis=1)
+    coef = np.divide((grad[:, None, :] @ v)[:, 0], w, out=np.zeros_like(w),
+                     where=w > _RANK_TOL * top[:, None])
+    step = (v @ coef[:, :, None])[:, :, 0]
+    gradient = w[:, 0] < -_RANK_TOL * top   # not semidefinite
+    if gradient.any():
+        step[gradient] = grad[gradient]
+    slope = (grad * step).sum(axis=1)   # the Newton decrement where semidefinite
+    done = slope <= 1e-14 * scale
+    if gradient.any():
+        done[gradient] = np.abs(grad[gradient]).max(axis=1) <= 1e-10 * scale[gradient]
+    return step, slope, done
 
 
 def _profiled_newton(ctx: ObjectiveContext):
     """Newton's method on the profile of M_n in beta, from the box point
     nearest the beta of the model's first suggested start, or nearest
-    beta = 0 where it suggests none.
+    beta = 0 where it suggests none; in lockstep over the rows of a stack
+    of resamples, a single context being a stack of one.
 
     The profile maximizes over alpha in closed form (see the model's
-    ``_profile``).  Each step (:func:`_ascent_step`) backtracks, at most
-    ``_HALVINGS`` times, until it stays in the box and gains the Armijo
-    share of its slope.  Returns the number of profiled passes and
-    ``(alpha*, beta_hat)`` with alpha* clipped into the box, or ``None`` in
-    its place when the pass cap is reached or no halving stays in the box.
+    ``_profile``).  Each step (:func:`_ascent_step`, one stacked ``eigh``)
+    backtracks, at most ``_HALVINGS`` times, until it stays in the box and
+    gains the Armijo share of its slope; every backtracking round takes
+    one profiled pass over the rows still searching.  Returns the number
+    of profiled passes and ``(alpha*, beta_hat)`` per row with alpha*
+    clipped into the box, a NaN row where the pass cap is reached or no
+    halving stays in the box; for a single context, the count and the
+    point or ``None``.
     """
     model, div, cache = ctx.model, ctx.divergence, ctx._cache
     lo, hi = model.bounds[:, 0], model.bounds[:, 1]
+    d = model.dim - 1
     starts = model.suggest_starts(cache)
-    beta = np.clip(starts[0][1:] if starts else 0.0, lo[1:], hi[1:])
-    value, grad, hess, alpha = model._profile(div, beta, cache)
-    passes = 1
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        return passes, None
+    rows = ctx.resamples or 1
+
+    def profile(beta, idx):
+        """Rows ``(value, alpha*, gradient, Hessian)`` of the profile, flat."""
+        if ctx.resamples is None:
+            value, grad, hess, alpha = model._profile(div, beta[0], cache)
+            return np.concatenate([[value, alpha], grad, hess.ravel()])[None]
+        sub = cache if idx.size == rows else model._take_rows(cache, idx)   # idx ascending
+        value, grad, hess, alpha = model._profile(div, beta, sub)
+        return np.column_stack([value, alpha, grad, hess.reshape(-1, d * d)])
+
+    beta = np.tile(np.clip(starts[0][1:] if starts else 0.0, lo[1:], hi[1:]), (rows, 1))
+    state = profile(beta, np.arange(rows))
+    passes = np.ones(rows, dtype=int)
+    theta = np.full((rows, 1 + d), np.nan)
+    live = np.flatnonzero(np.isfinite(state[:, 2:]).all(axis=1))
     # an unbounded profile may overflow; the pass cap ends such a run
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            step, slope, done = _ascent_step(value, grad, hess)
-            if done:
-                return passes, np.concatenate([[np.clip(alpha, lo[0], hi[0])], beta])
-            t = 1.0
+        while live.size:
+            now = state[live]
+            step, slope, done = _ascent_step(now[:, 0], now[:, 2:2 + d],
+                                             now[:, 2 + d:].reshape(-1, d, d))
+            if done.any():
+                end = live[done]
+                theta[end] = np.column_stack([np.clip(state[end, 1], lo[0], hi[0]), beta[end]])
+                live, step, slope = live[~done], step[~done], slope[~done]
+            # line search over the rows ``todo`` still searching
+            todo, moved, t = live, [], 1.0
             for _ in range(_HALVINGS):
-                trial = beta + t * step
-                if np.all(trial >= lo[1:]) and np.all(trial <= hi[1:]):
-                    if passes == _NEWTON_PASSES:
-                        return passes, None
-                    passes += 1
-                    new = model._profile(div, trial, cache)
-                    if (new[0] >= value + 1e-4 * t * slope and np.all(np.isfinite(new[1]))
-                            and np.all(np.isfinite(new[2]))):
-                        break
-                t *= 0.5
-            else:
-                return passes, None
-            beta = trial
-            value, grad, hess, alpha = new
+                trial = beta[todo] + t * step
+                inside = ((trial >= lo[1:]) & (trial <= hi[1:])).all(axis=1)
+                keep = ~inside   # out of the box: halve again; in it with no pass left: stop
+                go = inside & (passes[todo] < _NEWTON_PASSES)
+                if go.any():
+                    idx = todo[go]
+                    passes[idx] += 1
+                    new = profile(trial[go], idx)
+                    ok = ((new[:, 0] >= state[idx, 0] + 1e-4 * t * slope[go])
+                          & np.isfinite(new[:, 2:]).all(axis=1))
+                    moved.append(idx[ok])
+                    state[moved[-1]], beta[moved[-1]] = new[ok], trial[go][ok]
+                    keep[go] = ~ok
+                if not keep.any():
+                    break
+                todo, step, slope, t = todo[keep], step[keep], slope[keep], 0.5 * t
+            live = np.sort(np.concatenate(moved)) if moved else todo[:0]
+    if ctx.resamples is None:
+        return int(passes[0]), (None if np.isnan(theta[0, 0]) else theta[0])
+    return passes, theta
+
+
+def _result(model, theta, value, pgnorm, method, evals) -> DualEstimate:
+    return DualEstimate(
+        theta_hat=model.param_vector(theta),
+        i_hat=value,
+        objective_evals=int(evals),
+        converged=bool(pgnorm <= _GRAD_TOL),
+        grad_norm=float(pgnorm),
+        method=method,
+    )
 
 
 def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
@@ -325,16 +385,6 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
         except DomainError as exc:
             return exc
 
-    def result(theta, value, pgnorm, method):
-        return DualEstimate(
-            theta_hat=model.param_vector(theta),
-            i_hat=value,
-            objective_evals=evals,
-            converged=bool(pgnorm <= _GRAD_TOL),
-            grad_norm=pgnorm,
-            method=method,
-        )
-
     if model._profile is not None and model.dim <= _NEWTON_MAX_DIM:
         evals, theta = _profiled_newton(ctx)
         if theta is not None:
@@ -343,7 +393,7 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
             if not isinstance(out, DomainError) and np.isfinite(out[0]):
                 pgnorm = _projected_grad_norm(theta, out[1], bounds)
                 if pgnorm <= _GRAD_TOL:
-                    return result(theta, out[0], pgnorm, "newton")
+                    return _result(model, theta, out[0], pgnorm, "newton", evals)
 
     def fun(theta):
         nonlocal evals, last_theta, last
@@ -385,7 +435,41 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
             if pgnorm <= _GRAD_TOL:
                 break
 
-    return result(theta, value, pgnorm, "lbfgsb")
+    return _result(model, theta, value, pgnorm, "lbfgsb", evals)
+
+
+def estimate_resamples(ctx: ObjectiveContext, draws) -> list[DualEstimate]:
+    """Fits of the resamples ``(x[ix], y[iy])`` of the context's sample,
+    one per index pair ``(ix, iy)`` of the iterable ``draws``: those of
+    ``estimate(ctx.resample(ix, iy), seed=b)`` for the b-th pair, which is
+    what models without stacked caches (finite, copula) run.
+
+    An exponential bilinear model fits the resamples as stacks of
+    ``_stack_size`` rows (:meth:`ObjectiveContext.resample` on (R, n)
+    indices): one lockstep profiled Newton run (:func:`_profiled_newton`),
+    then one stacked evaluation of M_n and its gradient, which applies
+    ``estimate``'s acceptance test to every row.  A row whose Newton run
+    stops at the pass cap or the halving limit, whose point leaves the
+    domain of phi on its own drawn values or whose projected gradient
+    exceeds ``_GRAD_TOL`` is fitted by ``estimate`` as above.
+    """
+    model = ctx.model
+    draws = iter(draws)
+    if model._stack_cache is None or model.dim > _NEWTON_MAX_DIM:
+        return [estimate(ctx.resample(ix, iy), seed=b) for b, (ix, iy) in enumerate(draws)]
+    size = model._stack_size(ctx._cache)
+    fits = []
+    while chunk := list(islice(draws, size)):
+        stack = ctx.resample(*(np.stack(side) for side in zip(*chunk)))
+        passes, theta = _profiled_newton(stack)
+        newton = ~np.isnan(theta[:, 0])
+        value, grad = _evaluate(stack, np.where(newton[:, None], theta, 0.0), need_grad=True)
+        pgnorm = _projected_grad_norm(theta, grad, model.bounds)
+        accept = newton & np.isfinite(value) & (pgnorm <= _GRAD_TOL)
+        for r, (ix, iy) in enumerate(chunk):
+            fits.append(_result(model, theta[r], value[r], pgnorm[r], "newton", passes[r] + 1)
+                        if accept[r] else estimate(ctx.resample(ix, iy), seed=len(fits)))
+    return fits
 
 
 def plugin_statistics(divergence: DivergenceSpec, counts) -> np.ndarray:

@@ -148,28 +148,45 @@ def encode_tokens(tokens, levels, which: str = "token") -> np.ndarray:
     return order[pos]
 
 
-def _check_exponent(divergence, s):
-    """DomainError iff some ``exp(s)`` leaves the interior of ``dom phi``
-    (exp is monotone and the domain an interval: the extremes decide)."""
+def _check_exponent(divergence, s, ndim):
+    """Rows of a stack (the axes of ``s`` before its last ``ndim``) where
+    some ``exp(s)`` leaves the interior of ``dom phi``; a single context (no
+    row axis) raises DomainError there instead.  exp is monotone and the
+    domain an interval: the extremes decide."""
+    axes = tuple(range(-ndim, 0))
     with np.errstate(over="ignore"):
-        extremes = np.exp([s.min(), s.max()])
+        extremes = np.exp([s.min(axis=axes), s.max(axis=axes)])
     dom = divergence.dom_phi_interior
-    if not dom.contains(extremes):
+    bad = ~dom.holds(extremes).all(axis=0)
+    if s.ndim == ndim and bad:
         raise DomainError(dom.first_violation(extremes), dom, what="x")
+    return bad
 
 
 def _exp_block(divergence, s, shifted: bool):
-    """``(exp(gamma s - shift), shift)`` with ``shift = max gamma s`` where
-    ``shifted``, else ``(expm1(gamma s), 0)`` after the domain check on
-    ``s``; computed in place."""
-    if not shifted:
-        _check_exponent(divergence, s)
+    """``(exp(gamma s - shift), shift)`` with ``shift = max gamma s`` per
+    block where ``shifted``, else ``(expm1(gamma s), 0)`` after the domain
+    check on ``s``, NaN on the blocks of a stack that fail it; computed in
+    place on the trailing two axes."""
+    bad = False if shifted else _check_exponent(divergence, s, 2)
     if divergence.gamma != 1.0:
         s *= divergence.gamma
     if not shifted:
-        return np.expm1(s, out=s), 0.0
-    shift = s.max()
-    return np.exp(np.subtract(s, shift, out=s), out=s), shift
+        np.expm1(s, out=s)
+        s[bad] = np.nan
+        return s, 0.0
+    shift = s.max(axis=(-2, -1))
+    return np.exp(np.subtract(s, shift[..., None, None], out=s), out=s), shift
+
+
+def _dot(a, b):
+    """Row-wise dot product over the last axis."""
+    return (a * b).sum(axis=-1)
+
+
+def _rowmul(a, b):
+    """Row-wise vector-matrix product: ``a`` (..., k) by ``b`` (..., k, c)."""
+    return (a[..., None, :] @ b)[..., 0, :]
 
 
 # ExpBilinearModel._lowrank_sums: used where the distinct-value block has
@@ -178,17 +195,31 @@ _LOWRANK_MIN = 26
 _EXP_BOUND = 700.0
 _TERM_TOL = 2.0 ** -60   # the series' last term: this share of the largest
 _MAX_TERMS = 120
+_TERMS = np.arange(_MAX_TERMS + 1.0)
 _SERIES_RTOL = 1e-13     # rounding bound per sum, as a share of its scale
+_POWER_RANGE = 500.0     # log2 of the largest factor rescaling a row's powers
+_EPS = np.finfo(float).eps
+# A stack of resamples holds as many rows as keep its largest array per
+# pass within this many bytes (ExpBilinearModel._stack_size)
+_STACK_BYTES = 2 ** 22
+
+
+def _series_terms(r):
+    """``r^k / k!`` for k <= ``_MAX_TERMS``, one row per entry of ``r``, and
+    the number K of terms each takes: the smallest k > |r| whose term is at
+    most ``_TERM_TOL`` of the largest, or 0 where none is."""
+    r = np.asarray(r, dtype=float)[..., None]
+    coef = np.cumprod(np.concatenate([np.ones(r.shape), r / _TERMS[1:]], axis=-1), axis=-1)
+    mag = np.abs(coef)
+    last = (_TERMS > np.abs(r)) & (mag <= _TERM_TOL * mag.max(axis=-1, keepdims=True))
+    return coef, last.argmax(axis=-1) * last.any(axis=-1)
 
 
 def _series_coefficients(r):
-    """``r^k / k!`` for k < K, the smallest k > |r| whose term is at most
-    ``_TERM_TOL`` of the largest; ``None`` where K exceeds ``_MAX_TERMS``."""
-    coef = np.cumprod(np.concatenate([[1.0], r / np.arange(1.0, _MAX_TERMS + 1)]))
-    mag = np.abs(coef)
-    last = (np.arange(_MAX_TERMS + 1) > abs(r)) & (mag <= _TERM_TOL * mag.max())
-    k = int(np.argmax(last))
-    return coef[:k] if last[k] else None
+    """``r^k / k!`` for k < K (see :func:`_series_terms`), ``None`` where K
+    would exceed ``_MAX_TERMS``."""
+    coef, k = _series_terms(r)
+    return coef[:k] if k else None
 
 
 class RatioModel:
@@ -257,6 +288,13 @@ class RatioModel:
     # _profile(divergence, beta, cache) -> (value, gradient, Hessian,
     # alpha*), M_n maximized over alpha; estimate then fits beta by Newton.
     _profile = None
+
+    # A family that fits many resamples of one sample at once sets
+    # _stack_cache(cache, ix, iy) -> the cache of the R resamples with (R, n)
+    # index arrays ix, iy, on which the terms and _profile take an (R, dim)
+    # theta and give one row each; _stack_size(cache) -> rows per stack and
+    # _take_rows(cache, rows) -> the cache of some of its rows.
+    _stack_cache = None
 
     def to_config(self) -> str:
         raise NotImplementedError
@@ -345,8 +383,68 @@ class ExpBilinearModel(RatioModel):
         cache.update(self._design(xv, yv, cache))
         return cache
 
+    # The rows of a stacked cache: what differs between resamples
+    _PER_ROW = frozenset(("cx", "cy", "pix", "piy", "pw", "paired", "xim", "zem", "cross_mean",
+                          "fx", "fy", "scale", "rx", "ry"))
+
+    def _stack_cache(self, cache, ix, iy):
+        """Cache of the R resamples ``(x[ix_r], y[iy_r])`` of the sample of
+        ``cache``, (R, n) index arrays, over the sample's distinct values.
+
+        The value counts, the count-weighted moment columns and the paired
+        features and weights carry a leading row axis; the basis columns,
+        the choice between dense block and series and the series' power
+        rows are the sample's.  A value that a row did not draw has count
+        zero, and wherever an exponent is formed it stands in for one the
+        row drew (``fx``, ``fy``), so it enters no row's shift, domain check
+        or bound.  A row's distinct pairs are padded with its first pair at
+        weight zero.
+        """
+        xi, ze = cache["xi"], cache["ze"]
+        nx, ny = xi.shape[0], ze.shape[0]
+        r, n = ix.shape
+        vx = np.arange(r)[:, None] * nx + cache["ix"][ix]   # flat (row, x value)
+        vy = np.arange(r)[:, None] * ny + cache["iy"][iy]
+        keys, counts = np.unique(vx * ny + vy % ny, return_counts=True)
+        owner = keys // (nx * ny)
+        per = np.bincount(owner, minlength=r)
+        first = np.cumsum(per) - per
+        slot = (owner, np.arange(keys.size) - first[owner])
+        cells = np.repeat(keys[first] % (nx * ny), per.max()).reshape(r, -1)
+        cells[slot] = keys % (nx * ny)
+        pw = np.zeros(cells.shape)
+        pw[slot] = counts / n
+        cx = np.bincount(vx.ravel(), minlength=r * nx).reshape(r, nx).astype(float)
+        cy = np.bincount(vy.ravel(), minlength=r * ny).reshape(r, ny).astype(float)
+        stack = {"n": n, "cx": cx, "cy": cy, "pix": cells // ny, "piy": cells % ny, "pw": pw,
+                 "fx": np.where(cx > 0, np.arange(nx), np.argmax(cx > 0, axis=1)[:, None]),
+                 "fy": np.where(cy > 0, np.arange(ny), np.argmax(cy > 0, axis=1)[:, None])}
+        stack.update(self._design(xi, ze, stack))
+        if stack["lowrank"]:
+            # the sample's powers; a row's series takes the scale of the
+            # values it drew, max |t| = 1 / rx over them (rx >= 1)
+            drawn = [np.where(c > 0, np.abs(t), 0.0).max(axis=1)
+                     for t, c in zip(cache["scaled"], (cx, cy))]
+            with np.errstate(divide="ignore"):
+                stack.update(powers=cache["powers"], scale=cache["scale"] * drawn[0] * drawn[1],
+                             rx=1.0 / drawn[0], ry=1.0 / drawn[1])
+        return stack
+
+    def _stack_size(self, cache):
+        """Resamples per stack of the sample of ``cache``: its largest array
+        per pass (the dense block, the series' weighted moment columns or
+        the paired second moments) stays within ``_STACK_BYTES``."""
+        nx, ny = cache["xi"].shape[0], cache["ze"].shape[0]
+        cross = 2 * cache["xim"].shape[1] * (nx + ny) if cache["lowrank"] else nx * ny
+        return max(1, _STACK_BYTES // (8 * max(cross, cache["n"] * (self.dim - 1))))
+
+    def _take_rows(self, cache, rows):
+        """The cache of the rows ``rows`` (any index) of a stacked cache."""
+        return {k: v[rows] if k in self._PER_ROW else v for k, v in cache.items()}
+
     def _design(self, xi, ze, cache):
-        """Basis columns and their count-weighted moments."""
+        """Basis columns and their count-weighted moments; the counts may
+        carry a leading row axis."""
         d = xi.shape[1]
         # A term whose zeta (xi) is constant on the sample adds a vector
         # over x (y) to the cross exponent; the other terms are coupled.
@@ -363,14 +461,15 @@ class ExpBilinearModel(RatioModel):
             "b": xi[0, y_only] * ze[:, y_only], "y_only": np.flatnonzero(y_only),
             "coupled": coupled, "xim": xim, "zem": zem,
             # mean of (1, xi_k zeta_k) over the n^2 cross pairs
-            "cross_mean": xim[:, :1 + d].sum(axis=0) * zem[:, :1 + d].sum(axis=0)
+            "cross_mean": xim[..., :1 + d].sum(axis=-2) * zem[..., :1 + d].sum(axis=-2)
             / cache["n"] ** 2,
             "lowrank": coupled.size == 1 and nx * ny >= _LOWRANK_MIN * (nx + ny),
         }
         if design["lowrank"]:   # the coupled columns scaled to max |t| = 1
-            scales = [np.abs(t[:, coupled[0]]).max() for t in (xi, ze)]
-            design.update(scale=scales[0] * scales[1], powers=[np.ones((1, nx)), np.ones((1, ny))],
-                          scaled=[t[:, coupled[0]] / m for t, m in zip((xi, ze), scales)])
+            cols = [t[:, coupled[0]] for t in (xi, ze)]
+            tops = [np.abs(t).max() for t in cols]
+            design.update(scale=tops[0] * tops[1], powers=[np.ones((1, nx)), np.ones((1, ny))],
+                          scaled=[t / m for t, m in zip(cols, tops)])
         return design
 
     @cached_property
@@ -378,51 +477,81 @@ class ExpBilinearModel(RatioModel):
         return np.triu_indices(self.dim - 1)   # (k, l), k <= l: the second moments
 
     def _moment_columns(self, v, counts):
-        """Count-weighted ``(1, v, v_k v_l)`` for k <= l, shape (len(v), 1 +
-        d + d (d + 1) / 2), from the basis on one side's distinct values."""
+        """Count-weighted ``(1, v, v_k v_l)`` for k <= l, shape (..., len(v),
+        1 + d + d (d + 1) / 2), from the basis on one side's distinct values
+        and counts (..., len(v))."""
         k, l = self._pairs
-        d = v.shape[1]
-        out = np.empty((v.shape[0], 1 + d + k.size))
-        out[:, 0] = counts
-        np.multiply(v, counts[:, None], out=out[:, 1:1 + d])
-        np.multiply(v[:, k] * v[:, l], counts[:, None], out=out[:, 1 + d:])
-        return out
+        return counts[..., None] * np.hstack([np.ones((v.shape[0], 1)), v, v[:, k] * v[:, l]])
 
     # The feature maps: the terms and the profile below reach the basis
     # only through these three, which a basis with structure may override.
+    # Over a stacked cache, beta and theta carry the leading row axis.
 
     def _paired_exponent(self, beta, cache) -> np.ndarray:
         """``beta . f`` on the distinct value pairs of the sample."""
-        return cache["paired"] @ beta
+        return (cache["paired"] @ beta[..., None])[..., 0]
 
     def _paired_moments(self, w, cache, second: bool = False):
         """``sum w f`` over the distinct value pairs and, if asked, ``sum w
         f f'``."""
         f = cache["paired"]
-        return w @ f, ((f.T * w) @ f if second else None)
+        first = (w[..., None, :] @ f)[..., 0, :]
+        return first, ((np.swapaxes(f, -1, -2) * w[..., None, :]) @ f if second else None)
 
     def _cross_sums(self, divergence, theta, cache, second: bool, shifted: bool):
         """(sums of ``c_x c_y E (1, f)`` over the distinct-value block, of
         ``c_x c_y E f f'`` if ``second`` else None, shift), with ``E =
         exp(gamma s - shift)`` where ``shifted`` (no exp overflows), else
         ``E = expm1(gamma s)`` and shift 0, raising DomainError where some
-        ``exp(s)`` leaves dom phi.  One coupled term and a large enough
-        block take the series of :meth:`_lowrank_sums`, O((nx + ny) K) per
-        moment column; elsewhere, or where it declines, the dense block."""
+        ``exp(s)`` leaves dom phi (NaN sums on such rows of a stack).  One
+        coupled term and a large enough block take the series of
+        :meth:`_lowrank_sums`, O((nx + ny) K) per moment column; elsewhere,
+        or where it declines, the dense block (:meth:`_dense_sums`)."""
         d = self.dim - 1
-        cols = cache["xim"].shape[1] if second else 1 + d
+        cols = cache["xim"].shape[-1] if second else 1 + d
         out = (self._lowrank_sums(divergence.gamma, theta, cache, cols, shifted)
                if cache["lowrank"] else None)
         if out is None:
-            block, shift = _exp_block(divergence, self._cross_exponent(theta, cache), shifted)
-            out = self._cross_moments(block, cache, cols), shift
-        m, shift = out
+            m, shift = self._dense_sums(divergence, theta, cache, cols, shifted)
+        else:
+            m, shift = out
+            declined = np.isnan(m[..., 0])   # rows of a stack only
+            if declined.any():
+                m[declined], shift[declined] = self._dense_sums(
+                    divergence, theta[declined], self._take_rows(cache, declined), cols, shifted)
         if not second:
             return m, None, shift
         k, l = self._pairs
-        pairs = np.empty((d, d))
-        pairs[k, l] = pairs[l, k] = m[1 + d:]
-        return m[:1 + d], pairs, shift
+        pairs = np.empty(m.shape[:-1] + (d, d))
+        pairs[..., k, l] = pairs[..., l, k] = m[..., 1 + d:]
+        return m[..., :1 + d], pairs, shift
+
+    def _dense_sums(self, divergence, theta, cache, cols, shifted):
+        """The sums of :meth:`_cross_sums` over the first ``cols`` moment
+        columns and the shift, from the dense block: a stack in groups of
+        rows whose blocks stay within ``_STACK_BYTES``."""
+        if theta.ndim == 1:
+            block, shift = _exp_block(divergence, self._cross_exponent(theta, cache), shifted)
+            return self._cross_moments(block, cache, cols), shift
+        per = max(1, _STACK_BYTES // (8 * cache["xi"].shape[0] * cache["ze"].shape[0]))
+        m, shift = np.empty((len(theta), cols)), np.empty(len(theta))
+        for rows in (slice(i, i + per) for i in range(0, len(theta), per)):
+            sub = self._take_rows(cache, rows)
+            block, shift[rows] = _exp_block(divergence, self._cross_exponent(theta[rows], sub),
+                                            shifted)
+            m[rows] = self._cross_moments(block, sub, cols)
+        return m, shift
+
+    def _cross_parts(self, theta, cache):
+        """The x-only part of the cross exponent, alpha included, and the
+        y-only part, (..., nx) and (..., ny); on a stack, an undrawn value
+        takes a drawn value's part."""
+        beta = theta[..., 1:]
+        a = theta[..., :1] + beta[..., cache["x_only"]] @ cache["a"].T
+        b = beta[..., cache["y_only"]] @ cache["b"].T
+        if "fx" in cache:
+            a, b = np.take_along_axis(a, cache["fx"], -1), np.take_along_axis(b, cache["fy"], -1)
+        return a, b
 
     def _lowrank_sums(self, gamma, theta, cache, cols, shifted):
         """The sums of :meth:`_cross_sums` over the first ``cols`` moment
@@ -432,66 +561,96 @@ class ExpBilinearModel(RatioModel):
         scaled to max 1), every sum is ``sum_k (gamma c)^k / k! U_k V_k``,
         ``U_k`` the x moment columns weighted by ``e^{gamma a} u^k`` (``V_k``
         likewise): the Taylor series of the fast Gauss transform, exact up
-        to truncation for one product.  ``None`` where the bound on ``|s|``
-        or ``|gamma s|`` passes ``_EXP_BOUND``, the series needs over
-        ``_MAX_TERMS`` terms, or its rounding bound (the series on absolute
-        values) passes ``_SERIES_RTOL`` of a sum's scale ``sum |weights|
-        e^{gamma s}``.
+        to truncation for one product.  A row is declined where the bound
+        on ``|s|`` or ``|gamma s|`` passes ``_EXP_BOUND``, the series needs
+        over ``_MAX_TERMS`` terms, or its rounding bound (the series on
+        absolute values) passes ``_SERIES_RTOL`` of a sum's scale ``sum
+        |weights| e^{gamma s}``: NaN sums on such rows of a stack, ``None``
+        where every row is declined.  A stack shares the sample's powers of ``u``
+        and ``v``; each row rescales them to its own drawn values' max 1
+        (``rx``, ``ry``), and is declined where that factor could take the
+        powers out of floating-point range.
         """
-        beta = theta[1:]
-        a = theta[0] + cache["a"] @ beta[cache["x_only"]]
-        b = cache["b"] @ beta[cache["y_only"]]
-        c = beta[cache["coupled"][0]] * cache["scale"]
-        if max(1.0, abs(gamma)) * (np.abs(a).max() + np.abs(b).max() + abs(c)) > _EXP_BOUND:
+        beta = theta[..., 1:]
+        a, b = self._cross_parts(theta, cache)
+        c = beta[..., cache["coupled"][0]] * cache["scale"]
+        ok = (max(1.0, abs(gamma)) * (np.abs(a).max(axis=-1) + np.abs(b).max(axis=-1) + np.abs(c))
+              <= _EXP_BOUND)
+        if not ok.any():
             return None
-        coef = _series_coefficients(gamma * c)
-        if coef is None:
+        coef, k = _series_terms(np.where(ok, gamma * c, 0.0))
+        ok &= k > 0
+        stacked = "fx" in cache
+        if stacked:   # each row's own powers: the shared ones times rx^k, ry^k
+            rx, ry = cache["rx"], cache["ry"]
+            ok &= (k - 1) * np.log2(np.maximum(rx, ry)) <= _POWER_RANGE
+        if not ok.any():
             return None
-        pu, pv = self._powers(cache, coef.size)
-        xw, yw = cache["xim"][:, :cols], cache["zem"][:, :cols]
+        top = k.max()
+        coef = coef[..., :top]
+        pu, pv = self._powers(cache, top)
+        xw, yw = cache["xim"][..., :cols], cache["zem"][..., :cols]
         ga, gb = gamma * a, gamma * b
-        top = (ga.max(), gb.max()) if shifted else (0.0, 0.0)
-        u, v = xw * np.exp(ga - top[0])[:, None], yw * np.exp(gb - top[1])[:, None]
-        su, sv = pu @ np.hstack([u, np.abs(u)]), pv @ np.hstack([v, np.abs(v)])
-        scale = coef @ (su[:, cols:] * sv[:, cols:])
-        rounding = np.abs(coef) @ ((np.abs(pu) @ np.abs(u)) * (np.abs(pv) @ np.abs(v)))
-        if not np.all(np.finfo(float).eps * coef.size * rounding <= _SERIES_RTOL * scale):
+        if shifted:
+            top_a, top_b = ga.max(axis=-1), gb.max(axis=-1)
+            u = xw * np.exp(ga - top_a[..., None])[..., None]
+            v = yw * np.exp(gb - top_b[..., None])[..., None]
+            shift = top_a + top_b
+        else:
+            u, v, shift = xw * np.exp(ga)[..., None], yw * np.exp(gb)[..., None], 0.0 * c
+        su = pu @ np.concatenate([u, np.abs(u)], axis=-1)
+        sv = pv @ np.concatenate([v, np.abs(v)], axis=-1)
+        ru, rv = np.abs(pu) @ np.abs(u), np.abs(pv) @ np.abs(v)
+        if stacked:
+            coef = np.where(np.arange(top) < k[:, None], coef, 0.0)
+            grow = [(t[:, None] ** np.arange(top))[:, :, None] for t in (rx, ry)]
+            su, ru, sv, rv = su * grow[0], ru * grow[0], sv * grow[1], rv * grow[1]
+        scale = _rowmul(coef, su[..., cols:] * sv[..., cols:])
+        rounding = _rowmul(np.abs(coef), ru * rv)
+        ok &= (_EPS * k[..., None] * rounding <= _SERIES_RTOL * scale).all(axis=-1)
+        if not ok.any():
             return None
         if shifted:
-            return coef @ (su[:, :cols] * sv[:, :cols]), sum(top)
-        # k = 0: (1 + A)(1 + B) - 1 = A B + A + B, with A, B from expm1
-        a1, b1 = np.expm1(ga) @ xw, np.expm1(gb) @ yw
-        first = a1 * b1 + a1 * yw.sum(axis=0) + xw.sum(axis=0) * b1
-        return first + coef[1:] @ (su[1:, :cols] * sv[1:, :cols]), 0.0
+            m = _rowmul(coef, su[..., :cols] * sv[..., :cols])
+        else:
+            # k = 0: (1 + A)(1 + B) - 1 = A B + A + B, with A, B from expm1
+            a1, b1 = _rowmul(np.expm1(ga), xw), _rowmul(np.expm1(gb), yw)
+            m = (a1 * b1 + a1 * yw.sum(axis=-2) + xw.sum(axis=-2) * b1
+                 + _rowmul(coef[..., 1:], su[..., 1:, :cols] * sv[..., 1:, :cols]))
+        if stacked:
+            m[~ok] = np.nan
+        return m, shift
 
     @staticmethod
     def _powers(cache, k):
         """Rows ``t^0 .. t^(k-1)`` of both scaled coupled columns; the cache
-        keeps the rows computed so far and is extended as passes need more."""
+        keeps the rows computed so far, shared with the caches made from it,
+        and they are extended as passes need more."""
         powers = cache["powers"]
         if powers[0].shape[0] < k:
-            powers = [np.vstack([p, p[-1] * np.cumprod(np.broadcast_to(t, (k - len(p), t.size)),
-                                                        axis=0)])
-                      for t, p in zip(cache["scaled"], powers)]
-            cache["powers"] = powers
+            powers[:] = [np.vstack([p, p[-1] * np.cumprod(np.broadcast_to(t, (k - len(p), t.size)),
+                                                           axis=0)])
+                         for t, p in zip(cache["scaled"], powers)]
         return [p[:k] for p in powers]
 
     def _cross_exponent(self, theta, cache) -> np.ndarray:
         """``s_ij = alpha + sum_k beta_k xi_k(x_i) zeta_k(y_j)`` on distinct
-        values, shape (nx, ny), built by broadcasting."""
-        beta = theta[1:]
-        a = theta[0] + cache["a"] @ beta[cache["x_only"]]
-        b = cache["b"] @ beta[cache["y_only"]]
+        values, shape (..., nx, ny), built by broadcasting; on a stack, an
+        undrawn value takes a drawn value's exponent."""
+        beta = theta[..., 1:]
+        a, b = self._cross_parts(theta, cache)
         coupled = cache["coupled"]
         if coupled.size == 0:
-            return np.add.outer(a, b)
-        xi, ze = cache["xi"], cache["ze"]
-        k = coupled[0]
-        s = np.multiply.outer(beta[k] * xi[:, k], ze[:, k])
-        for k in coupled[1:]:
-            s += np.multiply.outer(beta[k] * xi[:, k], ze[:, k])
-        s += a[:, None]
-        s += b
+            return a[..., :, None] + b[..., None, :]
+        s = None
+        for k in coupled:
+            u, v = cache["xi"][:, k], cache["ze"][:, k]
+            if "fx" in cache:
+                u, v = u[cache["fx"]], v[cache["fy"]]
+            term = (beta[..., k, None] * u)[..., :, None] * v[..., None, :]
+            s = term if s is None else np.add(s, term, out=s)
+        s += a[..., :, None]
+        s += b[..., None, :]
         return s
 
     @staticmethod
@@ -502,8 +661,9 @@ class ExpBilinearModel(RatioModel):
         most 4 columns (OpenBLAS's threaded path for wider products can
         stall), and read off the ``xi`` columns."""
         xim, zem = cache["xim"], cache["zem"]
-        rows = np.hstack([block @ zem[:, j:min(j + 4, cols)] for j in range(0, cols, 4)])
-        return np.einsum("ik,ik->k", xim[:, :cols], rows)
+        rows = np.concatenate([block @ zem[..., j:min(j + 4, cols)] for j in range(0, cols, 4)],
+                              axis=-1)
+        return np.einsum("...ik,...ik->...k", xim[..., :cols], rows)
 
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
         """Paired term in exponent space.
@@ -512,16 +672,19 @@ class ExpBilinearModel(RatioModel):
         (``s`` for KL) and ``h phi''(h) = exp((gamma - 1) s)``, which stays
         finite where ``h * h**(gamma - 2)`` would overflow.
         """
-        s = theta[0] + self._paired_exponent(theta[1:], cache)
-        _check_exponent(divergence, s)
+        s = theta[..., :1] + self._paired_exponent(theta[..., 1:], cache)
+        bad = _check_exponent(divergence, s, 1)
         pw = cache["pw"]
         g1 = divergence.gamma - 1.0
         with np.errstate(over="ignore"):   # M_n itself is infinite there
-            value = float(pw @ s if g1 == 0.0 else pw @ np.expm1(g1 * s) / g1)
+            value = _dot(pw, s) if g1 == 0.0 else _dot(pw, np.expm1(g1 * s)) / g1
+            if np.ndim(bad):   # a stack: NaN on the rows out of the domain
+                value[bad] = np.nan
             if not need_grad:
                 return value, None
             e = pw * np.exp(g1 * s)
-        return value, np.concatenate([[e.sum()], self._paired_moments(e, cache)[0]])
+        return value, np.concatenate([e.sum(axis=-1)[..., None],
+                                      self._paired_moments(e, cache)[0]], axis=-1)
 
     def _cross_term(self, divergence, theta, cache, need_grad: bool):
         """Cross term in exponent space, over distinct values.
@@ -539,10 +702,10 @@ class ExpBilinearModel(RatioModel):
             sums = self._cross_sums(divergence, theta, cache, False, False)[0]
         mean_w = cache["cross_mean"]
         g = divergence.gamma
-        if g == 0.0:
-            return float(theta @ mean_w), (mean_w.copy() if need_grad else None)
+        if g == 0.0:   # the sums of expm1(0) are 0, NaN on rows out of the domain
+            return _dot(theta, mean_w) + sums[..., 0], (mean_w.copy() if need_grad else None)
         moments = sums / cache["n"] ** 2
-        return float(moments[0]) / g, (moments + mean_w if need_grad else None)
+        return moments[..., 0] / g, (moments + mean_w if need_grad else None)
 
     def _profile(self, divergence, beta, cache):
         """M_n maximized over alpha in closed form, with its beta derivatives.
@@ -560,8 +723,8 @@ class ExpBilinearModel(RatioModel):
         ``log A`` and ``log B`` are log-sum-exps shifted by the largest
         exponent (for ``B``, a bound on it where :meth:`_cross_sums` sums
         the series of one coupled term), so no exp overflows.  Returns
-        (value, gradient, Hessian, alpha*); a non-finite value means the
-        profile overflows there.
+        (value, gradient, Hessian, alpha*), one row each for a stack; a
+        non-finite value means the profile overflows there.
         """
         g = divergence.gamma
         with np.errstate(over="ignore", invalid="ignore"):
@@ -569,33 +732,33 @@ class ExpBilinearModel(RatioModel):
                 log_a, mean_a, cov_a = 0.0, self._paired_moments(cache["pw"], cache)[0], 0.0
             else:
                 u = (g - 1.0) * self._paired_exponent(beta, cache)
-                shift = u.max()
-                w = cache["pw"] * np.exp(u - shift)
-                total = w.sum()
+                shift = u.max(axis=-1)
+                w = cache["pw"] * np.exp(u - shift[..., None])
+                total = w.sum(axis=-1)
                 log_a = shift + np.log(total)
-                mean_a, second = self._paired_moments(w / total, cache, second=True)
-                cov_a = second - np.outer(mean_a, mean_a)
+                mean_a, second = self._paired_moments(w / total[..., None], cache, second=True)
+                cov_a = second - mean_a[..., :, None] * mean_a[..., None, :]
             if g == 0.0:
-                log_b, mean_b, cov_b = 0.0, cache["cross_mean"][1:], 0.0
+                log_b, mean_b, cov_b = 0.0, cache["cross_mean"][..., 1:], 0.0
             else:
-                moments, second, shift = self._cross_sums(
-                    divergence, np.concatenate([[0.0], beta]), cache, True, True)
-                total = moments[0]
+                theta = np.concatenate([np.zeros(beta.shape[:-1] + (1,)), beta], axis=-1)
+                moments, second, shift = self._cross_sums(divergence, theta, cache, True, True)
+                total = moments[..., 0]
                 log_b = shift + np.log(total / cache["n"] ** 2)
-                mean_b = moments[1:] / total
-                cov_b = second / total - np.outer(mean_b, mean_b)
+                mean_b = moments[..., 1:] / total[..., None]
+                cov_b = second / total[..., None, None] - mean_b[..., :, None] * mean_b[..., None, :]
             big_l = g * log_a + (1.0 - g) * log_b
             if g == 1.0:
-                value = beta @ mean_a - log_b
+                value = _dot(beta, mean_a) - log_b
             elif g == 0.0:
-                value = -log_a - beta @ mean_b
+                value = -log_a - _dot(beta, mean_b)
             else:
                 value = np.expm1(big_l) / (g * (g - 1.0))
-            scale = np.exp(big_l)
+            scale = np.exp(big_l)[..., None]
             diff = mean_a - mean_b
-            hess = scale * (g * (g - 1.0) * np.outer(diff, diff) + (g - 1.0) * cov_a
-                            - g * cov_b)
-            return float(value), scale * diff, hess, log_a - log_b
+            hess = scale[..., None] * (g * (g - 1.0) * diff[..., :, None] * diff[..., None, :]
+                                       + (g - 1.0) * cov_a - g * cov_b)
+            return value, scale * diff, hess, log_a - log_b
 
     def to_config(self) -> str:
         names = [p.name for p in self.basis]
@@ -634,6 +797,7 @@ class FiniteDiscreteModel(ExpBilinearModel):
 
     family = "finite"
     sample_kind = "categorical"
+    _stack_cache = None   # fitted one resample at a time
 
     def __init__(self, levels_x: Sequence, levels_y: Sequence,
                  alpha_bounds=(-40.0, 40.0), beta_bounds=(-80.0, 80.0)):

@@ -29,8 +29,13 @@ from .asymptotics import (
     covariances_under_h0,
     limit_quantile_ztz,
 )
-from .errors import DegenerateInputError, OptimFailureError, RouteMismatchError
-from .estimator import ObjectiveContext, PairedSample, estimate
+from .errors import (
+    DegenerateInputError,
+    FoldContextError,
+    OptimFailureError,
+    RouteMismatchError,
+)
+from .estimator import ObjectiveContext, PairedSample, estimate, estimate_resamples
 from .models import FiniteDiscreteModel
 
 __all__ = [
@@ -98,6 +103,8 @@ def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
         raise RouteMismatchError("ztz route is derived for the KL divergence only")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    if route != "chisq":
+        _require_sample(ctx, f"the {route} route")
     est = estimate(ctx, seed=seed)
     stat = 2.0 * ctx.n * est.i_hat
 
@@ -125,30 +132,41 @@ def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
 test_independence.__test__ = False
 
 
+def _require_sample(ctx: ObjectiveContext, what: str) -> None:
+    if ctx.sample is None:
+        raise FoldContextError(f"{what} needs the whole sample, but this context holds only "
+                               "a held-out fold of it (built with rows=)")
+
+
 def bootstrap_statistics(ctx: ObjectiveContext, cfg: BootstrapConfig) -> np.ndarray:
     """B replicates of S*_n under resampling from the product empirical law.
 
     Each replicate draws the x side and the y side independently with
     replacement (separate RNG streams), so the pairing is broken; rank
-    and cell statistics are recomputed on each replicate sample, whose
-    context the model may derive from ``ctx`` (:meth:`ObjectiveContext.resample`).
+    and cell statistics are recomputed on each replicate sample.  The
+    replicates are fitted by :func:`~phimi.estimator.estimate_resamples`:
+    for an exponential bilinear model in stacks over the observed
+    sample's distinct values, one lockstep Newton run per stack, with
+    ``estimate`` on the replicate's own context as the fallback for a row
+    that fails its acceptance test; for other models one ``estimate`` per
+    replicate.  On that fallback a replicate of continuous data has about
+    0.63 n distinct values per side: the size of its cross sums.
     Fails if more than 5% of the replicate optimizations do not converge.
-    A replicate of continuous data has about 0.63 n distinct values per
-    side: the size of the cross sums of an exponential bilinear fit.
     """
+    _require_sample(ctx, "the bootstrap")
     n = ctx.n
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.b_reps)
-    out = np.empty(cfg.b_reps)
-    failures = 0
-    for b, seq in enumerate(seeds):
-        rng_x, rng_y = (np.random.default_rng(child) for child in seq.spawn(2))
-        est = estimate(ctx.resample(rng_x.integers(0, n, n), rng_y.integers(0, n, n)), seed=b)
-        failures += not est.converged
-        out[b] = 2.0 * n * est.i_hat
+
+    def draws():
+        for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.b_reps):
+            rng_x, rng_y = (np.random.default_rng(child) for child in seq.spawn(2))
+            yield rng_x.integers(0, n, n), rng_y.integers(0, n, n)
+
+    fits = estimate_resamples(ctx, draws())
+    failures = sum(not est.converged for est in fits)
     if failures > 0.05 * cfg.b_reps:
         raise OptimFailureError(
             f"{failures}/{cfg.b_reps} bootstrap replicates failed to converge")
-    return out
+    return np.array([2.0 * n * est.i_hat for est in fits])
 
 
 def bootstrap_critical(ctx: ObjectiveContext, cfg: BootstrapConfig) -> float:

@@ -6,12 +6,16 @@ from phimi import (
     BootstrapConfig,
     DegenerateInputError,
     DivergenceSpec,
+    ExpBilinearModel,
     FgmCopulaModel,
     FiniteDiscreteModel,
+    FoldContextError,
     GaussianSpec,
     ObjectiveContext,
+    OptimFailureError,
     PairedSample,
     RouteMismatchError,
+    estimate,
     bootstrap_critical,
     bootstrap_statistics,
     gaussian_model,
@@ -22,7 +26,11 @@ from phimi import (
     spearman_test,
     test_independence,
 )
+import phimi.estimator
+import phimi.models
 import phimi.testing
+from phimi.estimator import estimate_resamples
+from phimi.models import BasisPair
 
 KL = DivergenceSpec(1.0)
 
@@ -181,6 +189,116 @@ class TestBootstrap:
     def test_b_reps_minimum(self):
         with pytest.raises(ValueError):
             BootstrapConfig(b_reps=50)
+
+
+@pytest.mark.parametrize("call", ["bootstrap_statistics", "ztz", "bootstrap"])
+def test_fold_context_fails_before_fitting(monkeypatch, call):
+    # a context built with rows= holds a held-out fold and no sample
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran on a fold context")
+
+    monkeypatch.setattr(phimi.testing, "estimate", no_fit)
+    monkeypatch.setattr(phimi.testing, "estimate_resamples", no_fit)
+    s = sample_gaussian(GaussianSpec(0.2), 40, 0)
+    ctx = ObjectiveContext(KL, gaussian_model(), s, rows=np.arange(20))
+    with pytest.raises(FoldContextError, match="held-out fold"):
+        if call == "bootstrap_statistics":
+            bootstrap_statistics(ctx, BootstrapConfig(b_reps=100))
+        else:
+            test_independence(ctx, call)
+
+
+def _stack_samples():
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(200)
+    y = 0.5 * x + np.sqrt(0.75) * rng.standard_normal(200)
+    tied = PairedSample(np.round(x, 1), np.round(y, 1))   # ~45 values a side
+    x = rng.standard_normal(300)
+    y = 0.4 * x + np.sqrt(0.84) * rng.standard_normal(300)
+    outlier = x.copy()
+    outlier[7] = 1e3
+    return {"tied": tied, "continuous": PairedSample(x, y),
+            "outlier": PairedSample(outlier, y)}
+
+
+STACK_SAMPLES = _stack_samples()
+STACK_BASES = {
+    "xy": ["xy"], "x,y,xy": ["x", "y", "xy"], "x2,y2,xy": ["x2", "y2", "xy"],
+    # two coupled terms: always the dense block
+    "xy,x2y2": [BasisPair("xy", lambda t: t, lambda t: t),
+                BasisPair("x2y2", lambda t: t**2, lambda t: t**2)],
+}
+STACK_REPS = 100
+
+
+def replicate_draws(n, cfg):
+    """The index pairs that bootstrap_statistics draws, replicate by replicate."""
+    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.b_reps):
+        rng_x, rng_y = (np.random.default_rng(child) for child in seq.spawn(2))
+        yield rng_x.integers(0, n, n), rng_y.integers(0, n, n)
+
+
+def check_stack(monkeypatch, sample, basis, gamma):
+    """Stacked replicate fits against ``estimate`` on each replicate's own
+    context, in stacks of about 30 rows; returns the stacked fits."""
+    ctx = ObjectiveContext(DivergenceSpec(gamma), ExpBilinearModel(STACK_BASES[basis]), sample)
+    full = ctx.model._stack_size(ctx._cache)
+    monkeypatch.setattr(phimi.models, "_STACK_BYTES", phimi.models._STACK_BYTES * 30 // full)
+    size = ctx.model._stack_size(ctx._cache)
+    assert 1 < size < STACK_REPS and STACK_REPS % size
+    cfg = BootstrapConfig(b_reps=STACK_REPS, seed=17)
+    draws = list(replicate_draws(sample.n, cfg))
+    loop = [estimate(ctx.resample(ix, iy), seed=b) for b, (ix, iy) in enumerate(draws)]
+    fallbacks = []
+
+    def counted(replicate, *, seed):
+        fallbacks.append(seed)
+        return estimate(replicate, seed=seed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(phimi.estimator, "estimate", counted)
+        fits = estimate_resamples(ctx, draws)
+    assert [(f.method, f.converged) for f in fits] == [(e.method, e.converged) for e in loop]
+    # a row goes to its own fit exactly where that fit leaves Newton
+    assert fallbacks == [b for b, e in enumerate(loop) if e.method == "lbfgsb"]
+    want = np.array([2.0 * sample.n * e.i_hat for e in loop])
+    if sum(not e.converged for e in loop) > 0.05 * STACK_REPS:
+        with pytest.raises(OptimFailureError):
+            bootstrap_statistics(ctx, cfg)
+    else:
+        got = bootstrap_statistics(ctx, cfg)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    return fits
+
+
+class TestStackedReplicates:
+    """bootstrap_statistics fits exponential bilinear replicates as stacks;
+    a loop of ``estimate`` on each replicate is the oracle."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5, 0.0, -0.5])
+    @pytest.mark.parametrize("basis", list(STACK_BASES))
+    @pytest.mark.parametrize("name", ["tied", "continuous"])
+    def test_matches_replicate_fits(self, monkeypatch, name, basis, gamma):
+        ctx = ObjectiveContext(KL, ExpBilinearModel(STACK_BASES[basis]), STACK_SAMPLES[name])
+        # the tied sample takes the dense block, the continuous one the
+        # series wherever the basis has one coupled term
+        assert ctx._cache["lowrank"] == (name == "continuous" and basis != "xy,x2y2")
+        check_stack(monkeypatch, STACK_SAMPLES[name], basis, gamma)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0])
+    def test_undrawn_outlier_stays_out(self, monkeypatch, gamma):
+        # x = 1e3 puts the cross exponent at the outlier far past exp's
+        # range for the betas of the replicates that do not draw it
+        sample = STACK_SAMPLES["outlier"]
+        fits = check_stack(monkeypatch, sample, "x2,y2,xy", gamma)
+        methods = {f.method for f in fits}
+        assert methods == {"newton", "lbfgsb"}
+
+    def test_fallback_rows_take_the_replicate_fit(self, monkeypatch):
+        # below gamma = 0 the sup is unbounded on dependent data: many
+        # replicates stop Newton and go to L-BFGS-B
+        fits = check_stack(monkeypatch, STACK_SAMPLES["tied"], "xy,x2y2", -0.5)
+        assert sum(f.method == "lbfgsb" for f in fits) >= 10
 
 
 class TestPearson:
