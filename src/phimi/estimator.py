@@ -41,6 +41,7 @@ from .errors import (
     ConjugateDomainError,
     DomainError,
     LengthMismatchError,
+    PhimiError,
     SupportError,
 )
 from .models import ParamVector, RatioModel, encode_tokens
@@ -54,6 +55,7 @@ __all__ = [
     "objective_with_grad",
     "estimate",
     "estimate_resamples",
+    "estimate_samples",
     "plugin_estimate",
     "plugin_statistics",
 ]
@@ -126,19 +128,31 @@ class ObjectiveContext:
     Immutable; objective and gradient evaluations are pure functions of
     ``theta`` given the context and may run concurrently.  ``rows``
     restricts both sums to those pairs of ``sample``: a held-out fold,
-    which may hold a single pair.  Such a context has no ``sample``, and
-    neither has a stack of resamples (see :meth:`resample`), whose
-    ``resamples`` is the number of its rows (``None`` elsewhere).
+    which may hold a single pair.  ``sample`` may also be a sequence of R
+    samples of one size, for a model that stacks caches
+    (``_stack_cache``): one context on all of them, each row over its own
+    distinct values, on which the objective terms and the profile take an
+    (R, dim) theta and give one row per sample, NaN on rows where ``h``
+    leaves the domain of phi.  A fold and a stack have no ``sample``;
+    ``resamples`` is the number of rows of a stack (``None`` elsewhere).
     """
 
     def __init__(self, divergence: DivergenceSpec, model: RatioModel,
-                 sample: PairedSample, rows=None, *, _drawn_from=None):
-        if sample.kind != model.sample_kind:
+                 sample, rows=None, *, _drawn_from=None):
+        samples = [sample] if isinstance(sample, PairedSample) else list(sample)
+        if any(s.kind != model.sample_kind for s in samples):
             raise SupportError(f"{model.family} models need a {model.sample_kind} sample")
         self.divergence = divergence
         self.model = model
         self.sample = sample if rows is None else None
         self.resamples = None
+        if not isinstance(sample, PairedSample):
+            if model._stack_cache is None:
+                raise SupportError(f"{model.family} models do not stack samples")
+            if len({s.n for s in samples}) != 1:
+                raise LengthMismatchError("a stack needs one or more samples of one size")
+            self._stack(np.stack([s.x for s in samples]), np.stack([s.y for s in samples]))
+            return
         x, y = (sample.x, sample.y) if rows is None else (sample.x[rows], sample.y[rows])
         self.n = x.size
         if _drawn_from is None:
@@ -147,19 +161,18 @@ class ObjectiveContext:
         parent, ix, iy = _drawn_from
         if ix.ndim == 1:
             self._cache = model._draw_cache(parent._cache, x, y, ix, iy)
-            return
-        self.sample, (self.resamples, self.n) = None, ix.shape
-        self._cache = model._stack_cache(parent._cache, ix, iy)
+        else:
+            self._stack(x[ix], y[iy])
+
+    def _stack(self, x, y):
+        self.sample, (self.resamples, self.n) = None, x.shape
+        self._cache = self.model._stack_cache(x, y)
 
     def resample(self, ix, iy) -> "ObjectiveContext":
         """Context on the sample ``(x[ix], y[iy])``, as a bootstrap draws it
         from this context's sample; the model may derive its cache from
-        this context's instead of building it anew.
-
-        With (R, n) index arrays, one context on the R resamples, for a
-        model that stacks caches (``_stack_cache``): the objective terms
-        and the profile take an (R, dim) theta on it and give one row per
-        resample, NaN on rows where ``h`` leaves the domain of phi.
+        this context's instead of building it anew.  With (R, n) index
+        arrays, the stacked context on the R resamples.
         """
         s = self.sample
         ix, iy = np.asarray(ix), np.asarray(iy)
@@ -438,38 +451,76 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
     return _result(model, theta, value, pgnorm, "lbfgsb", evals)
 
 
+def _stacked_fits(model, jobs, stack, own, like) -> list:
+    """Fits of the samples of one size that the iterable ``jobs`` describes;
+    ``own(job, r)`` fits the r-th one on its own context by
+    :func:`estimate`, which is all that runs for a model without stacked
+    caches (finite, copula).
+
+    An exponential bilinear model fits them first in stacks of
+    ``_stack_size(like())`` samples, ``like()`` being the cache of a sample
+    with as many distinct values as any of them; ``stack(chunk)`` makes the
+    stacked context of a list of jobs.  One lockstep profiled Newton run
+    per stack (:func:`_profiled_newton`), then one stacked evaluation of
+    M_n and its gradient applies ``estimate``'s acceptance test to every
+    row.  ``own`` fits a row whose Newton run stops at the pass cap or the
+    halving limit, whose point leaves the domain of phi or whose projected
+    gradient exceeds ``_GRAD_TOL``.
+    """
+    jobs = iter(jobs)
+    if model._stack_cache is None or model.dim > _NEWTON_MAX_DIM:
+        return [own(job, r) for r, job in enumerate(jobs)]
+    size = model._stack_size(like())
+    fits = []
+    while chunk := list(islice(jobs, size)):
+        ctx = stack(chunk)
+        passes, theta = _profiled_newton(ctx)
+        newton = ~np.isnan(theta[:, 0])
+        value, grad = _evaluate(ctx, np.where(newton[:, None], theta, 0.0), need_grad=True)
+        pgnorm = _projected_grad_norm(theta, grad, model.bounds)
+        accept = newton & np.isfinite(value) & (pgnorm <= _GRAD_TOL)
+        for r, job in enumerate(chunk):
+            fits.append(_result(model, theta[r], value[r], pgnorm[r], "newton", passes[r] + 1)
+                        if accept[r] else own(job, len(fits)))
+    return fits
+
+
 def estimate_resamples(ctx: ObjectiveContext, draws) -> list[DualEstimate]:
     """Fits of the resamples ``(x[ix], y[iy])`` of the context's sample,
     one per index pair ``(ix, iy)`` of the iterable ``draws``: those of
-    ``estimate(ctx.resample(ix, iy), seed=b)`` for the b-th pair, which is
-    what models without stacked caches (finite, copula) run.
-
-    An exponential bilinear model fits the resamples as stacks of
-    ``_stack_size`` rows (:meth:`ObjectiveContext.resample` on (R, n)
-    indices): one lockstep profiled Newton run (:func:`_profiled_newton`),
-    then one stacked evaluation of M_n and its gradient, which applies
-    ``estimate``'s acceptance test to every row.  A row whose Newton run
-    stops at the pass cap or the halving limit, whose point leaves the
-    domain of phi on its own drawn values or whose projected gradient
-    exceeds ``_GRAD_TOL`` is fitted by ``estimate`` as above.
+    ``estimate(ctx.resample(ix, iy), seed=b)`` for the b-th pair.  An
+    exponential bilinear model fits them in stacks of resamples
+    (:meth:`ObjectiveContext.resample` on (R, n) indices), refitting a row
+    that fails the acceptance test that way; see :func:`_stacked_fits`.
     """
-    model = ctx.model
-    draws = iter(draws)
-    if model._stack_cache is None or model.dim > _NEWTON_MAX_DIM:
-        return [estimate(ctx.resample(ix, iy), seed=b) for b, (ix, iy) in enumerate(draws)]
-    size = model._stack_size(ctx._cache)
-    fits = []
-    while chunk := list(islice(draws, size)):
-        stack = ctx.resample(*(np.stack(side) for side in zip(*chunk)))
-        passes, theta = _profiled_newton(stack)
-        newton = ~np.isnan(theta[:, 0])
-        value, grad = _evaluate(stack, np.where(newton[:, None], theta, 0.0), need_grad=True)
-        pgnorm = _projected_grad_norm(theta, grad, model.bounds)
-        accept = newton & np.isfinite(value) & (pgnorm <= _GRAD_TOL)
-        for r, (ix, iy) in enumerate(chunk):
-            fits.append(_result(model, theta[r], value[r], pgnorm[r], "newton", passes[r] + 1)
-                        if accept[r] else estimate(ctx.resample(ix, iy), seed=len(fits)))
-    return fits
+    return _stacked_fits(
+        ctx.model, draws,
+        lambda chunk: ctx.resample(*(np.stack(side) for side in zip(*chunk))),
+        lambda draw, b: estimate(ctx.resample(*draw), seed=b),
+        lambda: ctx._cache)
+
+
+def estimate_samples(divergence: DivergenceSpec, model: RatioModel, samples,
+                     seeds) -> list[DualEstimate | None]:
+    """Fits of the samples ``samples``, all of one size: those of
+    ``estimate(ObjectiveContext(divergence, model, s), seed=seed)`` for each
+    sample ``s`` and its seed in ``seeds``, or ``None`` where that raises a
+    :class:`PhimiError`.  An exponential bilinear model fits them in stacks
+    (:class:`ObjectiveContext` on a sequence of samples), refitting a row
+    that fails the acceptance test that way; see :func:`_stacked_fits`.
+    """
+    samples = list(samples)
+
+    def own(job, _):
+        try:
+            return estimate(ObjectiveContext(divergence, model, job[0]), seed=job[1])
+        except PhimiError:
+            return None
+
+    return _stacked_fits(
+        model, zip(samples, seeds),
+        lambda chunk: ObjectiveContext(divergence, model, [s for s, _ in chunk]), own,
+        lambda: model._build_cache(samples[0].x, samples[0].y))
 
 
 def plugin_statistics(divergence: DivergenceSpec, counts) -> np.ndarray:

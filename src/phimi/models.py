@@ -197,11 +197,93 @@ _TERM_TOL = 2.0 ** -60   # the series' last term: this share of the largest
 _MAX_TERMS = 120
 _TERMS = np.arange(_MAX_TERMS + 1.0)
 _SERIES_RTOL = 1e-13     # rounding bound per sum, as a share of its scale
-_POWER_RANGE = 500.0     # log2 of the largest factor rescaling a row's powers
 _EPS = np.finfo(float).eps
-# A stack of resamples holds as many rows as keep its largest array per
-# pass within this many bytes (ExpBilinearModel._stack_size)
+# A stack of samples holds as many rows as keep its largest array per pass
+# within this many bytes (ExpBilinearModel._stack_size); the dense blocks
+# and the series' power rows of a stack are formed in groups of rows
+# within it
 _STACK_BYTES = 2 ** 22
+
+
+def _row_groups(rows, per_row):
+    """Slices of ``rows`` rows, each holding at most ``_STACK_BYTES`` of
+    ``per_row`` floats a row (at least one row)."""
+    per = max(1, _STACK_BYTES // (8 * per_row))
+    return [slice(i, i + per) for i in range(0, rows, per)]
+
+
+def _runs(ranked):
+    """Per row of ``ranked`` (R, n), sorted ascending: its distinct values,
+    padded to the widest row with copies of the row's largest, (R, m);
+    their counts, zero on the padding, (R, m); and where each run of equal
+    entries starts, (R, n)."""
+    r, n = ranked.shape
+    new = np.empty((r, n), dtype=bool)
+    new[:, 0] = True
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
+    per = np.count_nonzero(new, axis=1)
+    drawn = np.arange(per.max()) < per[:, None]   # not padding
+    values = np.repeat(ranked[:, -1:], drawn.shape[1], axis=1)
+    values[drawn] = ranked[new]
+    counts = np.zeros(drawn.shape, dtype=np.intp)
+    counts[drawn] = np.diff(np.flatnonzero(new), append=r * n)
+    return values, counts, new
+
+
+def _distinct_rows(t):
+    """Per row of ``t`` (R, n): the distinct values and counts of
+    :func:`_runs`, and the value index of every entry, (R, n)."""
+    order = np.argsort(t, axis=1)
+    values, counts, new = _runs(np.take_along_axis(t, order, axis=1))
+    index = np.empty(t.shape, dtype=np.intp)
+    np.put_along_axis(index, order, np.cumsum(new, axis=1) - 1, axis=1)
+    return values, index, counts
+
+
+def _gather(v, index):
+    """``v[index]`` on each row of a stack: ``v`` (..., m, d), ``index``
+    (..., P) into its value axis."""
+    if index.ndim == 1:
+        return v[index]
+    m, d = v.shape[-2:]
+    return v.reshape(-1, d).take(index + m * np.arange(len(index))[:, None], axis=0)
+
+
+def _power_rows(t, top, formed=None):
+    """Rows ``t^0 .. t^(top - 1)`` of each row of ``t`` (g, m), (g, top, m), by
+    doubling (rows j .. 2j - 1 are rows 0 .. j - 1 times t^j), continuing
+    the rows ``formed`` (g, j, m) if given."""
+    p = np.empty((len(t), top, t.shape[-1]))
+    j = 1 if formed is None else formed.shape[1]
+    p[:, :j] = 1.0 if formed is None else formed
+    while j < top:
+        h = min(j, top - j)
+        np.multiply(p[:, :h], (p[:, j - 1] * t)[:, None], out=p[:, j:j + h])
+        j += h
+    return p
+
+
+def _power_sums(cache, side, w, top):
+    """``sum_i t_i^k (w_i, |w_i|)`` and ``sum_i |t_i^k w_i|`` for k < ``top``,
+    (..., top, 2c) and (..., top, c), from the scaled coupled column ``t``
+    (..., m) of one side (``scaled_x`` or ``scaled_y``) and weights ``w``
+    (..., m, c).  A single sample's cache keeps the power rows ``t^k``
+    formed so far and extends them as passes need more; a stack forms
+    them in groups of rows (:func:`_row_groups`)."""
+    t = cache["scaled_" + side]
+    if t.ndim == 1:
+        kept = cache.get("powers_" + side)
+        if kept is None or kept.shape[1] < top:
+            kept = cache["powers_" + side] = _power_rows(t[None], top, kept)
+        p = kept[0, :top]
+        return p @ np.concatenate([w, np.abs(w)], axis=-1), np.abs(p) @ np.abs(w)
+    (r, m), c = t.shape, w.shape[-1]
+    sums, bound = np.empty((r, top, 2 * c)), np.empty((r, top, c))
+    for rows in _row_groups(r, top * m):
+        p = _power_rows(t[rows], top)
+        sums[rows] = p @ np.concatenate([w[rows], np.abs(w[rows])], axis=-1)
+        bound[rows] = np.abs(p, out=p) @ np.abs(w[rows])
+    return sums, bound
 
 
 def _series_terms(r):
@@ -289,11 +371,12 @@ class RatioModel:
     # alpha*), M_n maximized over alpha; estimate then fits beta by Newton.
     _profile = None
 
-    # A family that fits many resamples of one sample at once sets
-    # _stack_cache(cache, ix, iy) -> the cache of the R resamples with (R, n)
-    # index arrays ix, iy, on which the terms and _profile take an (R, dim)
-    # theta and give one row each; _stack_size(cache) -> rows per stack and
-    # _take_rows(cache, rows) -> the cache of some of its rows.
+    # A family that fits many samples of one size at once sets
+    # _stack_cache(x, y) -> the cache of the R samples (x_r, y_r), (R, n)
+    # arrays, each row over its own distinct values, on which the terms and
+    # _profile take an (R, dim) theta and give one row each;
+    # _stack_size(cache) -> rows per stack of samples like that of the
+    # cache, and _take_rows(cache, rows) -> the cache of some of its rows.
     _stack_cache = None
 
     def to_config(self) -> str:
@@ -356,9 +439,14 @@ class ExpBilinearModel(RatioModel):
                                return_counts=True)
         uy, iy, cy = np.unique(np.asarray(y, dtype=float), return_inverse=True,
                                return_counts=True)
-        xi = np.stack([p.xi(ux) for p in self.basis], axis=1)    # (nx, d)
-        ze = np.stack([p.zeta(uy) for p in self.basis], axis=1)  # (ny, d)
+        xi, ze = self._basis_rows(ux, uy)
         return self._distinct_cache(xi, ix, cx, ze, iy, cy)
+
+    def _basis_rows(self, ux, uy):
+        """``xi`` on distinct x values and ``zeta`` on distinct y values,
+        (..., nx, d) and (..., ny, d)."""
+        return (np.stack([p.xi(ux) for p in self.basis], axis=-1),
+                np.stack([p.zeta(uy) for p in self.basis], axis=-1))
 
     def _draw_cache(self, cache, x, y, ix, iy):
         """A resample's distinct values are some of the parent's: count the
@@ -373,103 +461,91 @@ class ExpBilinearModel(RatioModel):
     def _distinct_cache(self, xv, ix, cx, yv, iy, cy):
         """Cache from what the model keeps per distinct value (here the
         basis, (nx, d) and (ny, d)), the value index of every observation
-        and the value counts.  The n pairs sit on distinct (x, y) value
-        pairs, with multiplicity weights ``pw``."""
-        n = ix.size
-        pairs, counts = np.unique(ix * cy.size + iy, return_counts=True)
+        and the value counts, all with a leading row axis on a stack.  The
+        n pairs sit on distinct (x, y) value pairs, with multiplicity
+        weights ``pw``."""
+        n, ny = ix.shape[-1], cy.shape[-1]
+        # flat cells ix ny + iy, each row's padded with its last at weight 0
+        pairs, counts, _ = _runs(np.sort((ix * ny + iy).reshape(-1, n), axis=1))
+        pairs, pw = pairs.reshape(ix.shape[:-1] + (-1,)), counts.reshape(ix.shape[:-1] + (-1,)) / n
         cache = {"values": (xv, yv), "ix": ix, "iy": iy, "n": n, "cx": cx.astype(float),
-                 "cy": cy.astype(float), "pix": pairs // cy.size, "piy": pairs % cy.size,
-                 "pw": counts / n}
+                 "cy": cy.astype(float), "pix": pairs // ny, "piy": pairs % ny, "pw": pw}
         cache.update(self._design(xv, yv, cache))
         return cache
 
-    # The rows of a stacked cache: what differs between resamples
-    _PER_ROW = frozenset(("cx", "cy", "pix", "piy", "pw", "paired", "xim", "zem", "cross_mean",
-                          "fx", "fy", "scale", "rx", "ry"))
+    # What the terms and the profile read of a stacked cache: these keys
+    # row by row, and the split of the terms and n as a whole
+    _PER_ROW = ("pw", "paired", "a", "b", "coupled_x", "coupled_y", "xim", "zem", "cross_mean",
+                "lowrank", "scale", "scaled_x", "scaled_y")
+    _SHARED = ("n", "x_only", "y_only", "coupled")
 
-    def _stack_cache(self, cache, ix, iy):
-        """Cache of the R resamples ``(x[ix_r], y[iy_r])`` of the sample of
-        ``cache``, (R, n) index arrays, over the sample's distinct values.
+    def _stack_cache(self, x, y):
+        """Cache of the R samples ``(x_r, y_r)``, (R, n) arrays.
 
-        The value counts, the count-weighted moment columns and the paired
-        features and weights carry a leading row axis; the basis columns,
-        the choice between dense block and series and the series' power
-        rows are the sample's.  A value that a row did not draw has count
-        zero, and wherever an exponent is formed it stands in for one the
-        row drew (``fx``, ``fy``), so it enters no row's shift, domain check
-        or bound.  A row's distinct pairs are padded with its first pair at
-        weight zero.
+        Each row keeps its own sorted distinct values with their counts,
+        basis rows and count-weighted moment columns, padded to the widest
+        row with copies of the row's largest value at count zero, and its
+        own distinct pairs, padded with its last pair at weight zero: a
+        padded entry repeats one the row drew, so it changes no shift,
+        domain check or bound, and adds zero to every sum.  The split into
+        x-only, y-only and coupled terms is shared: a term is x-only
+        (y-only) where it is on every row.  Each row takes the dense block
+        or the series as its own sample would (``lowrank`` per row).
         """
-        xi, ze = cache["xi"], cache["ze"]
-        nx, ny = xi.shape[0], ze.shape[0]
-        r, n = ix.shape
-        vx = np.arange(r)[:, None] * nx + cache["ix"][ix]   # flat (row, x value)
-        vy = np.arange(r)[:, None] * ny + cache["iy"][iy]
-        keys, counts = np.unique(vx * ny + vy % ny, return_counts=True)
-        owner = keys // (nx * ny)
-        per = np.bincount(owner, minlength=r)
-        first = np.cumsum(per) - per
-        slot = (owner, np.arange(keys.size) - first[owner])
-        cells = np.repeat(keys[first] % (nx * ny), per.max()).reshape(r, -1)
-        cells[slot] = keys % (nx * ny)
-        pw = np.zeros(cells.shape)
-        pw[slot] = counts / n
-        cx = np.bincount(vx.ravel(), minlength=r * nx).reshape(r, nx).astype(float)
-        cy = np.bincount(vy.ravel(), minlength=r * ny).reshape(r, ny).astype(float)
-        stack = {"n": n, "cx": cx, "cy": cy, "pix": cells // ny, "piy": cells % ny, "pw": pw,
-                 "fx": np.where(cx > 0, np.arange(nx), np.argmax(cx > 0, axis=1)[:, None]),
-                 "fy": np.where(cy > 0, np.arange(ny), np.argmax(cy > 0, axis=1)[:, None])}
-        stack.update(self._design(xi, ze, stack))
-        if stack["lowrank"]:
-            # the sample's powers; a row's series takes the scale of the
-            # values it drew, max |t| = 1 / rx over them (rx >= 1)
-            drawn = [np.where(c > 0, np.abs(t), 0.0).max(axis=1)
-                     for t, c in zip(cache["scaled"], (cx, cy))]
-            with np.errstate(divide="ignore"):
-                stack.update(powers=cache["powers"], scale=cache["scale"] * drawn[0] * drawn[1],
-                             rx=1.0 / drawn[0], ry=1.0 / drawn[1])
-        return stack
+        (ux, ix, cx), (uy, iy, cy) = _distinct_rows(x), _distinct_rows(y)
+        xi, ze = self._basis_rows(ux, uy)
+        return self._distinct_cache(xi, ix, cx, ze, iy, cy)
 
     def _stack_size(self, cache):
-        """Resamples per stack of the sample of ``cache``: its largest array
-        per pass (the dense block, the series' weighted moment columns or
-        the paired second moments) stays within ``_STACK_BYTES``."""
-        nx, ny = cache["xi"].shape[0], cache["ze"].shape[0]
-        cross = 2 * cache["xim"].shape[1] * (nx + ny) if cache["lowrank"] else nx * ny
+        """Samples per stack, for samples with at most the distinct values
+        of the sample of ``cache``: the largest array per pass (the dense
+        block, the series' weighted moment columns or the paired second
+        moments) stays within ``_STACK_BYTES``; the series' power rows are
+        formed in groups of rows within it."""
+        nx, ny = cache["xi"].shape[-2], cache["ze"].shape[-2]
+        cross = 2 * cache["xim"].shape[-1] * (nx + ny) if np.any(cache["lowrank"]) else nx * ny
         return max(1, _STACK_BYTES // (8 * max(cross, cache["n"] * (self.dim - 1))))
 
     def _take_rows(self, cache, rows):
-        """The cache of the rows ``rows`` (any index) of a stacked cache."""
-        return {k: v[rows] if k in self._PER_ROW else v for k, v in cache.items()}
+        """What the terms and the profile read of the rows ``rows`` (any
+        index) of a stacked cache."""
+        sub = {k: cache[k] for k in self._SHARED}
+        sub.update((k, cache[k][rows]) for k in self._PER_ROW if k in cache)
+        return sub
 
     def _design(self, xi, ze, cache):
-        """Basis columns and their count-weighted moments; the counts may
-        carry a leading row axis."""
-        d = xi.shape[1]
+        """Basis columns and their count-weighted moments; all but the
+        split of the terms carry the leading row axis of a stack."""
+        d = xi.shape[-1]
+        every = tuple(range(xi.ndim - 1))   # the rows and the values
         # A term whose zeta (xi) is constant on the sample adds a vector
         # over x (y) to the cross exponent; the other terms are coupled.
-        x_only = np.all(ze == ze[:1], axis=0)
-        y_only = np.all(xi == xi[:1], axis=0) & ~x_only
+        x_only = np.all(ze == ze[..., :1, :], axis=every)
+        y_only = np.all(xi == xi[..., :1, :], axis=every) & ~x_only
         # count-weighted (1, xi, xi_k xi_l) and (1, zeta, zeta_k zeta_l);
         # first moments read the first 1 + d columns, second ones all
         xim, zem = self._moment_columns(xi, cache["cx"]), self._moment_columns(ze, cache["cy"])
         coupled = np.flatnonzero(~(x_only | y_only))
-        nx, ny = xi.shape[0], ze.shape[0]
+        nx, ny = np.count_nonzero(cache["cx"], axis=-1), np.count_nonzero(cache["cy"], axis=-1)
         design = {
-            "xi": xi, "ze": ze, "paired": xi[cache["pix"]] * ze[cache["piy"]],
-            "a": xi[:, x_only] * ze[0, x_only], "x_only": np.flatnonzero(x_only),
-            "b": xi[0, y_only] * ze[:, y_only], "y_only": np.flatnonzero(y_only),
-            "coupled": coupled, "xim": xim, "zem": zem,
+            "xi": xi, "ze": ze,
+            "paired": _gather(xi, cache["pix"]) * _gather(ze, cache["piy"]),
+            "a": xi[..., x_only] * ze[..., :1, x_only], "x_only": np.flatnonzero(x_only),
+            "b": xi[..., :1, y_only] * ze[..., y_only], "y_only": np.flatnonzero(y_only),
+            "coupled": coupled, "coupled_x": xi[..., coupled], "coupled_y": ze[..., coupled],
+            "xim": xim, "zem": zem,
             # mean of (1, xi_k zeta_k) over the n^2 cross pairs
-            "cross_mean": xim[..., :1 + d].sum(axis=-2) * zem[..., :1 + d].sum(axis=-2)
-            / cache["n"] ** 2,
-            "lowrank": coupled.size == 1 and nx * ny >= _LOWRANK_MIN * (nx + ny),
+            "cross_mean": np.einsum("...ik->...k", xim[..., :1 + d])
+            * np.einsum("...ik->...k", zem[..., :1 + d]) / cache["n"] ** 2,
+            "lowrank": (coupled.size == 1) & (nx * ny >= _LOWRANK_MIN * (nx + ny)),
         }
-        if design["lowrank"]:   # the coupled columns scaled to max |t| = 1
-            cols = [t[:, coupled[0]] for t in (xi, ze)]
-            tops = [np.abs(t).max() for t in cols]
-            design.update(scale=tops[0] * tops[1], powers=[np.ones((1, nx)), np.ones((1, ny))],
-                          scaled=[t / m for t, m in zip(cols, tops)])
+        if np.any(design["lowrank"]):   # the coupled columns scaled to max |t| = 1
+            cols = [design["coupled_x"][..., 0], design["coupled_y"][..., 0]]
+            tops = [np.abs(t).max(axis=-1) for t in cols]
+            # a stack may couple a term that is constant on some row
+            tops = [np.where(m > 0.0, m, 1.0) for m in tops]
+            design.update(scale=tops[0] * tops[1], scaled_x=cols[0] / tops[0][..., None],
+                          scaled_y=cols[1] / tops[1][..., None])
         return design
 
     @cached_property
@@ -479,9 +555,10 @@ class ExpBilinearModel(RatioModel):
     def _moment_columns(self, v, counts):
         """Count-weighted ``(1, v, v_k v_l)`` for k <= l, shape (..., len(v),
         1 + d + d (d + 1) / 2), from the basis on one side's distinct values
-        and counts (..., len(v))."""
+        and counts, (..., len(v), d) and (..., len(v))."""
         k, l = self._pairs
-        return counts[..., None] * np.hstack([np.ones((v.shape[0], 1)), v, v[:, k] * v[:, l]])
+        ones = np.ones(v.shape[:-1] + (1,))
+        return counts[..., None] * np.concatenate([ones, v, v[..., k] * v[..., l]], axis=-1)
 
     # The feature maps: the terms and the profile below reach the basis
     # only through these three, which a basis with structure may override.
@@ -510,7 +587,7 @@ class ExpBilinearModel(RatioModel):
         d = self.dim - 1
         cols = cache["xim"].shape[-1] if second else 1 + d
         out = (self._lowrank_sums(divergence.gamma, theta, cache, cols, shifted)
-               if cache["lowrank"] else None)
+               if np.any(cache["lowrank"]) else None)
         if out is None:
             m, shift = self._dense_sums(divergence, theta, cache, cols, shifted)
         else:
@@ -533,9 +610,8 @@ class ExpBilinearModel(RatioModel):
         if theta.ndim == 1:
             block, shift = _exp_block(divergence, self._cross_exponent(theta, cache), shifted)
             return self._cross_moments(block, cache, cols), shift
-        per = max(1, _STACK_BYTES // (8 * cache["xi"].shape[0] * cache["ze"].shape[0]))
         m, shift = np.empty((len(theta), cols)), np.empty(len(theta))
-        for rows in (slice(i, i + per) for i in range(0, len(theta), per)):
+        for rows in _row_groups(len(theta), cache["a"].shape[-2] * cache["b"].shape[-2]):
             sub = self._take_rows(cache, rows)
             block, shift[rows] = _exp_block(divergence, self._cross_exponent(theta[rows], sub),
                                             shifted)
@@ -544,14 +620,10 @@ class ExpBilinearModel(RatioModel):
 
     def _cross_parts(self, theta, cache):
         """The x-only part of the cross exponent, alpha included, and the
-        y-only part, (..., nx) and (..., ny); on a stack, an undrawn value
-        takes a drawn value's part."""
-        beta = theta[..., 1:]
-        a = theta[..., :1] + beta[..., cache["x_only"]] @ cache["a"].T
-        b = beta[..., cache["y_only"]] @ cache["b"].T
-        if "fx" in cache:
-            a, b = np.take_along_axis(a, cache["fx"], -1), np.take_along_axis(b, cache["fy"], -1)
-        return a, b
+        y-only part, (..., nx) and (..., ny)."""
+        beta = theta[..., None, 1:]
+        return (theta[..., :1] + (beta[..., cache["x_only"]] * cache["a"]).sum(axis=-1),
+                (beta[..., cache["y_only"]] * cache["b"]).sum(axis=-1))
 
     def _lowrank_sums(self, gamma, theta, cache, cols, shifted):
         """The sums of :meth:`_cross_sums` over the first ``cols`` moment
@@ -566,29 +638,24 @@ class ExpBilinearModel(RatioModel):
         over ``_MAX_TERMS`` terms, or its rounding bound (the series on
         absolute values) passes ``_SERIES_RTOL`` of a sum's scale ``sum
         |weights| e^{gamma s}``: NaN sums on such rows of a stack, ``None``
-        where every row is declined.  A stack shares the sample's powers of ``u``
-        and ``v``; each row rescales them to its own drawn values' max 1
-        (``rx``, ``ry``), and is declined where that factor could take the
-        powers out of floating-point range.
+        where every row is declined, as is a row of a stack that its own
+        sample would give the dense block (``lowrank`` false).
         """
         beta = theta[..., 1:]
         a, b = self._cross_parts(theta, cache)
         c = beta[..., cache["coupled"][0]] * cache["scale"]
-        ok = (max(1.0, abs(gamma)) * (np.abs(a).max(axis=-1) + np.abs(b).max(axis=-1) + np.abs(c))
-              <= _EXP_BOUND)
+        ok = cache["lowrank"] & (max(1.0, abs(gamma)) * (np.abs(a).max(axis=-1)
+                                                         + np.abs(b).max(axis=-1) + np.abs(c))
+                                 <= _EXP_BOUND)
         if not ok.any():
             return None
         coef, k = _series_terms(np.where(ok, gamma * c, 0.0))
         ok &= k > 0
-        stacked = "fx" in cache
-        if stacked:   # each row's own powers: the shared ones times rx^k, ry^k
-            rx, ry = cache["rx"], cache["ry"]
-            ok &= (k - 1) * np.log2(np.maximum(rx, ry)) <= _POWER_RANGE
         if not ok.any():
             return None
         top = k.max()
-        coef = coef[..., :top]
-        pu, pv = self._powers(cache, top)
+        # each row's series stops at its own K
+        coef = np.where(np.arange(top) < k[..., None], coef[..., :top], 0.0)
         xw, yw = cache["xim"][..., :cols], cache["zem"][..., :cols]
         ga, gb = gamma * a, gamma * b
         if shifted:
@@ -598,13 +665,8 @@ class ExpBilinearModel(RatioModel):
             shift = top_a + top_b
         else:
             u, v, shift = xw * np.exp(ga)[..., None], yw * np.exp(gb)[..., None], 0.0 * c
-        su = pu @ np.concatenate([u, np.abs(u)], axis=-1)
-        sv = pv @ np.concatenate([v, np.abs(v)], axis=-1)
-        ru, rv = np.abs(pu) @ np.abs(u), np.abs(pv) @ np.abs(v)
-        if stacked:
-            coef = np.where(np.arange(top) < k[:, None], coef, 0.0)
-            grow = [(t[:, None] ** np.arange(top))[:, :, None] for t in (rx, ry)]
-            su, ru, sv, rv = su * grow[0], ru * grow[0], sv * grow[1], rv * grow[1]
+        su, ru = _power_sums(cache, "x", u, top)
+        sv, rv = _power_sums(cache, "y", v, top)
         scale = _rowmul(coef, su[..., cols:] * sv[..., cols:])
         rounding = _rowmul(np.abs(coef), ru * rv)
         ok &= (_EPS * k[..., None] * rounding <= _SERIES_RTOL * scale).all(axis=-1)
@@ -617,36 +679,21 @@ class ExpBilinearModel(RatioModel):
             a1, b1 = _rowmul(np.expm1(ga), xw), _rowmul(np.expm1(gb), yw)
             m = (a1 * b1 + a1 * yw.sum(axis=-2) + xw.sum(axis=-2) * b1
                  + _rowmul(coef[..., 1:], su[..., 1:, :cols] * sv[..., 1:, :cols]))
-        if stacked:
+        if np.ndim(ok):   # a stack: NaN on the rows declined
             m[~ok] = np.nan
         return m, shift
 
-    @staticmethod
-    def _powers(cache, k):
-        """Rows ``t^0 .. t^(k-1)`` of both scaled coupled columns; the cache
-        keeps the rows computed so far, shared with the caches made from it,
-        and they are extended as passes need more."""
-        powers = cache["powers"]
-        if powers[0].shape[0] < k:
-            powers[:] = [np.vstack([p, p[-1] * np.cumprod(np.broadcast_to(t, (k - len(p), t.size)),
-                                                           axis=0)])
-                         for t, p in zip(cache["scaled"], powers)]
-        return [p[:k] for p in powers]
-
     def _cross_exponent(self, theta, cache) -> np.ndarray:
         """``s_ij = alpha + sum_k beta_k xi_k(x_i) zeta_k(y_j)`` on distinct
-        values, shape (..., nx, ny), built by broadcasting; on a stack, an
-        undrawn value takes a drawn value's exponent."""
+        values, shape (..., nx, ny), built by broadcasting."""
         beta = theta[..., 1:]
         a, b = self._cross_parts(theta, cache)
         coupled = cache["coupled"]
         if coupled.size == 0:
             return a[..., :, None] + b[..., None, :]
         s = None
-        for k in coupled:
-            u, v = cache["xi"][:, k], cache["ze"][:, k]
-            if "fx" in cache:
-                u, v = u[cache["fx"]], v[cache["fy"]]
+        for j, k in enumerate(coupled):
+            u, v = cache["coupled_x"][..., j], cache["coupled_y"][..., j]
             term = (beta[..., k, None] * u)[..., :, None] * v[..., None, :]
             s = term if s is None else np.add(s, term, out=s)
         s += a[..., :, None]

@@ -28,7 +28,7 @@ import numpy as np
 from .asymptotics import chi2_quantile, covariances_under_h0, limit_quantile_ztz, normal_margin
 from .divergence import DivergenceSpec
 from .errors import ParseError, PhimiError, RouteMismatchError
-from .estimator import ObjectiveContext, estimate, plugin_estimate
+from .estimator import ObjectiveContext, estimate_samples, plugin_estimate
 from .models import FgmCopulaModel, gaussian_model
 from .samplers import (
     FgmSpec,
@@ -218,34 +218,40 @@ def _finite_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
     return rejections, len(draws)
 
 
-def _one_replicate(cfg: PowerStudyConfig, param: float, seq,
-                   crits: dict[str, float]) -> dict[str, bool]:
-    s_sample, s_est = seq.spawn(2)
-    sample = _draw_sample(cfg, param, s_sample)
-    rejects: dict[str, bool] = {}
-    for t in cfg.tests:
-        if t in PHI_TESTS:
-            ctx = ObjectiveContext(_DIVERGENCES[t], _study_model(cfg), sample)
-            rejects[t] = 2.0 * cfg.n * estimate(ctx, seed=s_est).i_hat > crits[t]
-        else:
-            rejects[t] = _BASELINES[t](sample, cfg.alpha).reject
-    return rejects
-
-
 def _fitted_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
                        crits: dict[str, float]) -> tuple[dict[str, int], int]:
-    """Replicate by replicate, dropping up to 2% that fail."""
-    valid = []
-    failures = 0
-    for seq in rep_seqs:
-        try:
-            valid.append(_one_replicate(cfg, param, seq, crits))
-        except PhimiError:
-            failures += 1
+    """All replicates of one grid point, dropping up to 2% that fail.
+
+    Each replicate draws its sample and its fit's seed from its own stream
+    (``spawn(2)``); each phi test fits all the samples at once with
+    :func:`~phimi.estimator.estimate_samples`, each baseline tests them one
+    by one.  A replicate is dropped when any of its tests raises
+    :class:`PhimiError`.
+    """
+    streams = [seq.spawn(2) for seq in rep_seqs]
+    samples = [_draw_sample(cfg, param, s_sample) for s_sample, _ in streams]
+    rejects: dict[str, list] = {}
+    for t in cfg.tests:
+        if t in PHI_TESTS:
+            fits = estimate_samples(_DIVERGENCES[t], _study_model(cfg), samples,
+                                    [s_est for _, s_est in streams])
+            rejects[t] = [None if f is None else 2.0 * cfg.n * f.i_hat > crits[t] for f in fits]
+        else:
+            rejects[t] = [_baseline_reject(t, s, cfg.alpha) for s in samples]
+    valid = [r for r in range(len(samples)) if all(rejects[t][r] is not None for t in cfg.tests)]
+    failures = len(samples) - len(valid)
     if failures > 0.02 * cfg.reps:
         raise PhimiError(
             f"{failures}/{cfg.reps} replicates failed at parameter {param}")
-    return {t: sum(r[t] for r in valid) for t in cfg.tests}, len(valid)
+    return {t: sum(bool(rejects[t][r]) for r in valid) for t in cfg.tests}, len(valid)
+
+
+def _baseline_reject(test: str, sample, alpha: float) -> bool | None:
+    """The baseline's decision, ``None`` where it raises PhimiError."""
+    try:
+        return _BASELINES[test](sample, alpha).reject
+    except PhimiError:
+        return None
 
 
 def run_power_study(cfg: PowerStudyConfig) -> PowerTable:
