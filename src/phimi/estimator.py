@@ -18,9 +18,11 @@ normalizer alpha in closed form, and checks the result with one full
 evaluation of M_n; finite models start at their plug-in supremum.
 Where that fails, where the model has more than ``_NEWTON_MAX_DIM``
 parameters, and for the copula family, L-BFGS-B on M_n does the fit.
-:func:`estimate_resamples` fits many resamples of one sample, as
-bootstrap replicates draw them: an exponential bilinear model fits them
-as stacks, one lockstep Newton run per stack.
+:func:`estimate_resamples` fits the resamples of one sample that
+bootstrap replicates draw, :func:`estimate_samples` the fresh samples of
+a power study's grid point: an exponential bilinear model fits them as
+stacks, each row over its own distinct values, with one lockstep Newton
+run per stack, and refits a row that fails by :func:`estimate`.
 
 For finite-discrete data the same maximization collapses to the direct
 plug-in estimate; :func:`plugin_estimate` computes that independently,
@@ -283,7 +285,7 @@ def _profiled_newton(ctx: ObjectiveContext):
     """Newton's method on the profile of M_n in beta, from the box point
     nearest the beta of the model's first suggested start, or nearest
     beta = 0 where it suggests none; in lockstep over the rows of a stack
-    of resamples, a single context being a stack of one.
+    of samples, a single context being a stack of one.
 
     The profile maximizes over alpha in closed form (see the model's
     ``_profile``).  Each step (:func:`_ascent_step`, one stacked ``eigh``)

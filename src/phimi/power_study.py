@@ -8,10 +8,12 @@ the Gaussian family (exact moments of the normal margins, Monte-Carlo
 quantile), and a single bootstrap on an independence pilot sample for
 the bootstrap route.
 
-A finite-family grid point is evaluated as one batch: its replicates
-are drawn from their own streams, and each test's plug-in statistic is
-computed for all of them at once on one (reps, K, K) count tensor.
-Fitted families (Gaussian, FGM) run replicate by replicate.
+Each replicate of a grid point draws its sample from its own stream.  A
+finite-family grid point is evaluated as one batch: each test's plug-in
+statistic is computed for all replicates at once on one (reps, K, K)
+count tensor.  Fitted families fit each phi test's replicates together
+(:func:`~phimi.estimator.estimate_samples`): the Gaussian family's
+exponential bilinear model in stacks, the FGM copula one fit at a time.
 
 Re-running with an identical configuration (seed included) reproduces
 the table bit for bit.

@@ -145,12 +145,12 @@ def bootstrap_statistics(ctx: ObjectiveContext, cfg: BootstrapConfig) -> np.ndar
     replacement (separate RNG streams), so the pairing is broken; rank
     and cell statistics are recomputed on each replicate sample.  The
     replicates are fitted by :func:`~phimi.estimator.estimate_resamples`:
-    for an exponential bilinear model in stacks over the observed
-    sample's distinct values, one lockstep Newton run per stack, with
-    ``estimate`` on the replicate's own context as the fallback for a row
-    that fails its acceptance test; for other models one ``estimate`` per
-    replicate.  On that fallback a replicate of continuous data has about
-    0.63 n distinct values per side: the size of its cross sums.
+    for an exponential bilinear model in stacks, each row over the
+    replicate's own distinct values (about 0.63 n per side for continuous
+    data: the size of its cross sums), one lockstep Newton run per stack,
+    with ``estimate`` on the replicate's own context as the fallback for
+    a row that fails its acceptance test; for other models one
+    ``estimate`` per replicate.
     Fails if more than 5% of the replicate optimizations do not converge.
     """
     _require_sample(ctx, "the bootstrap")

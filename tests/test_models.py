@@ -6,10 +6,13 @@ from scipy.stats import multivariate_normal, norm
 
 from phimi import (
     BoundsError,
+    DivergenceSpec,
     ExpBilinearModel,
     FgmCopulaModel,
     FiniteDiscreteModel,
     LengthMismatchError,
+    ObjectiveContext,
+    PairedSample,
     ParamVector,
     SupportError,
     gaussian_model,
@@ -350,6 +353,91 @@ class TestEncodeTokens:
             FiniteDiscreteModel(levels, ["c", "d"])
         with pytest.raises(ValueError, match="mutually comparable"):
             FiniteDiscreteModel(["c", "d"], levels)
+
+
+def _padding_samples():
+    """Rows of one stack with different distinct counts: continuous, tied,
+    two distinct x values, and an outlier x = 1e3 that only row 3 holds."""
+    rng = np.random.default_rng(8)
+    n = 60
+    rows = []
+    for r in range(5):
+        x = rng.standard_normal(n)
+        y = 0.5 * x + np.sqrt(0.75) * rng.standard_normal(n)
+        if r == 1:
+            x, y = np.round(x, 1), np.round(y, 1)
+        if r == 2:
+            x = np.sign(x)
+        if r == 3:
+            x[5] = 1e3
+        rows.append(PairedSample(x, y))
+    return rows
+
+
+PADDING_SAMPLES = _padding_samples()
+PADDING_BASES = {
+    "x2,y2,xy": ["x2", "y2", "xy"],   # the series on the continuous rows
+    "xy,x2y2": [BasisPair("xy", lambda t: t, lambda t: t),   # two coupled terms: dense
+                BasisPair("x2y2", lambda t: t**2, lambda t: t**2)],
+}
+
+
+class TestStackPadding:
+    """A stack pads each row's distinct values and pairs to the widest row
+    with entries the row drew; on every row the terms, the cross sums and
+    the profile equal those of the row's own context."""
+
+    def contexts(self, basis, gamma):
+        div, model = DivergenceSpec(gamma), ExpBilinearModel(PADDING_BASES[basis])
+        stack = ObjectiveContext(div, model, PADDING_SAMPLES)
+        singles = [ObjectiveContext(div, model, s) for s in PADDING_SAMPLES]
+        rng = np.random.default_rng(3)
+        theta = np.column_stack([np.full(len(singles), 0.1),
+                                 rng.uniform(-0.3, 0.3, (len(singles), model.dim - 1))])
+        theta[3, 1:] *= 1e-5   # keeps h finite at the outlier
+        return model, stack, singles, theta
+
+    @staticmethod
+    def check(got, want):
+        for g, w in zip(got, want):
+            if w is not None:
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
+
+    def test_rows_keep_their_own_values(self):
+        model, stack, singles, _ = self.contexts("x2,y2,xy", 1.0)
+        cache = stack._cache
+        widths = [np.unique(s.x).size for s in PADDING_SAMPLES]
+        assert stack.resamples == 5 and cache["cx"].shape[1] == max(widths)
+        assert list(np.count_nonzero(cache["cx"], axis=1)) == widths
+        assert list(cache["lowrank"]) == [c._cache["lowrank"] for c in singles]
+        assert list(cache["lowrank"]) == [True, False, False, True, True]
+        # a padded value repeats one the row drew
+        for r, s in enumerate(PADDING_SAMPLES):
+            assert set(cache["xi"][r, :, 0]) == set(s.x ** 2)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5, 0.0])
+    @pytest.mark.parametrize("basis", list(PADDING_BASES))
+    def test_rows_match_their_own_contexts(self, basis, gamma):
+        model, stack, singles, theta = self.contexts(basis, gamma)
+        div = stack.divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = {"paired": model._paired_term(div, theta, stack._cache, True),
+                       "cross": model._cross_term(div, theta, stack._cache, True),
+                       "profile": model._profile(div, theta[:, 1:], stack._cache)}
+            for shifted in (False, True):
+                stacked[shifted] = model._cross_sums(div, theta, stack._cache, True, shifted)
+        for r, ctx in enumerate(singles):
+            cache = ctx._cache
+            self.check([q[r] for q in stacked["paired"]],
+                       model._paired_term(div, theta[r], cache, True))
+            self.check([q[r] for q in stacked["cross"]],
+                       model._cross_term(div, theta[r], cache, True))
+            self.check([q[r] for q in stacked["profile"]],
+                       model._profile(div, theta[r, 1:], cache))
+            for shifted in (False, True):
+                m, pairs, shift = stacked[shifted]
+                self.check([m[r], pairs[r], shift[r]],
+                           model._cross_sums(div, theta[r], cache, True, shifted))
 
 
 def test_finite_dimension_and_theta0():

@@ -2,24 +2,35 @@ import numpy as np
 import pytest
 
 from phimi import (
+    DegenerateInputError,
     DivergenceSpec,
     FiniteMixtureSpec,
+    GaussianSpec,
+    ObjectiveContext,
+    OptimFailureError,
     ParseError,
+    PhimiError,
     PowerRow,
     PowerStudyConfig,
     PowerTable,
     chi2_quantile,
     covariances_under_h0,
     emit_results,
+    estimate,
     gaussian_model,
     limit_quantile_ztz,
     parse_results,
     plugin_estimate,
     run_power_study,
     sample_finite,
+    sample_gaussian,
 )
+import phimi.estimator
+import phimi.models
+import phimi.power_study
 from phimi.asymptotics import normal_margin
 from phimi.errors import RouteMismatchError
+from phimi.estimator import estimate_samples
 from phimi.power_study import _phi_critical_values
 
 
@@ -171,6 +182,163 @@ class TestFiniteBatch:
                     > crit for s in samples)
                 row, = (r for r in table.rows if r.test == test and r.param == param)
                 assert (row.rejections, row.reps) == (expected, cfg.reps)
+
+
+def replicate_streams(cfg, g=0):
+    """The samples and estimate seeds of the replicates at the g-th grid
+    point of a Gaussian study, drawn from the streams run_power_study uses;
+    the seeds compare by their ``spawn_key``."""
+    _, mc_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    streams = [seq.spawn(2) for seq in mc_seq.spawn(len(cfg.grid))[g].spawn(cfg.reps)]
+    spec = GaussianSpec(cfg.grid[g], cfg.sigma)
+    return [sample_gaussian(spec, cfg.n, s) for s, _ in streams], [e for _, e in streams]
+
+
+def gaussian_cfg(n, rho, test, **overrides):
+    base = dict(family="gaussian", grid=(rho,), n=n, reps=100, alpha=0.05, tests=(test,),
+                seed=11, b_reps=100, ztz_draws=2000)
+    base.update(overrides)
+    return PowerStudyConfig(**base)
+
+
+def check_study_fits(monkeypatch, cfg):
+    """The stacked fits of one grid point's replicates, as the study makes
+    them in stacks of about 30 rows, against ``estimate`` on each
+    replicate's own context; returns the stacked fits."""
+    (test,) = cfg.tests
+    div = DivergenceSpec(1.0 if test == "kl" else 2.0)
+    samples, seeds = replicate_streams(cfg)
+    full = gaussian_model()._stack_size(ObjectiveContext(div, gaussian_model(), samples[0])._cache)
+    monkeypatch.setattr(phimi.models, "_STACK_BYTES", phimi.models._STACK_BYTES * 30 // full)
+    loop = [estimate(ObjectiveContext(div, gaussian_model(), s), seed=e)
+            for s, e in zip(samples, seeds)]
+    calib_seq, mc_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    crits = _phi_critical_values(cfg, calib_seq)
+    fits, fallbacks = [], []
+
+    def recorded(*args):
+        fits.extend(estimate_samples(*args))
+        return fits
+
+    def counted(ctx, *, seed):
+        fallbacks.append(seed.spawn_key)
+        return estimate(ctx, seed=seed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(phimi.power_study, "estimate_samples", recorded)
+        patch.setattr(phimi.estimator, "estimate", counted)
+        rejected, reps = phimi.power_study._fitted_rejections(
+            cfg, cfg.grid[0], mc_seq.spawn(1)[0].spawn(cfg.reps), crits)
+    assert [(f.method, f.converged) for f in fits] == [(e.method, e.converged) for e in loop]
+    # a row goes to its own fit exactly where that fit leaves Newton
+    assert fallbacks == [e.spawn_key for e, f in zip(seeds, loop) if f.method == "lbfgsb"]
+    got = np.array([2.0 * cfg.n * f.i_hat for f in fits])
+    want = np.array([2.0 * cfg.n * e.i_hat for e in loop])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    # the study rejects where the replicate's own statistic passes its critical value
+    assert (rejected[test], reps) == (int(np.count_nonzero(want > crits[test])), cfg.reps)
+    return fits
+
+
+class TestStackedStudyFits:
+    """A Gaussian study fits each phi test's replicates in stacks; a loop of
+    ``estimate`` on each replicate's own context is the oracle."""
+
+    @pytest.mark.parametrize("test", ["kl", "chisq"])   # ztz and bootstrap routes
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_matches_replicate_fits(self, monkeypatch, n, rho, test):
+        cfg = gaussian_cfg(n, rho, test)
+        ctx = ObjectiveContext(DivergenceSpec(1.0), gaussian_model(), replicate_streams(cfg)[0][0])
+        # n = 40 takes the dense block, n = 300 the series
+        assert ctx._cache["lowrank"] == (n == 300)
+        check_study_fits(monkeypatch, cfg)
+
+    def test_fallback_rows_take_the_replicate_fit(self, monkeypatch):
+        # with three profiled passes, many fits stop Newton at the cap
+        monkeypatch.setattr(phimi.estimator, "_NEWTON_PASSES", 3)
+        fits = check_study_fits(monkeypatch, gaussian_cfg(40, 0.5, "kl"))
+        assert sum(f.method == "lbfgsb" for f in fits) >= 10
+
+
+def reference_study(cfg):
+    """The table of replicate-by-replicate fitting: one ``estimate`` per
+    replicate and phi test, a replicate dropped at its first PhimiError."""
+    calib_seq, mc_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    crits = _phi_critical_values(cfg, calib_seq)
+    rows = []
+    for param, gseq in zip(cfg.grid, mc_seq.spawn(len(cfg.grid))):
+        counts, failures = dict.fromkeys(cfg.tests, 0), 0
+        for seq in gseq.spawn(cfg.reps):
+            s_sample, s_est = seq.spawn(2)
+            sample = sample_gaussian(GaussianSpec(param, cfg.sigma), cfg.n, s_sample)
+            try:
+                rejects = {}
+                for t in cfg.tests:
+                    if t == "kl":
+                        ctx = ObjectiveContext(DivergenceSpec(1.0), gaussian_model(), sample)
+                        stat = 2.0 * cfg.n * phimi.estimator.estimate(ctx, seed=s_est).i_hat
+                        rejects[t] = stat > crits[t]
+                    else:
+                        rejects[t] = phimi.power_study._BASELINES[t](sample, cfg.alpha).reject
+            except PhimiError:
+                failures += 1
+                continue
+            for t in cfg.tests:
+                counts[t] += rejects[t]
+        if failures > 0.02 * cfg.reps:
+            raise PhimiError(f"{failures}/{cfg.reps} replicates failed at parameter {param}")
+        rows += [(t, param, counts[t], cfg.reps - failures) for t in cfg.tests]
+    return sorted(rows)
+
+
+class TestDroppedReplicates:
+    """A replicate is dropped whole when any of its tests raises PhimiError:
+    its fit (here ``estimate`` raising on chosen replicates) or a baseline
+    (``DegenerateInputError``); more than 2% dropped fails the study."""
+
+    @staticmethod
+    def failing(monkeypatch, cfg, fits, baselines):
+        """Make the fits of the replicates ``fits`` and the kendall test of
+        ``baselines``, (grid index, replicate) pairs, raise."""
+        # one profiled pass: every row leaves Newton, so each replicate's
+        # fit runs through estimate, as it did replicate by replicate
+        monkeypatch.setattr(phimi.estimator, "_NEWTON_PASSES", 1)
+        real_estimate, real_kendall = phimi.estimator.estimate, phimi.power_study._BASELINES["kendall"]
+
+        def estimate_or_fail(ctx, *, seed=0):
+            if getattr(seed, "spawn_key", ())[1:3] in fits:
+                raise OptimFailureError("forced")
+            return real_estimate(ctx, seed=seed)
+
+        degenerate = {replicate_streams(cfg, g)[0][r].x[0] for g, r in baselines}
+
+        def kendall_or_fail(sample, alpha):
+            if sample.x[0] in degenerate:
+                raise DegenerateInputError("forced")
+            return real_kendall(sample, alpha)
+
+        monkeypatch.setattr(phimi.estimator, "estimate", estimate_or_fail)
+        monkeypatch.setitem(phimi.power_study._BASELINES, "kendall", kendall_or_fail)
+
+    def test_counts_match_replicate_loop(self, monkeypatch):
+        cfg = gaussian_cfg(40, 0.5, "kl", grid=(0.0, 0.5), tests=("kl", "kendall"))
+        # grid point 0 loses replicate 3 (both tests fail), grid point 1
+        # replicates 7 (fit) and 20 (baseline)
+        self.failing(monkeypatch, cfg, fits={(0, 3), (1, 7)}, baselines={(0, 3), (1, 20)})
+        table = run_power_study(cfg)
+        assert sorted((r.test, r.param, r.rejections, r.reps) for r in table.rows) \
+            == reference_study(cfg)
+        assert {r.param: r.reps for r in table.rows} == {0.0: 99, 0.5: 98}
+
+    def test_more_than_two_percent_fails(self, monkeypatch):
+        cfg = gaussian_cfg(40, 0.5, "kl", tests=("kl", "kendall"))
+        self.failing(monkeypatch, cfg, fits={(0, 1), (0, 2)}, baselines={(0, 3)})
+        message = "3/100 replicates failed at parameter 0.5"
+        with pytest.raises(PhimiError, match=message):
+            reference_study(cfg)
+        with pytest.raises(PhimiError, match=message):
+            run_power_study(cfg)
 
 
 class TestEmitParse:
