@@ -264,26 +264,25 @@ def _power_rows(t, top, formed=None):
 
 
 def _power_sums(cache, side, w, top):
-    """``sum_i t_i^k (w_i, |w_i|)`` and ``sum_i |t_i^k w_i|`` for k < ``top``,
-    (..., top, 2c) and (..., top, c), from the scaled coupled column ``t``
-    (..., m) of one side (``scaled_x`` or ``scaled_y``) and weights ``w``
-    (..., m, c).  A single sample's cache keeps the power rows ``t^k``
-    formed so far and extends them as passes need more; a stack forms
-    them in groups of rows (:func:`_row_groups`)."""
-    t = cache["scaled_" + side]
+    """``sum_i t_i^k w_i``, ``sum_i t_i^k |w_i|`` and ``sum_i |t_i^k w_i|``
+    for k < ``top``, each (..., top, c), from the scaled coupled column
+    ``t`` (..., m) of one side (``scaled_x`` or ``scaled_y``) and weights
+    ``w`` (..., m, c).  A single sample's cache keeps the power rows
+    ``t^k`` formed so far and extends them as passes need more; a stack
+    forms them in groups of rows (:func:`_row_groups`)."""
+    t, size = cache["scaled_" + side], np.abs(w)
     if t.ndim == 1:
         kept = cache.get("powers_" + side)
         if kept is None or kept.shape[1] < top:
             kept = cache["powers_" + side] = _power_rows(t[None], top, kept)
         p = kept[0, :top]
-        return p @ np.concatenate([w, np.abs(w)], axis=-1), np.abs(p) @ np.abs(w)
-    (r, m), c = t.shape, w.shape[-1]
-    sums, bound = np.empty((r, top, 2 * c)), np.empty((r, top, c))
-    for rows in _row_groups(r, top * m):
+        return p @ w, p @ size, np.abs(p) @ size
+    sums = [np.empty(w.shape[:-2] + (top, w.shape[-1])) for _ in range(3)]
+    for rows in _row_groups(len(t), top * t.shape[-1]):
         p = _power_rows(t[rows], top)
-        sums[rows] = p @ np.concatenate([w[rows], np.abs(w[rows])], axis=-1)
-        bound[rows] = np.abs(p, out=p) @ np.abs(w[rows])
-    return sums, bound
+        sums[0][rows], sums[1][rows] = p @ w[rows], p @ size[rows]
+        sums[2][rows] = np.abs(p, out=p) @ size[rows]
+    return sums
 
 
 def _series_terms(r):
@@ -494,16 +493,18 @@ class ExpBilinearModel(RatioModel):
         """
         (ux, ix, cx), (uy, iy, cy) = _distinct_rows(x), _distinct_rows(y)
         xi, ze = self._basis_rows(ux, uy)
-        return self._distinct_cache(xi, ix, cx, ze, iy, cy)
+        # keep only what the terms and the profile read
+        return self._take_rows(self._distinct_cache(xi, ix, cx, ze, iy, cy), slice(None))
 
     def _stack_size(self, cache):
         """Samples per stack, for samples with at most the distinct values
-        of the sample of ``cache``: the largest array per pass (the dense
-        block, the series' weighted moment columns or the paired second
-        moments) stays within ``_STACK_BYTES``; the series' power rows are
-        formed in groups of rows within it."""
+        of the sample of ``cache``: what a pass holds per row stays within
+        ``_STACK_BYTES`` (the dense block, the paired second moments, or
+        for the series the moment columns, a copy of the live rows' and
+        their weighted values and absolute values); the series' power rows
+        are formed in groups of rows within it."""
         nx, ny = cache["xi"].shape[-2], cache["ze"].shape[-2]
-        cross = 2 * cache["xim"].shape[-1] * (nx + ny) if np.any(cache["lowrank"]) else nx * ny
+        cross = 4 * cache["xim"].shape[-1] * (nx + ny) if np.any(cache["lowrank"]) else nx * ny
         return max(1, _STACK_BYTES // (8 * max(cross, cache["n"] * (self.dim - 1))))
 
     def _take_rows(self, cache, rows):
@@ -665,20 +666,20 @@ class ExpBilinearModel(RatioModel):
             shift = top_a + top_b
         else:
             u, v, shift = xw * np.exp(ga)[..., None], yw * np.exp(gb)[..., None], 0.0 * c
-        su, ru = _power_sums(cache, "x", u, top)
-        sv, rv = _power_sums(cache, "y", v, top)
-        scale = _rowmul(coef, su[..., cols:] * sv[..., cols:])
+        su, au, ru = _power_sums(cache, "x", u, top)
+        sv, av, rv = _power_sums(cache, "y", v, top)
+        scale = _rowmul(coef, au * av)
         rounding = _rowmul(np.abs(coef), ru * rv)
         ok &= (_EPS * k[..., None] * rounding <= _SERIES_RTOL * scale).all(axis=-1)
         if not ok.any():
             return None
         if shifted:
-            m = _rowmul(coef, su[..., :cols] * sv[..., :cols])
+            m = _rowmul(coef, su * sv)
         else:
             # k = 0: (1 + A)(1 + B) - 1 = A B + A + B, with A, B from expm1
             a1, b1 = _rowmul(np.expm1(ga), xw), _rowmul(np.expm1(gb), yw)
             m = (a1 * b1 + a1 * yw.sum(axis=-2) + xw.sum(axis=-2) * b1
-                 + _rowmul(coef[..., 1:], su[..., 1:, :cols] * sv[..., 1:, :cols]))
+                 + _rowmul(coef[..., 1:], su[..., 1:, :] * sv[..., 1:, :]))
         if np.ndim(ok):   # a stack: NaN on the rows declined
             m[~ok] = np.nan
         return m, shift

@@ -406,14 +406,15 @@ class TestStackPadding:
     def test_rows_keep_their_own_values(self):
         model, stack, singles, _ = self.contexts("x2,y2,xy", 1.0)
         cache = stack._cache
+        counts = cache["xim"][..., 0]   # the x value counts
         widths = [np.unique(s.x).size for s in PADDING_SAMPLES]
-        assert stack.resamples == 5 and cache["cx"].shape[1] == max(widths)
-        assert list(np.count_nonzero(cache["cx"], axis=1)) == widths
+        assert stack.resamples == 5 and counts.shape[1] == max(widths)
+        assert list(np.count_nonzero(counts, axis=1)) == widths
         assert list(cache["lowrank"]) == [c._cache["lowrank"] for c in singles]
         assert list(cache["lowrank"]) == [True, False, False, True, True]
-        # a padded value repeats one the row drew
+        # a padded value repeats one the row drew (xy couples x itself)
         for r, s in enumerate(PADDING_SAMPLES):
-            assert set(cache["xi"][r, :, 0]) == set(s.x ** 2)
+            assert set(cache["coupled_x"][r, :, 0]) == set(s.x)
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5, 0.0])
     @pytest.mark.parametrize("basis", list(PADDING_BASES))
