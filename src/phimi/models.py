@@ -481,19 +481,19 @@ class ExpBilinearModel(RatioModel):
     def _stack_cache(self, x, y):
         """Cache of the R samples ``(x_r, y_r)``, (R, n) arrays.
 
-        Each row keeps its own sorted distinct values with their counts,
-        basis rows and count-weighted moment columns, padded to the widest
-        row with copies of the row's largest value at count zero, and its
-        own distinct pairs, padded with its last pair at weight zero: a
-        padded entry repeats one the row drew, so it changes no shift,
-        domain check or bound, and adds zero to every sum.  The split into
-        x-only, y-only and coupled terms is shared: a term is x-only
-        (y-only) where it is on every row.  Each row takes the dense block
-        or the series as its own sample would (``lowrank`` per row).
+        Each row is built over its own sorted distinct values, padded to
+        the widest row with copies of the row's largest value at count
+        zero, and its own distinct pairs, padded with its last pair at
+        weight zero: a padded entry repeats one the row drew, so it changes
+        no shift, domain check or bound, and adds zero to every sum.  The
+        stack keeps only what the terms and the profile read (``_PER_ROW``).
+        The split into x-only, y-only and coupled terms is shared: a term
+        is x-only (y-only) where it is on every row.  Each row takes the
+        dense block or the series as its own sample would (``lowrank`` per
+        row).
         """
         (ux, ix, cx), (uy, iy, cy) = _distinct_rows(x), _distinct_rows(y)
         xi, ze = self._basis_rows(ux, uy)
-        # keep only what the terms and the profile read
         return self._take_rows(self._distinct_cache(xi, ix, cx, ze, iy, cy), slice(None))
 
     def _stack_size(self, cache):
