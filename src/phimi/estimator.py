@@ -22,7 +22,8 @@ parameters, and for the copula family, L-BFGS-B on M_n does the fit.
 bootstrap replicates draw, :func:`estimate_samples` the fresh samples of
 a power study's grid point: an exponential bilinear model fits them as
 stacks, each row over its own distinct values, with one lockstep Newton
-run per stack, and refits a row that fails by :func:`estimate`.
+run per stack; a row that fails goes on to L-BFGS-B on its own context,
+as its own :func:`estimate` would.
 
 For finite-discrete data the same maximization collapses to the direct
 plug-in estimate; :func:`plugin_estimate` computes that independently,
@@ -153,33 +154,26 @@ class ObjectiveContext:
                 raise SupportError(f"{model.family} models do not stack samples")
             if len({s.n for s in samples}) != 1:
                 raise LengthMismatchError("a stack needs one or more samples of one size")
-            self._stack(np.stack([s.x for s in samples]), np.stack([s.y for s in samples]))
+            self.sample, self.resamples, self.n = None, len(samples), samples[0].n
+            self._cache = model._stack_cache(np.stack([s.x for s in samples]),
+                                             np.stack([s.y for s in samples]))
             return
         x, y = (sample.x, sample.y) if rows is None else (sample.x[rows], sample.y[rows])
         self.n = x.size
         if _drawn_from is None:
             self._cache = model._build_cache(x, y)
-            return
-        parent, ix, iy = _drawn_from
-        if ix.ndim == 1:
-            self._cache = model._draw_cache(parent._cache, x, y, ix, iy)
         else:
-            self._stack(x[ix], y[iy])
-
-    def _stack(self, x, y):
-        self.sample, (self.resamples, self.n) = None, x.shape
-        self._cache = self.model._stack_cache(x, y)
+            parent, ix, iy = _drawn_from
+            self._cache = model._draw_cache(parent._cache, x, y, ix, iy)
 
     def resample(self, ix, iy) -> "ObjectiveContext":
         """Context on the sample ``(x[ix], y[iy])``, as a bootstrap draws it
         from this context's sample; the model may derive its cache from
-        this context's instead of building it anew.  With (R, n) index
-        arrays, the stacked context on the R resamples.
+        this context's instead of building it anew.
         """
         s = self.sample
-        ix, iy = np.asarray(ix), np.asarray(iy)
-        sample = s if ix.ndim == 2 else PairedSample(s.x[ix], s.y[iy], s.kind)
-        return ObjectiveContext(self.divergence, self.model, sample, _drawn_from=(self, ix, iy))
+        return ObjectiveContext(self.divergence, self.model, PairedSample(s.x[ix], s.y[iy], s.kind),
+                                _drawn_from=(self, ix, iy))
 
 
 def _terms(ctx: ObjectiveContext, theta, need_grad: bool):
@@ -390,30 +384,38 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
     evaluations of M_n, Newton's included where L-BFGS-B takes over.
     """
     model = ctx.model
-    bounds = model.bounds
     evals = 0
-    last_theta, last = None, None   # the latest evaluation, reused at res.x
-
-    def evaluate(theta):
-        try:
-            return _evaluate(ctx, theta, need_grad=True)
-        except DomainError as exc:
-            return exc
-
     if model._profile is not None and model.dim <= _NEWTON_MAX_DIM:
         evals, theta = _profiled_newton(ctx)
         if theta is not None:
             evals += 1
-            out = evaluate(theta)
+            out = _evaluate_or_error(ctx, theta)
             if not isinstance(out, DomainError) and np.isfinite(out[0]):
-                pgnorm = _projected_grad_norm(theta, out[1], bounds)
+                pgnorm = _projected_grad_norm(theta, out[1], model.bounds)
                 if pgnorm <= _GRAD_TOL:
                     return _result(model, theta, out[0], pgnorm, "newton", evals)
+    return _lbfgsb(ctx, seed, evals)
+
+
+def _evaluate_or_error(ctx: ObjectiveContext, theta):
+    """M_n and its gradient at ``theta``, or the DomainError raised there."""
+    try:
+        return _evaluate(ctx, theta, need_grad=True)
+    except DomainError as exc:
+        return exc
+
+
+def _lbfgsb(ctx: ObjectiveContext, seed, evals: int) -> DualEstimate:
+    """The L-BFGS-B fit of :func:`estimate`, after ``evals`` evaluations
+    that a failed Newton run took."""
+    model = ctx.model
+    bounds = model.bounds
+    last_theta, last = None, None   # the latest evaluation, reused at res.x
 
     def fun(theta):
         nonlocal evals, last_theta, last
         evals += 1
-        last_theta, last = theta.copy(), evaluate(theta)
+        last_theta, last = theta.copy(), _evaluate_or_error(ctx, theta)
         if isinstance(last, DomainError):
             return np.inf, np.zeros(model.dim)
         value, grad = last
@@ -427,7 +429,7 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
     def run(x0):
         res = minimize(fun, x0, jac=True, method="L-BFGS-B",
                        bounds=scipy_bounds, options=options)
-        out = last if np.array_equal(res.x, last_theta) else evaluate(res.x)
+        out = last if np.array_equal(res.x, last_theta) else _evaluate_or_error(ctx, res.x)
         if isinstance(out, DomainError):
             return res.x, -np.inf, np.inf
         value, grad = out
@@ -453,37 +455,49 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
     return _result(model, theta, value, pgnorm, "lbfgsb", evals)
 
 
-def _stacked_fits(model, jobs, stack, own, like) -> list:
-    """Fits of the samples of one size that the iterable ``jobs`` describes;
-    ``own(job, r)`` fits the r-th one on its own context by
-    :func:`estimate`, which is all that runs for a model without stacked
-    caches (finite, copula).
+def _refit(ctx: ObjectiveContext, seed, evals) -> DualEstimate:
+    """``estimate(ctx, seed=seed)``, or where ``evals`` is given (a Newton
+    run on the context's sample failed after ``evals`` evaluations) its
+    L-BFGS-B fit alone."""
+    return estimate(ctx, seed=seed) if evals is None else _lbfgsb(ctx, seed, evals)
 
-    An exponential bilinear model fits them first in stacks of
-    ``_stack_size(like())`` samples, ``like()`` being the cache of a sample
-    with as many distinct values as any of them; ``stack(chunk)`` makes the
-    stacked context of a list of jobs.  One lockstep profiled Newton run
-    per stack (:func:`_profiled_newton`), then one stacked evaluation of
-    M_n and its gradient applies ``estimate``'s acceptance test to every
-    row.  ``own`` fits a row whose Newton run stops at the pass cap or the
-    halving limit, whose point leaves the domain of phi or whose projected
-    gradient exceeds ``_GRAD_TOL``.
+
+def _stacked_fits(divergence, model, n, jobs, own, within=None) -> list:
+    """Fits of the samples of size ``n`` that the iterable ``jobs`` gives
+    with a key each, as ``(sample, key)`` pairs; ``own(sample, key, r,
+    evals)`` fits the r-th one on its own context with :func:`_refit`,
+    for a model without stacked caches (finite, copula) by
+    :func:`estimate` (``evals`` ``None``).
+
+    An exponential bilinear model fits them first in stacks
+    (:class:`ObjectiveContext` on a sequence of samples) of
+    ``_stack_size`` rows for samples with no more distinct values on each
+    side than the sample ``within``, or than n where it is ``None``.  One
+    lockstep profiled Newton run per stack (:func:`_profiled_newton`),
+    then one stacked evaluation of M_n and its gradient applies
+    ``estimate``'s acceptance test to every row.  A row whose Newton run
+    stops at the pass cap or the halving limit, whose point leaves the
+    domain of phi or whose projected gradient exceeds ``_GRAD_TOL`` has
+    taken the path of its own sample's Newton run: ``own`` goes on with
+    L-BFGS-B, counting the row's evaluations.
     """
     jobs = iter(jobs)
     if model._stack_cache is None or model.dim > _NEWTON_MAX_DIM:
-        return [own(job, r) for r, job in enumerate(jobs)]
-    size = model._stack_size(like())
+        return [own(sample, key, r, None) for r, (sample, key) in enumerate(jobs)]
+    widths = (n, n) if within is None else (np.unique(within.x).size, np.unique(within.y).size)
+    size = model._stack_size(n, *widths)
     fits = []
     while chunk := list(islice(jobs, size)):
-        ctx = stack(chunk)
+        ctx = ObjectiveContext(divergence, model, [sample for sample, _ in chunk])
         passes, theta = _profiled_newton(ctx)
         newton = ~np.isnan(theta[:, 0])
         value, grad = _evaluate(ctx, np.where(newton[:, None], theta, 0.0), need_grad=True)
         pgnorm = _projected_grad_norm(theta, grad, model.bounds)
         accept = newton & np.isfinite(value) & (pgnorm <= _GRAD_TOL)
-        for r, job in enumerate(chunk):
-            fits.append(_result(model, theta[r], value[r], pgnorm[r], "newton", passes[r] + 1)
-                        if accept[r] else own(job, len(fits)))
+        evals = passes + newton
+        for r, (sample, key) in enumerate(chunk):
+            fits.append(_result(model, theta[r], value[r], pgnorm[r], "newton", evals[r])
+                        if accept[r] else own(sample, key, len(fits), int(evals[r])))
     return fits
 
 
@@ -491,15 +505,14 @@ def estimate_resamples(ctx: ObjectiveContext, draws) -> list[DualEstimate]:
     """Fits of the resamples ``(x[ix], y[iy])`` of the context's sample,
     one per index pair ``(ix, iy)`` of the iterable ``draws``: those of
     ``estimate(ctx.resample(ix, iy), seed=b)`` for the b-th pair.  An
-    exponential bilinear model fits them in stacks of resamples
-    (:meth:`ObjectiveContext.resample` on (R, n) indices), refitting a row
-    that fails the acceptance test that way; see :func:`_stacked_fits`.
+    exponential bilinear model fits them in stacks; see
+    :func:`_stacked_fits`.
     """
+    s = ctx.sample
     return _stacked_fits(
-        ctx.model, draws,
-        lambda chunk: ctx.resample(*(np.stack(side) for side in zip(*chunk))),
-        lambda draw, b: estimate(ctx.resample(*draw), seed=b),
-        lambda: ctx._cache)
+        ctx.divergence, ctx.model, ctx.n,
+        ((PairedSample(s.x[ix], s.y[iy], s.kind), (ix, iy)) for ix, iy in draws),
+        lambda _, draw, b, evals: _refit(ctx.resample(*draw), b, evals), within=s)
 
 
 def estimate_samples(divergence: DivergenceSpec, model: RatioModel, samples,
@@ -507,22 +520,19 @@ def estimate_samples(divergence: DivergenceSpec, model: RatioModel, samples,
     """Fits of the samples ``samples``, all of one size: those of
     ``estimate(ObjectiveContext(divergence, model, s), seed=seed)`` for each
     sample ``s`` and its seed in ``seeds``, or ``None`` where that raises a
-    :class:`PhimiError`.  An exponential bilinear model fits them in stacks
-    (:class:`ObjectiveContext` on a sequence of samples), refitting a row
-    that fails the acceptance test that way; see :func:`_stacked_fits`.
+    :class:`PhimiError`.  An exponential bilinear model fits them in
+    stacks; see :func:`_stacked_fits`.
     """
     samples = list(samples)
 
-    def own(job, _):
+    def own(sample, seed, _, evals):
         try:
-            return estimate(ObjectiveContext(divergence, model, job[0]), seed=job[1])
+            return _refit(ObjectiveContext(divergence, model, sample), seed, evals)
         except PhimiError:
             return None
 
-    return _stacked_fits(
-        model, zip(samples, seeds),
-        lambda chunk: ObjectiveContext(divergence, model, [s for s, _ in chunk]), own,
-        lambda: model._build_cache(samples[0].x, samples[0].y))
+    return _stacked_fits(divergence, model, samples[0].n if samples else 1,
+                         zip(samples, seeds), own)
 
 
 def plugin_statistics(divergence: DivergenceSpec, counts) -> np.ndarray:

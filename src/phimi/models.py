@@ -250,16 +250,18 @@ def _gather(v, index):
 
 
 def _power_rows(t, top, formed=None):
-    """Rows ``t^0 .. t^(top - 1)`` of each row of ``t`` (g, m), (g, top, m), by
-    doubling (rows j .. 2j - 1 are rows 0 .. j - 1 times t^j), continuing
-    the rows ``formed`` (g, j, m) if given."""
+    """Rows ``t^0 .. t^(top - 1)`` of each row of ``t`` (g, m), (g, top, m).
+    Row k is row k - j times t^j, j the largest power of two not above k
+    (rows j .. 2j - 1 in one product), whatever ``top``: continuing the
+    rows ``formed`` (g, i, m), if given, gives the rows formed anew."""
     p = np.empty((len(t), top, t.shape[-1]))
-    j = 1 if formed is None else formed.shape[1]
-    p[:, :j] = 1.0 if formed is None else formed
-    while j < top:
-        h = min(j, top - j)
-        np.multiply(p[:, :h], (p[:, j - 1] * t)[:, None], out=p[:, j:j + h])
-        j += h
+    i = 1 if formed is None else formed.shape[1]
+    p[:, :i] = 1.0 if formed is None else formed
+    j = 1 << (i.bit_length() - 1)
+    while i < top:
+        end = min(2 * j, top)
+        np.multiply(p[:, i - j:end - j], (p[:, j - 1] * t)[:, None], out=p[:, i:end])
+        i, j = end, 2 * j
     return p
 
 
@@ -268,8 +270,9 @@ def _power_sums(cache, side, w, top):
     for k < ``top``, each (..., top, c), from the scaled coupled column
     ``t`` (..., m) of one side (``scaled_x`` or ``scaled_y``) and weights
     ``w`` (..., m, c).  A single sample's cache keeps the power rows
-    ``t^k`` formed so far and extends them as passes need more; a stack
-    forms them in groups of rows (:func:`_row_groups`)."""
+    ``t^k`` formed so far and extends them as passes need more, to the
+    rows formed anew (:func:`_power_rows`); a stack forms them in each
+    call, in groups of rows (:func:`_row_groups`)."""
     t, size = cache["scaled_" + side], np.abs(w)
     if t.ndim == 1:
         kept = cache.get("powers_" + side)
@@ -374,8 +377,9 @@ class RatioModel:
     # _stack_cache(x, y) -> the cache of the R samples (x_r, y_r), (R, n)
     # arrays, each row over its own distinct values, on which the terms and
     # _profile take an (R, dim) theta and give one row each;
-    # _stack_size(cache) -> rows per stack of samples like that of the
-    # cache, and _take_rows(cache, rows) -> the cache of some of its rows.
+    # _stack_size(n, nx, ny) -> rows per stack of samples of size n with
+    # at most nx and ny distinct values, and _take_rows(cache, rows) -> the
+    # cache of some of its rows.
     _stack_cache = None
 
     def to_config(self) -> str:
@@ -443,9 +447,10 @@ class ExpBilinearModel(RatioModel):
 
     def _basis_rows(self, ux, uy):
         """``xi`` on distinct x values and ``zeta`` on distinct y values,
-        (..., nx, d) and (..., ny, d)."""
-        return (np.stack([p.xi(ux) for p in self.basis], axis=-1),
-                np.stack([p.zeta(uy) for p in self.basis], axis=-1))
+        (..., nx, d) and (..., ny, d); each basis function is called on the
+        values as one flat array."""
+        return (np.stack([p.xi(ux.ravel()).reshape(ux.shape) for p in self.basis], axis=-1),
+                np.stack([p.zeta(uy.ravel()).reshape(uy.shape) for p in self.basis], axis=-1))
 
     def _draw_cache(self, cache, x, y, ix, iy):
         """A resample's distinct values are some of the parent's: count the
@@ -496,16 +501,15 @@ class ExpBilinearModel(RatioModel):
         xi, ze = self._basis_rows(ux, uy)
         return self._take_rows(self._distinct_cache(xi, ix, cx, ze, iy, cy), slice(None))
 
-    def _stack_size(self, cache):
-        """Samples per stack, for samples with at most the distinct values
-        of the sample of ``cache``: what a pass holds per row stays within
-        ``_STACK_BYTES`` (the dense block, the paired second moments, or
-        for the series the moment columns, a copy of the live rows' and
-        their weighted values and absolute values); the series' power rows
-        are formed in groups of rows within it."""
-        nx, ny = cache["xi"].shape[-2], cache["ze"].shape[-2]
-        cross = 4 * cache["xim"].shape[-1] * (nx + ny) if np.any(cache["lowrank"]) else nx * ny
-        return max(1, _STACK_BYTES // (8 * max(cross, cache["n"] * (self.dim - 1))))
+    def _stack_size(self, n, nx, ny):
+        """Samples per stack, for samples of size n with at most nx and ny
+        distinct values: the arrays a pass holds per row stay within
+        ``_STACK_BYTES`` (the paired values, the moment columns, and for
+        the series a copy of the live rows' and their weighted values and
+        absolute values); the dense blocks and the series' power rows are
+        formed in groups of rows within it."""
+        cols = 1 + len(self._pairs[0]) + self.dim - 1
+        return max(1, _STACK_BYTES // (8 * max(4 * cols * (nx + ny), n * (self.dim - 1))))
 
     def _take_rows(self, cache, rows):
         """What the terms and the profile read of the rows ``rows`` (any

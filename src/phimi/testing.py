@@ -148,8 +148,8 @@ def bootstrap_statistics(ctx: ObjectiveContext, cfg: BootstrapConfig) -> np.ndar
     for an exponential bilinear model in stacks, each row over the
     replicate's own distinct values (about 0.63 n per side for continuous
     data: the size of its cross sums), one lockstep Newton run per stack,
-    with ``estimate`` on the replicate's own context as the fallback for
-    a row that fails its acceptance test; for other models one
+    with L-BFGS-B on the replicate's own context for a row that fails its
+    acceptance test, as ``estimate`` runs it; for other models one
     ``estimate`` per replicate.
     Fails if more than 5% of the replicate optimizations do not converge.
     """

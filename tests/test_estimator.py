@@ -702,6 +702,19 @@ class TestLowRankCrossSums:
         assert _series_coefficients(r) is not None and abs(r) < 700.0
         self.check_dense(monkeypatch, ctx, theta)
 
+    def test_values_do_not_depend_on_earlier_evaluations(self):
+        # the context keeps the power rows of a 13-term series and extends
+        # them for a 44-term one: to exactly the rows a fresh context forms
+        sample = sample_gaussian(GaussianSpec(0.5), 300, 0)
+        warm = ObjectiveContext(KL, gaussian_model(), sample)
+        objective_with_grad(warm, np.array([0.0, -0.01, -0.01, 0.04]))
+        kept = warm._cache["powers_x"].shape[1]
+        theta = np.array([0.1, -0.2, -0.2, 1.3])
+        value, grad = objective_with_grad(warm, theta)
+        assert warm._cache["powers_x"].shape[1] > kept > 0 and kept & (kept - 1)
+        fresh = objective_with_grad(ObjectiveContext(KL, gaussian_model(), sample), theta)
+        assert value == fresh[0] and np.array_equal(grad, fresh[1])
+
     @staticmethod
     def check_dense(monkeypatch, ctx, theta):
         """The evaluation at theta and the profile at its beta build the

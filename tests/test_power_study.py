@@ -208,7 +208,7 @@ def check_study_fits(monkeypatch, cfg):
     (test,) = cfg.tests
     div = DivergenceSpec(1.0 if test == "kl" else 2.0)
     samples, seeds = replicate_streams(cfg)
-    full = gaussian_model()._stack_size(ObjectiveContext(div, gaussian_model(), samples[0])._cache)
+    full = gaussian_model()._stack_size(cfg.n, cfg.n, cfg.n)
     monkeypatch.setattr(phimi.models, "_STACK_BYTES", phimi.models._STACK_BYTES * 30 // full)
     loop = [estimate(ObjectiveContext(div, gaussian_model(), s), seed=e)
             for s, e in zip(samples, seeds)]
@@ -220,16 +220,19 @@ def check_study_fits(monkeypatch, cfg):
         fits.extend(estimate_samples(*args))
         return fits
 
-    def counted(ctx, *, seed):
+    lbfgsb = phimi.estimator._lbfgsb
+
+    def counted(ctx, seed, evals):
         fallbacks.append(seed.spawn_key)
-        return estimate(ctx, seed=seed)
+        return lbfgsb(ctx, seed, evals)
 
     with monkeypatch.context() as patch:
         patch.setattr(phimi.power_study, "estimate_samples", recorded)
-        patch.setattr(phimi.estimator, "estimate", counted)
+        patch.setattr(phimi.estimator, "_lbfgsb", counted)
         rejected, reps = phimi.power_study._fitted_rejections(
             cfg, cfg.grid[0], mc_seq.spawn(1)[0].spawn(cfg.reps), crits)
-    assert [(f.method, f.converged) for f in fits] == [(e.method, e.converged) for e in loop]
+    assert ([(f.method, f.converged, f.objective_evals) for f in fits]
+            == [(e.method, e.converged, e.objective_evals) for e in loop])
     # a row goes to its own fit exactly where that fit leaves Newton
     assert fallbacks == [e.spawn_key for e, f in zip(seeds, loop) if f.method == "lbfgsb"]
     got = np.array([2.0 * cfg.n * f.i_hat for f in fits])
@@ -294,7 +297,7 @@ def reference_study(cfg):
 
 class TestDroppedReplicates:
     """A replicate is dropped whole when any of its tests raises PhimiError:
-    its fit (here ``estimate`` raising on chosen replicates) or a baseline
+    its fit (here its L-BFGS-B run raising on chosen replicates) or a baseline
     (``DegenerateInputError``); more than 2% dropped fails the study."""
 
     @staticmethod
@@ -302,14 +305,14 @@ class TestDroppedReplicates:
         """Make the fits of the replicates ``fits`` and the kendall test of
         ``baselines``, (grid index, replicate) pairs, raise."""
         # one profiled pass: every row leaves Newton, so each replicate's
-        # fit runs through estimate, as it did replicate by replicate
+        # fit runs L-BFGS-B, as it does replicate by replicate
         monkeypatch.setattr(phimi.estimator, "_NEWTON_PASSES", 1)
-        real_estimate, real_kendall = phimi.estimator.estimate, phimi.power_study._BASELINES["kendall"]
+        real_lbfgsb, real_kendall = phimi.estimator._lbfgsb, phimi.power_study._BASELINES["kendall"]
 
-        def estimate_or_fail(ctx, *, seed=0):
+        def lbfgsb_or_fail(ctx, seed, evals):
             if getattr(seed, "spawn_key", ())[1:3] in fits:
                 raise OptimFailureError("forced")
-            return real_estimate(ctx, seed=seed)
+            return real_lbfgsb(ctx, seed, evals)
 
         degenerate = {replicate_streams(cfg, g)[0][r].x[0] for g, r in baselines}
 
@@ -318,7 +321,7 @@ class TestDroppedReplicates:
                 raise DegenerateInputError("forced")
             return real_kendall(sample, alpha)
 
-        monkeypatch.setattr(phimi.estimator, "estimate", estimate_or_fail)
+        monkeypatch.setattr(phimi.estimator, "_lbfgsb", lbfgsb_or_fail)
         monkeypatch.setitem(phimi.power_study._BASELINES, "kendall", kendall_or_fail)
 
     def test_counts_match_replicate_loop(self, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -29,7 +31,7 @@ from phimi import (
 import phimi.estimator
 import phimi.models
 import phimi.testing
-from phimi.estimator import estimate_resamples
+from phimi.estimator import estimate_resamples, estimate_samples
 from phimi.models import BasisPair
 
 KL = DivergenceSpec(1.0)
@@ -242,23 +244,27 @@ def check_stack(monkeypatch, sample, basis, gamma):
     """Stacked replicate fits against ``estimate`` on each replicate's own
     context, in stacks of about 30 rows; returns the stacked fits."""
     ctx = ObjectiveContext(DivergenceSpec(gamma), ExpBilinearModel(STACK_BASES[basis]), sample)
-    full = ctx.model._stack_size(ctx._cache)
+    widths = [np.unique(t).size for t in (sample.x, sample.y)]
+    full = ctx.model._stack_size(sample.n, *widths)
     monkeypatch.setattr(phimi.models, "_STACK_BYTES", phimi.models._STACK_BYTES * 30 // full)
-    size = ctx.model._stack_size(ctx._cache)
+    size = ctx.model._stack_size(sample.n, *widths)
     assert 1 < size < STACK_REPS and STACK_REPS % size
     cfg = BootstrapConfig(b_reps=STACK_REPS, seed=17)
     draws = list(replicate_draws(sample.n, cfg))
     loop = [estimate(ctx.resample(ix, iy), seed=b) for b, (ix, iy) in enumerate(draws)]
     fallbacks = []
 
-    def counted(replicate, *, seed):
+    lbfgsb = phimi.estimator._lbfgsb
+
+    def counted(replicate, seed, evals):
         fallbacks.append(seed)
-        return estimate(replicate, seed=seed)
+        return lbfgsb(replicate, seed, evals)
 
     with monkeypatch.context() as patch:
-        patch.setattr(phimi.estimator, "estimate", counted)
+        patch.setattr(phimi.estimator, "_lbfgsb", counted)
         fits = estimate_resamples(ctx, draws)
-    assert [(f.method, f.converged) for f in fits] == [(e.method, e.converged) for e in loop]
+    assert ([(f.method, f.converged, f.objective_evals) for f in fits]
+            == [(e.method, e.converged, e.objective_evals) for e in loop])
     # a row goes to its own fit exactly where that fit leaves Newton
     assert fallbacks == [b for b, e in enumerate(loop) if e.method == "lbfgsb"]
     want = np.array([2.0 * sample.n * e.i_hat for e in loop])
@@ -299,6 +305,24 @@ class TestStackedReplicates:
         # replicates stop Newton and go to L-BFGS-B
         fits = check_stack(monkeypatch, STACK_SAMPLES["tied"], "xy,x2y2", -0.5)
         assert sum(f.method == "lbfgsb" for f in fits) >= 10
+
+    @pytest.mark.parametrize("name", ["tied", "continuous"])
+    def test_basis_written_for_flat_input(self, monkeypatch, name):
+        # a library basis that takes one value at a time, as math functions
+        # do, gets a stack's padded values as one flat array
+        def flat(f):
+            return lambda t: np.array([f(v) for v in t])
+
+        basis = [BasisPair("x", flat(float), flat(lambda v: 1.0)),
+                 BasisPair("tanh", flat(math.tanh), flat(math.tanh))]
+        monkeypatch.setitem(STACK_BASES, "flat", basis)
+        check_stack(monkeypatch, STACK_SAMPLES[name], "flat", 1.0)
+        model = ExpBilinearModel(basis)
+        samples = [sample_gaussian(GaussianSpec(0.5), 60, seed) for seed in range(20)]
+        fits = estimate_samples(KL, model, samples, range(20))
+        loop = [estimate(ObjectiveContext(KL, model, s), seed=e) for e, s in enumerate(samples)]
+        assert all(abs(f.i_hat - e.i_hat) <= 1e-12 * max(1.0, abs(e.i_hat))
+                   and f.method == e.method for f, e in zip(fits, loop))
 
 
 class TestPearson:
