@@ -20,10 +20,10 @@ Where that fails, where the model has more than ``_NEWTON_MAX_DIM``
 parameters, and for the copula family, L-BFGS-B on M_n does the fit.
 :func:`estimate_resamples` fits the resamples of one sample that
 bootstrap replicates draw, :func:`estimate_samples` the fresh samples of
-a power study's grid point: an exponential bilinear model fits them as
-stacks, each row over its own distinct values, with one lockstep Newton
-run per stack; a row that fails goes on to L-BFGS-B on its own context,
-as its own :func:`estimate` would.
+a power study's grid point: an exponential bilinear model, finite ones
+included, fits them as stacks, each row over its own distinct values,
+with one lockstep Newton run per stack; a row that fails goes on to
+L-BFGS-B on its own context, as its own :func:`estimate` would.
 
 For finite-discrete data the same maximization collapses to the direct
 plug-in estimate; :func:`plugin_estimate` computes that independently,
@@ -140,8 +140,7 @@ class ObjectiveContext:
     ``resamples`` is the number of rows of a stack (``None`` elsewhere).
     """
 
-    def __init__(self, divergence: DivergenceSpec, model: RatioModel,
-                 sample, rows=None, *, _drawn_from=None):
+    def __init__(self, divergence: DivergenceSpec, model: RatioModel, sample, rows=None):
         samples = [sample] if isinstance(sample, PairedSample) else list(sample)
         if any(s.kind != model.sample_kind for s in samples):
             raise SupportError(f"{model.family} models need a {model.sample_kind} sample")
@@ -160,20 +159,7 @@ class ObjectiveContext:
             return
         x, y = (sample.x, sample.y) if rows is None else (sample.x[rows], sample.y[rows])
         self.n = x.size
-        if _drawn_from is None:
-            self._cache = model._build_cache(x, y)
-        else:
-            parent, ix, iy = _drawn_from
-            self._cache = model._draw_cache(parent._cache, x, y, ix, iy)
-
-    def resample(self, ix, iy) -> "ObjectiveContext":
-        """Context on the sample ``(x[ix], y[iy])``, as a bootstrap draws it
-        from this context's sample; the model may derive its cache from
-        this context's instead of building it anew.
-        """
-        s = self.sample
-        return ObjectiveContext(self.divergence, self.model, PairedSample(s.x[ix], s.y[iy], s.kind),
-                                _drawn_from=(self, ix, iy))
+        self._cache = model._build_cache(x, y)
 
 
 def _terms(ctx: ObjectiveContext, theta, need_grad: bool):
@@ -277,9 +263,9 @@ def _ascent_step(value, grad, hess):
 
 def _profiled_newton(ctx: ObjectiveContext):
     """Newton's method on the profile of M_n in beta, from the box point
-    nearest the beta of the model's first suggested start, or nearest
-    beta = 0 where it suggests none; in lockstep over the rows of a stack
-    of samples, a single context being a stack of one.
+    nearest the beta of the model's first suggested start (one per row of
+    a stack), or nearest beta = 0 where it suggests none; in lockstep over
+    the rows of a stack of samples, a single context being a stack of one.
 
     The profile maximizes over alpha in closed form (see the model's
     ``_profile``).  Each step (:func:`_ascent_step`, one stacked ``eigh``)
@@ -306,7 +292,8 @@ def _profiled_newton(ctx: ObjectiveContext):
         value, grad, hess, alpha = model._profile(div, beta, sub)
         return np.column_stack([value, alpha, grad, hess.reshape(-1, d * d)])
 
-    beta = np.tile(np.clip(starts[0][1:] if starts else 0.0, lo[1:], hi[1:]), (rows, 1))
+    beta = np.broadcast_to(np.clip(starts[0][..., 1:] if starts else 0.0, lo[1:], hi[1:]),
+                           (rows, d)).copy()
     state = profile(beta, np.arange(rows))
     passes = np.ones(rows, dtype=int)
     theta = np.full((rows, 1 + d), np.nan)
@@ -455,64 +442,66 @@ def _lbfgsb(ctx: ObjectiveContext, seed, evals: int) -> DualEstimate:
     return _result(model, theta, value, pgnorm, "lbfgsb", evals)
 
 
-def _refit(ctx: ObjectiveContext, seed, evals) -> DualEstimate:
-    """``estimate(ctx, seed=seed)``, or where ``evals`` is given (a Newton
-    run on the context's sample failed after ``evals`` evaluations) its
-    L-BFGS-B fit alone."""
-    return estimate(ctx, seed=seed) if evals is None else _lbfgsb(ctx, seed, evals)
-
-
-def _stacked_fits(divergence, model, n, jobs, own, within=None) -> list:
+def _stacked_fits(divergence, model, n, jobs, within=None) -> list:
     """Fits of the samples of size ``n`` that the iterable ``jobs`` gives
-    with a key each, as ``(sample, key)`` pairs; ``own(sample, key, r,
-    evals)`` fits the r-th one on its own context with :func:`_refit`,
-    for a model without stacked caches (finite, copula) by
-    :func:`estimate` (``evals`` ``None``).
+    as ``(sample, seed)`` pairs: those of ``estimate`` on each sample's own
+    context, or ``None`` where that raises a :class:`PhimiError`.
 
-    An exponential bilinear model fits them first in stacks
-    (:class:`ObjectiveContext` on a sequence of samples) of
-    ``_stack_size`` rows for samples with no more distinct values on each
-    side than the sample ``within``, or than n where it is ``None``.  One
-    lockstep profiled Newton run per stack (:func:`_profiled_newton`),
-    then one stacked evaluation of M_n and its gradient applies
-    ``estimate``'s acceptance test to every row.  A row whose Newton run
-    stops at the pass cap or the halving limit, whose point leaves the
-    domain of phi or whose projected gradient exceeds ``_GRAD_TOL`` has
-    taken the path of its own sample's Newton run: ``own`` goes on with
-    L-BFGS-B, counting the row's evaluations.
+    A model that stacks caches, with at most ``_NEWTON_MAX_DIM``
+    parameters, fits them first in stacks of ``_stack_size`` rows for
+    samples with no more distinct values on each side than the sample
+    ``within``, or than n where it is ``None``.  One lockstep profiled
+    Newton run per stack (:func:`_profiled_newton`), then one stacked
+    evaluation of M_n and its gradient applies ``estimate``'s acceptance
+    test to every row.  A row whose Newton run stops at the pass cap or
+    the halving limit, whose point leaves the domain of phi or whose
+    projected gradient exceeds ``_GRAD_TOL`` has taken the path of its own
+    sample's Newton run: it goes on with L-BFGS-B on its own context,
+    counting the row's evaluations.  Other models, and the samples of a
+    stack that cannot be built, are fitted one at a time.
     """
+    def own(sample, seed, evals=None):
+        try:
+            ctx = ObjectiveContext(divergence, model, sample)
+            return estimate(ctx, seed=seed) if evals is None else _lbfgsb(ctx, seed, evals)
+        except PhimiError:
+            return None
+
     jobs = iter(jobs)
     if model._stack_cache is None or model.dim > _NEWTON_MAX_DIM:
-        return [own(sample, key, r, None) for r, (sample, key) in enumerate(jobs)]
+        return [own(*job) for job in jobs]
     widths = (n, n) if within is None else (np.unique(within.x).size, np.unique(within.y).size)
     size = model._stack_size(n, *widths)
     fits = []
     while chunk := list(islice(jobs, size)):
-        ctx = ObjectiveContext(divergence, model, [sample for sample, _ in chunk])
+        try:
+            ctx = ObjectiveContext(divergence, model, [sample for sample, _ in chunk])
+        except PhimiError:
+            fits += [own(*job) for job in chunk]
+            continue
         passes, theta = _profiled_newton(ctx)
         newton = ~np.isnan(theta[:, 0])
         value, grad = _evaluate(ctx, np.where(newton[:, None], theta, 0.0), need_grad=True)
         pgnorm = _projected_grad_norm(theta, grad, model.bounds)
         accept = newton & np.isfinite(value) & (pgnorm <= _GRAD_TOL)
         evals = passes + newton
-        for r, (sample, key) in enumerate(chunk):
-            fits.append(_result(model, theta[r], value[r], pgnorm[r], "newton", evals[r])
-                        if accept[r] else own(sample, key, len(fits), int(evals[r])))
+        fits += [_result(model, theta[r], value[r], pgnorm[r], "newton", evals[r])
+                 if accept[r] else own(sample, seed, int(evals[r]))
+                 for r, (sample, seed) in enumerate(chunk)]
     return fits
 
 
 def estimate_resamples(ctx: ObjectiveContext, draws) -> list[DualEstimate]:
     """Fits of the resamples ``(x[ix], y[iy])`` of the context's sample,
     one per index pair ``(ix, iy)`` of the iterable ``draws``: those of
-    ``estimate(ctx.resample(ix, iy), seed=b)`` for the b-th pair.  An
-    exponential bilinear model fits them in stacks; see
+    ``estimate`` on the b-th resample's own context with ``seed=b``.  A
+    model that stacks caches fits them in stacks; see
     :func:`_stacked_fits`.
     """
     s = ctx.sample
-    return _stacked_fits(
-        ctx.divergence, ctx.model, ctx.n,
-        ((PairedSample(s.x[ix], s.y[iy], s.kind), (ix, iy)) for ix, iy in draws),
-        lambda _, draw, b, evals: _refit(ctx.resample(*draw), b, evals), within=s)
+    return _stacked_fits(ctx.divergence, ctx.model, ctx.n,
+                         ((PairedSample(s.x[ix], s.y[iy], s.kind), b)
+                          for b, (ix, iy) in enumerate(draws)), within=s)
 
 
 def estimate_samples(divergence: DivergenceSpec, model: RatioModel, samples,
@@ -520,19 +509,15 @@ def estimate_samples(divergence: DivergenceSpec, model: RatioModel, samples,
     """Fits of the samples ``samples``, all of one size: those of
     ``estimate(ObjectiveContext(divergence, model, s), seed=seed)`` for each
     sample ``s`` and its seed in ``seeds``, or ``None`` where that raises a
-    :class:`PhimiError`.  An exponential bilinear model fits them in
-    stacks; see :func:`_stacked_fits`.
+    :class:`PhimiError`.  A model that stacks caches fits them in stacks;
+    see :func:`_stacked_fits`.  Raises LengthMismatchError, before any
+    fit, unless there is one seed per sample.
     """
-    samples = list(samples)
-
-    def own(sample, seed, _, evals):
-        try:
-            return _refit(ObjectiveContext(divergence, model, sample), seed, evals)
-        except PhimiError:
-            return None
-
+    samples, seeds = list(samples), list(seeds)
+    if len(samples) != len(seeds):
+        raise LengthMismatchError(f"{len(samples)} samples but {len(seeds)} seeds")
     return _stacked_fits(divergence, model, samples[0].n if samples else 1,
-                         zip(samples, seeds), own)
+                         zip(samples, seeds))
 
 
 def plugin_statistics(divergence: DivergenceSpec, counts) -> np.ndarray:
@@ -560,6 +545,8 @@ def plugin_estimate(divergence: DivergenceSpec, sample, levels=None):
     in all samples.  See :func:`plugin_statistics`.
     """
     samples = [sample] if isinstance(sample, PairedSample) else list(sample)
+    if not samples:
+        return np.zeros(0)
     x = np.concatenate([s.x for s in samples])
     y = np.concatenate([s.y for s in samples])
     if levels is None:

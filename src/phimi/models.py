@@ -221,32 +221,23 @@ def _runs(ranked):
     new = np.empty((r, n), dtype=bool)
     new[:, 0] = True
     np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
-    per = np.count_nonzero(new, axis=1)
+    per = new.sum(axis=1)
     drawn = np.arange(per.max()) < per[:, None]   # not padding
     values = np.repeat(ranked[:, -1:], drawn.shape[1], axis=1)
     values[drawn] = ranked[new]
     counts = np.zeros(drawn.shape, dtype=np.intp)
-    counts[drawn] = np.diff(np.flatnonzero(new), append=r * n)
+    counts[drawn] = np.bincount(np.cumsum(new) - 1)   # run lengths, row by row
     return values, counts, new
 
 
 def _distinct_rows(t):
     """Per row of ``t`` (R, n): the distinct values and counts of
     :func:`_runs`, and the value index of every entry, (R, n)."""
-    order = np.argsort(t, axis=1)
-    values, counts, new = _runs(np.take_along_axis(t, order, axis=1))
+    order, rows = np.argsort(t, axis=1), np.arange(len(t))[:, None]
+    values, counts, new = _runs(t[rows, order])
     index = np.empty(t.shape, dtype=np.intp)
-    np.put_along_axis(index, order, np.cumsum(new, axis=1) - 1, axis=1)
+    index[rows, order] = np.cumsum(new, axis=1) - 1
     return values, index, counts
-
-
-def _gather(v, index):
-    """``v[index]`` on each row of a stack: ``v`` (..., m, d), ``index``
-    (..., P) into its value axis."""
-    if index.ndim == 1:
-        return v[index]
-    m, d = v.shape[-2:]
-    return v.reshape(-1, d).take(index + m * np.arange(len(index))[:, None], axis=0)
 
 
 def _power_rows(t, top, formed=None):
@@ -353,11 +344,6 @@ class RatioModel:
     def _build_cache(self, x, y):
         raise NotImplementedError
 
-    def _draw_cache(self, cache, x, y, ix, iy):
-        """Cache of the resample ``(x, y)`` drawn from the sample of
-        ``cache`` at indices ``ix`` and ``iy``; equal to ``_build_cache(x, y)``."""
-        return self._build_cache(x, y)
-
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
         raise NotImplementedError
 
@@ -379,7 +365,7 @@ class RatioModel:
     # _profile take an (R, dim) theta and give one row each;
     # _stack_size(n, nx, ny) -> rows per stack of samples of size n with
     # at most nx and ny distinct values, and _take_rows(cache, rows) -> the
-    # cache of some of its rows.
+    # cache of some of its rows; its _build_cache is row 0 of a stack of one.
     _stack_cache = None
 
     def to_config(self) -> str:
@@ -435,15 +421,7 @@ class ExpBilinearModel(RatioModel):
         return h[..., None] * w
 
     def _build_cache(self, x, y):
-        # The cross pairs (x_i, y_j) run over the product of the empirical
-        # margins, which sits on distinct x times distinct y values with
-        # multiplicity weights c_x c_y / n^2.
-        ux, ix, cx = np.unique(np.asarray(x, dtype=float), return_inverse=True,
-                               return_counts=True)
-        uy, iy, cy = np.unique(np.asarray(y, dtype=float), return_inverse=True,
-                               return_counts=True)
-        xi, ze = self._basis_rows(ux, uy)
-        return self._distinct_cache(xi, ix, cx, ze, iy, cy)
+        return self._take_rows(self._stack_cache(x[None], y[None]), 0)
 
     def _basis_rows(self, ux, uy):
         """``xi`` on distinct x values and ``zeta`` on distinct y values,
@@ -451,31 +429,6 @@ class ExpBilinearModel(RatioModel):
         values as one flat array."""
         return (np.stack([p.xi(ux.ravel()).reshape(ux.shape) for p in self.basis], axis=-1),
                 np.stack([p.zeta(uy.ravel()).reshape(uy.shape) for p in self.basis], axis=-1))
-
-    def _draw_cache(self, cache, x, y, ix, iy):
-        """A resample's distinct values are some of the parent's: count the
-        parent's value index of every draw and keep the values drawn."""
-        sides = []
-        for inverse, values in zip((cache["ix"][ix], cache["iy"][iy]), cache["values"]):
-            counts = np.bincount(inverse, minlength=len(values))
-            drawn = counts > 0
-            sides += [values[drawn], (np.cumsum(drawn) - 1)[inverse], counts[drawn]]
-        return self._distinct_cache(*sides)
-
-    def _distinct_cache(self, xv, ix, cx, yv, iy, cy):
-        """Cache from what the model keeps per distinct value (here the
-        basis, (nx, d) and (ny, d)), the value index of every observation
-        and the value counts, all with a leading row axis on a stack.  The
-        n pairs sit on distinct (x, y) value pairs, with multiplicity
-        weights ``pw``."""
-        n, ny = ix.shape[-1], cy.shape[-1]
-        # flat cells ix ny + iy, each row's padded with its last at weight 0
-        pairs, counts, _ = _runs(np.sort((ix * ny + iy).reshape(-1, n), axis=1))
-        pairs, pw = pairs.reshape(ix.shape[:-1] + (-1,)), counts.reshape(ix.shape[:-1] + (-1,)) / n
-        cache = {"values": (xv, yv), "ix": ix, "iy": iy, "n": n, "cx": cx.astype(float),
-                 "cy": cy.astype(float), "pix": pairs // ny, "piy": pairs % ny, "pw": pw}
-        cache.update(self._design(xv, yv, cache))
-        return cache
 
     # What the terms and the profile read of a stacked cache: these keys
     # row by row, and the split of the terms and n as a whole
@@ -491,15 +444,19 @@ class ExpBilinearModel(RatioModel):
         zero, and its own distinct pairs, padded with its last pair at
         weight zero: a padded entry repeats one the row drew, so it changes
         no shift, domain check or bound, and adds zero to every sum.  The
-        stack keeps only what the terms and the profile read (``_PER_ROW``).
+        stack keeps what the terms and the profile read (``_PER_ROW``).
         The split into x-only, y-only and coupled terms is shared: a term
         is x-only (y-only) where it is on every row.  Each row takes the
-        dense block or the series as its own sample would (``lowrank`` per
-        row).
+        dense block or the series as its own sample would.
         """
         (ux, ix, cx), (uy, iy, cy) = _distinct_rows(x), _distinct_rows(y)
-        xi, ze = self._basis_rows(ux, uy)
-        return self._take_rows(self._distinct_cache(xi, ix, cx, ze, iy, cy), slice(None))
+        n, ny = x.shape[1], uy.shape[1]
+        # the n pairs sit on distinct value pairs (flat cells ix ny + iy)
+        pairs, counts, _ = _runs(np.sort(ix * ny + iy, axis=1))
+        cache = {"n": n, "cx": cx.astype(float), "cy": cy.astype(float),
+                 "pix": pairs // ny, "piy": pairs % ny, "pw": counts / n}
+        cache.update(self._design(*self._basis_rows(ux, uy), cache))
+        return self._take_rows(cache, slice(None))
 
     def _stack_size(self, n, nx, ny):
         """Samples per stack, for samples of size n with at most nx and ny
@@ -521,20 +478,19 @@ class ExpBilinearModel(RatioModel):
     def _design(self, xi, ze, cache):
         """Basis columns and their count-weighted moments; all but the
         split of the terms carry the leading row axis of a stack."""
-        d = xi.shape[-1]
-        every = tuple(range(xi.ndim - 1))   # the rows and the values
+        d, rows = xi.shape[-1], np.arange(len(xi))[:, None]
         # A term whose zeta (xi) is constant on the sample adds a vector
         # over x (y) to the cross exponent; the other terms are coupled.
-        x_only = np.all(ze == ze[..., :1, :], axis=every)
-        y_only = np.all(xi == xi[..., :1, :], axis=every) & ~x_only
+        x_only = np.all(ze == ze[:, :1], axis=(0, 1))   # on every row
+        y_only = np.all(xi == xi[:, :1], axis=(0, 1)) & ~x_only
         # count-weighted (1, xi, xi_k xi_l) and (1, zeta, zeta_k zeta_l);
         # first moments read the first 1 + d columns, second ones all
         xim, zem = self._moment_columns(xi, cache["cx"]), self._moment_columns(ze, cache["cy"])
         coupled = np.flatnonzero(~(x_only | y_only))
-        nx, ny = np.count_nonzero(cache["cx"], axis=-1), np.count_nonzero(cache["cy"], axis=-1)
+        nx, ny = (cache["cx"] > 0).sum(axis=-1), (cache["cy"] > 0).sum(axis=-1)
         design = {
             "xi": xi, "ze": ze,
-            "paired": _gather(xi, cache["pix"]) * _gather(ze, cache["piy"]),
+            "paired": xi[rows, cache["pix"]] * ze[rows, cache["piy"]],
             "a": xi[..., x_only] * ze[..., :1, x_only], "x_only": np.flatnonzero(x_only),
             "b": xi[..., :1, y_only] * ze[..., y_only], "y_only": np.flatnonzero(y_only),
             "coupled": coupled, "coupled_x": xi[..., coupled], "coupled_y": ze[..., coupled],
@@ -838,9 +794,9 @@ class FiniteDiscreteModel(ExpBilinearModel):
     model on the cell indicators ``1{x = a_i} 1{y = b_j}``, (i, j) != (1,
     1), over level codes: category labels (strings or numbers, mutually
     comparable within each margin) are mapped to codes by
-    :func:`encode_tokens`, once per context.  The exponent-space terms
-    and the profiled Newton fit are inherited; the feature maps they use
-    work on flat cells.
+    :func:`encode_tokens`, once per context or stack.  The exponent-space
+    terms, the profiled Newton fit and stacking are inherited; the
+    feature maps they use work on flat cells.
 
     The default box is wide: with empty cells the supremum sits at the
     boundary, and the box must leave the plug-in value reachable to well
@@ -849,7 +805,6 @@ class FiniteDiscreteModel(ExpBilinearModel):
 
     family = "finite"
     sample_kind = "categorical"
-    _stack_cache = None   # fitted one resample at a time
 
     def __init__(self, levels_x: Sequence, levels_y: Sequence,
                  alpha_bounds=(-40.0, 40.0), beta_bounds=(-80.0, 80.0)):
@@ -902,52 +857,88 @@ class FiniteDiscreteModel(ExpBilinearModel):
     def _exponent(self, beta, x, y):
         return np.concatenate([[0.0], beta])[self._cell_index(x, y)]
 
-    def _build_cache(self, x, y):
-        sides = []
-        for codes in (self.encode_x(x), self.encode_y(y)):
-            sides += np.unique(codes, return_inverse=True, return_counts=True)
-        return self._distinct_cache(*sides)
-
     # The cells are disjoint, so the model keeps the level code of each
     # distinct value instead of the basis, and its feature maps are gathers
     # and bincounts over flat cells: O(K1 K2) per evaluation, where basis
     # columns take O((K1 K2)^2) and their second moments O((K1 K2)^3).
+    # Each map works on one context and, row by row, on a stack.
+    _PER_ROW = ("pw", "pcells", "cells", "cw", "p", "q", "cross_mean")
+    _SHARED = ("n",)
+
+    def _stack_cache(self, x, y):
+        """The exponential bilinear stack over the level codes of the
+        tokens, encoded once for the whole stack."""
+        return super()._stack_cache(self.encode_x(x).reshape(x.shape),
+                                    self.encode_y(y).reshape(y.shape))
+
+    def _basis_rows(self, ux, uy):
+        return ux, uy
+
+    def _stack_size(self, n, nx, ny):
+        """Samples per stack, for samples of size n with at most nx and ny
+        distinct levels: the arrays a pass holds per row (about eight d ×
+        d in the profile and the Newton step, the distinct-value block and
+        the pairs) stay within ``_STACK_BYTES``."""
+        d, block = self.dim - 1, min(nx, self.k1) * min(ny, self.k2)
+        return max(1, _STACK_BYTES // (8 * (8 * d * d + 4 * block + 2 * n)))
+
+    def _flat(self, cells, ndim):
+        """``cells`` as indices into a flat (rows, dim) array: on a stack
+        (more than ``ndim`` axes), row r's offset by dim r."""
+        if cells.ndim == ndim:
+            return cells
+        return cells + self.dim * np.arange(len(cells)).reshape((-1,) + (1,) * ndim)
+
+    def _cell_sums(self, cells, w, ndim):
+        """Sums of the weights ``w`` per flat cell of ``cells``, (dim,) on
+        each row of a stack: one bincount."""
+        rows = cells.shape[:cells.ndim - ndim]
+        sums = np.bincount(self._flat(cells, ndim).ravel(), w.ravel(),
+                           minlength=self.dim * (len(cells) if rows else 1))
+        return sums.reshape(rows + (self.dim,))
+
+    @staticmethod
+    def _cell_params(beta):   # the parameter of each cell: cell 0 has none
+        return np.concatenate([np.zeros(beta.shape[:-1] + (1,)), beta], axis=-1)
 
     def _design(self, ux, uy, cache):
         """Flat cells of the distinct-value block and of the distinct pairs;
         the joint (``p``) and product-of-margins (``q``) mass per cell."""
-        cells = ux[:, None] * self.k2 + uy
-        cw = np.outer(cache["cx"], cache["cy"])
-        pcells = cells[cache["pix"], cache["piy"]]
-        q = np.bincount(cells.ravel(), cw.ravel(), minlength=self.dim) / cache["n"] ** 2
+        rows = np.arange(len(ux))[:, None]
+        cells = ux[:, :, None] * self.k2 + uy[:, None, :]
+        cw = cache["cx"][:, :, None] * cache["cy"][:, None, :]
+        pcells = ux[rows, cache["pix"]] * self.k2 + uy[rows, cache["piy"]]
+        q = self._cell_sums(cells, cw, 2) / cache["n"] ** 2
         return {"cells": cells, "cw": cw, "pcells": pcells,
-                "p": np.bincount(pcells, cache["pw"], minlength=self.dim), "q": q,
-                "cross_mean": np.concatenate([[1.0], q[1:]])}
+                "p": self._cell_sums(pcells, cache["pw"], 1), "q": q,
+                "cross_mean": np.concatenate([np.ones((len(ux), 1)), q[:, 1:]], axis=1)}
 
     def _paired_exponent(self, beta, cache):
-        return np.concatenate([[0.0], beta])[cache["pcells"]]
+        return self._cell_params(beta).ravel()[self._flat(cache["pcells"], 1)]
 
     def _paired_moments(self, w, cache, second=False):
-        m = np.bincount(cache["pcells"], w, minlength=self.dim)[1:]
-        return m, (np.diag(m) if second else None)
+        m = self._cell_sums(cache["pcells"], w, 1)[..., 1:]
+        return m, (m[..., :, None] * np.eye(self.dim - 1) if second else None)
 
     def _cross_sums(self, divergence, theta, cache, second, shifted):
-        s = theta[0] + np.concatenate([[0.0], theta[1:]])[cache["cells"]]
+        cells = cache["cells"]
+        s = theta[..., :1, None] + self._cell_params(theta[..., 1:]).ravel()[self._flat(cells, 2)]
         block, shift = _exp_block(divergence, s, shifted)
-        w = (block * cache["cw"]).ravel()
-        m = np.bincount(cache["cells"].ravel(), w, minlength=self.dim)
-        m[0] = w.sum()
-        return m, (np.diag(m[1:]) if second else None), shift
+        w = block * cache["cw"]
+        m = self._cell_sums(cells, w, 2)
+        m[..., 0] = w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)
+        return m, (m[..., 1:, None] * np.eye(self.dim - 1) if second else None), shift
 
     def suggest_starts(self, cache):
-        """The plug-in supremum ``h = p / q`` per cell, clipped into the box."""
+        """The plug-in supremum ``h = p / q`` per cell, clipped into the box
+        (one row per row of a stack)."""
         p, q = cache["p"], cache["q"]
         with np.errstate(divide="ignore", invalid="ignore"):
             # a cell with q = 0 has a level absent from the sample
             t = np.where(q > 0.0, np.log(p) - np.log(q), 0.0)
         b = self.bounds
-        alpha = np.clip(t[0], *b[0])
-        return [np.concatenate([[alpha], np.clip(t[1:] - alpha, b[1:, 0], b[1:, 1])])]
+        alpha = np.clip(t[..., :1], *b[0])
+        return [np.concatenate([alpha, np.clip(t[..., 1:] - alpha, b[1:, 0], b[1:, 1])], axis=-1)]
 
     def feature_pairs(self):
         """The cell indicators on raw tokens."""

@@ -14,6 +14,8 @@ statistic is computed for all replicates at once on one (reps, K, K)
 count tensor.  Fitted families fit each phi test's replicates together
 (:func:`~phimi.estimator.estimate_samples`): the Gaussian family's
 exponential bilinear model in stacks, the FGM copula one fit at a time.
+A configuration is checked before any draw, each grid value by its
+family's sampler spec.
 
 Re-running with an identical configuration (seed included) reproduces
 the table bit for bit.
@@ -107,8 +109,14 @@ class PowerStudyConfig:
             raise ValueError("need at least 100 Monte-Carlo replicates")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        if self.n < 2:
+            raise ValueError("need at least two observations per sample")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
+        for param in self.grid:
+            self._spec(param)   # raises ValueError outside the family's range
         object.__setattr__(self, "tests", tuple(self.tests))
+        if not self.tests or len(set(self.tests)) != len(self.tests):
+            raise ValueError(f"tests {self.tests} must be one or more distinct names")
         known = PHI_TESTS + BASELINE_TESTS
         for t in self.tests:
             if t not in known:
@@ -122,11 +130,22 @@ class PowerStudyConfig:
                 route = routes[t]
                 if route == "chisq" and self.family != "finite":
                     raise RouteMismatchError("chisq calibration requires the finite family")
+                if route == "bootstrap" and self.family == "finite":
+                    raise RouteMismatchError("finite studies use the plug-in statistic and "
+                                             "the chisq route")
                 if route == "ztz" and (self.family != "gaussian" or t != "kl"):
                     raise RouteMismatchError("ztz calibration applies to KL on the Gaussian family")
                 if route not in ("chisq", "ztz", "bootstrap"):
                     raise RouteMismatchError(f"unknown route {route!r}")
         object.__setattr__(self, "calibration", routes)
+
+    def _spec(self, param: float):
+        """The sampler spec of the family at grid value ``param``."""
+        if self.family == "finite":
+            return FiniteMixtureSpec(self.k, param)
+        if self.family == "gaussian":
+            return GaussianSpec(param, self.sigma)
+        return FgmSpec(param)
 
 
 @dataclass(frozen=True)
@@ -159,12 +178,11 @@ class PowerTable:
         return {r.param: r.se for r in self.rows if r.test == test}
 
 
+_SAMPLERS = {"finite": sample_finite, "gaussian": sample_gaussian, "fgm": sample_fgm}
+
+
 def _draw_sample(cfg: PowerStudyConfig, param: float, seed):
-    if cfg.family == "finite":
-        return sample_finite(FiniteMixtureSpec(cfg.k, param), cfg.n, seed)
-    if cfg.family == "gaussian":
-        return sample_gaussian(GaussianSpec(param, cfg.sigma), cfg.n, seed)
-    return sample_fgm(FgmSpec(param), cfg.n, seed)
+    return _SAMPLERS[cfg.family](cfg._spec(param), cfg.n, seed)
 
 
 def _phi_critical_values(cfg: PowerStudyConfig, calib_seq) -> dict[str, float]:
@@ -194,11 +212,7 @@ def _phi_critical_values(cfg: PowerStudyConfig, calib_seq) -> dict[str, float]:
 
 
 def _study_model(cfg: PowerStudyConfig):
-    if cfg.family == "gaussian":
-        return gaussian_model()
-    if cfg.family == "fgm":
-        return FgmCopulaModel()
-    raise RouteMismatchError("finite family uses the plug-in statistic directly")
+    return gaussian_model() if cfg.family == "gaussian" else FgmCopulaModel()
 
 
 def _finite_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
@@ -209,7 +223,7 @@ def _finite_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
     model, so each test's statistic is the plug-in one, for every
     replicate at once.
     """
-    spec = FiniteMixtureSpec(cfg.k, param)
+    spec = cfg._spec(param)
     # spawn(1)[0] is the sample stream a fitted replicate gets as spawn(2)[0]
     draws = [sample_finite(spec, cfg.n, seq.spawn(1)[0]) for seq in rep_seqs]
     rejections = {

@@ -145,12 +145,13 @@ def bootstrap_statistics(ctx: ObjectiveContext, cfg: BootstrapConfig) -> np.ndar
     replacement (separate RNG streams), so the pairing is broken; rank
     and cell statistics are recomputed on each replicate sample.  The
     replicates are fitted by :func:`~phimi.estimator.estimate_resamples`:
-    for an exponential bilinear model in stacks, each row over the
-    replicate's own distinct values (about 0.63 n per side for continuous
-    data: the size of its cross sums), one lockstep Newton run per stack,
-    with L-BFGS-B on the replicate's own context for a row that fails its
-    acceptance test, as ``estimate`` runs it; for other models one
-    ``estimate`` per replicate.
+    for an exponential bilinear model, finite ones included, in stacks,
+    each row over the replicate's own distinct values (about 0.63 n per
+    side for continuous data: the size of its cross sums), one lockstep
+    Newton run per stack, with L-BFGS-B on the replicate's own context
+    for a row that fails its acceptance test, as ``estimate`` runs it;
+    for the copula, and finite models with more than 256 parameters, one
+    ``estimate`` per replicate on its own context.
     Fails if more than 5% of the replicate optimizations do not converge.
     """
     _require_sample(ctx, "the bootstrap")

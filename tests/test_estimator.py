@@ -30,7 +30,7 @@ from phimi import (
 import phimi.estimator
 from phimi.errors import LengthMismatchError
 from phimi.divergence import NAMED_GAMMAS
-from phimi.estimator import _projected_grad_norm, objective_terms
+from phimi.estimator import _projected_grad_norm, estimate_samples, objective_terms
 from phimi.models import BasisPair, _series_coefficients, rank_transform
 
 KL = DivergenceSpec(1.0)
@@ -1021,56 +1021,78 @@ class TestEstimate:
         assert est.i_hat == pytest.approx(true_mi, abs=0.05)
 
 
-def assert_same_cache(got, expect):
-    assert got.keys() == expect.keys()
-    for key in expect:
-        a, b = got[key], expect[key]
-        if isinstance(b, (list, tuple)):
-            assert len(a) == len(b), key
-            pairs = zip(a, b)
-        else:
-            pairs = [(a, b)]
-        for u, v in pairs:
-            assert np.asarray(u).dtype == np.asarray(v).dtype, key
-            assert np.array_equal(u, v), key
+class TestEstimateSamples:
+    @pytest.mark.parametrize("model", [gaussian_model(), FgmCopulaModel()],
+                             ids=["stacked", "one-at-a-time"])
+    def test_one_seed_per_sample(self, monkeypatch, model):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(phimi.estimator, "estimate", no_fit)
+        monkeypatch.setattr(phimi.estimator, "_profiled_newton", no_fit)
+        samples = [sample_gaussian(GaussianSpec(0.3), 30, seed) for seed in range(5)]
+        with pytest.raises(LengthMismatchError, match="5 samples but 2 seeds"):
+            estimate_samples(KL, model, samples, [1, 2])
+        assert estimate_samples(KL, model, [], []) == []
 
 
-class TestResample:
-    @pytest.mark.parametrize("name", ["rounded", "two-valued", "continuous"])
-    def test_cache_equals_a_fresh_context(self, name):
-        sample = TIED[name] if name in TIED else NEWTON_SAMPLES["dependent"]
-        n = sample.n
+class TestStackRows:
+    """One cache builder: a single context's cache is row 0 of a stack of
+    one, and row r of a stack of several samples holds the entries of
+    sample r's own cache, followed by padding at zero weight."""
+
+    WEIGHTS = ("pw", "xim", "zem", "cw")   # count-weighted: zero on padding
+
+    def check(self, div, model, samples):
+        stack = ObjectiveContext(div, model, samples)._cache
+        for r, sample in enumerate(samples):
+            single = ObjectiveContext(div, model, sample)._cache
+            # the series' keys are there where some row takes the series
+            assert single.keys() <= stack.keys()
+            for key, want in single.items():
+                got = stack[key] if key in model._SHARED else stack[key][r]
+                if key in model._SHARED or np.ndim(want) == 0:
+                    assert np.array_equal(got, want), key
+                    continue
+                own = tuple(slice(0, size) for size in np.shape(want))
+                assert got.dtype == want.dtype, key
+                assert np.array_equal(got[own], want), key
+                if key in self.WEIGHTS:
+                    padding = got.copy()
+                    padding[own] = 0
+                    assert not padding.any(), key
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("basis", [["x2", "y2", "xy"], ["x", "y", "xy"], ["1", "x", "xy"]])
+    def test_expbilinear(self, basis, gamma):
+        # continuous, tied and bootstrap-drawn samples of one size: rows of
+        # different widths, on the series and on the dense block
+        base = NEWTON_SAMPLES["dependent"]
         rng = np.random.default_rng(20)
-        draws = [(rng.integers(0, n, n), rng.integers(0, n, n)) for _ in range(4)]
-        draws.append((np.full(n, 3), rng.integers(0, n, n)))   # a single x value
-        for model in (gaussian_model(), ExpBilinearModel(["x", "y", "xy"]),
-                      ExpBilinearModel(["1", "x", "xy"]), FgmCopulaModel()):
-            ctx = ObjectiveContext(CHISQ, model, sample)
-            for ix, iy in draws:
-                drawn = ctx.resample(ix, iy)
-                fresh = ObjectiveContext(CHISQ, model, PairedSample(sample.x[ix], sample.y[iy]))
-                assert drawn.n == n
-                assert np.array_equal(drawn.sample.x, fresh.sample.x)
-                assert np.array_equal(drawn.sample.y, fresh.sample.y)
-                assert_same_cache(drawn._cache, fresh._cache)
+        n = base.n
+        samples = [base, PairedSample(np.round(base.x, 1), np.round(base.y, 1)),
+                   PairedSample(rng.choice([-1.0, 2.0], n), np.round(base.y))]
+        samples += [PairedSample(base.x[rng.integers(0, n, n)], base.y[rng.integers(0, n, n)])
+                    for _ in range(3)]
+        model = ExpBilinearModel(basis)
+        lowrank = [ObjectiveContext(KL, model, s)._cache["lowrank"] for s in samples[:3]]
+        assert lowrank == [True, False, False]
+        self.check(DivergenceSpec(gamma), model, samples)
 
-    def test_finite_cache_equals_a_fresh_context(self):
-        # tokens are encoded once, by the observed sample's context; level
-        # order differs from the tokens' sort order
+    def test_finite(self):
+        # level order differs from the tokens' sort order; one sample
+        # misses a level, one leaves the reference cell ("c", "v") empty
         rng = np.random.default_rng(21)
         n = 40
-        sample = PairedSample(rng.choice(["a", "b", "c"], n), rng.choice(["u", "v"], n),
-                              kind="categorical")
+        samples = [PairedSample(rng.choice(["a", "b", "c"], n), rng.choice(["u", "v"], n),
+                                kind="categorical") for _ in range(3)]
+        samples.append(PairedSample(np.full(n, "a"), rng.choice(["u", "v"], n), "categorical"))
+        x, y = samples[0].x.copy(), samples[0].y.copy()
+        y[x == "c"] = "u"
+        samples.append(PairedSample(x, y, "categorical"))
         model = FiniteDiscreteModel(["c", "a", "b"], ["v", "u"])
-        draws = [(rng.integers(0, n, n), rng.integers(0, n, n)) for _ in range(3)]
-        draws.append((np.full(n, 5), rng.integers(0, n, n)))   # a single x level
-        ctx = ObjectiveContext(CHISQ, model, sample)
-        for ix, iy in draws:
-            drawn = ctx.resample(ix, iy)
-            fresh = ObjectiveContext(CHISQ, model,
-                                     PairedSample(sample.x[ix], sample.y[iy], "categorical"))
-            assert np.array_equal(drawn.sample.x, fresh.sample.x)
-            assert_same_cache(drawn._cache, fresh._cache)
+        for div in (KL, CHISQ):
+            self.check(div, model, samples)
 
 
 class TestPluginEstimate:
@@ -1101,6 +1123,11 @@ class TestPluginEstimate:
             plugin_estimate(DivergenceSpec(0.0), sample)
         with pytest.raises(DomainError):
             plugin_estimate(DivergenceSpec(-1.0), sample)
+
+    def test_no_samples_give_no_estimates(self):
+        # as estimate_samples gives no fits for no samples
+        out = plugin_estimate(KL, [])
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_unknown_level_raises(self):
         sample = table_to_sample(np.array([[2, 2], [2, 2]]))

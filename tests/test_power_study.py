@@ -56,6 +56,12 @@ class TestConfigValidation:
                              alpha=0.05, tests=("kl",), seed=1,
                              calibration={"kl": "chisq"})
 
+    def test_finite_family_takes_no_bootstrap(self):
+        # its plug-in statistic is calibrated by the chi-square law; the
+        # bootstrap route used to fail only at calibration
+        with pytest.raises(RouteMismatchError, match="plug-in"):
+            small_finite_cfg(calibration={"kl": "bootstrap"})
+
     def test_ztz_route_needs_gaussian_kl(self):
         with pytest.raises(RouteMismatchError):
             PowerStudyConfig(family="gaussian", grid=(0.0,), n=50, reps=100,
@@ -76,6 +82,34 @@ class TestConfigValidation:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             small_finite_cfg(grid=())
+
+    @pytest.mark.parametrize("family, overrides, match", [
+        ("finite", {"tests": ()}, "one or more distinct"),
+        ("finite", {"tests": ("kl", "kl")}, "one or more distinct"),
+        ("gaussian", {"tests": ("kendall", "kl", "kendall")}, "one or more distinct"),
+        ("finite", {"n": 1}, "two observations"),
+        ("gaussian", {"n": 0}, "two observations"),
+        ("finite", {"k": 1}, "K >= 2"),
+        ("finite", {"grid": (0.0, 1.5)}, "mixing weight"),
+        ("gaussian", {"grid": (0.0, 1.0)}, r"\|rho\|"),
+        ("gaussian", {"sigma": 0.0}, "sigma"),
+        ("fgm", {"grid": (-1.5, 0.0)}, r"\|theta\|"),
+    ])
+    def test_rejected_up_front(self, family, overrides, match):
+        # each would fail late, mid-study, or emit a wrong table
+        base = dict(family=family, grid=(0.0, 0.5), n=30, reps=100, alpha=0.05,
+                    tests=("kl",), seed=1)
+        base.update(overrides)
+        with pytest.raises(ValueError, match=match):
+            PowerStudyConfig(**base)
+
+    def test_family_range_edges_accepted(self):
+        assert small_finite_cfg(grid=(0.0, 1.0)).grid == (0.0, 1.0)
+        PowerStudyConfig(family="fgm", grid=(-1.0, 1.0), n=2, reps=100, alpha=0.05,
+                         tests=("kl",), seed=1)
+        # k only sizes the finite family's table
+        PowerStudyConfig(family="gaussian", grid=(-0.99, 0.99), n=30, reps=100, alpha=0.05,
+                         tests=("kl",), seed=1, k=1)
 
 
 class TestRunStudy:

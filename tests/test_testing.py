@@ -11,12 +11,14 @@ from phimi import (
     ExpBilinearModel,
     FgmCopulaModel,
     FiniteDiscreteModel,
+    FiniteMixtureSpec,
     FoldContextError,
     GaussianSpec,
     ObjectiveContext,
     OptimFailureError,
     PairedSample,
     RouteMismatchError,
+    SupportError,
     estimate,
     bootstrap_critical,
     bootstrap_statistics,
@@ -24,6 +26,7 @@ from phimi import (
     kendall_tau,
     kendall_test,
     pearson_test,
+    sample_finite,
     sample_gaussian,
     spearman_test,
     test_independence,
@@ -35,6 +38,7 @@ from phimi.estimator import estimate_resamples, estimate_samples
 from phimi.models import BasisPair
 
 KL = DivergenceSpec(1.0)
+CHISQ = DivergenceSpec(2.0)
 
 
 def categorical_sample(counts):
@@ -240,18 +244,20 @@ def replicate_draws(n, cfg):
         yield rng_x.integers(0, n, n), rng_y.integers(0, n, n)
 
 
-def check_stack(monkeypatch, sample, basis, gamma):
+def check_stack(monkeypatch, sample, model, gamma):
     """Stacked replicate fits against ``estimate`` on each replicate's own
     context, in stacks of about 30 rows; returns the stacked fits."""
-    ctx = ObjectiveContext(DivergenceSpec(gamma), ExpBilinearModel(STACK_BASES[basis]), sample)
+    ctx = ObjectiveContext(DivergenceSpec(gamma), model, sample)
     widths = [np.unique(t).size for t in (sample.x, sample.y)]
-    full = ctx.model._stack_size(sample.n, *widths)
+    full = model._stack_size(sample.n, *widths)
     monkeypatch.setattr(phimi.models, "_STACK_BYTES", phimi.models._STACK_BYTES * 30 // full)
-    size = ctx.model._stack_size(sample.n, *widths)
+    size = model._stack_size(sample.n, *widths)
     assert 1 < size < STACK_REPS and STACK_REPS % size
     cfg = BootstrapConfig(b_reps=STACK_REPS, seed=17)
     draws = list(replicate_draws(sample.n, cfg))
-    loop = [estimate(ctx.resample(ix, iy), seed=b) for b, (ix, iy) in enumerate(draws)]
+    loop = [estimate(ObjectiveContext(ctx.divergence, model,
+                                      PairedSample(sample.x[ix], sample.y[iy], sample.kind)),
+                     seed=b) for b, (ix, iy) in enumerate(draws)]
     fallbacks = []
 
     lbfgsb = phimi.estimator._lbfgsb
@@ -268,42 +274,88 @@ def check_stack(monkeypatch, sample, basis, gamma):
     # a row goes to its own fit exactly where that fit leaves Newton
     assert fallbacks == [b for b, e in enumerate(loop) if e.method == "lbfgsb"]
     want = np.array([2.0 * sample.n * e.i_hat for e in loop])
-    if sum(not e.converged for e in loop) > 0.05 * STACK_REPS:
-        with pytest.raises(OptimFailureError):
-            bootstrap_statistics(ctx, cfg)
-    else:
-        got = bootstrap_statistics(ctx, cfg)
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    got = np.array([2.0 * sample.n * f.i_hat for f in fits])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    # bootstrap_statistics asks for these fits, of the same draws
+    asked = []
+
+    def fitted(context, replicates):
+        asked.append((context, [(ix.copy(), iy.copy()) for ix, iy in replicates]))
+        return fits
+
+    with monkeypatch.context() as patch:
+        patch.setattr(phimi.testing, "estimate_resamples", fitted)
+        if sum(not e.converged for e in loop) > 0.05 * STACK_REPS:
+            with pytest.raises(OptimFailureError):
+                bootstrap_statistics(ctx, cfg)
+        else:
+            assert np.array_equal(bootstrap_statistics(ctx, cfg), got)
+    [(context, replicates)] = asked
+    assert context is ctx and len(replicates) == len(draws)
+    assert all(np.array_equal(a, c) and np.array_equal(b, d)
+               for (a, b), (c, d) in zip(replicates, draws))
     return fits
 
 
+def finite_stack_samples():
+    rng = np.random.default_rng(41)
+    # x level 0 is drawn once: about a third of the replicates miss it, and
+    # most others leave the reference cell (0, 0) or its neighbour empty
+    rare = categorical_sample([[1, 0], [100, 99]])
+    # the observed reference cell is empty; every margin is dependent
+    probs = rng.dirichlet(np.ones(12)).reshape(3, 4) + 0.1 * np.eye(3, 4)
+    probs[0, 0] = 0.0
+    table = rng.multinomial(60, probs.ravel() / probs.sum()).reshape(3, 4)
+    return {"2x2": rare, "3x4": categorical_sample(table),
+            "5x5": categorical_sample(rng.multinomial(40, np.full(25, 0.04)).reshape(5, 5))}
+
+
+FINITE_STACK_SAMPLES = finite_stack_samples()
+
+
 class TestStackedReplicates:
-    """bootstrap_statistics fits exponential bilinear replicates as stacks;
-    a loop of ``estimate`` on each replicate is the oracle."""
+    """bootstrap_statistics fits exponential bilinear replicates, finite
+    ones included, as stacks; a loop of ``estimate`` on each replicate's
+    own context is the oracle."""
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5, 0.0, -0.5])
     @pytest.mark.parametrize("basis", list(STACK_BASES))
     @pytest.mark.parametrize("name", ["tied", "continuous"])
     def test_matches_replicate_fits(self, monkeypatch, name, basis, gamma):
-        ctx = ObjectiveContext(KL, ExpBilinearModel(STACK_BASES[basis]), STACK_SAMPLES[name])
+        model = ExpBilinearModel(STACK_BASES[basis])
+        ctx = ObjectiveContext(KL, model, STACK_SAMPLES[name])
         # the tied sample takes the dense block, the continuous one the
         # series wherever the basis has one coupled term
         assert ctx._cache["lowrank"] == (name == "continuous" and basis != "xy,x2y2")
-        check_stack(monkeypatch, STACK_SAMPLES[name], basis, gamma)
+        check_stack(monkeypatch, STACK_SAMPLES[name], model, gamma)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5, 0.0, -1.0])
+    @pytest.mark.parametrize("name", list(FINITE_STACK_SAMPLES))
+    def test_finite_matches_replicate_fits(self, monkeypatch, name, gamma):
+        sample = FINITE_STACK_SAMPLES[name]
+        k1, k2 = (int(name[0]), int(name[2]))
+        n = sample.n
+        draws = list(replicate_draws(n, BootstrapConfig(b_reps=STACK_REPS, seed=17)))
+        if name == "2x2":
+            assert any(0 not in sample.x[ix] for ix, _ in draws)
+        if name == "3x4":
+            assert not np.any((sample.x == 0) & (sample.y == 0))
+        check_stack(monkeypatch, sample, FiniteDiscreteModel(range(k1), range(k2)), gamma)
 
     @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0])
     def test_undrawn_outlier_stays_out(self, monkeypatch, gamma):
         # x = 1e3 puts the cross exponent at the outlier far past exp's
         # range for the betas of the replicates that do not draw it
         sample = STACK_SAMPLES["outlier"]
-        fits = check_stack(monkeypatch, sample, "x2,y2,xy", gamma)
+        fits = check_stack(monkeypatch, sample, ExpBilinearModel(STACK_BASES["x2,y2,xy"]), gamma)
         methods = {f.method for f in fits}
         assert methods == {"newton", "lbfgsb"}
 
     def test_fallback_rows_take_the_replicate_fit(self, monkeypatch):
         # below gamma = 0 the sup is unbounded on dependent data: many
         # replicates stop Newton and go to L-BFGS-B
-        fits = check_stack(monkeypatch, STACK_SAMPLES["tied"], "xy,x2y2", -0.5)
+        fits = check_stack(monkeypatch, STACK_SAMPLES["tied"],
+                           ExpBilinearModel(STACK_BASES["xy,x2y2"]), -0.5)
         assert sum(f.method == "lbfgsb" for f in fits) >= 10
 
     @pytest.mark.parametrize("name", ["tied", "continuous"])
@@ -313,16 +365,32 @@ class TestStackedReplicates:
         def flat(f):
             return lambda t: np.array([f(v) for v in t])
 
-        basis = [BasisPair("x", flat(float), flat(lambda v: 1.0)),
-                 BasisPair("tanh", flat(math.tanh), flat(math.tanh))]
-        monkeypatch.setitem(STACK_BASES, "flat", basis)
-        check_stack(monkeypatch, STACK_SAMPLES[name], "flat", 1.0)
-        model = ExpBilinearModel(basis)
+        model = ExpBilinearModel([BasisPair("x", flat(float), flat(lambda v: 1.0)),
+                                  BasisPair("tanh", flat(math.tanh), flat(math.tanh))])
+        check_stack(monkeypatch, STACK_SAMPLES[name], model, 1.0)
         samples = [sample_gaussian(GaussianSpec(0.5), 60, seed) for seed in range(20)]
         fits = estimate_samples(KL, model, samples, range(20))
         loop = [estimate(ObjectiveContext(KL, model, s), seed=e) for e, s in enumerate(samples)]
         assert all(abs(f.i_hat - e.i_hat) <= 1e-12 * max(1.0, abs(e.i_hat))
                    and f.method == e.method for f, e in zip(fits, loop))
+
+    def test_finite_study_samples(self):
+        # fresh samples, as a study fits them; one with a token outside the
+        # levels gets None, as its own context raises SupportError
+        model = FiniteDiscreteModel(range(1, 4), range(1, 4))
+        samples = [sample_finite(FiniteMixtureSpec(3, 0.3), 40, seed) for seed in range(30)]
+        samples[7] = PairedSample(np.where(samples[7].x == 2, 9, samples[7].x), samples[7].y,
+                                  "categorical")
+        fits = estimate_samples(CHISQ, model, samples, range(30))
+        with pytest.raises(SupportError):
+            ObjectiveContext(CHISQ, model, samples[7])
+        assert fits[7] is None
+        for seed, (fit, sample) in enumerate(zip(fits, samples)):
+            if seed != 7:
+                want = estimate(ObjectiveContext(CHISQ, model, sample), seed=seed)
+                assert (fit.method, fit.converged, fit.objective_evals) == (
+                    want.method, want.converged, want.objective_evals)
+                assert abs(fit.i_hat - want.i_hat) <= 1e-12 * max(1.0, abs(want.i_hat))
 
 
 class TestPearson:
