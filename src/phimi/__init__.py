@@ -78,6 +78,7 @@ from .samplers import (
     GaussianSpec,
     sample_fgm,
     sample_finite,
+    sample_finite_tables,
     sample_gaussian,
 )
 from .power_study import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import secrets
 import sys
@@ -144,6 +145,7 @@ def _add_div_flags(p: _Parser):
                    help="power-family index (overrides --divergence)")
 
 
+@functools.cache   # built once per process; nothing changes a parser after this
 def build_parser() -> _Parser:
     parser = _Parser(prog="phimi",
                      description="Semiparametric phi-mutual-information "

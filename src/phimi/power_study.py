@@ -8,12 +8,13 @@ the Gaussian family (exact moments of the normal margins, Monte-Carlo
 quantile), and a single bootstrap on an independence pilot sample for
 the bootstrap route.
 
-Each replicate of a grid point draws its sample from its own stream.  A
-finite-family grid point is evaluated as one batch: each test's plug-in
-statistic is computed for all replicates at once on one (reps, K, K)
-count tensor.  Fitted families fit each phi test's replicates together
-(:func:`~phimi.estimator.estimate_samples`): the Gaussian family's
-exponential bilinear model in stacks, the FGM copula one fit at a time.
+A finite-family grid point draws all its replicates' contingency tables
+from one generator, as one (reps, K, K) count tensor, and each test's
+plug-in statistic is computed for all of them at once.  Fitted families
+draw each replicate's sample from its own stream and fit each phi test's
+replicates together (:func:`~phimi.estimator.estimate_samples`): the
+Gaussian family's exponential bilinear model in stacks, the FGM copula
+one fit at a time.
 A configuration is checked before any draw, each grid value by its
 family's sampler spec.
 
@@ -32,17 +33,18 @@ import numpy as np
 from .asymptotics import chi2_quantile, covariances_under_h0, limit_quantile_ztz, normal_margin
 from .divergence import DivergenceSpec
 from .errors import ParseError, PhimiError, RouteMismatchError
-from .estimator import ObjectiveContext, estimate_samples, plugin_estimate
+from .estimator import ObjectiveContext, estimate_samples, plugin_statistics
 from .models import FgmCopulaModel, gaussian_model
 from .samplers import (
     FgmSpec,
     FiniteMixtureSpec,
     GaussianSpec,
     sample_fgm,
-    sample_finite,
+    sample_finite_tables,
     sample_gaussian,
 )
 from .testing import (
+    MIN_BASELINE_N,
     BootstrapConfig,
     bootstrap_critical,
     kendall_test,
@@ -96,7 +98,7 @@ class PowerStudyConfig:
     sigma: float = 1.0
     b_reps: int = 1000
     # ignored: normal moments are exact; kept while the benchmark's smoke
-    # config passes it (ROADMAP item 4)
+    # config passes it (ROADMAP item 1), to be deleted by item 6
     moment_draws: int = 1_000_000
     ztz_draws: int = 10_000
 
@@ -121,8 +123,11 @@ class PowerStudyConfig:
         for t in self.tests:
             if t not in known:
                 raise ValueError(f"unknown test {t!r}; choose from {known}")
-        if self.family == "finite" and any(t in BASELINE_TESTS for t in self.tests):
+        baselines = [t for t in self.tests if t in BASELINE_TESTS]
+        if self.family == "finite" and baselines:
             raise ValueError("noncorrelation baselines need real-valued families")
+        if baselines and self.n < MIN_BASELINE_N:
+            raise ValueError(f"baseline tests {tuple(baselines)} need n >= {MIN_BASELINE_N}")
         routes = dict(_DEFAULT_ROUTES[self.family])
         routes.update(self.calibration)
         for t in self.tests:
@@ -178,7 +183,7 @@ class PowerTable:
         return {r.param: r.se for r in self.rows if r.test == test}
 
 
-_SAMPLERS = {"finite": sample_finite, "gaussian": sample_gaussian, "fgm": sample_fgm}
+_SAMPLERS = {"gaussian": sample_gaussian, "fgm": sample_fgm}
 
 
 def _draw_sample(cfg: PowerStudyConfig, param: float, seed):
@@ -215,23 +220,22 @@ def _study_model(cfg: PowerStudyConfig):
     return gaussian_model() if cfg.family == "gaussian" else FgmCopulaModel()
 
 
-def _finite_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
+def _finite_rejections(cfg: PowerStudyConfig, param: float, gseq,
                        crits: dict[str, float]) -> tuple[dict[str, int], int]:
     """All replicates of one grid point as one batch.
 
-    Dual and plug-in estimates coincide on the saturated finite-discrete
-    model, so each test's statistic is the plug-in one, for every
-    replicate at once.
+    The grid point's stream ``gseq`` draws every replicate's contingency
+    table in one call.  Dual and plug-in estimates coincide on the
+    saturated finite-discrete model, so each test's statistic is the
+    plug-in one, for every table at once.
     """
-    spec = cfg._spec(param)
-    # spawn(1)[0] is the sample stream a fitted replicate gets as spawn(2)[0]
-    draws = [sample_finite(spec, cfg.n, seq.spawn(1)[0]) for seq in rep_seqs]
+    tables = sample_finite_tables(cfg._spec(param), cfg.n, cfg.reps, gseq)
     rejections = {
         t: int(np.count_nonzero(
-            2.0 * cfg.n * plugin_estimate(_DIVERGENCES[t], draws, spec.levels) > crits[t]))
+            2.0 * cfg.n * plugin_statistics(_DIVERGENCES[t], tables) > crits[t]))
         for t in cfg.tests
     }
-    return rejections, len(draws)
+    return rejections, cfg.reps
 
 
 def _fitted_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
@@ -275,12 +279,14 @@ def run_power_study(cfg: PowerStudyConfig) -> PowerTable:
     root = np.random.SeedSequence(cfg.seed)
     calib_seq, mc_seq = root.spawn(2)
     crits = _phi_critical_values(cfg, calib_seq)
-    rejections = _finite_rejections if cfg.family == "finite" else _fitted_rejections
 
     grid_seqs = mc_seq.spawn(len(cfg.grid))
     rows: dict[str, list[PowerRow]] = {t: [] for t in cfg.tests}
     for param, gseq in zip(cfg.grid, grid_seqs):
-        rejected, reps = rejections(cfg, param, gseq.spawn(cfg.reps), crits)
+        if cfg.family == "finite":
+            rejected, reps = _finite_rejections(cfg, param, gseq, crits)
+        else:
+            rejected, reps = _fitted_rejections(cfg, param, gseq.spawn(cfg.reps), crits)
         for t in cfg.tests:
             rows[t].append(PowerRow(t, param, rejected[t], reps, cfg.n, cfg.alpha))
     ordered = tuple(row for t in cfg.tests for row in rows[t])

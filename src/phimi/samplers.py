@@ -17,6 +17,7 @@ __all__ = [
     "GaussianSpec",
     "FgmSpec",
     "sample_finite",
+    "sample_finite_tables",
     "sample_gaussian",
     "sample_fgm",
 ]
@@ -82,6 +83,18 @@ def sample_finite(spec: FiniteMixtureSpec, n: int, seed) -> PairedSample:
     y_indep = rng.integers(1, spec.k + 1, size=n)
     y = np.where(mix, x, y_indep)
     return PairedSample(x, y, kind="categorical")
+
+
+def sample_finite_tables(spec: FiniteMixtureSpec, n: int, reps: int, seed) -> np.ndarray:
+    """``reps`` contingency tables of n pairs each, shape (reps, K, K).
+
+    A table is the sufficient statistic of n iid pairs from
+    ``spec.cell_probs()``, so each has the law of the counts of a
+    :func:`sample_finite` sample; all are drawn by one multinomial call.
+    """
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(n, spec.cell_probs().ravel(), size=reps)
+    return counts.reshape(reps, spec.k, spec.k)
 
 
 def sample_gaussian(spec: GaussianSpec, n: int, seed) -> PairedSample:

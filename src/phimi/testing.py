@@ -179,11 +179,15 @@ def bootstrap_critical(ctx: ObjectiveContext, cfg: BootstrapConfig) -> float:
 # -- baseline noncorrelation tests ----------------------------------------
 
 
+# the fewest observations the noncorrelation baselines accept
+MIN_BASELINE_N = 4
+
+
 def _check_baseline_sample(sample: PairedSample):
     if sample.kind != "real":
         raise DegenerateInputError("noncorrelation tests need real-valued data")
-    if sample.n < 4:
-        raise DegenerateInputError("need at least four observations")
+    if sample.n < MIN_BASELINE_N:
+        raise DegenerateInputError(f"need at least {MIN_BASELINE_N} observations")
     x = np.asarray(sample.x, dtype=float)
     y = np.asarray(sample.y, dtype=float)
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:

@@ -1,3 +1,5 @@
+from io import StringIO
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ import phimi.estimator
 import phimi.models
 import phimi.power_study
 from phimi.asymptotics import normal_margin
+from phimi.cli import run as cli_run
 from phimi.errors import RouteMismatchError
 from phimi.estimator import estimate_samples
 from phimi.power_study import _phi_critical_values
@@ -94,6 +97,9 @@ class TestConfigValidation:
         ("gaussian", {"grid": (0.0, 1.0)}, r"\|rho\|"),
         ("gaussian", {"sigma": 0.0}, "sigma"),
         ("fgm", {"grid": (-1.5, 0.0)}, r"\|theta\|"),
+        # every baseline sample would fail at n < 4
+        ("gaussian", {"n": 3, "tests": ("kendall",)}, "n >= 4"),
+        ("fgm", {"n": 2, "tests": ("kl", "pearson")}, "n >= 4"),
     ])
     def test_rejected_up_front(self, family, overrides, match):
         # each would fail late, mid-study, or emit a wrong table
@@ -110,6 +116,8 @@ class TestConfigValidation:
         # k only sizes the finite family's table
         PowerStudyConfig(family="gaussian", grid=(-0.99, 0.99), n=30, reps=100, alpha=0.05,
                          tests=("kl",), seed=1, k=1)
+        PowerStudyConfig(family="gaussian", grid=(0.0,), n=4, reps=100, alpha=0.05,
+                         tests=("pearson", "spearman", "kendall"), seed=1)
 
 
 class TestRunStudy:
@@ -179,7 +187,12 @@ def reference_plugin(divergence, sample, levels):
     iy = [tables[1][tok] for tok in sample.y.tolist()]
     counts = np.zeros((len(tables[0]), len(tables[1])))
     np.add.at(counts, (ix, iy), 1.0)
-    p = counts / sample.n
+    return reference_table_plugin(divergence, counts)
+
+
+def reference_table_plugin(divergence, counts):
+    """The plug-in of one contingency table, over its cells with q > 0."""
+    p = counts / counts.sum()
     q = np.outer(p.sum(axis=1), p.sum(axis=0))
     mask = q > 0.0
     return float(divergence.phi(p[mask] / q[mask]) @ q[mask])
@@ -202,20 +215,35 @@ class TestFiniteBatch:
 
     @pytest.mark.parametrize("k, seed", [(2, 5), (3, 8)])
     def test_study_matches_replicate_loop(self, k, seed):
+        # each grid point's tables come from one multinomial call on its
+        # own stream; each is tested on its own
         cfg = small_finite_cfg(k=k, seed=seed, n=20, grid=(0.0, 0.3, 0.6))
         table = run_power_study(cfg)
         calib_seq, mc_seq = np.random.SeedSequence(cfg.seed).spawn(2)
         crit = chi2_quantile(1.0 - cfg.alpha, (k - 1) ** 2)
         for param, gseq in zip(cfg.grid, mc_seq.spawn(len(cfg.grid))):
-            spec = FiniteMixtureSpec(k, param)
-            samples = [sample_finite(spec, cfg.n, seq.spawn(2)[0])
-                       for seq in gseq.spawn(cfg.reps)]
+            probs = FiniteMixtureSpec(k, param).cell_probs().ravel()
+            counts = np.random.default_rng(gseq).multinomial(cfg.n, probs, size=cfg.reps)
             for test, gamma in (("kl", 1.0), ("chisq", 2.0)):
                 expected = sum(
-                    2.0 * cfg.n * plugin_estimate(DivergenceSpec(gamma), s, spec.levels)
-                    > crit for s in samples)
+                    2.0 * cfg.n * reference_table_plugin(DivergenceSpec(gamma),
+                                                         c.reshape(k, k)) > crit
+                    for c in counts)
                 row, = (r for r in table.rows if r.test == test and r.param == param)
                 assert (row.rejections, row.reps) == (expected, cfg.reps)
+
+    def test_cli_study_keeps_its_recorded_counts(self, tmp_path):
+        # pins the finite stream: a change to how tables are drawn moves these
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("[study]\nfamily = finite\nk = 2\ngrid = 0, 0.48\nn = 30\n"
+                       "reps = 200\nalpha = 0.01\ntests = kl, chisq\nseed = 4242\n")
+        out = tmp_path / "table.csv"
+        assert cli_run(["power", "--config", str(cfg), "--out", str(out)],
+                       out=StringIO()) == 0
+        rows = parse_results(out.read_text()).rows
+        assert [(r.test, r.param, r.rejections, r.reps) for r in rows] == [
+            ("kl", 0.0, 5, 200), ("kl", 0.48, 124, 200),
+            ("chisq", 0.0, 4, 200), ("chisq", 0.48, 116, 200)]
 
 
 def replicate_streams(cfg, g=0):

@@ -8,6 +8,7 @@ from phimi import (
     GaussianSpec,
     sample_fgm,
     sample_finite,
+    sample_finite_tables,
     sample_gaussian,
 )
 
@@ -35,6 +36,24 @@ class TestFiniteMixture:
         s = sample_finite(FiniteMixtureSpec(2, 0.5), 100_000, seed=2)
         match = np.mean(s.x == s.y)
         assert match == pytest.approx(0.75, abs=4 * np.sqrt(0.75 * 0.25 / 100_000))
+
+    def test_tables_shape_and_totals(self):
+        tables = sample_finite_tables(FiniteMixtureSpec(3, 0.4), 25, 400, seed=3)
+        assert tables.shape == (400, 3, 3)
+        assert np.all(tables.sum(axis=(1, 2)) == 25)
+        assert np.all(tables >= 0)
+
+    def test_tables_full_dependence(self):
+        tables = sample_finite_tables(FiniteMixtureSpec(4, 1.0), 50, 300, seed=4)
+        off = ~np.eye(4, dtype=bool)
+        assert np.all(tables[:, off] == 0)
+
+    def test_tables_mean_matches_cell_probabilities(self):
+        spec, n, reps = FiniteMixtureSpec(3, 0.4), 30, 20_000
+        tables = sample_finite_tables(spec, n, reps, seed=5)
+        p = spec.cell_probs()
+        se = np.sqrt(n * p * (1.0 - p) / reps)   # per-cell multinomial SE of the mean
+        assert np.all(np.abs(tables.mean(axis=0) - n * p) <= 4.0 * se)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,3 +141,9 @@ class TestDeterminism:
         c = draw(4321)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
         assert not np.array_equal(a.x, c.x)
+
+    def test_same_seed_same_tables(self):
+        spec = FiniteMixtureSpec(3, 0.4)
+        a = sample_finite_tables(spec, 40, 200, 1234)
+        assert np.array_equal(a, sample_finite_tables(spec, 40, 200, 1234))
+        assert not np.array_equal(a, sample_finite_tables(spec, 40, 200, 4321))
