@@ -18,23 +18,23 @@ normalizer alpha in closed form, and checks the result with one full
 evaluation of M_n; finite models start at their plug-in supremum.
 Where that fails, where the model has more than ``_NEWTON_MAX_DIM``
 parameters, and for the copula family, L-BFGS-B on M_n does the fit.
-:func:`estimate_resamples` fits the resamples of one sample that
-bootstrap replicates draw, :func:`estimate_samples` the fresh samples of
-a power study's grid point: an exponential bilinear model, finite ones
-included, fits them as stacks, each row over its own distinct values,
-with one lockstep Newton run per stack; a row that fails goes on to
-L-BFGS-B on its own context, as its own :func:`estimate` would.
+:func:`estimate_resamples` fits the resamples of one sample that a
+bootstrap draws as two index matrices, :func:`estimate_samples` the
+fresh samples of a power study's grid point: an exponential bilinear
+model, finite ones included, fits them as stacks, each row over its own
+distinct values, with one lockstep Newton run per stack; a row that
+fails goes on to L-BFGS-B on its own context, as its own
+:func:`estimate` would.
 
 For finite-discrete data the same maximization collapses to the direct
-plug-in estimate; :func:`plugin_estimate` computes that independently,
-for one sample or a whole batch, and serves as an oracle for the
-optimizer.
+plug-in estimate; :func:`plugin_estimate` computes that independently
+for one sample, :func:`plugin_statistics` for a batch of contingency
+tables, and both serve as oracles for the optimizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.optimize import minimize
@@ -153,13 +153,27 @@ class ObjectiveContext:
                 raise SupportError(f"{model.family} models do not stack samples")
             if len({s.n for s in samples}) != 1:
                 raise LengthMismatchError("a stack needs one or more samples of one size")
-            self.sample, self.resamples, self.n = None, len(samples), samples[0].n
-            self._cache = model._stack_cache(np.stack([s.x for s in samples]),
-                                             np.stack([s.y for s in samples]))
+            self._stack(*model._stack_values(np.stack([s.x for s in samples]),
+                                             np.stack([s.y for s in samples])))
             return
         x, y = (sample.x, sample.y) if rows is None else (sample.x[rows], sample.y[rows])
         self.n = x.size
         self._cache = model._build_cache(x, y)
+
+    def _stack(self, x, y):
+        """Make this context the stack of the samples ``(x_r, y_r)``, (R, n)
+        arrays of the model's stack values."""
+        self.sample, (self.resamples, self.n) = None, x.shape
+        self._cache = self.model._stack_cache(x, y)
+
+    @classmethod
+    def _stacked(cls, divergence: DivergenceSpec, model: RatioModel, x, y) -> "ObjectiveContext":
+        """The stack of the samples ``(x_r, y_r)``, (R, n) arrays of the
+        model's stack values, built without a PairedSample."""
+        ctx = cls.__new__(cls)
+        ctx.divergence, ctx.model = divergence, model
+        ctx._stack(x, y)
+        return ctx
 
 
 def _terms(ctx: ObjectiveContext, theta, need_grad: bool):
@@ -442,42 +456,44 @@ def _lbfgsb(ctx: ObjectiveContext, seed, evals: int) -> DualEstimate:
     return _result(model, theta, value, pgnorm, "lbfgsb", evals)
 
 
-def _stacked_fits(divergence, model, n, jobs, within=None) -> list:
-    """Fits of the samples of size ``n`` that the iterable ``jobs`` gives
-    as ``(sample, seed)`` pairs: those of ``estimate`` on each sample's own
-    context, or ``None`` where that raises a :class:`PhimiError`.
+def _stacked_fits(divergence, model, seeds, stack_values, sample, sizes) -> list:
+    """Fits of the samples of one size n, one per seed in ``seeds``: those
+    of ``estimate`` on each sample's own context with its seed, or
+    ``None`` where that raises a :class:`PhimiError`.  ``stack_values(a,
+    b)`` gives samples a to b - 1 as two (b - a, n) arrays of the model's
+    stack values, ``sample(r)`` sample r as a PairedSample; ``sizes`` is
+    n and bounds on every sample's distinct values on each side.
 
     A model that stacks caches, with at most ``_NEWTON_MAX_DIM``
-    parameters, fits them first in stacks of ``_stack_size`` rows for
-    samples with no more distinct values on each side than the sample
-    ``within``, or than n where it is ``None``.  One lockstep profiled
-    Newton run per stack (:func:`_profiled_newton`), then one stacked
-    evaluation of M_n and its gradient applies ``estimate``'s acceptance
-    test to every row.  A row whose Newton run stops at the pass cap or
-    the halving limit, whose point leaves the domain of phi or whose
-    projected gradient exceeds ``_GRAD_TOL`` has taken the path of its own
-    sample's Newton run: it goes on with L-BFGS-B on its own context,
-    counting the row's evaluations.  Other models, and the samples of a
-    stack that cannot be built, are fitted one at a time.
+    parameters, fits them first in stacks of ``_stack_size`` rows, each
+    built from ``stack_values`` alone.  One lockstep profiled Newton run
+    per stack (:func:`_profiled_newton`), then one stacked evaluation of
+    M_n and its gradient applies ``estimate``'s acceptance test to every
+    row.  A row whose Newton run stops at the pass cap or the halving
+    limit, whose point leaves the domain of phi or whose projected
+    gradient exceeds ``_GRAD_TOL`` has taken the path of its own sample's
+    Newton run: it goes on with L-BFGS-B on its own context, counting the
+    row's evaluations.  Other models, and the samples of a stack that
+    cannot be built, are fitted one at a time.
     """
-    def own(sample, seed, evals=None):
+    def own(r, evals=None):
         try:
-            ctx = ObjectiveContext(divergence, model, sample)
-            return estimate(ctx, seed=seed) if evals is None else _lbfgsb(ctx, seed, evals)
+            ctx = ObjectiveContext(divergence, model, sample(r))
+            return (estimate(ctx, seed=seeds[r]) if evals is None
+                    else _lbfgsb(ctx, seeds[r], evals))
         except PhimiError:
             return None
 
-    jobs = iter(jobs)
+    count = len(seeds)
     if model._stack_cache is None or model.dim > _NEWTON_MAX_DIM:
-        return [own(*job) for job in jobs]
-    widths = (n, n) if within is None else (np.unique(within.x).size, np.unique(within.y).size)
-    size = model._stack_size(n, *widths)
+        return [own(r) for r in range(count)]
     fits = []
-    while chunk := list(islice(jobs, size)):
+    for a in range(0, count, size := model._stack_size(*sizes)):
+        b = min(a + size, count)
         try:
-            ctx = ObjectiveContext(divergence, model, [sample for sample, _ in chunk])
+            ctx = ObjectiveContext._stacked(divergence, model, *stack_values(a, b))
         except PhimiError:
-            fits += [own(*job) for job in chunk]
+            fits += [own(r) for r in range(a, b)]
             continue
         passes, theta = _profiled_newton(ctx)
         newton = ~np.isnan(theta[:, 0])
@@ -485,23 +501,34 @@ def _stacked_fits(divergence, model, n, jobs, within=None) -> list:
         pgnorm = _projected_grad_norm(theta, grad, model.bounds)
         accept = newton & np.isfinite(value) & (pgnorm <= _GRAD_TOL)
         evals = passes + newton
-        fits += [_result(model, theta[r], value[r], pgnorm[r], "newton", evals[r])
-                 if accept[r] else own(sample, seed, int(evals[r]))
-                 for r, (sample, seed) in enumerate(chunk)]
+        fits += [_result(model, theta[i], value[i], pgnorm[i], "newton", evals[i])
+                 if accept[i] else own(a + i, int(evals[i])) for i in range(b - a)]
     return fits
 
 
-def estimate_resamples(ctx: ObjectiveContext, draws) -> list[DualEstimate]:
-    """Fits of the resamples ``(x[ix], y[iy])`` of the context's sample,
-    one per index pair ``(ix, iy)`` of the iterable ``draws``: those of
-    ``estimate`` on the b-th resample's own context with ``seed=b``.  A
-    model that stacks caches fits them in stacks; see
-    :func:`_stacked_fits`.
+def estimate_resamples(ctx: ObjectiveContext, ix, iy) -> list[DualEstimate]:
+    """Fits of the resamples ``(x[ix[b]], y[iy[b]])`` of the context's
+    sample, one per row b of the index matrices ``ix`` and ``iy`` (B, m):
+    those of ``estimate`` on the b-th resample's own context with
+    ``seed=b``.  A model that stacks caches fits them in stacks, each
+    built from the sample's stack values (a finite model's level codes)
+    indexed by rows of ``ix`` and ``iy``; only a row that goes on to
+    L-BFGS-B, and every row of a model that does not stack, gets a
+    PairedSample.  See :func:`_stacked_fits`.  Raises LengthMismatchError
+    unless the two matrices have one shape.
     """
-    s = ctx.sample
-    return _stacked_fits(ctx.divergence, ctx.model, ctx.n,
-                         ((PairedSample(s.x[ix], s.y[iy], s.kind), b)
-                          for b, (ix, iy) in enumerate(draws)), within=s)
+    s, model = ctx.sample, ctx.model
+    ix, iy = np.asarray(ix), np.asarray(iy)
+    if ix.ndim != 2 or ix.shape != iy.shape:
+        raise LengthMismatchError(f"index matrices of shapes {ix.shape} and {iy.shape}")
+
+    def sample(b):
+        return PairedSample(s.x[ix[b]], s.y[iy[b]], s.kind)
+
+    vx, vy = model._stack_values(s.x, s.y)
+    return _stacked_fits(ctx.divergence, model, range(len(ix)),
+                         lambda a, b: (vx[ix[a:b]], vy[iy[a:b]]), sample,
+                         (ix.shape[1], np.unique(vx).size, np.unique(vy).size))
 
 
 def estimate_samples(divergence: DivergenceSpec, model: RatioModel, samples,
@@ -511,13 +538,20 @@ def estimate_samples(divergence: DivergenceSpec, model: RatioModel, samples,
     sample ``s`` and its seed in ``seeds``, or ``None`` where that raises a
     :class:`PhimiError`.  A model that stacks caches fits them in stacks;
     see :func:`_stacked_fits`.  Raises LengthMismatchError, before any
-    fit, unless there is one seed per sample.
+    fit, unless there is one seed per sample and the samples have one size.
     """
     samples, seeds = list(samples), list(seeds)
     if len(samples) != len(seeds):
         raise LengthMismatchError(f"{len(samples)} samples but {len(seeds)} seeds")
-    return _stacked_fits(divergence, model, samples[0].n if samples else 1,
-                         zip(samples, seeds))
+    if len({s.n for s in samples}) > 1:
+        raise LengthMismatchError("the samples have more than one size")
+    n = samples[0].n if samples else 1
+
+    def stack_values(a, b):
+        return model._stack_values(np.stack([s.x for s in samples[a:b]]),
+                                   np.stack([s.y for s in samples[a:b]]))
+
+    return _stacked_fits(divergence, model, seeds, stack_values, samples.__getitem__, (n, n, n))
 
 
 def plugin_statistics(divergence: DivergenceSpec, counts) -> np.ndarray:
@@ -532,32 +566,23 @@ def plugin_statistics(divergence: DivergenceSpec, counts) -> np.ndarray:
     q = p.sum(axis=-1, keepdims=True) * p.sum(axis=-2, keepdims=True)
     ratios = np.divide(p, q, out=np.ones_like(p), where=q > 0.0)
     # one dot product per table, as on a single table
-    rows = divergence.phi(ratios).reshape(p.shape[:-2] + (1, -1))
-    return (rows @ q.reshape(p.shape[:-2] + (-1, 1)))[..., 0, 0]
+    cells = p.shape[-2] * p.shape[-1]   # explicit, so that no tables give no statistics
+    rows = divergence.phi(ratios).reshape(p.shape[:-2] + (1, cells))
+    return (rows @ q.reshape(p.shape[:-2] + (cells, 1)))[..., 0, 0]
 
 
-def plugin_estimate(divergence: DivergenceSpec, sample, levels=None):
-    """Direct plug-in phi-MI of the empirical contingency table.
+def plugin_estimate(divergence: DivergenceSpec, sample: PairedSample, levels=None) -> float:
+    """Direct plug-in phi-MI of the sample's empirical contingency table.
 
-    ``sample`` is one PairedSample (the result is a float) or a sequence
-    of them (an array, one estimate per sample, from one count tensor).
-    ``levels`` is a pair of level arrays; by default the values observed
-    in all samples.  See :func:`plugin_statistics`.
+    ``levels`` is a pair of level arrays; by default the values observed.
+    See :func:`plugin_statistics`.
     """
-    samples = [sample] if isinstance(sample, PairedSample) else list(sample)
-    if not samples:
-        return np.zeros(0)
-    x = np.concatenate([s.x for s in samples])
-    y = np.concatenate([s.y for s in samples])
     if levels is None:
         try:
-            levels = (np.unique(x), np.unique(y))
+            levels = (np.unique(sample.x), np.unique(sample.y))
         except TypeError as exc:
             raise SupportError(f"tokens do not compare: {exc}") from None
     k1, k2 = (np.size(side) for side in levels)
-    table = np.repeat(np.arange(len(samples)), [s.n for s in samples])
-    cells = ((table * k1 + encode_tokens(x, levels[0], "x")) * k2
-             + encode_tokens(y, levels[1], "y"))
-    counts = np.bincount(cells, minlength=len(samples) * k1 * k2)
-    stats = plugin_statistics(divergence, counts.reshape(-1, k1, k2))
-    return float(stats[0]) if isinstance(sample, PairedSample) else stats
+    cells = encode_tokens(sample.x, levels[0], "x") * k2 + encode_tokens(sample.y, levels[1], "y")
+    counts = np.bincount(cells, minlength=k1 * k2).reshape(k1, k2)
+    return float(plugin_statistics(divergence, counts))

@@ -361,12 +361,18 @@ class RatioModel:
 
     # A family that fits many samples of one size at once sets
     # _stack_cache(x, y) -> the cache of the R samples (x_r, y_r), (R, n)
-    # arrays, each row over its own distinct values, on which the terms and
-    # _profile take an (R, dim) theta and give one row each;
-    # _stack_size(n, nx, ny) -> rows per stack of samples of size n with
-    # at most nx and ny distinct values, and _take_rows(cache, rows) -> the
-    # cache of some of its rows; its _build_cache is row 0 of a stack of one.
+    # arrays of its stack values, each row over its own distinct values,
+    # on which the terms and _profile take an (R, dim) theta and give one
+    # row each; _stack_size(n, nx, ny) -> rows per stack of samples of size
+    # n with at most nx and ny distinct values, and _take_rows(cache, rows)
+    # -> the cache of some of its rows; its _build_cache is row 0 of a
+    # stack of one.  _stack_values(x, y) maps raw samples to stack values
+    # elementwise (a finite model's level codes), so a resample's are its
+    # sample's, indexed.
     _stack_cache = None
+
+    def _stack_values(self, x, y):
+        return x, y
 
     def to_config(self) -> str:
         raise NotImplementedError
@@ -421,7 +427,7 @@ class ExpBilinearModel(RatioModel):
         return h[..., None] * w
 
     def _build_cache(self, x, y):
-        return self._take_rows(self._stack_cache(x[None], y[None]), 0)
+        return self._take_rows(self._stack_cache(*self._stack_values(x[None], y[None])), 0)
 
     def _basis_rows(self, ux, uy):
         """``xi`` on distinct x values and ``zeta`` on distinct y values,
@@ -528,6 +534,10 @@ class ExpBilinearModel(RatioModel):
     def _paired_exponent(self, beta, cache) -> np.ndarray:
         """``beta . f`` on the distinct value pairs of the sample."""
         return (cache["paired"] @ beta[..., None])[..., 0]
+
+    def _pair_sums(self, w, cache):
+        """``sum w`` over the distinct value pairs."""
+        return w.sum(axis=-1)
 
     def _paired_moments(self, w, cache, second: bool = False):
         """``sum w f`` over the distinct value pairs and, if asked, ``sum w
@@ -685,13 +695,14 @@ class ExpBilinearModel(RatioModel):
         pw = cache["pw"]
         g1 = divergence.gamma - 1.0
         with np.errstate(over="ignore"):   # M_n itself is infinite there
-            value = _dot(pw, s) if g1 == 0.0 else _dot(pw, np.expm1(g1 * s)) / g1
+            value = (self._pair_sums(pw * s, cache) if g1 == 0.0
+                     else self._pair_sums(pw * np.expm1(g1 * s), cache) / g1)
             if np.ndim(bad):   # a stack: NaN on the rows out of the domain
                 value[bad] = np.nan
             if not need_grad:
                 return value, None
             e = pw * np.exp(g1 * s)
-        return value, np.concatenate([e.sum(axis=-1)[..., None],
+        return value, np.concatenate([self._pair_sums(e, cache)[..., None],
                                       self._paired_moments(e, cache)[0]], axis=-1)
 
     def _cross_term(self, divergence, theta, cache, need_grad: bool):
@@ -742,7 +753,7 @@ class ExpBilinearModel(RatioModel):
                 u = (g - 1.0) * self._paired_exponent(beta, cache)
                 shift = u.max(axis=-1)
                 w = cache["pw"] * np.exp(u - shift[..., None])
-                total = w.sum(axis=-1)
+                total = self._pair_sums(w, cache)
                 log_a = shift + np.log(total)
                 mean_a, second = self._paired_moments(w / total[..., None], cache, second=True)
                 cov_a = second - mean_a[..., :, None] * mean_a[..., None, :]
@@ -794,7 +805,8 @@ class FiniteDiscreteModel(ExpBilinearModel):
     model on the cell indicators ``1{x = a_i} 1{y = b_j}``, (i, j) != (1,
     1), over level codes: category labels (strings or numbers, mutually
     comparable within each margin) are mapped to codes by
-    :func:`encode_tokens`, once per context or stack.  The exponent-space
+    :func:`encode_tokens`, once per context, stack or bootstrap (a
+    resample's codes are its sample's, indexed).  The exponent-space
     terms, the profiled Newton fit and stacking are inherited; the
     feature maps they use work on flat cells.
 
@@ -865,11 +877,10 @@ class FiniteDiscreteModel(ExpBilinearModel):
     _PER_ROW = ("pw", "pcells", "cells", "cw", "p", "q", "cross_mean")
     _SHARED = ("n",)
 
-    def _stack_cache(self, x, y):
-        """The exponential bilinear stack over the level codes of the
-        tokens, encoded once for the whole stack."""
-        return super()._stack_cache(self.encode_x(x).reshape(x.shape),
-                                    self.encode_y(y).reshape(y.shape))
+    def _stack_values(self, x, y):
+        """The level codes of the tokens: the stack is the exponential
+        bilinear one over codes."""
+        return self.encode_x(x).reshape(np.shape(x)), self.encode_y(y).reshape(np.shape(y))
 
     def _basis_rows(self, ux, uy):
         return ux, uy
@@ -916,6 +927,12 @@ class FiniteDiscreteModel(ExpBilinearModel):
     def _paired_exponent(self, beta, cache):
         return self._cell_params(beta).ravel()[self._flat(cache["pcells"], 1)]
 
+    # Sums over all cells add the per-cell sums over the fixed cell axis:
+    # a padded entry of a stacked row shares a drawn entry's cell and adds
+    # an exact zero there, so the row sums exactly what its own context sums
+    def _pair_sums(self, w, cache):
+        return self._cell_sums(cache["pcells"], w, 1).sum(axis=-1)
+
     def _paired_moments(self, w, cache, second=False):
         m = self._cell_sums(cache["pcells"], w, 1)[..., 1:]
         return m, (m[..., :, None] * np.eye(self.dim - 1) if second else None)
@@ -926,7 +943,7 @@ class FiniteDiscreteModel(ExpBilinearModel):
         block, shift = _exp_block(divergence, s, shifted)
         w = block * cache["cw"]
         m = self._cell_sums(cells, w, 2)
-        m[..., 0] = w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1)
+        m[..., 0] = m.sum(axis=-1)
         return m, (m[..., 1:, None] * np.eye(self.dim - 1) if second else None), shift
 
     def suggest_starts(self, cache):

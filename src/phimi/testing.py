@@ -141,28 +141,28 @@ def _require_sample(ctx: ObjectiveContext, what: str) -> None:
 def bootstrap_statistics(ctx: ObjectiveContext, cfg: BootstrapConfig) -> np.ndarray:
     """B replicates of S*_n under resampling from the product empirical law.
 
-    Each replicate draws the x side and the y side independently with
-    replacement (separate RNG streams), so the pairing is broken; rank
-    and cell statistics are recomputed on each replicate sample.  The
-    replicates are fitted by :func:`~phimi.estimator.estimate_resamples`:
-    for an exponential bilinear model, finite ones included, in stacks,
-    each row over the replicate's own distinct values (about 0.63 n per
-    side for continuous data: the size of its cross sums), one lockstep
-    Newton run per stack, with L-BFGS-B on the replicate's own context
-    for a row that fails its acceptance test, as ``estimate`` runs it;
-    for the copula, and finite models with more than 256 parameters, one
+    The x side and the y side are drawn independently with replacement,
+    each from its own generator (``SeedSequence(cfg.seed).spawn(2)``) as
+    one (B, n) index matrix whose row b indexes replicate b, so the
+    pairing is broken; rank and cell statistics are recomputed on each
+    replicate sample.  The replicates are fitted by
+    :func:`~phimi.estimator.estimate_resamples`, replicate b with
+    ``seed=b``: for an exponential bilinear model, finite ones included,
+    in stacks built straight from the index matrices, each row over the
+    replicate's own distinct values (about 0.63 n per side for
+    continuous data: the size of its cross sums), one lockstep Newton run
+    per stack, with L-BFGS-B on the replicate's own context for a row
+    that fails its acceptance test, as ``estimate`` runs it; for the
+    copula, and finite models with more than 256 parameters, one
     ``estimate`` per replicate on its own context.
     Fails if more than 5% of the replicate optimizations do not converge.
     """
     _require_sample(ctx, "the bootstrap")
     n = ctx.n
-
-    def draws():
-        for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.b_reps):
-            rng_x, rng_y = (np.random.default_rng(child) for child in seq.spawn(2))
-            yield rng_x.integers(0, n, n), rng_y.integers(0, n, n)
-
-    fits = estimate_resamples(ctx, draws())
+    rng_x, rng_y = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
+    ix = rng_x.integers(0, n, (cfg.b_reps, n))
+    iy = rng_y.integers(0, n, (cfg.b_reps, n))
+    fits = estimate_resamples(ctx, ix, iy)
     failures = sum(not est.converged for est in fits)
     if failures > 0.05 * cfg.b_reps:
         raise OptimFailureError(

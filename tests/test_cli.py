@@ -129,6 +129,21 @@ class TestTestCommand:
         assert code == 0
         assert "reject=" in text
 
+    def test_bootstrap_critical_value_is_recorded(self, tmp_path):
+        # a fixed CSV with ties: a change of the bootstrap's random stream
+        # moves the critical value far beyond rounding
+        f = tmp_path / "d.csv"
+        rows = [(((7 * i) % 10 - 5) / 4, ((3 * i) % 7 - 3) / 4) for i in range(40)]
+        f.write_text("x,y\n" + "".join(f"{a},{a + b}\n" for a, b in rows))
+        code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y",
+                             "--divergence", "chisq", "--model", "expbilinear:x,y,xy",
+                             "--route", "bootstrap", "--b-reps", "200", "--alpha", "0.05",
+                             "--seed", "3"])
+        fields = dict(line.split("=", 1) for line in text.splitlines())
+        assert code == 0 and fields["reject"] == "true"
+        assert float(fields["statistic"]) == pytest.approx(30.84088548976196, rel=1e-9)
+        assert float(fields["critical_value"]) == pytest.approx(3.932335754050917, rel=1e-9)
+
     def test_chisq_route_categorical(self, tmp_path):
         f = write_categorical_csv(tmp_path / "d.csv")
         code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y",

@@ -30,7 +30,12 @@ from phimi import (
 import phimi.estimator
 from phimi.errors import LengthMismatchError
 from phimi.divergence import NAMED_GAMMAS
-from phimi.estimator import _projected_grad_norm, estimate_samples, objective_terms
+from phimi.estimator import (
+    _projected_grad_norm,
+    estimate_resamples,
+    estimate_samples,
+    objective_terms,
+)
 from phimi.models import BasisPair, _series_coefficients, rank_transform
 
 KL = DivergenceSpec(1.0)
@@ -1035,6 +1040,21 @@ class TestEstimateSamples:
             estimate_samples(KL, model, samples, [1, 2])
         assert estimate_samples(KL, model, [], []) == []
 
+    @pytest.mark.parametrize("model", [gaussian_model(), FgmCopulaModel()],
+                             ids=["stacked", "one-at-a-time"])
+    def test_one_size_and_one_shape(self, monkeypatch, model):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(phimi.estimator, "estimate", no_fit)
+        monkeypatch.setattr(phimi.estimator, "_profiled_newton", no_fit)
+        samples = [sample_gaussian(GaussianSpec(0.3), n, 0) for n in (30, 30, 31)]
+        with pytest.raises(LengthMismatchError, match="more than one size"):
+            estimate_samples(KL, model, samples, [1, 2, 3])
+        ctx = ObjectiveContext(KL, model, samples[0])
+        with pytest.raises(LengthMismatchError, match="index matrices"):
+            estimate_resamples(ctx, np.zeros((3, 30), int), np.zeros((2, 30), int))
+
 
 class TestStackRows:
     """One cache builder: a single context's cache is row 0 of a stack of
@@ -1124,11 +1144,6 @@ class TestPluginEstimate:
         with pytest.raises(DomainError):
             plugin_estimate(DivergenceSpec(-1.0), sample)
 
-    def test_no_samples_give_no_estimates(self):
-        # as estimate_samples gives no fits for no samples
-        out = plugin_estimate(KL, [])
-        assert isinstance(out, np.ndarray) and out.shape == (0,)
-
     def test_unknown_level_raises(self):
         sample = table_to_sample(np.array([[2, 2], [2, 2]]))
         with pytest.raises(SupportError):
@@ -1159,6 +1174,11 @@ class TestPluginStatistics:
             assert plugin_statistics(div, tables.reshape(5, 5, 3, 4)).shape == (5, 5)
             assert plugin_statistics(div, tables[7]) == batch[7]
 
+    def test_no_tables_give_no_statistics(self):
+        # as estimate_samples gives no fits for no samples
+        out = plugin_statistics(KL, np.zeros((0, 2, 3)))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
     def test_empty_cell_infinite_phi_raises_in_batch(self):
         tables = np.array([[[2, 2], [2, 2]], [[5, 0], [3, 2]]])
         assert np.all(np.isfinite(plugin_statistics(DivergenceSpec(0.0), tables[:1])))
@@ -1173,19 +1193,19 @@ class TestPluginStatistics:
         for div in (KL, CHISQ, HELL):
             assert plugin_estimate(div, sample) == plugin_statistics(div, counts)
 
-    def test_plugin_estimate_on_a_batch_of_samples(self):
+    def test_batch_of_sample_sizes(self):
         rng = np.random.default_rng(73)
         tables = [random_table(rng, 3, 2, size) for size in (20, 35, 50)]
         tables[1][2] = 0   # an empty row: that level is seen only in other samples
         samples = [table_to_sample(t) for t in tables]
+        levels = (np.arange(3), np.arange(2))
         for div in (KL, CHISQ, HELL):
-            batch = plugin_estimate(div, samples, (np.arange(3), np.arange(2)))
+            batch = plugin_statistics(div, np.stack(tables))
             assert batch.shape == (3,)
             ref = [direct_plugin(div, t) for t in tables]
             np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=1e-15)
-            # default levels: the values seen in any sample
-            np.testing.assert_allclose(plugin_estimate(div, samples), ref,
-                                       rtol=1e-12, atol=1e-15)
+            # each row is its sample's plug-in over the same levels
+            assert list(batch) == [plugin_estimate(div, s, levels) for s in samples]
             assert batch[2] == plugin_estimate(div, samples[2])
 
 

@@ -192,6 +192,25 @@ class TestBootstrap:
         assert 0.0 < res.p_value <= 1.0
         assert res.p_value == pytest.approx(1.0 / 201.0, abs=1e-12)
 
+    def test_fits_the_two_index_matrices(self, monkeypatch):
+        # one generator a side draws all B rows of indices at once
+        s = sample_gaussian(GaussianSpec(0.3), 30, 11)
+        ctx = ObjectiveContext(KL, gaussian_model(), s)
+        cfg = BootstrapConfig(b_reps=100, seed=21)
+        asked = []
+
+        def fitted(context, ix, iy):
+            asked.append((context, ix, iy))
+            return [estimate(ctx)] * cfg.b_reps
+
+        monkeypatch.setattr(phimi.testing, "estimate_resamples", fitted)
+        bootstrap_statistics(ctx, cfg)
+        [(context, ix, iy)] = asked
+        want_x, want_y = replicate_draws(s.n, cfg)
+        assert context is ctx and ix.shape == iy.shape == (100, 30)
+        assert np.array_equal(ix, want_x) and np.array_equal(iy, want_y)
+        assert not np.array_equal(ix, iy)
+
     def test_b_reps_minimum(self):
         with pytest.raises(ValueError):
             BootstrapConfig(b_reps=50)
@@ -238,10 +257,10 @@ STACK_REPS = 100
 
 
 def replicate_draws(n, cfg):
-    """The index pairs that bootstrap_statistics draws, replicate by replicate."""
-    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.b_reps):
-        rng_x, rng_y = (np.random.default_rng(child) for child in seq.spawn(2))
-        yield rng_x.integers(0, n, n), rng_y.integers(0, n, n)
+    """The index matrices that bootstrap_statistics draws, (B, n) a side,
+    row b for replicate b: one generator a side from the config's seed."""
+    rng_x, rng_y = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
+    return rng_x.integers(0, n, (cfg.b_reps, n)), rng_y.integers(0, n, (cfg.b_reps, n))
 
 
 def check_stack(monkeypatch, sample, model, gamma):
@@ -254,7 +273,8 @@ def check_stack(monkeypatch, sample, model, gamma):
     size = model._stack_size(sample.n, *widths)
     assert 1 < size < STACK_REPS and STACK_REPS % size
     cfg = BootstrapConfig(b_reps=STACK_REPS, seed=17)
-    draws = list(replicate_draws(sample.n, cfg))
+    ix, iy = replicate_draws(sample.n, cfg)
+    draws = list(zip(ix, iy))
     loop = [estimate(ObjectiveContext(ctx.divergence, model,
                                       PairedSample(sample.x[ix], sample.y[iy], sample.kind)),
                      seed=b) for b, (ix, iy) in enumerate(draws)]
@@ -268,7 +288,7 @@ def check_stack(monkeypatch, sample, model, gamma):
 
     with monkeypatch.context() as patch:
         patch.setattr(phimi.estimator, "_lbfgsb", counted)
-        fits = estimate_resamples(ctx, draws)
+        fits = estimate_resamples(ctx, ix, iy)
     assert ([(f.method, f.converged, f.objective_evals) for f in fits]
             == [(e.method, e.converged, e.objective_evals) for e in loop])
     # a row goes to its own fit exactly where that fit leaves Newton
@@ -276,11 +296,11 @@ def check_stack(monkeypatch, sample, model, gamma):
     want = np.array([2.0 * sample.n * e.i_hat for e in loop])
     got = np.array([2.0 * sample.n * f.i_hat for f in fits])
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-    # bootstrap_statistics asks for these fits, of the same draws
+    # bootstrap_statistics asks for these fits, of the same index matrices
     asked = []
 
-    def fitted(context, replicates):
-        asked.append((context, [(ix.copy(), iy.copy()) for ix, iy in replicates]))
+    def fitted(context, rows_x, rows_y):
+        asked.append((context, rows_x, rows_y))
         return fits
 
     with monkeypatch.context() as patch:
@@ -290,10 +310,9 @@ def check_stack(monkeypatch, sample, model, gamma):
                 bootstrap_statistics(ctx, cfg)
         else:
             assert np.array_equal(bootstrap_statistics(ctx, cfg), got)
-    [(context, replicates)] = asked
-    assert context is ctx and len(replicates) == len(draws)
-    assert all(np.array_equal(a, c) and np.array_equal(b, d)
-               for (a, b), (c, d) in zip(replicates, draws))
+    [(context, rows_x, rows_y)] = asked
+    assert context is ctx
+    assert np.array_equal(rows_x, ix) and np.array_equal(rows_y, iy)
     return fits
 
 
@@ -335,12 +354,29 @@ class TestStackedReplicates:
         sample = FINITE_STACK_SAMPLES[name]
         k1, k2 = (int(name[0]), int(name[2]))
         n = sample.n
-        draws = list(replicate_draws(n, BootstrapConfig(b_reps=STACK_REPS, seed=17)))
+        draws = list(zip(*replicate_draws(n, BootstrapConfig(b_reps=STACK_REPS, seed=17))))
         if name == "2x2":
             assert any(0 not in sample.x[ix] for ix, _ in draws)
         if name == "3x4":
             assert not np.any((sample.x == 0) & (sample.y == 0))
         check_stack(monkeypatch, sample, FiniteDiscreteModel(range(k1), range(k2)), gamma)
+
+    def test_padded_finite_row_matches_its_own_fit(self):
+        # a 5 x 5 resample with 15 drawn cells, stacked with the observed
+        # table's 19: its pairs are padded by four, and a profile summed over
+        # the padded pairs instead of the cells took one more Newton pass
+        # on a flat direction than its own context does
+        replicate = categorical_sample([[4, 2, 0, 4, 5], [3, 0, 1, 0, 2], [0, 0, 1, 2, 3],
+                                        [1, 2, 0, 7, 2], [0, 0, 0, 0, 1]])
+        companion = FINITE_STACK_SAMPLES["5x5"]
+        model, div = FiniteDiscreteModel(range(5), range(5)), DivergenceSpec(0.0)
+        stack = ObjectiveContext(div, model, [replicate, companion])
+        assert (stack._cache["pw"][0] == 0.0).sum() == 4
+        fit, _ = estimate_samples(div, model, [replicate, companion], [0, 1])
+        own = estimate(ObjectiveContext(div, model, replicate))
+        assert (fit.method, fit.converged, fit.objective_evals) == (
+            own.method, own.converged, own.objective_evals)
+        assert abs(fit.i_hat - own.i_hat) <= 1e-12 * max(1.0, abs(own.i_hat))
 
     @pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0])
     def test_undrawn_outlier_stays_out(self, monkeypatch, gamma):
