@@ -487,8 +487,8 @@ def _stacked_fits(divergence, model, seeds, stack_values, sample, sizes) -> list
     count = len(seeds)
     if model._stack_cache is None or model.dim > _NEWTON_MAX_DIM:
         return [own(r) for r in range(count)]
-    fits = []
-    for a in range(0, count, size := model._stack_size(*sizes)):
+    fits, size = [], model._stack_size(*sizes)
+    for a in range(0, count, size):
         b = min(a + size, count)
         try:
             ctx = ObjectiveContext._stacked(divergence, model, *stack_values(a, b))
