@@ -18,8 +18,8 @@ y values, the copula in ``h`` space, where ``h`` is in (0, 2).  The
 exponential bilinear terms reach the basis only through three feature
 maps; the finite model implements them over flat cells.  Where the
 exponent has one coupled term ``c u(x) v(y)``, the cross sums are a
-truncated series in ``c u v``, O((nx + ny) K) per moment column; other
-bases sum the dense nx × ny block.
+truncated series in ``c u v``, O((nx + ny) K) per distinct moment
+column; other bases sum the dense nx × ny block.
 
 All models are immutable after construction and safe to share between
 threads.  The parameter space is a box, so that the feasible set is
@@ -103,6 +103,43 @@ def _ident(t):
 
 def _square(t):
     return np.asarray(t, dtype=float) ** 2
+
+
+# The registry's factors are the powers t^e of their argument, formed as
+# 1, t and t t.  With every e at most 2, a product of two of them is
+# t^(e1 + e2) formed the same way whichever two they are, up to the order
+# of the factors; a product with 1 is the other factor.
+_POWERS = {_one: 0, _ident: 1, _square: 2}
+
+
+def _factor_key(f):
+    """A registry factor's power of t, else the callable itself (by
+    identity)."""
+    return next((e for g, e in _POWERS.items() if g is f), ("call", id(f)))
+
+
+def _product_key(ka, kb):
+    """Key of the product of factors keyed ``ka`` and ``kb``: products with
+    one key are equal on every value."""
+    if isinstance(ka, int) and isinstance(kb, int):
+        return ka + kb
+    if ka == 0 or kb == 0:
+        return kb if ka == 0 else ka
+    return tuple(sorted((ka, kb), key=repr))
+
+
+def _first_appearances(keys):
+    """Per key of ``keys``, in order: the index of its first appearance
+    among the distinct keys and how many distinct keys have appeared so
+    far; and where each distinct key first appears."""
+    first, keep, index, widths = {}, [], [], []
+    for j, key in enumerate(keys):
+        i = first.setdefault(key, len(keep))
+        if i == len(keep):
+            keep.append(j)
+        index.append(i)
+        widths.append(len(keep))
+    return index, widths, keep
 
 
 BASIS_REGISTRY: dict[str, BasisPair] = {
@@ -258,24 +295,28 @@ def _power_rows(t, top, formed=None):
 
 def _power_sums(cache, side, w, top):
     """``sum_i t_i^k w_i``, ``sum_i t_i^k |w_i|`` and ``sum_i |t_i^k w_i|``
-    for k < ``top``, each (..., top, c), from the scaled coupled column
-    ``t`` (..., m) of one side (``scaled_x`` or ``scaled_y``) and weights
-    ``w`` (..., m, c).  A single sample's cache keeps the power rows
-    ``t^k`` formed so far and extends them as passes need more, to the
-    rows formed anew (:func:`_power_rows`); a stack forms them in each
-    call, in groups of rows (:func:`_row_groups`)."""
+    for k < ``top``, in this order on axis -3 of the (..., 3, top, c)
+    result, from the scaled coupled column ``t`` (..., m) of one side
+    (``scaled_x`` or ``scaled_y``) and weights ``w`` (..., m, c), one
+    column per distinct moment column.  A single sample's cache keeps the
+    power rows ``t^k`` formed so far and extends them as passes need more,
+    to the rows formed anew (:func:`_power_rows`); a stack forms them in
+    each call, in groups of rows (:func:`_row_groups`)."""
     t, size = cache["scaled_" + side], np.abs(w)
+    sums = np.empty(w.shape[:-2] + (3, top, w.shape[-1]))
     if t.ndim == 1:
         kept = cache.get("powers_" + side)
         if kept is None or kept.shape[1] < top:
             kept = cache["powers_" + side] = _power_rows(t[None], top, kept)
         p = kept[0, :top]
-        return p @ w, p @ size, np.abs(p) @ size
-    sums = [np.empty(w.shape[:-2] + (top, w.shape[-1])) for _ in range(3)]
+        np.matmul(p, w, out=sums[0])
+        np.matmul(p, size, out=sums[1])
+        np.matmul(np.abs(p), size, out=sums[2])
+        return sums
     for rows in _row_groups(len(t), top * t.shape[-1]):
         p = _power_rows(t[rows], top)
-        sums[0][rows], sums[1][rows] = p @ w[rows], p @ size[rows]
-        sums[2][rows] = np.abs(p, out=p) @ size[rows]
+        sums[rows, 0], sums[rows, 1] = p @ w[rows], p @ size[rows]
+        sums[rows, 2] = np.abs(p, out=p) @ size[rows]
     return sums
 
 
@@ -483,7 +524,10 @@ class ExpBilinearModel(RatioModel):
 
     def _design(self, xi, ze, cache):
         """Basis columns and their count-weighted moments; all but the
-        split of the terms carry the leading row axis of a stack."""
+        split of the terms carry the leading row axis of a stack.  Moment
+        columns repeat (``x^2 1`` and ``x x`` are one column), so each side
+        keeps only its distinct ones (``xim``, ``zem``; see
+        :attr:`_columns`)."""
         d, rows = xi.shape[-1], np.arange(len(xi))[:, None]
         # A term whose zeta (xi) is constant on the sample adds a vector
         # over x (y) to the cross exponent; the other terms are coupled.
@@ -491,7 +535,8 @@ class ExpBilinearModel(RatioModel):
         y_only = np.all(xi == xi[:, :1], axis=(0, 1)) & ~x_only
         # count-weighted (1, xi, xi_k xi_l) and (1, zeta, zeta_k zeta_l);
         # first moments read the first 1 + d columns, second ones all
-        xim, zem = self._moment_columns(xi, cache["cx"]), self._moment_columns(ze, cache["cy"])
+        (xim, xsum), (zem, ysum) = (self._moment_columns(xi, cache["cx"], 0),
+                                    self._moment_columns(ze, cache["cy"], 1))
         coupled = np.flatnonzero(~(x_only | y_only))
         nx, ny = (cache["cx"] > 0).sum(axis=-1), (cache["cy"] > 0).sum(axis=-1)
         design = {
@@ -502,8 +547,7 @@ class ExpBilinearModel(RatioModel):
             "coupled": coupled, "coupled_x": xi[..., coupled], "coupled_y": ze[..., coupled],
             "xim": xim, "zem": zem,
             # mean of (1, xi_k zeta_k) over the n^2 cross pairs
-            "cross_mean": np.einsum("...ik->...k", xim[..., :1 + d])
-            * np.einsum("...ik->...k", zem[..., :1 + d]) / cache["n"] ** 2,
+            "cross_mean": xsum * ysum / cache["n"] ** 2,
             "lowrank": (coupled.size == 1) & (nx * ny >= _LOWRANK_MIN * (nx + ny)),
         }
         if np.any(design["lowrank"]):   # the coupled columns scaled to max |t| = 1
@@ -519,13 +563,55 @@ class ExpBilinearModel(RatioModel):
     def _pairs(self):
         return np.triu_indices(self.dim - 1)   # (k, l), k <= l: the second moments
 
-    def _moment_columns(self, v, counts):
-        """Count-weighted ``(1, v, v_k v_l)`` for k <= l, shape (..., len(v),
-        1 + d + d (d + 1) / 2), from the basis on one side's distinct values
-        and counts, (..., len(v), d) and (..., len(v))."""
+    @cached_property
+    def _factors(self):
+        """Moment column j of ``(1, v, v_k v_l)`` is ``w_a[j] w_b[j]`` with
+        ``w = (1, v)``: the index arrays (a, b)."""
         k, l = self._pairs
-        ones = np.ones(v.shape[:-1] + (1,))
-        return counts[..., None] * np.concatenate([ones, v, v[..., k] * v[..., l]], axis=-1)
+        first = np.arange(self.dim)
+        return np.concatenate([0 * first, 1 + k]), np.concatenate([first, 1 + l])
+
+    @cached_property
+    def _columns(self):
+        """Per side (xi, then zeta): the factors (a, b) of its distinct
+        moment columns, each the first of the columns equal to it on every
+        value (see :data:`_POWERS`), in order; each column's index among
+        them; and how many of them the first j + 1 columns hold, for each
+        j.  First appearances come first, so the distinct first-moment
+        columns are a prefix of them."""
+        a, b = self._factors
+        sides = []
+        for funcs in ([p.xi for p in self.basis], [p.zeta for p in self.basis]):
+            keys = [0] + [_factor_key(f) for f in funcs]   # w_0 = 1
+            index, widths, keep = _first_appearances(
+                _product_key(keys[i], keys[j]) for i, j in zip(a, b))
+            sides.append((a[keep], b[keep], np.array(index), widths))
+        return tuple(sides)
+
+    def _moment_columns(self, v, counts, side):
+        """The distinct count-weighted moment columns ``(1, v, v_k v_l)``,
+        k <= l, of one side (0 for xi, 1 for zeta), (R, len(v), u), and
+        the sums of the first-moment columns ``(1, v)`` over the values,
+        (R, 1 + d), from the basis on the side's distinct values and
+        counts, (R, len(v), d) and (R, len(v)).
+
+        The columns are formed one column a row, so that the passes'
+        products with them run along the values.  The sums run in order
+        along the values (a cumulative sum), so a padded row sums exactly
+        what its own sample sums."""
+        a, b, index, widths = self._columns[side]
+        w = np.concatenate([np.ones((1,) + counts.shape), v.transpose(2, 0, 1)])
+        moments = w[a] * w[b] * counts
+        sums = np.cumsum(moments[:widths[len(w) - 1]], axis=-1)[..., -1]
+        return moments.transpose(1, 2, 0), sums.T[..., index[:len(w)]]
+
+    def _moments(self, cache, cols):
+        """The distinct x and y moment columns among the first ``cols``
+        (views of the cache's), and the index of each of the first ``cols``
+        moment columns among them."""
+        (_, _, lx, wx), (_, _, ly, wy) = self._columns
+        return (cache["xim"][..., :wx[cols - 1]], cache["zem"][..., :wy[cols - 1]],
+                lx[:cols], ly[:cols])
 
     # The feature maps: the terms and the profile below reach the basis
     # only through these three, which a basis with structure may override.
@@ -553,10 +639,12 @@ class ExpBilinearModel(RatioModel):
         ``E = expm1(gamma s)`` and shift 0, raising DomainError where some
         ``exp(s)`` leaves dom phi (NaN sums on such rows of a stack).  One
         coupled term and a large enough block take the series of
-        :meth:`_lowrank_sums`, O((nx + ny) K) per moment column; elsewhere,
-        or where it declines, the dense block (:meth:`_dense_sums`)."""
+        :meth:`_lowrank_sums`, O((nx + ny) K) per distinct moment column;
+        elsewhere, or where it declines, the dense block
+        (:meth:`_dense_sums`).  Both sum each side's distinct moment
+        columns once and return sums over all of them."""
         d = self.dim - 1
-        cols = cache["xim"].shape[-1] if second else 1 + d
+        cols = len(self._factors[0]) if second else 1 + d
         out = (self._lowrank_sums(divergence.gamma, theta, cache, cols, shifted)
                if np.any(cache["lowrank"]) else None)
         if out is None:
@@ -604,13 +692,16 @@ class ExpBilinearModel(RatioModel):
         scaled to max 1), every sum is ``sum_k (gamma c)^k / k! U_k V_k``,
         ``U_k`` the x moment columns weighted by ``e^{gamma a} u^k`` (``V_k``
         likewise): the Taylor series of the fast Gauss transform, exact up
-        to truncation for one product.  A row is declined where the bound
-        on ``|s|`` or ``|gamma s|`` passes ``_EXP_BOUND``, the series needs
-        over ``_MAX_TERMS`` terms, or its rounding bound (the series on
-        absolute values) passes ``_SERIES_RTOL`` of a sum's scale ``sum
-        |weights| e^{gamma s}``: NaN sums on such rows of a stack, ``None``
-        where every row is declined, as is a row of a stack that its own
-        sample would give the dense block (``lowrank`` false).
+        to truncation for one product.  ``U_k`` and ``V_k`` are formed on
+        each side's distinct moment columns and gathered to all of them
+        before the products and the rounding bound.  A row is declined
+        where the bound on ``|s|`` or ``|gamma s|`` passes ``_EXP_BOUND``,
+        the series needs over ``_MAX_TERMS`` terms, or its rounding bound
+        (the series on absolute values) passes ``_SERIES_RTOL`` of a sum's
+        scale ``sum |weights| e^{gamma s}``: NaN sums on such rows of a
+        stack, ``None`` where every row is declined, as is a row of a stack
+        that its own sample would give the dense block (``lowrank``
+        false).
         """
         beta = theta[..., 1:]
         a, b = self._cross_parts(theta, cache)
@@ -627,7 +718,7 @@ class ExpBilinearModel(RatioModel):
         top = k.max()
         # each row's series stops at its own K
         coef = np.where(np.arange(top) < k[..., None], coef[..., :top], 0.0)
-        xw, yw = cache["xim"][..., :cols], cache["zem"][..., :cols]
+        xw, yw, lx, ly = self._moments(cache, cols)
         ga, gb = gamma * a, gamma * b
         if shifted:
             top_a, top_b = ga.max(axis=-1), gb.max(axis=-1)
@@ -636,20 +727,20 @@ class ExpBilinearModel(RatioModel):
             shift = top_a + top_b
         else:
             u, v, shift = xw * np.exp(ga)[..., None], yw * np.exp(gb)[..., None], 0.0 * c
-        su, au, ru = _power_sums(cache, "x", u, top)
-        sv, av, rv = _power_sums(cache, "y", v, top)
-        scale = _rowmul(coef, au * av)
-        rounding = _rowmul(np.abs(coef), ru * rv)
+        # U_k V_k, and the same for the scale and the rounding bound
+        prods = _power_sums(cache, "x", u, top)[..., lx] * _power_sums(cache, "y", v, top)[..., ly]
+        scale = _rowmul(coef, prods[..., 1, :, :])
+        rounding = _rowmul(np.abs(coef), prods[..., 2, :, :])
         ok &= (_EPS * k[..., None] * rounding <= _SERIES_RTOL * scale).all(axis=-1)
         if not ok.any():
             return None
         if shifted:
-            m = _rowmul(coef, su * sv)
+            m = _rowmul(coef, prods[..., 0, :, :])
         else:
             # k = 0: (1 + A)(1 + B) - 1 = A B + A + B, with A, B from expm1
-            a1, b1 = _rowmul(np.expm1(ga), xw), _rowmul(np.expm1(gb), yw)
-            m = (a1 * b1 + a1 * yw.sum(axis=-2) + xw.sum(axis=-2) * b1
-                 + _rowmul(coef[..., 1:], su[..., 1:, :] * sv[..., 1:, :]))
+            a1, b1 = _rowmul(np.expm1(ga), xw)[..., lx], _rowmul(np.expm1(gb), yw)[..., ly]
+            m = (a1 * b1 + a1 * yw.sum(axis=-2)[..., ly] + xw.sum(axis=-2)[..., lx] * b1
+                 + _rowmul(coef[..., 1:], prods[..., 0, 1:, :]))
         if np.ndim(ok):   # a stack: NaN on the rows declined
             m[~ok] = np.nan
         return m, shift
@@ -671,17 +762,17 @@ class ExpBilinearModel(RatioModel):
         s += b[..., None, :]
         return s
 
-    @staticmethod
-    def _cross_moments(block, cache, cols):
+    def _cross_moments(self, block, cache, cols):
         """Sums of ``c_x c_y block`` times the first ``cols`` moment columns
         ``(1, f, f_k f_l)`` over the distinct-value block: ``block``
-        contracted with the count-weighted ``zeta`` columns, in slices of at
-        most 4 columns (OpenBLAS's threaded path for wider products can
-        stall), and read off the ``xi`` columns."""
-        xim, zem = cache["xim"], cache["zem"]
-        rows = np.concatenate([block @ zem[..., j:min(j + 4, cols)] for j in range(0, cols, 4)],
-                              axis=-1)
-        return np.einsum("...ik,...ik->...k", xim[..., :cols], rows)
+        contracted with the distinct count-weighted ``zeta`` columns, in
+        slices of at most 4 columns (OpenBLAS's threaded path for wider
+        products can stall), then with the distinct ``xi`` columns, and
+        each moment column read off its pair of them."""
+        xim, zem, lx, ly = self._moments(cache, cols)
+        w = zem.shape[-1]
+        rows = np.concatenate([block @ zem[..., j:j + 4] for j in range(0, w, 4)], axis=-1)
+        return (np.swapaxes(xim, -1, -2) @ rows)[..., lx, ly]
 
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
         """Paired term in exponent space.

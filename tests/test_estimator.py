@@ -1,3 +1,4 @@
+import copy
 import math
 import time
 import tracemalloc
@@ -36,7 +37,7 @@ from phimi.estimator import (
     estimate_samples,
     objective_terms,
 )
-from phimi.models import BasisPair, _series_coefficients, rank_transform
+from phimi.models import BASIS_REGISTRY, BasisPair, _series_coefficients, rank_transform
 
 KL = DivergenceSpec(1.0)
 CHISQ = DivergenceSpec(2.0)
@@ -735,6 +736,132 @@ class TestLowRankCrossSums:
         assert paths == {"lowrank": 0, "dense": 2}
         for g, w in zip(got[0] + got[1], want[0] + want[1]):
             assert np.array_equal(g, w)
+
+
+def all_columns(model):
+    """A copy of ``model`` that forms and sums every moment column, the
+    equal ones included."""
+    full = copy.copy(model)
+    a, b = model._factors
+    every = np.arange(a.size)
+    full.__dict__["_columns"] = ((a, b, every, list(every + 1)),) * 2
+    return full
+
+
+# the registry's own factors: a library basis whose columns repeat
+X, X2 = BASIS_REGISTRY["x"].xi, BASIS_REGISTRY["x2"].xi
+DISTINCT_BASES = {
+    "x,y,xy": (["x", "y", "xy"], [3, 3]),
+    "gaussian": (["x2", "y2", "xy"], [5, 5]),
+    "1,x,xy": (["1", "x", "xy"], [3, 3]),
+    "xy,x2y2": ([BasisPair("xy", X, X), BasisPair("x2y2", X2, X2)], [5, 5]),
+}
+
+
+class TestDistinctColumns:
+    """Each side forms and sums its distinct moment columns once; the cross
+    sums equal those over every moment column, and the dense block's."""
+
+    @pytest.mark.parametrize("basis", list(DISTINCT_BASES))
+    def test_equal_columns_are_one(self, basis):
+        names, widths = DISTINCT_BASES[basis]
+        model = ExpBilinearModel(names)
+        assert [side[3][-1] for side in model._columns] == widths
+        # what is kept is what every column reads
+        sample = lowrank_samples(0.3)["tied"]
+        cache = ObjectiveContext(KL, model, sample)._cache
+        full = ObjectiveContext(KL, all_columns(model), sample)._cache
+        for key, (_, _, index, _) in zip(("xim", "zem"), model._columns):
+            assert np.array_equal(cache[key][..., index], full[key])
+        assert np.array_equal(cache["cross_mean"], full["cross_mean"])
+
+    @pytest.mark.parametrize("basis", list(DISTINCT_BASES))
+    def test_sums_match_every_column(self, basis, monkeypatch):
+        model = ExpBilinearModel(DISTINCT_BASES[basis][0])
+        full = all_columns(model)
+        paths = cross_paths(monkeypatch)
+        rng = np.random.default_rng(24)
+        for name, sample in lowrank_samples(0.3).items():
+            for div in (KL, CHISQ):
+                ctx = ObjectiveContext(div, model, sample)
+                every = ObjectiveContext(div, full, sample)
+                oracle = dense_cache(every)
+                theta = np.clip(estimate(ctx).theta_hat.to_array()
+                                + rng.uniform(-0.02, 0.02, model.dim), *model.bounds.T)
+                before = paths["lowrank"]
+                for second in (False, True):
+                    for shifted in (False, True):
+                        want = full._cross_sums(div, theta, oracle, second, shifted)
+                        scale = self.scale(full, div, theta, oracle, second, shifted)
+                        for m, cache in ((model, ctx._cache), (model, dense_cache(ctx)),
+                                         (full, every._cache)):
+                            *got, shift = m._cross_sums(div, theta, cache, second, shifted)
+                            # the series shifts by a bound on gamma s, the
+                            # dense block by its largest entry
+                            rescale = np.exp(shift - want[2])
+                            for g, w, sc in zip(got, want, scale):
+                                if w is not None:
+                                    assert np.all(np.abs(g * rescale - w) <= 1e-12 * sc), name
+                # one coupled term: the series summed both caches that take it
+                assert paths["lowrank"] - before == (0 if basis == "xy,x2y2" else 8), name
+
+    @staticmethod
+    def scale(model, div, theta, cache, second, shifted):
+        """The sums of the absolute weights times ``exp(gamma s)``, shifted
+        as ``_cross_sums`` shifts them, plus the absolute weights where it
+        sums ``expm1(gamma s)``: (first moments, second moments)."""
+        size = dict(cache, xim=np.abs(cache["xim"]), zem=np.abs(cache["zem"]))
+        m, pairs, shift = model._cross_sums(div, theta, size, second, True)
+        if shifted:
+            return m, pairs
+        weights = size["xim"].sum(axis=-2) * size["zem"].sum(axis=-2)
+        d = model.dim - 1
+        m = m * np.exp(shift) + weights[:1 + d]
+        if second:
+            k, l = model._pairs
+            pairs = pairs * np.exp(shift)
+            pairs[k, l] += weights[1 + d:]
+            pairs[l, k] = pairs[k, l]
+        return m, pairs
+
+    def test_columns_equal_on_one_row_only(self):
+        # x^3 equals x where x is in {-1, 0, 1}, as on row 0 only; the map
+        # of equal columns holds on every row, so the stack keeps both
+        cube = BasisPair("x3", lambda t: np.asarray(t, dtype=float) ** 3, BASIS_REGISTRY["x"].zeta)
+        model = ExpBilinearModel([cube, "x", "xy"])
+        rng = np.random.default_rng(25)
+        base = lowrank_samples(0.3)["continuous"]
+        samples = [PairedSample(rng.integers(-1, 2, base.n).astype(float), base.y),
+                   base, lowrank_samples(0.3)["tied"]]
+        index = model._columns[0][2]
+        assert index[1] != index[2]   # x^3 and x
+        stack = ObjectiveContext(KL, model, samples)._cache
+        xi = stack["xim"][0][..., index]
+        assert np.array_equal(xi[..., 1], xi[..., 2])
+        assert not np.array_equal(stack["xim"][1][..., index[1]], stack["xim"][1][..., index[2]])
+        assert list(stack["lowrank"]) == [False, True, True]
+        theta = np.array([[0.1, 0.02, -0.05, 0.1]] * len(samples))
+        for div in (KL, CHISQ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = {"cross": model._cross_term(div, theta, stack, True),
+                        "profile": model._profile(div, theta[:, 1:], stack)}
+                for shifted in (False, True):
+                    rows[shifted] = model._cross_sums(div, theta, stack, True, shifted)
+            for r, sample in enumerate(samples):
+                own = ObjectiveContext(div, model, sample)._cache
+                self.check([q[r] for q in rows["cross"]],
+                           model._cross_term(div, theta[r], own, True))
+                self.check([q[r] for q in rows["profile"]],
+                           model._profile(div, theta[r, 1:], own))
+                for shifted in (False, True):
+                    self.check([q[r] for q in rows[shifted]],
+                               model._cross_sums(div, theta[r], own, True, shifted))
+
+    @staticmethod
+    def check(got, want):
+        for g, w in zip(got, want):
+            if w is not None:
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
 
 
 def check_estimate(div, model, sample, oracle_sample=None):
