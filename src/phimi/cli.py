@@ -47,9 +47,9 @@ class _Parser(argparse.ArgumentParser):
 def ingest_csv(path: str, x_col: str, y_col: str, kind: str = "real") -> PairedSample:
     """Read two columns of a CSV file into a PairedSample.
 
-    Raises ParseError (with the offending line number) for missing
-    columns or non-numeric or non-finite cells under kind="real", and
-    MissingValueError for empty cells.
+    Raises ParseError (with the offending line number) for missing or
+    duplicated columns or non-numeric or non-finite cells under
+    kind="real", and MissingValueError for empty cells.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -61,6 +61,9 @@ def ingest_csv(path: str, x_col: str, y_col: str, kind: str = "real") -> PairedS
         for name in (x_col, y_col):
             if name not in header:
                 raise ParseError(f"column {name!r} not found in header {header}", line=1)
+            if header.count(name) > 1:
+                raise ParseError(f"column {name!r} appears {header.count(name)} times in "
+                                 f"header {header}", line=1)
             cols[name] = header.index(name)
         xs, ys = [], []
         for lineno, row in enumerate(reader, start=2):

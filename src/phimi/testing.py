@@ -89,7 +89,9 @@ def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
     The ztz route computes the asymptotic covariances exactly over the
     product of the observed sample's empirical margins (all n^2 pairs, no
     draws).
-    ``n_draws`` and ``seed`` set the Monte-Carlo Z'Z quantile.
+    ``n_draws`` and ``seed`` set the Monte-Carlo Z'Z quantile.  Raises
+    OptimFailureError, on every route, when the fit of the observed
+    sample does not converge.
     """
     if route not in ROUTES:
         raise RouteMismatchError(f"unknown route {route!r}; choose from {ROUTES}")
@@ -106,6 +108,10 @@ def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
     if route != "chisq":
         _require_sample(ctx, f"the {route} route")
     est = estimate(ctx, seed=seed)
+    if not est.converged:
+        raise OptimFailureError(
+            f"the fit of the observed sample did not converge ({est.method}, projected "
+            f"gradient {est.grad_norm:.3g} after {est.objective_evals} evaluations)")
     stat = 2.0 * ctx.n * est.i_hat
 
     if route == "chisq":

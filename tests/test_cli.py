@@ -80,6 +80,14 @@ class TestIngestCsv:
         assert code == 2
         assert "line 6" in capsys.readouterr().err
 
+    def test_duplicated_column_is_named(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("x,y,x\n1,2,3\n4,5,6\n")
+        with pytest.raises(ParseError, match="line 1: column 'x' appears 2 times"):
+            ingest_csv(str(f), "x", "y")
+        # a repeated column that is not read is no ambiguity
+        assert ingest_csv(str(f), "y", "y").x.tolist() == [2.0, 5.0]
+
     def test_empty_cell(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x,y\n1,2\n,4\n")
@@ -121,6 +129,21 @@ class TestEstimateCommand:
 
 
 class TestTestCommand:
+    def test_failed_observed_fit_exits_nonzero(self, tmp_path, capsys):
+        # Pearson r = 0.80, but chi-square fits of x, y, xy on values up to
+        # 15 do not converge: no statistic is reported
+        i = np.arange(40)
+        x = 7 * i % 10
+        y = x + 3 * i % 7
+        f = tmp_path / "d.csv"
+        f.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in zip(x, y)))
+        code = main(["test", "--csv", str(f), "--x", "x", "--y", "y", "--divergence", "chisq",
+                     "--model", "expbilinear:x,y,xy", "--route", "bootstrap",
+                     "--b-reps", "200", "--seed", "3"])
+        text, err = capsys.readouterr()
+        assert code == 2 and "statistic=" not in text
+        assert "fit of the observed sample did not converge" in err
+
     def test_bootstrap_route_exit_zero_either_way(self, tmp_path):
         f = write_gaussian_csv(tmp_path / "d.csv", rho=0.0, n=40)
         code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y",
