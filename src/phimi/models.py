@@ -108,13 +108,14 @@ def _square(t):
 # The registry's factors are the powers t^e of their argument, formed as
 # 1, t and t t.  With every e at most 2, a product of two of them is
 # t^(e1 + e2) formed the same way whichever two they are, up to the order
-# of the factors; a product with 1 is the other factor.
+# of the factors; a product with 1 is the other factor.  Another basis
+# function is only equal to itself.
 _POWERS = {_one: 0, _ident: 1, _square: 2}
 
 
 def _factor_key(f):
-    """A registry factor's power of t, else the callable itself (by
-    identity)."""
+    """A registry factor's power of t, else a key of the callable's
+    identity."""
     return next((e for g, e in _POWERS.items() if g is f), ("call", id(f)))
 
 
@@ -126,20 +127,6 @@ def _product_key(ka, kb):
     if ka == 0 or kb == 0:
         return kb if ka == 0 else ka
     return tuple(sorted((ka, kb), key=repr))
-
-
-def _first_appearances(keys):
-    """Per key of ``keys``, in order: the index of its first appearance
-    among the distinct keys and how many distinct keys have appeared so
-    far; and where each distinct key first appears."""
-    first, keep, index, widths = {}, [], [], []
-    for j, key in enumerate(keys):
-        i = first.setdefault(key, len(keep))
-        if i == len(keep):
-            keep.append(j)
-        index.append(i)
-        widths.append(len(keep))
-    return index, widths, keep
 
 
 BASIS_REGISTRY: dict[str, BasisPair] = {
@@ -583,8 +570,11 @@ class ExpBilinearModel(RatioModel):
         sides = []
         for funcs in ([p.xi for p in self.basis], [p.zeta for p in self.basis]):
             keys = [0] + [_factor_key(f) for f in funcs]   # w_0 = 1
-            index, widths, keep = _first_appearances(
-                _product_key(keys[i], keys[j]) for i, j in zip(a, b))
+            first, index, widths = {}, [], []
+            for i, j in zip(a, b):
+                index.append(first.setdefault(_product_key(keys[i], keys[j]), len(first)))
+                widths.append(len(first))
+            keep = [index.index(u) for u in range(len(first))]
             sides.append((a[keep], b[keep], np.array(index), widths))
         return tuple(sides)
 
