@@ -310,14 +310,28 @@ def _cmd_select(args, out) -> int:
     return 0
 
 
+_STUDY_REQUIRED = ("family", "grid", "n", "reps")
+_STUDY_OPTIONAL = ("alpha", "tests", "seed", "k", "sigma", "b_reps", "ztz_draws")
+
+
 def _read_study_config(path: str) -> dict:
-    parser = configparser.ConfigParser()
+    """The ``[study]`` keys, checked by name; ``;`` starts a comment,
+    inline too, and ``route.<test>`` sets a test's calibration."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ParseError(f"cannot read config file {path!r}")
     if "study" not in parser:
         raise ParseError("config file must contain a [study] section")
-    return dict(parser["study"])
+    raw = dict(parser["study"])
+    for key in raw:
+        if key not in _STUDY_REQUIRED + _STUDY_OPTIONAL and not key.startswith("route."):
+            raise ParseError(f"unknown [study] key {key!r}; choose from "
+                             f"{_STUDY_REQUIRED + _STUDY_OPTIONAL} or route.<test>")
+    for key in _STUDY_REQUIRED:
+        if key not in raw:
+            raise ParseError(f"[study] needs the key {key!r}")
+    return raw
 
 
 def _cmd_power(args, out) -> int:

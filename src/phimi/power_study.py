@@ -14,7 +14,8 @@ plug-in statistic is computed for all of them at once.  Fitted families
 draw each replicate's sample from its own stream and fit each phi test's
 replicates together (:func:`~phimi.estimator.estimate_samples`): the
 Gaussian family's exponential bilinear model in stacks, the FGM copula
-one fit at a time.
+one fit at a time.  Each baseline tests a grid point's samples as one
+stack, one row per replicate.
 A configuration is checked before any draw, each grid value by its
 family's sampler spec.
 
@@ -47,9 +48,9 @@ from .testing import (
     MIN_BASELINE_N,
     BootstrapConfig,
     bootstrap_critical,
-    kendall_test,
-    pearson_test,
-    spearman_test,
+    kendall_rejections,
+    pearson_rejections,
+    spearman_rejections,
 )
 
 __all__ = [
@@ -77,10 +78,12 @@ _DEFAULT_ROUTES = {
 
 _DIVERGENCES = {"kl": DivergenceSpec(1.0), "chisq": DivergenceSpec(2.0)}
 
+# each takes a grid point's samples as two (reps, n) arrays and gives one
+# decision per row, None where the baseline refuses the sample
 _BASELINES = {
-    "pearson": pearson_test,
-    "spearman": spearman_test,
-    "kendall": kendall_test,
+    "pearson": pearson_rejections,
+    "spearman": spearman_rejections,
+    "kendall": kendall_rejections,
 }
 
 
@@ -128,6 +131,9 @@ class PowerStudyConfig:
             raise ValueError("noncorrelation baselines need real-valued families")
         if baselines and self.n < MIN_BASELINE_N:
             raise ValueError(f"baseline tests {tuple(baselines)} need n >= {MIN_BASELINE_N}")
+        for t in self.calibration:
+            if t not in PHI_TESTS:
+                raise ValueError(f"calibration for unknown phi test {t!r}; choose from {PHI_TESTS}")
         routes = dict(_DEFAULT_ROUTES[self.family])
         routes.update(self.calibration)
         for t in self.tests:
@@ -243,13 +249,15 @@ def _fitted_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
     """All replicates of one grid point, dropping up to 2% that fail.
 
     Each replicate draws its sample and its fit's seed from its own stream
-    (``spawn(2)``); each phi test fits all the samples at once with
-    :func:`~phimi.estimator.estimate_samples`, each baseline tests them one
-    by one.  A replicate is dropped when any of its tests raises
-    :class:`PhimiError`.
+    (``spawn(2)``).  Each test takes all the samples at once: a phi test
+    fits them with :func:`~phimi.estimator.estimate_samples`, a baseline
+    tests the stack of their x and of their y values, one row per sample.
+    A replicate is dropped when any of its tests fails on it: a fit that
+    raises :class:`PhimiError`, or a sample the baseline refuses.
     """
     streams = [seq.spawn(2) for seq in rep_seqs]
     samples = [_draw_sample(cfg, param, s_sample) for s_sample, _ in streams]
+    xs, ys = np.array([s.x for s in samples]), np.array([s.y for s in samples])
     rejects: dict[str, list] = {}
     for t in cfg.tests:
         if t in PHI_TESTS:
@@ -257,21 +265,13 @@ def _fitted_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
                                     [s_est for _, s_est in streams])
             rejects[t] = [None if f is None else 2.0 * cfg.n * f.i_hat > crits[t] for f in fits]
         else:
-            rejects[t] = [_baseline_reject(t, s, cfg.alpha) for s in samples]
+            rejects[t] = _BASELINES[t](xs, ys, cfg.alpha)
     valid = [r for r in range(len(samples)) if all(rejects[t][r] is not None for t in cfg.tests)]
     failures = len(samples) - len(valid)
     if failures > 0.02 * cfg.reps:
         raise PhimiError(
             f"{failures}/{cfg.reps} replicates failed at parameter {param}")
     return {t: sum(bool(rejects[t][r]) for r in valid) for t in cfg.tests}, len(valid)
-
-
-def _baseline_reject(test: str, sample, alpha: float) -> bool | None:
-    """The baseline's decision, ``None`` where it raises PhimiError."""
-    try:
-        return _BASELINES[test](sample, alpha).reject
-    except PhimiError:
-        return None
 
 
 def run_power_study(cfg: PowerStudyConfig) -> PowerTable:

@@ -12,7 +12,11 @@ Three calibration routes for the phi-MI statistic:
   model.
 
 Classical noncorrelation tests (Pearson, Spearman, Kendall) are provided
-as baselines with their textbook calibrations.
+as baselines with their textbook calibrations.  Each runs on a stack of
+samples, two (R, n) arrays with one sample per row (``*_rejections``, as
+power studies call them); the one-sample ``*_test`` functions run a stack
+of one.  Kendall's tau_b is computed here for a whole stack, bit for bit
+as ``scipy.stats.kendalltau`` computes it for one sample.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .asymptotics import (
 from .errors import (
     DegenerateInputError,
     FoldContextError,
+    LengthMismatchError,
     OptimFailureError,
     RouteMismatchError,
 )
@@ -49,6 +54,9 @@ __all__ = [
     "spearman_test",
     "kendall_test",
     "kendall_tau",
+    "pearson_rejections",
+    "spearman_rejections",
+    "kendall_rejections",
 ]
 
 ROUTES = ("ztz", "chisq", "bootstrap")
@@ -201,50 +209,197 @@ def _check_baseline_sample(sample: PairedSample):
     return x, y
 
 
-def _t_test_result(r: float, n: int, alpha: float, route: str) -> TestResult:
+def _t_test(r: np.ndarray, n: int, alpha: float):
+    """(statistic, critical value, p-value) of t = r sqrt(n-2)/sqrt(1-r^2)
+    for each correlation in ``r``; t is infinite where 1 - r^2 <= 1e-15."""
     df = n - 2
     crit = float(stdtrit(df, 1.0 - alpha / 2.0))
-    if 1.0 - r * r <= 1e-15:
-        return TestResult(np.inf, crit, 0.0, True, route, alpha)
-    t = abs(r) * np.sqrt(df / (1.0 - r * r))
-    p = 2.0 * float(stdtr(df, -t))
-    return TestResult(float(t), crit, p, bool(t > crit), route, alpha)
+    perfect = 1.0 - r * r <= 1e-15
+    t = np.where(perfect, np.inf, np.abs(r) * np.sqrt(df / np.maximum(1.0 - r * r, 1e-15)))
+    p = np.where(perfect, 0.0, 2.0 * stdtr(df, -t))
+    return t, crit, p
+
+
+def _pearson_r(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's product-moment correlation, in the steps of ``np.corrcoef``."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+
+    def cov(a, b):
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0] / (x.shape[1] - 1)
+
+    return np.clip(cov(xc, yc) / np.sqrt(cov(xc, xc)) / np.sqrt(cov(yc, yc)), -1.0, 1.0)
+
+
+def _pearson(x, y, alpha):
+    return _t_test(_pearson_r(x, y), x.shape[1], alpha)
+
+
+def _spearman(x, y, alpha):
+    from scipy.stats import rankdata  # loaded on first use: slow to import
+    r = _pearson_r(rankdata(x, method="average", axis=1), rankdata(y, method="average", axis=1))
+    return _t_test(r, x.shape[1], alpha)
+
+
+def _kendall(x, y, alpha):
+    n = x.shape[1]
+    tau = kendall_tau(x, y)
+    z = np.abs(3.0 * tau * np.sqrt(n * (n - 1.0)) / np.sqrt(2.0 * (2.0 * n + 5.0)))
+    return z, float(ndtri(1.0 - alpha / 2.0)), 2.0 * ndtr(-z)
+
+
+def _one_sample(statistics, sample: PairedSample, alpha: float, route: str) -> TestResult:
+    x, y = _check_baseline_sample(sample)
+    stat, crit, p = statistics(x[None], y[None], alpha)
+    return TestResult(float(stat[0]), crit, float(p[0]), bool(stat[0] > crit), route, alpha)
+
+
+def _rejections(statistics, x, y, alpha: float) -> list[bool | None]:
+    """One decision per row of the stack, ``None`` on a row that
+    :func:`_check_baseline_sample` would refuse."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    ok = (np.ptp(x, axis=1) != 0.0) & (np.ptp(y, axis=1) != 0.0)
+    if x.shape[1] < MIN_BASELINE_N:
+        ok[:] = False
+    out: list[bool | None] = [None] * len(ok)
+    if ok.any():
+        stat, crit, _ = statistics(x[ok], y[ok], alpha)
+        for row, reject in zip(np.flatnonzero(ok), stat > crit):
+            out[row] = bool(reject)
+    return out
 
 
 def pearson_test(sample: PairedSample, alpha: float = 0.05) -> TestResult:
     """Two-sided Pearson noncorrelation test, t = r sqrt(n-2)/sqrt(1-r^2)."""
-    x, y = _check_baseline_sample(sample)
-    r = float(np.corrcoef(x, y)[0, 1])
-    return _t_test_result(r, sample.n, alpha, "pearson")
+    return _one_sample(_pearson, sample, alpha, "pearson")
 
 
 def spearman_test(sample: PairedSample, alpha: float = 0.05) -> TestResult:
     """Pearson's t statistic applied to the mid-rank correlation."""
-    from scipy.stats import rankdata  # loaded on first use: slow to import
-    x, y = _check_baseline_sample(sample)
-    rx = rankdata(x, method="average")
-    ry = rankdata(y, method="average")
-    r = float(np.corrcoef(rx, ry)[0, 1])
-    return _t_test_result(r, sample.n, alpha, "spearman")
+    return _one_sample(_spearman, sample, alpha, "spearman")
 
 
 def kendall_test(sample: PairedSample, alpha: float = 0.05) -> TestResult:
     """Kendall tau_b with the normal approximation
     z = 3 tau sqrt(n(n-1)) / sqrt(2(2n+5))."""
-    x, y = _check_baseline_sample(sample)
-    n = sample.n
-    tau = kendall_tau(x, y)
-    z = abs(3.0 * tau * np.sqrt(n * (n - 1.0)) / np.sqrt(2.0 * (2.0 * n + 5.0)))
-    crit = float(ndtri(1.0 - alpha / 2.0))
-    p = 2.0 * float(ndtr(-z))
-    return TestResult(float(z), crit, p, bool(z > crit), "kendall", alpha)
+    return _one_sample(_kendall, sample, alpha, "kendall")
 
 
-def kendall_tau(x, y) -> float:
-    """Kendall's tau_b (tie-corrected), as computed by scipy."""
-    from scipy.stats import kendalltau  # loaded on first use: slow to import
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if np.all(x == x[:1]) or np.all(y == y[:1]):
+def pearson_rejections(x, y, alpha: float = 0.05) -> list[bool | None]:
+    """:func:`pearson_test` on each row of the (R, n) stack ``x``, ``y``."""
+    return _rejections(_pearson, x, y, alpha)
+
+
+def spearman_rejections(x, y, alpha: float = 0.05) -> list[bool | None]:
+    """:func:`spearman_test` on each row of the (R, n) stack ``x``, ``y``."""
+    return _rejections(_spearman, x, y, alpha)
+
+
+def kendall_rejections(x, y, alpha: float = 0.05) -> list[bool | None]:
+    """:func:`kendall_test` on each row of the (R, n) stack ``x``, ``y``."""
+    return _rejections(_kendall, x, y, alpha)
+
+
+# positions (and values) per block of the inversion count, and elements
+# per group of rows: 20 rows at n = 500 peak at ~1.5 MB of temporaries
+_TAU_BLOCK = 16
+_TAU_GROUP = 10_000
+
+
+def kendall_tau(x, y):
+    """Kendall's tau_b (tie-corrected), bit for bit as ``scipy.stats.kendalltau``.
+
+    ``x`` and ``y`` are two samples of n, or two (R, n) stacks of R samples;
+    a stack gives one tau_b per row.  The integer counts are scipy's (Knight
+    1966): pairs, ties in x, in y and in both, and discordant pairs, here
+    the inversions of a permutation counted in blocks; tau_b is formed from
+    them in scipy's order of operations.  Raises DegenerateInputError when
+    all x or all y values of a sample are tied.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise LengthMismatchError(f"x {x.shape} and y {y.shape} must be equal 1-D or 2-D shapes")
+    one = x.ndim == 1
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    if np.any((x == x[:, :1]).all(axis=1) | (y == y[:, :1]).all(axis=1)):
         raise DegenerateInputError("all x or all y values tied")
-    return float(kendalltau(x, y).statistic)
+    n = x.shape[1]
+    group = max(1, _TAU_GROUP // n)
+    tau = np.concatenate([_tau_b(x[i:i + group], y[i:i + group])
+                          for i in range(0, len(x), group)])
+    return float(tau[0]) if one else tau
+
+
+def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """tau_b of each row; no row is all tied."""
+    n = x.shape[1]
+    pos = np.arange(n)
+    xr, xtie = _dense_ranks(x)
+    yr, ytie = _dense_ranks(y)
+    # order by x, then y, as scipy's two sorts do; ties in both are joint ties
+    key = xr * n + yr
+    order = np.argsort(key, axis=1)
+    _, ntie = _runs(np.take_along_axis(key, order, axis=1))
+    # discordant pairs are the strict inversions of y in that order: those
+    # of rho, y's rank there with ties broken by position
+    ys = np.take_along_axis(yr, order, axis=1)
+    rho = np.empty_like(ys)
+    np.put_along_axis(rho, np.argsort(ys * n + pos, axis=1), pos, axis=1)
+    dis = _inversions(rho)
+    tot = n * (n - 1) // 2
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return np.clip(tau, -1.0, 1.0)
+
+
+def _dense_ranks(v: np.ndarray):
+    """Each row's dense ranks (0 for its smallest value) and tied pairs."""
+    order = np.argsort(v, axis=1)
+    new, ties = _runs(np.take_along_axis(v, order, axis=1))
+    ranks = np.empty(v.shape, dtype=np.intp)
+    np.put_along_axis(ranks, order, np.cumsum(new, axis=1) - 1, axis=1)
+    return ranks, ties
+
+
+def _runs(s: np.ndarray):
+    """Where each run of equal values starts in the sorted rows ``s``, and
+    each row's tied pairs."""
+    new = np.ones(s.shape, dtype=bool)
+    new[:, 1:] = s[:, 1:] != s[:, :-1]
+    pos = np.arange(s.shape[1])
+    # an element is tied with every earlier one of its run
+    ties = (pos - np.maximum.accumulate(np.where(new, pos, 0), axis=1)).sum(axis=1)
+    return new, ties
+
+
+def _inversions(rho: np.ndarray) -> np.ndarray:
+    """Pairs i < j with rho[i] > rho[j] in each row of a stack of
+    permutations, in O(n b) with blocks of b positions and of b values."""
+    r, n = rho.shape
+    b = _TAU_BLOCK
+    nb = -(-n // b)
+    # pad each row to nb * b with the identity on the tail: no new inversion
+    if nb * b > n:
+        tail = np.broadcast_to(np.arange(n, nb * b), (r, nb * b - n))
+        rho = np.concatenate([rho, tail], axis=1)
+    pos = np.arange(nb * b)
+    at = np.empty_like(rho)   # rho's inverse: the position of each value
+    np.put_along_axis(at, rho, pos, axis=1)
+    upper = np.triu(np.ones((b, b), dtype=bool), 1)
+
+    def block_pairs(a):
+        """Pairs i < j of one block of b with a[i] > a[j], per row."""
+        a = a.reshape(r, nb, b)
+        return ((a[..., :, None] > a[..., None, :]) & upper).sum(axis=(1, 2, 3))
+
+    # pairs within a position block, then pairs within a value block whose
+    # positions lie in two blocks: by value, the position blocks invert
+    count = block_pairs(rho) + block_pairs(at // b)
+    # every other pair: its position blocks and value blocks both differ
+    cells = (np.arange(r)[:, None] * nb + pos // b) * nb + rho // b
+    h = np.bincount(cells.ravel(), minlength=r * nb * nb).reshape(r, nb, nb)
+    before = np.cumsum(h, axis=1) - h          # from earlier position blocks
+    above = before.sum(axis=2, keepdims=True) - np.cumsum(before, axis=2)   # higher values
+    return count + (h * above).sum(axis=(1, 2))

@@ -1,7 +1,9 @@
 import os
+import re
 import subprocess
 import sys
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +319,34 @@ seed = 99
                              "--seed", "123"])
         assert code == 0
         assert "seed=123" in text
+
+    def test_readme_example_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(\[study\]\n.*?)```", readme, re.S).group(1)
+        assert "reps = 10000" in block and ";" in block   # inline comments included
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(block.replace("reps = 10000", "reps = 100"))
+        out = tmp_path / "t.csv"
+        code, text = invoke(["power", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        assert "seed=42" in text
+        rows = phimi.parse_results(out.read_text()).rows
+        assert {(r.test, r.reps, r.n) for r in rows} == {("kl", 100, 30), ("chisq", 100, 30)}
+
+    @pytest.mark.parametrize("edit, message", [
+        (("reps = 150", "reps = 150\nbreps = 5"), "unknown [study] key 'breps'"),
+        (("n = 30\n", ""), "[study] needs the key 'n'"),
+    ])
+    def test_key_errors_are_named(self, tmp_path, capsys, edit, message):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(self.CONFIG.replace(*edit))
+        with pytest.raises(ParseError) as err:
+            run(["power", "--config", str(cfg), "--out", str(tmp_path / "t.csv")],
+                out=StringIO())
+        assert message in str(err.value)
+        assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_has_no_threads_flag(self, tmp_path):
         cfg = tmp_path / "study.cfg"

@@ -101,6 +101,10 @@ class TestConfigValidation:
         # every baseline sample would fail at n < 4
         ("gaussian", {"n": 3, "tests": ("kendall",)}, "n >= 4"),
         ("fgm", {"n": 2, "tests": ("kl", "pearson")}, "n >= 4"),
+        # calibration names phi tests only; a misspelt one would be ignored
+        ("gaussian", {"calibration": {"kendal": "ztz"}}, "unknown phi test 'kendal'"),
+        ("gaussian", {"tests": ("kl", "kendall"), "calibration": {"kendall": "bootstrap"}},
+         "unknown phi test 'kendall'"),
     ])
     def test_rejected_up_front(self, family, overrides, match):
         # each would fail late, mid-study, or emit a wrong table
@@ -339,7 +343,8 @@ class TestStackedStudyFits:
 
 def reference_study(cfg):
     """The table of replicate-by-replicate fitting: one ``estimate`` per
-    replicate and phi test, a replicate dropped at its first PhimiError."""
+    replicate and phi test, a baseline on a stack of one, a replicate
+    dropped at its first PhimiError or baseline refusal."""
     calib_seq, mc_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     crits = _phi_critical_values(cfg, calib_seq)
     rows = []
@@ -356,7 +361,10 @@ def reference_study(cfg):
                         stat = 2.0 * cfg.n * phimi.estimator.estimate(ctx, seed=s_est).i_hat
                         rejects[t] = stat > crits[t]
                     else:
-                        rejects[t] = phimi.power_study._BASELINES[t](sample, cfg.alpha).reject
+                        rejects[t], = phimi.power_study._BASELINES[t](
+                            sample.x[None], sample.y[None], cfg.alpha)
+                        if rejects[t] is None:
+                            raise DegenerateInputError("refused")
             except PhimiError:
                 failures += 1
                 continue
@@ -371,12 +379,13 @@ def reference_study(cfg):
 class TestDroppedReplicates:
     """A replicate is dropped whole when any of its tests raises PhimiError:
     its fit (here its L-BFGS-B run raising on chosen replicates) or a baseline
-    (``DegenerateInputError``); more than 2% dropped fails the study."""
+    (refusing the sample); more than 2% dropped fails the study."""
 
     @staticmethod
     def failing(monkeypatch, cfg, fits, baselines):
-        """Make the fits of the replicates ``fits`` and the kendall test of
-        ``baselines``, (grid index, replicate) pairs, raise."""
+        """Make the fits of the replicates ``fits`` raise, and the kendall
+        test refuse the samples of ``baselines``, (grid index, replicate)
+        pairs."""
         # one profiled pass: every row leaves Newton, so each replicate's
         # fit runs L-BFGS-B, as it does replicate by replicate
         monkeypatch.setattr(phimi.estimator, "_NEWTON_PASSES", 1)
@@ -389,10 +398,9 @@ class TestDroppedReplicates:
 
         degenerate = {replicate_streams(cfg, g)[0][r].x[0] for g, r in baselines}
 
-        def kendall_or_fail(sample, alpha):
-            if sample.x[0] in degenerate:
-                raise DegenerateInputError("forced")
-            return real_kendall(sample, alpha)
+        def kendall_or_fail(x, y, alpha):
+            return [None if row[0] in degenerate else reject
+                    for row, reject in zip(x, real_kendall(x, y, alpha))]
 
         monkeypatch.setattr(phimi.estimator, "_lbfgsb", lbfgsb_or_fail)
         monkeypatch.setitem(phimi.power_study._BASELINES, "kendall", kendall_or_fail)

@@ -35,6 +35,7 @@ import phimi.estimator
 import phimi.models
 import phimi.testing
 from phimi.estimator import estimate_resamples, estimate_samples
+from phimi.testing import kendall_rejections, pearson_rejections, spearman_rejections
 from phimi.models import BasisPair
 
 KL = DivergenceSpec(1.0)
@@ -514,6 +515,66 @@ class TestKendall:
     def test_all_tied_degenerate(self):
         with pytest.raises(DegenerateInputError):
             kendall_tau(np.ones(10), np.arange(10.0))
+
+    @pytest.mark.parametrize("n", [4, 5, 15, 16, 17, 33, 500, 777])
+    def test_stacked_tau_is_scipys_bit_for_bit(self, n):
+        # n on both sides of the 16-wide blocks of the inversion count
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((6, n))
+        y = 0.4 * x + rng.standard_normal((6, n))
+        # heavily tied rows: three and two values
+        x[2:4] = np.arange(n) % 3
+        y[2:4] = rng.integers(0, 2, (2, n))
+        y[2:4, :2] = [0.0, 1.0]
+        # reversed rows, without and with ties
+        x[4], y[4] = np.sort(x[4]), -np.sort(x[4])
+        x[5], y[5] = np.arange(n) // 3, -(np.arange(n) // 2)
+        taus = kendall_tau(x, y)
+        assert taus.shape == (6,)
+        for row, tau in enumerate(taus):
+            assert tau == sps.kendalltau(x[row], y[row]).statistic
+            assert tau == kendall_tau(x[row], y[row])
+        assert taus[4] == pytest.approx(-1.0)
+
+    def test_stacked_tau_refuses_a_tied_row(self):
+        x = np.arange(20.0).reshape(2, 10)
+        x[1] = 3.0
+        with pytest.raises(DegenerateInputError):
+            kendall_tau(x, x[::-1])
+
+
+@pytest.mark.parametrize("n", [4, 12, 40, 500])
+def test_stacked_correlations_match_corrcoef(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((50, n))
+    y = rng.uniform(-1.0, 1.0, (50, 1)) * x + rng.standard_normal((50, n))
+    y[::2] = np.round(y[::2], 1)   # ties for the mid-ranks
+    rx, ry = sps.rankdata(x, axis=1), sps.rankdata(y, axis=1)
+    # Pearson's r, and Spearman's as Pearson's of the mid-ranks
+    for a, b in ((x, y), (rx, ry)):
+        r = phimi.testing._pearson_r(a, b)
+        for row in range(50):
+            assert abs(r[row] - np.corrcoef(a[row], b[row])[0, 1]) <= 1e-15
+
+
+def test_stacked_rejections_match_one_sample_tests():
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((6, 30))
+    y = 0.4 * x + rng.standard_normal((6, 30))
+    x[1] = 2.0    # refused rows: no variation in x, then in y
+    y[4] = -1.0
+    for stacked, one in ((pearson_rejections, pearson_test),
+                         (spearman_rejections, spearman_test),
+                         (kendall_rejections, kendall_test)):
+        want = []
+        for row in range(6):
+            try:
+                want.append(one(PairedSample(x[row], y[row]), 0.2).reject)
+            except DegenerateInputError:
+                want.append(None)
+        assert [row for row in range(6) if want[row] is None] == [1, 4]
+        assert stacked(x, y, 0.2) == want
+        assert stacked(x[:, :3], y[:, :3], 0.2) == [None] * 6   # below 4 observations
 
 
 @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.37])
