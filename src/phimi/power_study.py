@@ -257,7 +257,6 @@ def _fitted_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
     """
     streams = [seq.spawn(2) for seq in rep_seqs]
     samples = [_draw_sample(cfg, param, s_sample) for s_sample, _ in streams]
-    xs, ys = np.array([s.x for s in samples]), np.array([s.y for s in samples])
     rejects: dict[str, list] = {}
     for t in cfg.tests:
         if t in PHI_TESTS:
@@ -265,7 +264,8 @@ def _fitted_rejections(cfg: PowerStudyConfig, param: float, rep_seqs,
                                     [s_est for _, s_est in streams])
             rejects[t] = [None if f is None else 2.0 * cfg.n * f.i_hat > crits[t] for f in fits]
         else:
-            rejects[t] = _BASELINES[t](xs, ys, cfg.alpha)
+            rejects[t] = _BASELINES[t](np.array([s.x for s in samples]),
+                                       np.array([s.y for s in samples]), cfg.alpha)
     valid = [r for r in range(len(samples)) if all(rejects[t][r] is not None for t in cfg.tests)]
     failures = len(samples) - len(valid)
     if failures > 0.02 * cfg.reps:
