@@ -259,9 +259,7 @@ def _rejections(statistics, x, y, alpha: float) -> list[bool | None]:
     :func:`_check_baseline_sample` would refuse."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    ok = (np.ptp(x, axis=1) != 0.0) & (np.ptp(y, axis=1) != 0.0)
-    if x.shape[1] < MIN_BASELINE_N:
-        ok[:] = False
+    ok = (x.shape[1] >= MIN_BASELINE_N) & (np.ptp(x, axis=1) != 0.0) & (np.ptp(y, axis=1) != 0.0)
     out: list[bool | None] = [None] * len(ok)
     if ok.any():
         stat, crit, _ = statistics(x[ok], y[ok], alpha)
