@@ -536,6 +536,22 @@ class TestKendall:
             assert tau == kendall_tau(x[row], y[row])
         assert taus[4] == pytest.approx(-1.0)
 
+    def test_tau_at_large_n_is_scipys(self):
+        # one row of 1e5: the inversion count's memory grows as n, not n^2
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal(100_000)
+        y = 0.2 * x + rng.standard_normal(100_000)
+        for y in (y, np.round(y, 1)):
+            assert kendall_tau(x, y) == sps.kendalltau(x, y).statistic
+
+    def test_2d_input_is_a_stack(self):
+        x = np.arange(10.0)
+        taus = kendall_tau(x[None], x[None] ** 2)
+        assert isinstance(taus, np.ndarray) and taus.shape == (1,)
+        # a column is ten samples of one observation each
+        with pytest.raises(DegenerateInputError):
+            kendall_tau(x[:, None], x[:, None] ** 2)
+
     def test_stacked_tau_refuses_a_tied_row(self):
         x = np.arange(20.0).reshape(2, 10)
         x[1] = 3.0
