@@ -17,9 +17,11 @@ ones included, in exponent space ``s = log h`` over distinct x × distinct
 y values, the copula in ``h`` space, where ``h`` is in (0, 2).  The
 exponential bilinear terms reach the basis only through three feature
 maps; the finite model implements them over flat cells.  Where the
-exponent has one coupled term ``c u(x) v(y)``, the cross sums are a
-truncated series in ``c u v``, O((nx + ny) K) per distinct moment
-column; other bases sum the dense nx × ny block.
+exponent has one coupled term ``c u(x) v(y)``, the cross sums fold the
+rest of the exponent into per-side weights and leave the kernel
+``exp(gamma c u v)``: a truncated series in ``c u v``, O((nx + ny) K)
+per distinct moment column, on large blocks, the kernel itself on
+small ones; other bases sum the dense nx × ny block.
 
 All models are immutable after construction and safe to share between
 threads.  The parameter space is a box, so that the feasible set is
@@ -213,9 +215,10 @@ def _rowmul(a, b):
     return (a[..., None, :] @ b)[..., 0, :]
 
 
-# ExpBilinearModel._lowrank_sums: used where the distinct-value block has
-# at least _LOWRANK_MIN (nx + ny) pairs and |s|, |gamma s| <= _EXP_BOUND
-_LOWRANK_MIN = 26
+# ExpBilinearModel._factored_sums, for one coupled term where |s|, |gamma s|
+# <= _EXP_BOUND: its Taylor series where the distinct-value block has at
+# least _LOWRANK_MIN (nx + ny) pairs, the exact kernel on smaller blocks
+_LOWRANK_MIN = 44   # the two are about even at 40-48 on square blocks
 _EXP_BOUND = 700.0
 _TERM_TOL = 2.0 ** -60   # the series' last term: this share of the largest
 _MAX_TERMS = 120
@@ -268,16 +271,19 @@ def _power_rows(t, top, formed=None):
     """Rows ``t^0 .. t^(top - 1)`` of each row of ``t`` (g, m), (g, top, m).
     Row k is row k - j times t^j, j the largest power of two not above k
     (rows j .. 2j - 1 in one product), whatever ``top``: continuing the
-    rows ``formed`` (g, i, m), if given, gives the rows formed anew."""
-    p = np.empty((len(t), top, t.shape[-1]))
+    rows ``formed`` (g, i, m), if given, gives the rows formed anew.  The
+    rows are formed power-major, (top, g, m), so that each product reads
+    and writes disjoint blocks (numpy copies overlapping inputs first),
+    and returned as its (g, top, m) transpose."""
+    p = np.empty((top, len(t), t.shape[-1]))
     i = 1 if formed is None else formed.shape[1]
-    p[:, :i] = 1.0 if formed is None else formed
+    p[:i] = 1.0 if formed is None else formed.transpose(1, 0, 2)
     j = 1 << (i.bit_length() - 1)
     while i < top:
         end = min(2 * j, top)
-        np.multiply(p[:, i - j:end - j], (p[:, j - 1] * t)[:, None], out=p[:, i:end])
+        np.multiply(p[i - j:end - j], p[j - 1] * t, out=p[i:end])
         i, j = end, 2 * j
-    return p
+    return p.transpose(1, 0, 2)
 
 
 def _power_sums(cache, side, w, top):
@@ -318,11 +324,54 @@ def _series_terms(r):
     return coef, last.argmax(axis=-1) * last.any(axis=-1)
 
 
-def _series_coefficients(r):
-    """``r^k / k!`` for k < K (see :func:`_series_terms`), ``None`` where K
-    would exceed ``_MAX_TERMS``."""
+def _contract(block, xw, yw):
+    """``xw' block yw`` on the trailing two axes: ``block`` (..., nx, ny)
+    contracted with the y columns ``yw`` (..., ny, c), in slices of at most
+    4 columns (OpenBLAS's threaded path for wider products can stall),
+    then with the x columns ``xw`` (..., nx, c')."""
+    rows = np.concatenate([block @ yw[..., j:j + 4] for j in range(0, yw.shape[-1], 4)], axis=-1)
+    return np.swapaxes(xw, -1, -2) @ rows
+
+
+def _series_sums(cache, r, u, v, lx, ly, shifted):
+    """``sum_ij u_i v_j e^{r t_i s_j}`` (``e^{r t_i s_j} - 1`` unless
+    ``shifted``) by the Taylor series ``sum_k r^k / k! U_k V_k``, ``U_k`` the
+    x columns ``u`` (..., nx, c) weighted by ``t^k`` (``V_k`` likewise), with
+    ``t``, ``s`` the cache's scaled coupled columns: O((nx + ny) K) per
+    column.  ``U_k`` and ``V_k`` are formed on each side's distinct columns
+    and gathered by ``lx``, ``ly`` before the products and the rounding
+    bound.  NaN on a row where the series needs over ``_MAX_TERMS`` terms
+    or its rounding bound (the series on absolute values) passes
+    ``_SERIES_RTOL`` of a sum's scale ``sum |u_i v_j| e^{r t_i s_j}``."""
     coef, k = _series_terms(r)
-    return coef[:k] if k else None
+    ok = k > 0
+    top = max(k.max(), 1)
+    # each row's series stops at its own K
+    coef = np.where(np.arange(top) < k[..., None], coef[..., :top], 0.0)
+    # U_k V_k, and the same for the scale and the rounding bound
+    prods = _power_sums(cache, "x", u, top)[..., lx] * _power_sums(cache, "y", v, top)[..., ly]
+    scale = _rowmul(coef, prods[..., 1, :, :])
+    rounding = _rowmul(np.abs(coef), prods[..., 2, :, :])
+    ok &= (_EPS * k[..., None] * rounding <= _SERIES_RTOL * scale).all(axis=-1)
+    first = 0 if shifted else 1   # e^{r t s} - 1 drops the k = 0 term
+    m = _rowmul(coef[..., first:], prods[..., 0, first:, :])
+    m[~ok] = np.nan
+    return m
+
+
+def _kernel_sums(cache, r, u, v, lx, ly, shifted):
+    """The sums of :func:`_series_sums` by the exact kernel: ``e^{r t s}``
+    (``expm1`` unless ``shifted``) formed by one outer product and one
+    exp in place, then contracted with ``u`` and ``v``; a stack in groups
+    of rows whose kernels stay within ``_STACK_BYTES``."""
+    t, s = cache["scaled_x"], cache["scaled_y"]
+    kernel = np.exp if shifted else np.expm1
+    groups = [...] if t.ndim == 1 else _row_groups(len(t), t.shape[-1] * s.shape[-1])
+    m = np.empty(u.shape[:-2] + (len(lx),))
+    for rows in groups:
+        block = np.einsum("...i,...j->...ij", r[rows][..., None] * t[rows], s[rows])
+        m[rows] = _contract(kernel(block, out=block), u[rows], v[rows])[..., lx, ly]
+    return m
 
 
 class RatioModel:
@@ -480,8 +529,9 @@ class ExpBilinearModel(RatioModel):
         no shift, domain check or bound, and adds zero to every sum.  The
         stack keeps what the terms and the profile read (``_PER_ROW``).
         The split into x-only, y-only and coupled terms is shared: a term
-        is x-only (y-only) where it is on every row.  Each row takes the
-        dense block or the series as its own sample would.
+        is x-only (y-only) where it is on every row.  With one coupled
+        term, each row takes the series or the exact kernel as its own
+        sample would.
         """
         (ux, ix, cx), (uy, iy, cy) = _distinct_rows(x), _distinct_rows(y)
         n, ny = x.shape[1], uy.shape[1]
@@ -497,8 +547,8 @@ class ExpBilinearModel(RatioModel):
         distinct values: the arrays a pass holds per row stay within
         ``_STACK_BYTES`` (the paired values, the moment columns, and for
         the series a copy of the live rows' and their weighted values and
-        absolute values); the dense blocks and the series' power rows are
-        formed in groups of rows within it."""
+        absolute values); the dense blocks, the exact kernels and the
+        series' power rows are formed in groups of rows within it."""
         cols = 1 + len(self._pairs[0]) + self.dim - 1
         return max(1, _STACK_BYTES // (8 * max(4 * cols * (nx + ny), n * (self.dim - 1))))
 
@@ -514,7 +564,10 @@ class ExpBilinearModel(RatioModel):
         split of the terms carry the leading row axis of a stack.  Moment
         columns repeat (``x^2 1`` and ``x x`` are one column), so each side
         keeps only its distinct ones (``xim``, ``zem``; see
-        :attr:`_columns`)."""
+        :attr:`_columns`).  With one coupled term ``u v``, ``u`` and ``v``
+        scaled to max 1 (``scaled_x``, ``scaled_y``; ``scale`` the product
+        of the divisors) for :meth:`_factored_sums`, and ``lowrank`` where
+        the row's block is large enough for its series."""
         d, rows = xi.shape[-1], np.arange(len(xi))[:, None]
         # A term whose zeta (xi) is constant on the sample adds a vector
         # over x (y) to the cross exponent; the other terms are coupled.
@@ -537,7 +590,7 @@ class ExpBilinearModel(RatioModel):
             "cross_mean": xsum * ysum / cache["n"] ** 2,
             "lowrank": (coupled.size == 1) & (nx * ny >= _LOWRANK_MIN * (nx + ny)),
         }
-        if np.any(design["lowrank"]):   # the coupled columns scaled to max |t| = 1
+        if coupled.size == 1:   # the coupled columns scaled to max |t| = 1
             cols = [design["coupled_x"][..., 0], design["coupled_y"][..., 0]]
             tops = [np.abs(t).max(axis=-1) for t in cols]
             # a stack may couple a term that is constant on some row
@@ -628,15 +681,14 @@ class ExpBilinearModel(RatioModel):
         exp(gamma s - shift)`` where ``shifted`` (no exp overflows), else
         ``E = expm1(gamma s)`` and shift 0, raising DomainError where some
         ``exp(s)`` leaves dom phi (NaN sums on such rows of a stack).  One
-        coupled term and a large enough block take the series of
-        :meth:`_lowrank_sums`, O((nx + ny) K) per distinct moment column;
-        elsewhere, or where it declines, the dense block
+        coupled term takes the factored sums of :meth:`_factored_sums`;
+        several or none, and the rows it declines, the dense block
         (:meth:`_dense_sums`).  Both sum each side's distinct moment
         columns once and return sums over all of them."""
         d = self.dim - 1
         cols = len(self._factors[0]) if second else 1 + d
-        out = (self._lowrank_sums(divergence.gamma, theta, cache, cols, shifted)
-               if np.any(cache["lowrank"]) else None)
+        out = (self._factored_sums(divergence.gamma, theta, cache, cols, shifted)
+               if "scale" in cache else None)
         if out is None:
             m, shift = self._dense_sums(divergence, theta, cache, cols, shifted)
         else:
@@ -654,8 +706,11 @@ class ExpBilinearModel(RatioModel):
 
     def _dense_sums(self, divergence, theta, cache, cols, shifted):
         """The sums of :meth:`_cross_sums` over the first ``cols`` moment
-        columns and the shift, from the dense block: a stack in groups of
-        rows whose blocks stay within ``_STACK_BYTES``."""
+        columns and the shift, from the dense block ``exp(gamma s -
+        shift)``, shifted by its largest entry, or ``expm1(gamma s)`` after
+        its domain check: for bases with several or no coupled terms, and
+        as the oracle of :meth:`_factored_sums`.  A stack in groups of rows
+        whose blocks stay within ``_STACK_BYTES``."""
         if theta.ndim == 1:
             block, shift = _exp_block(divergence, self._cross_exponent(theta, cache), shifted)
             return self._cross_moments(block, cache, cols), shift
@@ -674,40 +729,36 @@ class ExpBilinearModel(RatioModel):
         return (theta[..., :1] + (beta[..., cache["x_only"]] * cache["a"]).sum(axis=-1),
                 (beta[..., cache["y_only"]] * cache["b"]).sum(axis=-1))
 
-    def _lowrank_sums(self, gamma, theta, cache, cols, shifted):
+    def _factored_sums(self, gamma, theta, cache, cols, shifted):
         """The sums of :meth:`_cross_sums` over the first ``cols`` moment
-        columns and the shift, without the block, or ``None``.
+        columns and the shift, for a basis with one coupled term, without
+        the dense block, or ``None``.
 
-        With ``s_ij = a_i + b_j + c u_i v_j`` (alpha in ``a``; ``u``, ``v``
-        scaled to max 1), every sum is ``sum_k (gamma c)^k / k! U_k V_k``,
-        ``U_k`` the x moment columns weighted by ``e^{gamma a} u^k`` (``V_k``
-        likewise): the Taylor series of the fast Gauss transform, exact up
-        to truncation for one product.  ``U_k`` and ``V_k`` are formed on
-        each side's distinct moment columns and gathered to all of them
-        before the products and the rounding bound.  A row is declined
-        where the bound on ``|s|`` or ``|gamma s|`` passes ``_EXP_BOUND``,
-        the series needs over ``_MAX_TERMS`` terms, or its rounding bound
-        (the series on absolute values) passes ``_SERIES_RTOL`` of a sum's
-        scale ``sum |weights| e^{gamma s}``: NaN sums on such rows of a
-        stack, ``None`` where every row is declined, as is a row of a stack
-        that its own sample would give the dense block (``lowrank``
-        false).
+        With ``s_ij = a_i + b_j + c u_i v_j`` (alpha in ``a``; ``t``, ``s``
+        the coupled columns ``u``, ``v`` scaled to max 1 and ``r = gamma c``
+        for the scaled product), ``exp(gamma s_ij) = e^{gamma a_i} e^{gamma
+        b_j} e^{r t_i s_j}``: the fast Gauss transform's factorization.  The
+        first two factors weight each side's distinct moment columns,
+        shifted by their largest exponent (``shift = max gamma a + max
+        gamma b``, a bound on ``gamma s`` up to the kernel), and only the
+        coupled kernel ``e^{r t s}`` is left.  A row whose block has at
+        least ``_LOWRANK_MIN (nx + ny)`` pairs (``lowrank``) sums it by its
+        truncated Taylor series (:func:`_series_sums`); smaller rows, and
+        the rows whose series is declined (over ``_MAX_TERMS`` terms or
+        past its rounding guard), form it exactly (:func:`_kernel_sums`).  Unshifted, ``e^{gamma s} - 1`` splits as
+        ``A B + A + B`` plus the kernel's ``e^{r t s} - 1`` weighted by ``(1
+        + A)(1 + B)``, with ``A``, ``B`` from ``expm1`` of ``gamma a``,
+        ``gamma b``.  A row is declined where the bound ``max(1, |gamma|)
+        (max |a| + max |b| + |c|)`` on ``|s|`` and ``|gamma s|`` passes
+        ``_EXP_BOUND``: NaN sums on such rows of a stack, ``None`` where
+        every row is declined.
         """
-        beta = theta[..., 1:]
         a, b = self._cross_parts(theta, cache)
-        c = beta[..., cache["coupled"][0]] * cache["scale"]
-        ok = cache["lowrank"] & (max(1.0, abs(gamma)) * (np.abs(a).max(axis=-1)
-                                                         + np.abs(b).max(axis=-1) + np.abs(c))
-                                 <= _EXP_BOUND)
+        c = theta[..., 1 + cache["coupled"][0]] * cache["scale"]
+        ok = (max(1.0, abs(gamma)) * (np.abs(a).max(axis=-1) + np.abs(b).max(axis=-1) + np.abs(c))
+              <= _EXP_BOUND)
         if not ok.any():
             return None
-        coef, k = _series_terms(np.where(ok, gamma * c, 0.0))
-        ok &= k > 0
-        if not ok.any():
-            return None
-        top = k.max()
-        # each row's series stops at its own K
-        coef = np.where(np.arange(top) < k[..., None], coef[..., :top], 0.0)
         xw, yw, lx, ly = self._moments(cache, cols)
         ga, gb = gamma * a, gamma * b
         if shifted:
@@ -717,23 +768,26 @@ class ExpBilinearModel(RatioModel):
             shift = top_a + top_b
         else:
             u, v, shift = xw * np.exp(ga)[..., None], yw * np.exp(gb)[..., None], 0.0 * c
-        # U_k V_k, and the same for the scale and the rounding bound
-        prods = _power_sums(cache, "x", u, top)[..., lx] * _power_sums(cache, "y", v, top)[..., ly]
-        scale = _rowmul(coef, prods[..., 1, :, :])
-        rounding = _rowmul(np.abs(coef), prods[..., 2, :, :])
-        ok &= (_EPS * k[..., None] * rounding <= _SERIES_RTOL * scale).all(axis=-1)
-        if not ok.any():
-            return None
-        if shifted:
-            m = _rowmul(coef, prods[..., 0, :, :])
-        else:
+        m, r = np.full(np.shape(ok) + (len(lx),), np.nan), gamma * c
+        series = ok & cache["lowrank"]
+        if series.any():
+            at, sub = self._rows_of(series, cache)
+            m[at] = _series_sums(sub, r[at], u[at], v[at], lx, ly, shifted)
+        exact = ok & np.isnan(m[..., 0])   # the smaller blocks and the series declined
+        if exact.any():
+            at, sub = self._rows_of(exact, cache)
+            m[at] = _kernel_sums(sub, r[at], u[at], v[at], lx, ly, shifted)
+        if not shifted:
             # k = 0: (1 + A)(1 + B) - 1 = A B + A + B, with A, B from expm1
             a1, b1 = _rowmul(np.expm1(ga), xw)[..., lx], _rowmul(np.expm1(gb), yw)[..., ly]
-            m = (a1 * b1 + a1 * yw.sum(axis=-2)[..., ly] + xw.sum(axis=-2)[..., lx] * b1
-                 + _rowmul(coef[..., 1:], prods[..., 0, 1:, :]))
-        if np.ndim(ok):   # a stack: NaN on the rows declined
-            m[~ok] = np.nan
+            m += a1 * b1 + a1 * yw.sum(axis=-2)[..., ly] + xw.sum(axis=-2)[..., lx] * b1
         return m, shift
+
+    def _rows_of(self, rows, cache):
+        """The index of the rows where ``rows`` holds and the cache of
+        them: ``...`` and the cache itself where it holds on every row (or
+        on a single context)."""
+        return (..., cache) if rows.all() else (rows, self._take_rows(cache, rows))
 
     def _cross_exponent(self, theta, cache) -> np.ndarray:
         """``s_ij = alpha + sum_k beta_k xi_k(x_i) zeta_k(y_j)`` on distinct
@@ -755,14 +809,11 @@ class ExpBilinearModel(RatioModel):
     def _cross_moments(self, block, cache, cols):
         """Sums of ``c_x c_y block`` times the first ``cols`` moment columns
         ``(1, f, f_k f_l)`` over the distinct-value block: ``block``
-        contracted with the distinct count-weighted ``zeta`` columns, in
-        slices of at most 4 columns (OpenBLAS's threaded path for wider
-        products can stall), then with the distinct ``xi`` columns, and
-        each moment column read off its pair of them."""
+        contracted with the distinct count-weighted ``xi`` and ``zeta``
+        columns (:func:`_contract`), and each moment column read off its
+        pair of them."""
         xim, zem, lx, ly = self._moments(cache, cols)
-        w = zem.shape[-1]
-        rows = np.concatenate([block @ zem[..., j:j + 4] for j in range(0, w, 4)], axis=-1)
-        return (np.swapaxes(xim, -1, -2) @ rows)[..., lx, ly]
+        return _contract(block, xim, zem)[..., lx, ly]
 
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
         """Paired term in exponent space.
@@ -792,8 +843,8 @@ class ExpBilinearModel(RatioModel):
         With ``h = exp(s)`` and the power kernel, ``g(h) = expm1(gamma s) /
         gamma`` (``s`` for gamma = 0) and ``dg/dtheta = exp(gamma s) (1,
         xi_k zeta_k)``.  ``M = expm1(gamma s)`` is summed once against
-        ``(1, f)`` by :meth:`_cross_sums`, which also checks the domain: in
-        O((nx + ny) K) for one coupled term, else over the dense block.  The
+        ``(1, f)`` by :meth:`_cross_sums`, which also checks the domain: by
+        the factored sums for one coupled term, else over the dense block.  The
         ``exp(gamma s) - M = 1`` part of the gradient is the cross mean of
         ``(1, f)``.
         """
@@ -821,8 +872,8 @@ class ExpBilinearModel(RatioModel):
         1) Cov_A f - gamma Cov_B f)``: concave for gamma in [0, 1].
 
         ``log A`` and ``log B`` are log-sum-exps shifted by the largest
-        exponent (for ``B``, a bound on it where :meth:`_cross_sums` sums
-        the series of one coupled term), so no exp overflows.  Returns
+        exponent (for ``B``, a bound on it where :meth:`_cross_sums` takes
+        the factored sums of one coupled term), so no exp overflows.  Returns
         (value, gradient, Hessian, alpha*), one row each for a stack; a
         non-finite value means the profile overflows there.
         """

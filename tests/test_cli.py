@@ -393,6 +393,10 @@ class TestExitCodes:
     def test_bad_basis_is_runtime_error(self):
         assert main(["limits", "--model", "expbilinear:bogus", "--seed", "1"]) == 2
 
+    def test_bad_basis_message_has_no_repr_quotes(self, capsys):
+        assert main(["limits", "--model", "expbilinear:foo", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: unknown basis name 'foo'\n"
+
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
     def test_nonpositive_sigma_is_runtime_error(self, sigma):
         assert main(["limits", "--model", "expbilinear:xy", f"--sigma={sigma}",

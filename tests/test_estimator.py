@@ -29,6 +29,7 @@ from phimi import (
     sample_gaussian,
 )
 import phimi.estimator
+import phimi.models
 from phimi.errors import LengthMismatchError
 from phimi.divergence import NAMED_GAMMAS
 from phimi.estimator import (
@@ -37,7 +38,7 @@ from phimi.estimator import (
     estimate_samples,
     objective_terms,
 )
-from phimi.models import BASIS_REGISTRY, BasisPair, _series_coefficients, rank_transform
+from phimi.models import BASIS_REGISTRY, BasisPair, _series_terms, rank_transform
 
 KL = DivergenceSpec(1.0)
 CHISQ = DivergenceSpec(2.0)
@@ -536,28 +537,36 @@ class TestProfiledNewton:
 
 
 def cross_paths(monkeypatch):
-    """Counts, from here on, of cross sums taken by the low-rank series and
-    of dense cross blocks built."""
-    counts = {"lowrank": 0, "dense": 0}
-    lowrank, dense = ExpBilinearModel._lowrank_sums, ExpBilinearModel._cross_exponent
+    """Counts, from here on, of the three routes of the cross sums: series
+    sums that answered some row, exact kernels formed and dense cross
+    blocks built (one per call, whatever the rows)."""
+    counts = {"series": 0, "kernel": 0, "dense": 0}
+    series, kernel = phimi.models._series_sums, phimi.models._kernel_sums
+    dense = ExpBilinearModel._cross_exponent
 
-    def lowrank_spy(self, *args):
-        out = lowrank(self, *args)
-        counts["lowrank"] += out is not None
+    def series_spy(*args):
+        out = series(*args)
+        counts["series"] += not np.isnan(out[..., 0]).all()
         return out
+
+    def kernel_spy(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
 
     def dense_spy(self, *args):
         counts["dense"] += 1
         return dense(self, *args)
 
-    monkeypatch.setattr(ExpBilinearModel, "_lowrank_sums", lowrank_spy)
+    monkeypatch.setattr(phimi.models, "_series_sums", series_spy)
+    monkeypatch.setattr(phimi.models, "_kernel_sums", kernel_spy)
     monkeypatch.setattr(ExpBilinearModel, "_cross_exponent", dense_spy)
     return counts
 
 
 def dense_cache(ctx):
-    """The context's cache with the low-rank path switched off."""
-    return dict(ctx._cache, lowrank=False)
+    """The context's cache without the scaled coupled columns, so that the
+    cross sums build the dense block: the oracle of the factored sums."""
+    return {k: v for k, v in ctx._cache.items() if k not in ("scale", "scaled_x", "scaled_y")}
 
 
 def lowrank_samples(rho, n=500):
@@ -617,19 +626,19 @@ class TestLowRankCrossSums:
                     dense = dense_cache(ctx)
                     est = estimate(ctx)
                     with monkeypatch.context() as patch:
-                        patch.setattr(ExpBilinearModel, "_lowrank_sums", lambda *args: None)
+                        patch.setattr(ExpBilinearModel, "_factored_sums", lambda *args: None)
                         ref = estimate(ObjectiveContext(div, model, sample))
                     assert (est.method, est.objective_evals) == (ref.method, ref.objective_evals)
                     assert est.i_hat == pytest.approx(ref.i_hat, rel=1e-12, abs=1e-15)
                     fitted = np.clip(est.theta_hat.to_array(), *model.bounds.T)
                     for theta in [fitted] + [np.clip(fitted + rng.uniform(-0.05, 0.05, model.dim),
                                                      *model.bounds.T) for _ in range(2)]:
-                        before = paths["lowrank"]
+                        before = paths["series"]
                         assert_profiles_match(model, div, theta[1:], ctx._cache, dense)
                         assert_cross_terms_match(model, div, theta, ctx._cache, dense)
                         checks += 2
-                        taken += paths["lowrank"] - before
-        # the series, not the fallback, answered most of the checks above
+                        taken += paths["series"] - before
+        # the series, not the exact kernel, answered most of the checks above
         assert taken >= 3 * checks // 4
 
     def test_value_keeps_expm1_precision_near_theta0(self):
@@ -658,12 +667,12 @@ class TestLowRankCrossSums:
         top = max(log_term(k) for k in range(121))
         small = [k for k in range(121)
                  if k > abs(r) and log_term(k) <= top - 60.0 * math.log(2.0)]
-        coef = _series_coefficients(r)
+        coef, k = _series_terms(r)
         if not small:
-            assert coef is None
+            assert k == 0
             return
-        assert coef.size == small[0]
-        assert np.allclose(coef, [r**k / math.factorial(k) for k in range(coef.size)],
+        assert k == small[0]
+        assert np.allclose(coef[:k], [r**j / math.factorial(j) for j in range(k)],
                            rtol=1e-13, atol=0.0)
 
     def test_two_coupled_terms_stay_dense(self, monkeypatch):
@@ -673,12 +682,12 @@ class TestLowRankCrossSums:
         assert not ctx._cache["lowrank"]
         self.check_dense(monkeypatch, ctx, np.array([0.1, 0.2, -0.05]))
 
-    def test_small_tied_block_stays_dense(self, monkeypatch):
-        # ~30 distinct values per side: nx ny < 26 (nx + ny)
+    def test_small_tied_block_takes_the_kernel(self, monkeypatch):
+        # ~30 distinct values per side: nx ny < _LOWRANK_MIN (nx + ny)
         ctx = ObjectiveContext(CHISQ, gaussian_model(), TIED["rounded"])
         nx, ny = (np.unique(v).size for v in (TIED["rounded"].x, TIED["rounded"].y))
-        assert nx * ny < 26 * (nx + ny) and not ctx._cache["lowrank"]
-        self.check_dense(monkeypatch, ctx, np.array([0.1, -0.2, -0.1, 0.3]))
+        assert nx * ny < phimi.models._LOWRANK_MIN * (nx + ny) and not ctx._cache["lowrank"]
+        self.check_kernel(monkeypatch, ctx, np.array([0.1, -0.2, -0.1, 0.3]))
 
     def test_exponent_bound_falls_back(self, monkeypatch):
         # |x|, |y| up to ~50: the bound on |s| passes 700 while s <= 0
@@ -696,17 +705,28 @@ class TestLowRankCrossSums:
             else:
                 self.check_dense(monkeypatch, ctx, theta)
 
-    def test_rounding_guard_falls_back(self, monkeypatch):
+    def test_rounding_guard_takes_the_kernel(self, monkeypatch):
         # positive u, v and c < 0: the series alternates and cancels to
-        # about 1e-8 of the result; the guard sends it to the dense block
+        # about 1e-8 of the result; the guard sends it to the exact kernel
         rng = np.random.default_rng(22)
         sample = PairedSample(rng.uniform(1.0, 2.5, 500), rng.uniform(1.0, 2.5, 500))
         model = ExpBilinearModel(["x", "y", "xy"])
         theta = np.array([0.0, 0.0, 0.0, -4.0])
         ctx = ObjectiveContext(KL, model, sample)
         r = -4.0 * ctx._cache["scale"]
-        assert _series_coefficients(r) is not None and abs(r) < 700.0
-        self.check_dense(monkeypatch, ctx, theta)
+        assert _series_terms(r)[1] > 0 and abs(r) < 700.0 and ctx._cache["lowrank"]
+        self.check_kernel(monkeypatch, ctx, theta)
+
+    def test_dense_oracle_builds_the_block(self, monkeypatch):
+        # without the scaled coupled columns, one coupled term takes the
+        # dense block, on a large block and on a small one
+        for sample in (lowrank_samples(0.3)["continuous"], TIED["rounded"]):
+            ctx = ObjectiveContext(KL, gaussian_model(), sample)
+            with monkeypatch.context() as patch:
+                paths = cross_paths(patch)
+                gaussian_model()._cross_term(KL, np.array([0.1, -0.2, -0.1, 0.3]),
+                                             dense_cache(ctx), True)
+            assert paths == {"series": 0, "kernel": 0, "dense": 1}
 
     def test_values_do_not_depend_on_earlier_evaluations(self):
         # the context keeps the power rows of a 13-term series and extends
@@ -722,20 +742,94 @@ class TestLowRankCrossSums:
         assert value == fresh[0] and np.array_equal(grad, fresh[1])
 
     @staticmethod
-    def check_dense(monkeypatch, ctx, theta):
+    def evaluations(monkeypatch, ctx, theta):
+        """The evaluation at theta and the profile at its beta, and the
+        routes their cross sums took."""
+        model, div = ctx.model, ctx.divergence
+        with monkeypatch.context() as patch:
+            paths = cross_paths(patch)
+            got = (model._cross_term(div, theta, ctx._cache, True),
+                   model._profile(div, theta[1:], ctx._cache))
+        return got, paths
+
+    @classmethod
+    def check_dense(cls, monkeypatch, ctx, theta):
         """The evaluation at theta and the profile at its beta build the
         dense block, and give exactly what the dense block gives."""
         model, div = ctx.model, ctx.divergence
         dense = dense_cache(ctx)
         want = (model._cross_term(div, theta, dense, True),
                 model._profile(div, theta[1:], dense))
-        with monkeypatch.context() as patch:
-            paths = cross_paths(patch)
-            got = (model._cross_term(div, theta, ctx._cache, True),
-                   model._profile(div, theta[1:], ctx._cache))
-        assert paths == {"lowrank": 0, "dense": 2}
+        got, paths = cls.evaluations(monkeypatch, ctx, theta)
+        assert paths == {"series": 0, "kernel": 0, "dense": 2}
         for g, w in zip(got[0] + got[1], want[0] + want[1]):
             assert np.array_equal(g, w)
+
+    @classmethod
+    def check_kernel(cls, monkeypatch, ctx, theta):
+        """The evaluation at theta and the profile at its beta form the
+        exact kernel, and agree with the dense block to 1e-12."""
+        model, div = ctx.model, ctx.divergence
+        assert cls.evaluations(monkeypatch, ctx, theta)[1] == {"series": 0, "kernel": 2,
+                                                                "dense": 0}
+        assert_cross_terms_match(model, div, theta, ctx._cache, dense_cache(ctx))
+        assert_profiles_match(model, div, theta[1:], ctx._cache, dense_cache(ctx))
+
+
+KERNEL_BASES = {"x,y,xy": ["x", "y", "xy"], "gaussian": ["x2", "y2", "xy"],
+                "1,x,xy": ["1", "x", "xy"]}
+
+
+class TestExactKernel:
+    """Cross sums of one coupled term on blocks below the series' size
+    rule, by the exact kernel, against the dense block."""
+
+    @pytest.mark.parametrize("div", LOWRANK_DIVERGENCES, ids=str)
+    @pytest.mark.parametrize("basis", list(KERNEL_BASES))
+    def test_matches_dense_block(self, basis, div, monkeypatch):
+        model = ExpBilinearModel(KERNEL_BASES[basis])
+        full = all_columns(model)
+        rng = np.random.default_rng(26)
+        # a continuous sample of 60 and a resample of it: blocks of 30 and
+        # ~19 pairs per (nx + ny)
+        for name, sample in lowrank_samples(0.3, n=60).items():
+            ctx = ObjectiveContext(div, model, sample)
+            assert not ctx._cache["lowrank"], name
+            oracle = dense_cache(ObjectiveContext(div, full, sample))
+            for _ in range(2):
+                theta = np.concatenate([[0.1], rng.uniform(-0.5, 0.5, model.dim - 1)])
+                for second in (False, True):
+                    for shifted in (False, True):
+                        want = full._cross_sums(div, theta, oracle, second, shifted)
+                        scale = TestDistinctColumns.scale(full, div, theta, oracle, second,
+                                                          shifted)
+                        with monkeypatch.context() as patch:
+                            paths = cross_paths(patch)
+                            *got, shift = model._cross_sums(div, theta, ctx._cache, second,
+                                                            shifted)
+                        assert paths == {"series": 0, "kernel": 1, "dense": 0}, name
+                        # the kernel shifts by a bound on gamma s, the dense
+                        # block by its largest entry
+                        rescale = np.exp(shift - want[2])
+                        for g, w, sc in zip(got, want, scale):
+                            if w is not None:
+                                assert np.all(np.abs(g * rescale - w) <= 1e-12 * sc), name
+
+    def test_value_keeps_expm1_precision_near_theta0(self):
+        # as on the series' blocks: sum (e^{gamma s} - 1) is tiny next to
+        # sum e^{gamma s}, and the kernel keeps expm1's digits
+        rng = np.random.default_rng(21)
+        sample = lowrank_samples(0.3, n=60)["continuous"]
+        for basis in KERNEL_BASES.values():
+            model = ExpBilinearModel(basis)
+            for div in (KL, CHISQ, HELL, DivergenceSpec(-1.0)):
+                ctx = ObjectiveContext(div, model, sample)
+                assert not ctx._cache["lowrank"]
+                theta = 1e-9 * rng.uniform(-1.0, 1.0, model.dim)
+                got = model._cross_term(div, theta, ctx._cache, False)[0]
+                want = model._cross_term(div, theta, dense_cache(ctx), False)[0]
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+                assert objective_terms(ctx, model.theta0) == (0.0, 0.0)
 
 
 def all_columns(model):
@@ -788,7 +882,7 @@ class TestDistinctColumns:
                 oracle = dense_cache(every)
                 theta = np.clip(estimate(ctx).theta_hat.to_array()
                                 + rng.uniform(-0.02, 0.02, model.dim), *model.bounds.T)
-                before = paths["lowrank"]
+                before = dict(paths)
                 for second in (False, True):
                     for shifted in (False, True):
                         want = full._cross_sums(div, theta, oracle, second, shifted)
@@ -802,8 +896,11 @@ class TestDistinctColumns:
                             for g, w, sc in zip(got, want, scale):
                                 if w is not None:
                                     assert np.all(np.abs(g * rescale - w) <= 1e-12 * sc), name
-                # one coupled term: the series summed both caches that take it
-                assert paths["lowrank"] - before == (0 if basis == "xy,x2y2" else 8), name
+                # one coupled term: the series summed both caches that take
+                # it, the dense block the oracle, its scale and the dense cache
+                taken = {k: paths[k] - before[k] for k in paths}
+                assert taken == ({"series": 0, "kernel": 0, "dense": 20} if basis == "xy,x2y2"
+                                 else {"series": 8, "kernel": 0, "dense": 12}), name
 
     @staticmethod
     def scale(model, div, theta, cache, second, shifted):
@@ -1194,7 +1291,7 @@ class TestStackRows:
         stack = ObjectiveContext(div, model, samples)._cache
         for r, sample in enumerate(samples):
             single = ObjectiveContext(div, model, sample)._cache
-            # the series' keys are there where some row takes the series
+            # the scaled coupled columns are there where one term is coupled
             assert single.keys() <= stack.keys()
             for key, want in single.items():
                 got = stack[key] if key in model._SHARED else stack[key][r]
@@ -1213,7 +1310,7 @@ class TestStackRows:
     @pytest.mark.parametrize("basis", [["x2", "y2", "xy"], ["x", "y", "xy"], ["1", "x", "xy"]])
     def test_expbilinear(self, basis, gamma):
         # continuous, tied and bootstrap-drawn samples of one size: rows of
-        # different widths, on the series and on the dense block
+        # different widths, all below the series' size rule
         base = NEWTON_SAMPLES["dependent"]
         rng = np.random.default_rng(20)
         n = base.n
@@ -1223,7 +1320,7 @@ class TestStackRows:
                     for _ in range(3)]
         model = ExpBilinearModel(basis)
         lowrank = [ObjectiveContext(KL, model, s)._cache["lowrank"] for s in samples[:3]]
-        assert lowrank == [True, False, False]
+        assert lowrank == [False, False, False]
         self.check(DivergenceSpec(gamma), model, samples)
 
     def test_finite(self):

@@ -23,6 +23,7 @@ from phimi import (
     model_to_config,
     rank_transform,
 )
+import phimi.models
 from phimi.models import BasisPair, encode_tokens
 
 MODELS = {
@@ -376,10 +377,59 @@ def _padding_samples():
 
 PADDING_SAMPLES = _padding_samples()
 PADDING_BASES = {
-    "x2,y2,xy": ["x2", "y2", "xy"],   # the series on the continuous rows
+    "x2,y2,xy": ["x2", "y2", "xy"],   # the exact kernel: every block is small
     "xy,x2y2": [BasisPair("xy", lambda t: t, lambda t: t),   # two coupled terms: dense
                 BasisPair("x2y2", lambda t: t**2, lambda t: t**2)],
 }
+
+
+def _mixed_samples():
+    """Rows of one stack, n = 200, that take each route of one coupled
+    term: the series (continuous), the exact kernel (rounded), the kernel
+    after the series' rounding guard declines (positive values, c < 0 on
+    its row), and the dense block (x = 1e3 with beta_x = -0.71 on its row,
+    past the bound on |s|); with the theta of each row."""
+    rng = np.random.default_rng(9)
+    n = 200
+    x = rng.standard_normal(n)
+    y = 0.5 * x + np.sqrt(0.75) * rng.standard_normal(n)
+    outlier = x.copy()
+    outlier[5] = 1e3
+    samples = [PairedSample(x, y), PairedSample(np.round(x, 1), np.round(y, 1)),
+               PairedSample(rng.uniform(1.0, 2.5, n), rng.uniform(1.0, 2.5, n)),
+               PairedSample(outlier, y)]
+    theta = np.array([[0.1, 0.2, -0.1, 0.4], [0.1, -0.2, 0.1, 0.3], [0.0, 0.0, 0.0, -4.0],
+                      [0.0, -0.71, 0.1, 1e-4]])
+    return samples, theta
+
+
+MIXED_SAMPLES, MIXED_THETA = _mixed_samples()
+MIXED_ROUTES = ["series", "kernel", "kernel", "dense"]
+
+
+def route_rows(monkeypatch):
+    """Rows, from here on, whose cross sums each route answered."""
+    rows = {"series": 0, "kernel": 0, "dense": 0}
+    series, kernel = phimi.models._series_sums, phimi.models._kernel_sums
+    dense = ExpBilinearModel._cross_exponent
+
+    def series_spy(*args):
+        out = series(*args)
+        rows["series"] += int(np.sum(~np.isnan(out[..., 0])))
+        return out
+
+    def kernel_spy(cache, r, *args):
+        rows["kernel"] += np.size(r)
+        return kernel(cache, r, *args)
+
+    def dense_spy(self, theta, cache):
+        rows["dense"] += len(np.atleast_2d(theta))
+        return dense(self, theta, cache)
+
+    monkeypatch.setattr(phimi.models, "_series_sums", series_spy)
+    monkeypatch.setattr(phimi.models, "_kernel_sums", kernel_spy)
+    monkeypatch.setattr(ExpBilinearModel, "_cross_exponent", dense_spy)
+    return rows
 
 
 class TestStackPadding:
@@ -411,7 +461,7 @@ class TestStackPadding:
         assert stack.resamples == 5 and counts.shape[1] == max(widths)
         assert list(np.count_nonzero(counts, axis=1)) == widths
         assert list(cache["lowrank"]) == [c._cache["lowrank"] for c in singles]
-        assert list(cache["lowrank"]) == [True, False, False, True, True]
+        assert not cache["lowrank"].any()   # 60 pairs: below the series' size rule
         # a padded value repeats one the row drew (xy couples x itself)
         for r, s in enumerate(PADDING_SAMPLES):
             assert set(cache["coupled_x"][r, :, 0]) == set(s.x)
@@ -437,8 +487,39 @@ class TestStackPadding:
                        model._profile(div, theta[r, 1:], cache))
             for shifted in (False, True):
                 m, pairs, shift = stacked[shifted]
-                self.check([m[r], pairs[r], shift[r]],
-                           model._cross_sums(div, theta[r], cache, True, shifted))
+                want = model._cross_sums(div, theta[r], cache, True, shifted)
+                # xy,x2y2's row 2 (x = sign x) couples one term on its own
+                # and two in the stack: the factored sums shift by a bound on
+                # gamma s, the dense block by its largest entry
+                rescale = np.exp(shift[r] - want[2])
+                self.check([m[r] * rescale, pairs[r] * rescale], want[:2])
+                if ("scale" in cache) == ("scale" in stack._cache):
+                    assert shift[r] == want[2]
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_mixed_stack_rows_take_their_own_routes(self, gamma, monkeypatch):
+        model, div = ExpBilinearModel(["x", "y", "xy"]), DivergenceSpec(gamma)
+        stack = ObjectiveContext(div, model, MIXED_SAMPLES)
+        singles = [ObjectiveContext(div, model, s) for s in MIXED_SAMPLES]
+        assert list(stack._cache["lowrank"]) == [True, False, True, True]
+        theta = MIXED_THETA
+        for shifted in (False, True):
+            with monkeypatch.context() as patch:
+                rows = route_rows(patch)
+                m, pairs, shift = model._cross_sums(div, theta, stack._cache, True, shifted)
+            assert rows == {"series": 1, "kernel": 2, "dense": 1}
+            for r, ctx in enumerate(singles):
+                with monkeypatch.context() as patch:
+                    rows = route_rows(patch)
+                    want = model._cross_sums(div, theta[r], ctx._cache, True, shifted)
+                assert rows[MIXED_ROUTES[r]] == 1 and sum(rows.values()) == 1, r
+                self.check([m[r], pairs[r], shift[r]], want)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = model._cross_term(div, theta, stack._cache, True)
+            profile = model._profile(div, theta[:, 1:], stack._cache)
+        for r, ctx in enumerate(singles):
+            self.check([q[r] for q in cross], model._cross_term(div, theta[r], ctx._cache, True))
+            self.check([q[r] for q in profile], model._profile(div, theta[r, 1:], ctx._cache))
 
 
 def test_finite_dimension_and_theta0():
