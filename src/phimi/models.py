@@ -218,7 +218,7 @@ def _rowmul(a, b):
 # ExpBilinearModel._factored_sums, for one coupled term where |s|, |gamma s|
 # <= _EXP_BOUND: its Taylor series where the distinct-value block has at
 # least _LOWRANK_MIN (nx + ny) pairs, the exact kernel on smaller blocks
-_LOWRANK_MIN = 44   # the two are about even at 40-48 on square blocks
+_LOWRANK_MIN = 44   # on square blocks the two are about even at 40-44 (KL), 48-52 (chi-square)
 _EXP_BOUND = 700.0
 _TERM_TOL = 2.0 ** -60   # the series' last term: this share of the largest
 _MAX_TERMS = 120
