@@ -160,19 +160,21 @@ class ObjectiveContext:
         self.n = x.size
         self._cache = model._build_cache(x, y)
 
-    def _stack(self, x, y):
+    def _stack(self, x, y, levels=None):
         """Make this context the stack of the samples ``(x_r, y_r)``, (R, n)
-        arrays of the model's stack values."""
+        arrays of the model's stack values, or of codes into the sorted
+        distinct stack values ``levels`` = (lx, ly)."""
         self.sample, (self.resamples, self.n) = None, x.shape
-        self._cache = self.model._stack_cache(x, y)
+        self._cache = self.model._stack_cache(x, y, levels)
 
     @classmethod
-    def _stacked(cls, divergence: DivergenceSpec, model: RatioModel, x, y) -> "ObjectiveContext":
-        """The stack of the samples ``(x_r, y_r)``, (R, n) arrays of the
-        model's stack values, built without a PairedSample."""
+    def _stacked(cls, divergence: DivergenceSpec, model: RatioModel, x, y,
+                 levels=None) -> "ObjectiveContext":
+        """The stack of the samples ``(x_r, y_r)`` (see :meth:`_stack`),
+        built without a PairedSample."""
         ctx = cls.__new__(cls)
         ctx.divergence, ctx.model = divergence, model
-        ctx._stack(x, y)
+        ctx._stack(x, y, levels)
         return ctx
 
 
@@ -460,9 +462,11 @@ def _stacked_fits(divergence, model, seeds, stack_values, sample, sizes) -> list
     """Fits of the samples of one size n, one per seed in ``seeds``: those
     of ``estimate`` on each sample's own context with its seed, or
     ``None`` where that raises a :class:`PhimiError`.  ``stack_values(a,
-    b)`` gives samples a to b - 1 as two (b - a, n) arrays of the model's
-    stack values, ``sample(r)`` sample r as a PairedSample; ``sizes`` is
-    n and bounds on every sample's distinct values on each side.
+    b)`` gives samples a to b - 1 as the arguments of
+    :meth:`ObjectiveContext._stacked` after the model: two (b - a, n)
+    arrays of its stack values, or of codes and their levels;
+    ``sample(r)`` gives sample r as a PairedSample; ``sizes`` is n and
+    bounds on every sample's distinct values on each side.
 
     A model that stacks caches, with at most ``_NEWTON_MAX_DIM``
     parameters, fits them first in stacks of ``_stack_size`` rows, each
@@ -510,9 +514,11 @@ def estimate_resamples(ctx: ObjectiveContext, ix, iy) -> list[DualEstimate]:
     """Fits of the resamples ``(x[ix[b]], y[iy[b]])`` of the context's
     sample, one per row b of the index matrices ``ix`` and ``iy`` (B, m):
     those of ``estimate`` on the b-th resample's own context with
-    ``seed=b``.  A model that stacks caches fits them in stacks, each
-    built from the sample's stack values (a finite model's level codes)
-    indexed by rows of ``ix`` and ``iy``; only a row that goes on to
+    ``seed=b``.  A model that stacks caches fits them in stacks.  Each
+    side of the sample's stack values (a finite model's level codes) is
+    encoded once by ``np.unique``; a stack gets those codes indexed by
+    rows of ``ix`` and ``iy``, and finds each row's drawn values by one
+    bincount over (row, level), with no sort.  Only a row that goes on to
     L-BFGS-B, and every row of a model that does not stack, gets a
     PairedSample.  See :func:`_stacked_fits`.  Raises LengthMismatchError
     unless the two matrices have one shape.
@@ -525,10 +531,11 @@ def estimate_resamples(ctx: ObjectiveContext, ix, iy) -> list[DualEstimate]:
     def sample(b):
         return PairedSample(s.x[ix[b]], s.y[iy[b]], s.kind)
 
-    vx, vy = model._stack_values(s.x, s.y)
+    (lx, cx), (ly, cy) = (np.unique(v, return_inverse=True)
+                          for v in model._stack_values(s.x, s.y))
     return _stacked_fits(ctx.divergence, model, range(len(ix)),
-                         lambda a, b: (vx[ix[a:b]], vy[iy[a:b]]), sample,
-                         (ix.shape[1], np.unique(vx).size, np.unique(vy).size))
+                         lambda a, b: (cx[ix[a:b]], cy[iy[a:b]], (lx, ly)), sample,
+                         (ix.shape[1], lx.size, ly.size))
 
 
 def estimate_samples(divergence: DivergenceSpec, model: RatioModel, samples,

@@ -79,8 +79,8 @@ class ParamVector:
     def from_array(cls, arr, has_alpha: bool) -> "ParamVector":
         arr = np.asarray(arr, dtype=float).ravel()
         if has_alpha:
-            return cls(float(arr[0]), tuple(float(v) for v in arr[1:]))
-        return cls(None, tuple(float(v) for v in arr))
+            return cls(float(arr[0]), tuple(arr[1:].tolist()))
+        return cls(None, tuple(arr.tolist()))
 
     def __len__(self) -> int:
         return len(self.beta) + (self.alpha is not None)
@@ -239,32 +239,89 @@ def _row_groups(rows, per_row):
     return [slice(i, i + per) for i in range(0, rows, per)]
 
 
+def _flat_rows(index, width):
+    """``index`` (R, ...) into rows of ``width`` entries as an index into
+    their flat concatenation: row r's offset by ``width`` r."""
+    return index + width * np.arange(len(index)).reshape((-1,) + (1,) * (index.ndim - 1))
+
+
+def _gather(a, index):
+    """``a[r, index[r]]`` for every row r of ``a`` (R, m, ...) and ``index``
+    (R, k): one flat take along the first axis, (R, k, ...)."""
+    r, m = a.shape[:2]
+    return np.take(a.reshape((r * m,) + a.shape[2:]), _flat_rows(index, m), axis=0)
+
+
+def _constant_columns(v):
+    """Which columns of ``v`` (R, m, d) are constant along axis 1 on every
+    row, (d,): compared on a (d, R, m) copy, where a reduction over the
+    first two axes of ``v`` would run d wide."""
+    vt = np.ascontiguousarray(v.transpose(2, 0, 1))
+    return (vt == vt[..., :1]).reshape(len(vt), -1).all(axis=1)
+
+
+def _compact(per, kept, counts):
+    """Rows of ``per`` (R,) distinct values each, at least one, given
+    row-major and in order by their values ``kept`` and ``counts``: the
+    values padded to the widest row with copies of the row's last, (R, m),
+    and the counts, zero on the padding, (R, m)."""
+    drawn = np.arange(per.max()) < per[:, None]   # not padding
+    values = np.repeat(kept[np.cumsum(per) - 1, None], drawn.shape[1], axis=1)
+    values[drawn] = kept
+    tallies = np.zeros(drawn.shape, dtype=np.intp)
+    tallies[drawn] = counts
+    return values, tallies
+
+
+def _per_row(flat, rows, width):
+    """How many of the ascending flat indices ``flat`` fall in each of
+    ``rows`` rows of ``width`` entries, (rows,)."""
+    bounds = np.searchsorted(flat, width * np.arange(rows + 1))
+    return bounds[1:] - bounds[:-1]
+
+
 def _runs(ranked):
-    """Per row of ``ranked`` (R, n), sorted ascending: its distinct values,
-    padded to the widest row with copies of the row's largest, (R, m);
-    their counts, zero on the padding, (R, m); and where each run of equal
-    entries starts, (R, n)."""
+    """Per row of ``ranked`` (R, n), sorted ascending: its distinct values
+    and their counts (:func:`_compact`; the run lengths are the gaps
+    between the flat run starts, each row's first entry starting a run),
+    and where each run of equal entries starts, (R, n)."""
     r, n = ranked.shape
     new = np.empty((r, n), dtype=bool)
     new[:, 0] = True
     np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
-    per = new.sum(axis=1)
-    drawn = np.arange(per.max()) < per[:, None]   # not padding
-    values = np.repeat(ranked[:, -1:], drawn.shape[1], axis=1)
-    values[drawn] = ranked[new]
-    counts = np.zeros(drawn.shape, dtype=np.intp)
-    counts[drawn] = np.bincount(np.cumsum(new) - 1)   # run lengths, row by row
-    return values, counts, new
+    starts = np.flatnonzero(new)
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = r * n - starts[-1]
+    return (*_compact(_per_row(starts, r, n), ranked.ravel()[starts], lengths), new)
 
 
 def _distinct_rows(t):
-    """Per row of ``t`` (R, n): the distinct values and counts of
-    :func:`_runs`, and the value index of every entry, (R, n)."""
-    order, rows = np.argsort(t, axis=1), np.arange(len(t))[:, None]
-    values, counts, new = _runs(t[rows, order])
-    index = np.empty(t.shape, dtype=np.intp)
-    index[rows, order] = np.cumsum(new, axis=1) - 1
-    return values, index, counts
+    """Per row of a fresh sample ``t`` (R, n): the distinct values and
+    counts of :func:`_runs`, and the value index of every entry, (R, n);
+    one argsort per row.  Resamples of one sample share its distinct
+    values and take :func:`_drawn_rows` instead."""
+    order = _flat_rows(np.argsort(t, axis=1), t.shape[1]).ravel()
+    values, counts, new = _runs(np.take(t, order).reshape(t.shape))
+    index = np.empty(t.size, dtype=np.intp)
+    index[order] = np.cumsum(new, axis=1).ravel() - 1
+    return values, index.reshape(t.shape), counts
+
+
+def _drawn_rows(codes, levels):
+    """:func:`_distinct_rows` of ``levels[codes]``, for codes (R, n) into
+    sorted distinct values ``levels`` (K,): each row's drawn levels, their
+    counts and the row-local index of every entry from one bincount over
+    (row, level), no sort."""
+    r, k = len(codes), levels.size
+    cells = _flat_rows(codes, k)
+    table = np.bincount(cells.ravel(), minlength=r * k)
+    drawn = np.flatnonzero(table)
+    per = _per_row(drawn, r, k)
+    index = np.empty(r * k, dtype=np.intp)
+    index[drawn] = np.arange(drawn.size) - np.repeat(np.cumsum(per) - per, per)   # in its row
+    values, counts = _compact(per, levels[drawn % k], table[drawn])
+    return values, np.take(index, cells), counts
 
 
 def _power_rows(t, top, formed=None):
@@ -437,15 +494,17 @@ class RatioModel:
     _profile = None
 
     # A family that fits many samples of one size at once sets
-    # _stack_cache(x, y) -> the cache of the R samples (x_r, y_r), (R, n)
-    # arrays of its stack values, each row over its own distinct values,
-    # on which the terms and _profile take an (R, dim) theta and give one
-    # row each; _stack_size(n, nx, ny) -> rows per stack of samples of size
-    # n with at most nx and ny distinct values, and _take_rows(cache, rows)
-    # -> the cache of some of its rows; its _build_cache is row 0 of a
-    # stack of one.  _stack_values(x, y) maps raw samples to stack values
-    # elementwise (a finite model's level codes), so a resample's are its
-    # sample's, indexed.
+    # _stack_cache(x, y, levels=None) -> the cache of the R samples (x_r,
+    # y_r), (R, n) arrays of its stack values or, given levels = (lx, ly),
+    # of codes into those sorted distinct stack values, each row over its
+    # own distinct values, on which the terms and _profile take an (R,
+    # dim) theta and give one row each; _stack_size(n, nx, ny) -> rows per
+    # stack of samples of size n with at most nx and ny distinct values,
+    # and _take_rows(cache, rows) -> the cache of some of its rows; its
+    # _build_cache is row 0 of a stack of one.  _stack_values(x, y) maps
+    # raw samples to stack values elementwise (a finite model's level
+    # codes), so a resample's are its sample's, indexed, and its codes
+    # into the sample's distinct stack values are the sample's, indexed.
     _stack_cache = None
 
     def _stack_values(self, x, y):
@@ -519,26 +578,34 @@ class ExpBilinearModel(RatioModel):
                 "lowrank", "scale", "scaled_x", "scaled_y")
     _SHARED = ("n", "x_only", "y_only", "coupled")
 
-    def _stack_cache(self, x, y):
-        """Cache of the R samples ``(x_r, y_r)``, (R, n) arrays.
+    def _stack_cache(self, x, y, levels=None):
+        """Cache of the R samples ``(x_r, y_r)``, (R, n) arrays; with
+        ``levels`` = (lx, ly), x and y are codes into those sorted distinct
+        values (the resamples of one sample).
 
         Each row is built over its own sorted distinct values, padded to
         the widest row with copies of the row's largest value at count
         zero, and its own distinct pairs, padded with its last pair at
         weight zero: a padded entry repeats one the row drew, so it changes
-        no shift, domain check or bound, and adds zero to every sum.  The
-        stack keeps what the terms and the profile read (``_PER_ROW``).
-        The split into x-only, y-only and coupled terms is shared: a term
-        is x-only (y-only) where it is on every row.  With one coupled
-        term, each row takes the series or the exact kernel as its own
-        sample would.
+        no shift, domain check or bound, and adds zero to every sum.  Codes
+        find each row's values by one bincount (:func:`_drawn_rows`), fresh
+        samples by one argsort per row (:func:`_distinct_rows`); both give
+        the same arrays.  The stack keeps what the terms and the profile
+        read (``_PER_ROW``).  The split into x-only, y-only and coupled
+        terms is shared: a term is x-only (y-only) where it is on every
+        row.  With one coupled term, each row takes the series or the exact
+        kernel as its own sample would.
         """
-        (ux, ix, cx), (uy, iy, cy) = _distinct_rows(x), _distinct_rows(y)
+        if levels is None:
+            (ux, ix, cx), (uy, iy, cy) = _distinct_rows(x), _distinct_rows(y)
+        else:
+            (ux, ix, cx), (uy, iy, cy) = _drawn_rows(x, levels[0]), _drawn_rows(y, levels[1])
         n, ny = x.shape[1], uy.shape[1]
         # the n pairs sit on distinct value pairs (flat cells ix ny + iy)
         pairs, counts, _ = _runs(np.sort(ix * ny + iy, axis=1))
         cache = {"n": n, "cx": cx.astype(float), "cy": cy.astype(float),
-                 "pix": pairs // ny, "piy": pairs % ny, "pw": counts / n}
+                 "pw": counts / n}
+        cache["pix"], cache["piy"] = np.divmod(pairs, ny)
         cache.update(self._design(*self._basis_rows(ux, uy), cache))
         return self._take_rows(cache, slice(None))
 
@@ -568,20 +635,21 @@ class ExpBilinearModel(RatioModel):
         scaled to max 1 (``scaled_x``, ``scaled_y``; ``scale`` the product
         of the divisors) for :meth:`_factored_sums`, and ``lowrank`` where
         the row's block is large enough for its series."""
-        d, rows = xi.shape[-1], np.arange(len(xi))[:, None]
         # A term whose zeta (xi) is constant on the sample adds a vector
         # over x (y) to the cross exponent; the other terms are coupled.
-        x_only = np.all(ze == ze[:, :1], axis=(0, 1))   # on every row
-        y_only = np.all(xi == xi[:, :1], axis=(0, 1)) & ~x_only
+        x_only = _constant_columns(ze)   # on every row
+        y_only = _constant_columns(xi) & ~x_only
         # count-weighted (1, xi, xi_k xi_l) and (1, zeta, zeta_k zeta_l);
         # first moments read the first 1 + d columns, second ones all
         (xim, xsum), (zem, ysum) = (self._moment_columns(xi, cache["cx"], 0),
                                     self._moment_columns(ze, cache["cy"], 1))
         coupled = np.flatnonzero(~(x_only | y_only))
         nx, ny = (cache["cx"] > 0).sum(axis=-1), (cache["cy"] > 0).sum(axis=-1)
+        paired = _gather(xi, cache["pix"])
+        paired *= _gather(ze, cache["piy"])
         design = {
             "xi": xi, "ze": ze,
-            "paired": xi[rows, cache["pix"]] * ze[rows, cache["piy"]],
+            "paired": paired,
             "a": xi[..., x_only] * ze[..., :1, x_only], "x_only": np.flatnonzero(x_only),
             "b": xi[..., :1, y_only] * ze[..., y_only], "y_only": np.flatnonzero(y_only),
             "coupled": coupled, "coupled_x": xi[..., coupled], "coupled_y": ze[..., coupled],
@@ -641,10 +709,14 @@ class ExpBilinearModel(RatioModel):
         The columns are formed one column a row, so that the passes'
         products with them run along the values.  The sums run in order
         along the values (a cumulative sum), so a padded row sums exactly
-        what its own sample sums."""
+        what its own sample sums.  ``w = (1, v)`` is never formed: its
+        first column is the scalar 1, and 1 x is x."""
         a, b, index, widths = self._columns[side]
-        w = np.concatenate([np.ones((1,) + counts.shape), v.transpose(2, 0, 1)])
-        moments = w[a] * w[b] * counts
+        w = [1.0] + [v[..., k] for k in range(v.shape[-1])]
+        moments = np.empty((len(a),) + counts.shape)
+        for j, (i, l) in enumerate(zip(a, b)):
+            np.multiply(w[i], w[l], out=moments[j])
+        moments *= counts
         sums = np.cumsum(moments[:widths[len(w) - 1]], axis=-1)[..., -1]
         return moments.transpose(1, 2, 0), sums.T[..., index[:len(w)]]
 
@@ -1028,9 +1100,7 @@ class FiniteDiscreteModel(ExpBilinearModel):
     def _flat(self, cells, ndim):
         """``cells`` as indices into a flat (rows, dim) array: on a stack
         (more than ``ndim`` axes), row r's offset by dim r."""
-        if cells.ndim == ndim:
-            return cells
-        return cells + self.dim * np.arange(len(cells)).reshape((-1,) + (1,) * ndim)
+        return cells if cells.ndim == ndim else _flat_rows(cells, self.dim)
 
     def _cell_sums(self, cells, w, ndim):
         """Sums of the weights ``w`` per flat cell of ``cells``, (dim,) on
@@ -1047,10 +1117,9 @@ class FiniteDiscreteModel(ExpBilinearModel):
     def _design(self, ux, uy, cache):
         """Flat cells of the distinct-value block and of the distinct pairs;
         the joint (``p``) and product-of-margins (``q``) mass per cell."""
-        rows = np.arange(len(ux))[:, None]
         cells = ux[:, :, None] * self.k2 + uy[:, None, :]
         cw = cache["cx"][:, :, None] * cache["cy"][:, None, :]
-        pcells = ux[rows, cache["pix"]] * self.k2 + uy[rows, cache["piy"]]
+        pcells = _gather(ux, cache["pix"]) * self.k2 + _gather(uy, cache["piy"])
         q = self._cell_sums(cells, cw, 2) / cache["n"] ** 2
         return {"cells": cells, "cw": cw, "pcells": pcells,
                 "p": self._cell_sums(pcells, cache["pw"], 1), "q": q,

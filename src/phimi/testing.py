@@ -162,13 +162,14 @@ def bootstrap_statistics(ctx: ObjectiveContext, cfg: BootstrapConfig) -> np.ndar
     replicate sample.  The replicates are fitted by
     :func:`~phimi.estimator.estimate_resamples`, replicate b with
     ``seed=b``: for an exponential bilinear model, finite ones included,
-    in stacks built straight from the index matrices, each row over the
-    replicate's own distinct values (about 0.63 n per side for
-    continuous data: the size of its cross sums), one lockstep Newton run
-    per stack, with L-BFGS-B on the replicate's own context for a row
-    that fails its acceptance test, as ``estimate`` runs it; for the
-    copula, and finite models with more than 256 parameters, one
-    ``estimate`` per replicate on its own context.
+    in stacks built from the index matrices over the sample's level codes
+    (one bincount per side, no sort), each row over the replicate's own
+    distinct values (about 0.63 n per side for continuous data: the size
+    of its cross sums), one lockstep Newton run per stack, with L-BFGS-B
+    on the replicate's own context for a row that fails its acceptance
+    test, as ``estimate`` runs it; for the copula, and finite models with
+    more than 256 parameters, one ``estimate`` per replicate on its own
+    context.
     Fails if more than 5% of the replicate optimizations do not converge.
     """
     _require_sample(ctx, "the bootstrap")

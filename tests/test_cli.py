@@ -169,6 +169,35 @@ class TestTestCommand:
         assert float(fields["statistic"]) == pytest.approx(30.84088548976196, rel=1e-9)
         assert float(fields["critical_value"]) == pytest.approx(3.932335754050917, rel=1e-9)
 
+    # Outputs recorded when every bootstrap stack was built by sorting each
+    # resample's values; stacks built from the sample's level codes print
+    # the same text, to the last digit
+    RECORDED = {
+        "tied": ("seed=3\nstatistic=2.4175915159521346\ncritical_value=4.47438186228081\n"
+                 "p_value=0.15841584158415842\nreject=false\nroute=bootstrap\nalpha=0.05\n"),
+        "categorical": ("seed=3\nstatistic=9.361342567938339\ncritical_value=9.561690263023216\n"
+                        "p_value=0.07920792079207921\nreject=false\nroute=bootstrap\n"
+                        "alpha=0.05\n"),
+    }
+
+    @pytest.mark.parametrize("data", list(RECORDED))
+    def test_bootstrap_output_is_recorded_text(self, tmp_path, data):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(120)
+        y = 0.1 * x + np.sqrt(0.99) * rng.standard_normal(120)
+        a = rng.integers(0, 3, 90)
+        b = np.where(rng.random(90) < 0.15, a, rng.integers(0, 3, 90))
+        f = tmp_path / "d.csv"
+        if data == "tied":   # one decimal: ties, and both -0.0 and 0.0
+            f.write_text("x,y\n" + "".join(f"{u:.1f},{v:.1f}\n" for u, v in zip(x, y)))
+            flags = ["--divergence", "chisq", "--model", "expbilinear:x,y,xy"]
+        else:
+            f.write_text("x,y\n" + "".join(f"l{u},m{v}\n" for u, v in zip(a, b)))
+            flags = ["--kind", "categorical", "--divergence", "kl", "--model", "finite"]
+        code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y", *flags,
+                             "--route", "bootstrap", "--b-reps", "100", "--seed", "3"])
+        assert code == 0 and text == self.RECORDED[data]
+
     def test_chisq_route_categorical(self, tmp_path):
         f = write_categorical_csv(tmp_path / "d.csv")
         code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y",

@@ -1339,6 +1339,99 @@ class TestStackRows:
             self.check(div, model, samples)
 
 
+class TestResampleCodes:
+    """A resample stack built from the observed sample's level codes (one
+    bincount per side) holds the arrays, key by key and dtype included,
+    that the argsort builder gives on the resampled values."""
+
+    BASES = {
+        "x,y,xy": ["x", "y", "xy"],
+        "x2,y2,xy": ["x2", "y2", "xy"],
+        "1,x,xy": ["1", "x", "xy"],
+        "xy,x2y2": ["xy", BasisPair("x2y2", lambda t: t**2, lambda t: t**2)],   # two coupled
+    }
+
+    @staticmethod
+    def check(model, vx, vy, ix, iy):
+        (lx, cx), (ly, cy) = (np.unique(v, return_inverse=True) for v in (vx, vy))
+        got = model._stack_cache(cx[ix], cy[iy], (lx, ly))
+        want = model._stack_cache(vx[ix], vy[iy])
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            assert np.asarray(got[key]).dtype == np.asarray(w).dtype, key
+            assert np.array_equal(got[key], w), key
+
+    @staticmethod
+    def draws(rng, n, rows):
+        """Index matrices whose first row draws a single x value and last
+        row a single y value."""
+        ix, iy = rng.integers(0, n, (2, rows, n))
+        ix[0], iy[-1] = ix[0, 0], iy[-1, 0]
+        return ix, iy
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+    def test_both_builders_match_a_per_row_unique(self, tied):
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal(40)
+        x = np.round(x, 1) if tied else x
+        ix = self.draws(rng, 40, 9)[0]
+        rows = [np.unique(row, return_inverse=True, return_counts=True) for row in x[ix]]
+        width = max(u.size for u, _, _ in rows)
+        # each row's sorted values padded with its largest at count zero
+        want = (np.array([np.pad(u, (0, width - u.size), mode="edge") for u, _, _ in rows]),
+                np.array([inv for _, inv, _ in rows]),
+                np.array([np.pad(c, (0, width - c.size)) for _, _, c in rows]))
+        lx, cx = np.unique(x, return_inverse=True)
+        for got in (phimi.models._drawn_rows(cx[ix], lx), phimi.models._distinct_rows(x[ix])):
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("rows", [1, 9])
+    @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+    @pytest.mark.parametrize("basis", list(BASES))
+    def test_expbilinear(self, basis, tied, rows):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal(70)
+        y = 0.5 * x + rng.standard_normal(70)
+        if tied:   # rounding to one decimal leaves -0.0 and 0.0 among the values
+            x, y = np.round(x, 1), np.round(y, 1)
+        self.check(ExpBilinearModel(self.BASES[basis]), x, y, *self.draws(rng, 70, rows))
+
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_finite(self, rows):
+        # the level order is not the tokens' sort order, and "d" is never drawn
+        rng = np.random.default_rng(23)
+        model = FiniteDiscreteModel(["c", "a", "d", "b"], ["v", "u", "w"])
+        x, y = rng.choice(["a", "b", "c"], 50), rng.choice(["u", "v", "w"], 50)
+        self.check(model, *model._stack_values(x, y), *self.draws(rng, 50, rows))
+
+    def test_resamples_never_sort(self, monkeypatch):
+        calls = []
+        argsort_builder = phimi.models._distinct_rows
+
+        def spy(t):
+            calls.append(len(t))
+            return argsort_builder(t)
+
+        monkeypatch.setattr(phimi.models, "_distinct_rows", spy)
+        rng = np.random.default_rng(24)
+        tied = sample_gaussian(GaussianSpec(0.3), 80, 5)
+        tied = PairedSample(np.round(tied.x, 1), np.round(tied.y, 1))
+        a = rng.integers(0, 3, 90)
+        cats = PairedSample(a, np.where(rng.random(90) < 0.3, a, rng.integers(0, 3, 90)),
+                            "categorical")
+        for model, sample in [(ExpBilinearModel(["x", "y", "xy"]), tied),
+                              (finite_model(3, 3), cats)]:
+            ctx = ObjectiveContext(KL, model, sample)
+            assert calls == [1, 1]   # the observed sample's own cache
+            calls.clear()
+            fits = estimate_resamples(ctx, *rng.integers(0, sample.n, (2, 20, sample.n)))
+            assert {f.method for f in fits} == {"newton"} and calls == []
+        samples = [sample_gaussian(GaussianSpec(0.3), 80, seed) for seed in range(6)]
+        estimate_samples(KL, gaussian_model(), samples, range(6))
+        assert calls[:2] == [6, 6]
+
+
 class TestPluginEstimate:
     def test_independent_by_construction_is_zero(self):
         # p_xy = px * py exactly: a product table

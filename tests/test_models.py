@@ -51,6 +51,9 @@ class TestParamVector:
         arr = pv.to_array()
         assert arr.tolist() == [0.5, 1.0, -2.0]
         assert ParamVector.from_array(arr, has_alpha=True) == pv
+        back = ParamVector.from_array(np.float32([0.1, 0.2]), has_alpha=True)
+        assert type(back.alpha) is float and [type(v) for v in back.beta] == [float]
+        assert back.beta == (float(np.float32(0.2)),)
 
     def test_round_trip_without_alpha(self):
         pv = ParamVector(None, (0.3,))
