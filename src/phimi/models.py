@@ -590,7 +590,7 @@ class ExpBilinearModel(RatioModel):
         no shift, domain check or bound, and adds zero to every sum.  Codes
         find each row's values by one bincount (:func:`_drawn_rows`), fresh
         samples by one argsort per row (:func:`_distinct_rows`); both give
-        the same arrays.  The stack keeps what the terms and the profile
+        equal arrays.  The stack keeps what the terms and the profile
         read (``_PER_ROW``).  The split into x-only, y-only and coupled
         terms is shared: a term is x-only (y-only) where it is on every
         row.  With one coupled term, each row takes the series or the exact
