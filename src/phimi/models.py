@@ -223,8 +223,17 @@ _EXP_BOUND = 700.0
 _TERM_TOL = 2.0 ** -60   # the series' last term: this share of the largest
 _MAX_TERMS = 120
 _TERMS = np.arange(_MAX_TERMS + 1.0)
-_SERIES_RTOL = 1e-13     # rounding bound per sum, as a share of its scale
+_SERIES_RTOL = 1e-13     # rounding bound per sum, as a share of its scale (_SETTLED_R)
 _EPS = np.finfo(float).eps
+# The largest |r| whose series of K terms passes the rounding bound for
+# any weights (_settled), so that its two sums need not be formed: with
+# |t|, |s| <= 1, the rounding sum is at most e^{|r|} S and the scale at
+# least e^{-|r|} S, less a truncation tail below 2^-59 e^{|r|} S (S = sum
+# |u| sum |v|), so _EPS K e^{2|r|} <= _SERIES_RTOL settles a row: |r| up to
+# 1.56 at K = 20, 1.49 at K = 23, the largest a rate of its own K reaches.
+# The margin covers the tail (below 1e-15 of the scale on such a row) and
+# the rounding of both sums.
+_SETTLED_R = 0.5 * np.log(_SERIES_RTOL * (1.0 - 1e-9) / (_EPS * np.maximum(_TERMS, 1.0)))
 # A stack of samples holds as many rows as keep its largest array per pass
 # within this many bytes (ExpBilinearModel._stack_size); the dense blocks
 # and the series' power rows of a stack are formed in groups of rows
@@ -343,30 +352,52 @@ def _power_rows(t, top, formed=None):
     return p.transpose(1, 0, 2)
 
 
-def _power_sums(cache, side, w, top):
+def _power_sums(cache, side, w, top, guard):
     """``sum_i t_i^k w_i``, ``sum_i t_i^k |w_i|`` and ``sum_i |t_i^k w_i|``
     for k < ``top``, in this order on axis -3 of the (..., 3, top, c)
     result, from the scaled coupled column ``t`` (..., m) of one side
     (``scaled_x`` or ``scaled_y``) and weights ``w`` (..., m, c), one
-    column per distinct moment column.  A single sample's cache keeps the
-    power rows ``t^k`` formed so far and extends them as passes need more,
-    to the rows formed anew (:func:`_power_rows`); a stack forms them in
-    each call, in groups of rows (:func:`_row_groups`)."""
-    t, size = cache["scaled_" + side], np.abs(w)
-    sums = np.empty(w.shape[:-2] + (3, top, w.shape[-1]))
+    column per distinct moment column.  The last two, which only the
+    rounding guard reads, are formed on the rows where ``guard`` holds and
+    are 0 on the others.  A single sample's cache keeps the power rows
+    ``t^k`` formed so far and extends them as passes need more, to the
+    rows formed anew (:func:`_power_rows`); a stack forms them in each
+    call (:func:`_stack_power_sums`), its guarded rows apart from the
+    others where it holds both, so that no power rows are copied."""
+    t = cache["scaled_" + side]
     if t.ndim == 1:
         kept = cache.get("powers_" + side)
         if kept is None or kept.shape[1] < top:
             kept = cache["powers_" + side] = _power_rows(t[None], top, kept)
         p = kept[0, :top]
+        sums = np.zeros(w.shape[:-2] + (3, top, w.shape[-1]))
         np.matmul(p, w, out=sums[0])
-        np.matmul(p, size, out=sums[1])
-        np.matmul(np.abs(p), size, out=sums[2])
+        if guard:
+            size = np.abs(w)
+            np.matmul(p, size, out=sums[1])
+            np.matmul(np.abs(p), size, out=sums[2])
         return sums
+    held = np.count_nonzero(guard)
+    if held in (0, len(t)):
+        return _stack_power_sums(t, w, top, held > 0)
+    sums = np.empty(w.shape[:-2] + (3, top, w.shape[-1]))
+    for rows, formed in ((~guard, False), (guard, True)):
+        sums[rows] = _stack_power_sums(t[rows], w[rows], top, formed)
+    return sums
+
+
+def _stack_power_sums(t, w, top, guard: bool):
+    """The sums of :func:`_power_sums` on every row of a stack ``t`` (g,
+    m), ``w`` (g, m, c), the guard's on every row or on none, with the
+    power rows formed in groups of rows (:func:`_row_groups`)."""
+    sums = np.zeros(w.shape[:-2] + (3, top, w.shape[-1]))
     for rows in _row_groups(len(t), top * t.shape[-1]):
         p = _power_rows(t[rows], top)
-        sums[rows, 0], sums[rows, 1] = p @ w[rows], p @ size[rows]
-        sums[rows, 2] = np.abs(p, out=p) @ size[rows]
+        sums[rows, 0] = p @ w[rows]
+        if guard:
+            size = np.abs(w[rows])
+            sums[rows, 1] = p @ size
+            sums[rows, 2] = np.abs(p, out=p) @ size
     return sums
 
 
@@ -399,21 +430,33 @@ def _series_sums(cache, r, u, v, lx, ly, shifted):
     and gathered by ``lx``, ``ly`` before the products and the rounding
     bound.  NaN on a row where the series needs over ``_MAX_TERMS`` terms
     or its rounding bound (the series on absolute values) passes
-    ``_SERIES_RTOL`` of a sum's scale ``sum |u_i v_j| e^{r t_i s_j}``."""
+    ``_SERIES_RTOL`` of a sum's scale ``sum |u_i v_j| e^{r t_i s_j}``.
+    Only the rows that :func:`_settled` cannot pass whatever the weights
+    form the bound and the scale; on the others they are 0 and pass."""
     coef, k = _series_terms(r)
     ok = k > 0
     top = max(k.max(), 1)
     # each row's series stops at its own K
     coef = np.where(np.arange(top) < k[..., None], coef[..., :top], 0.0)
+    guard = ok & ~_settled(r, k)
     # U_k V_k, and the same for the scale and the rounding bound
-    prods = _power_sums(cache, "x", u, top)[..., lx] * _power_sums(cache, "y", v, top)[..., ly]
-    scale = _rowmul(coef, prods[..., 1, :, :])
-    rounding = _rowmul(np.abs(coef), prods[..., 2, :, :])
-    ok &= (_EPS * k[..., None] * rounding <= _SERIES_RTOL * scale).all(axis=-1)
+    prods = (_power_sums(cache, "x", u, top, guard)[..., lx]
+             * _power_sums(cache, "y", v, top, guard)[..., ly])
+    if np.count_nonzero(guard):
+        scale = _rowmul(coef, prods[..., 1, :, :])
+        rounding = _rowmul(np.abs(coef), prods[..., 2, :, :])
+        ok &= (_EPS * k[..., None] * rounding <= _SERIES_RTOL * scale).all(axis=-1)
     first = 0 if shifted else 1   # e^{r t s} - 1 drops the k = 0 term
     m = _rowmul(coef[..., first:], prods[..., 0, first:, :])
     m[~ok] = np.nan
     return m
+
+
+def _settled(r, k):
+    """Rows whose rounding guard in :func:`_series_sums` passes whatever the
+    weights, from the scaled rate ``r`` and the series length ``k``: ``|r|
+    <= _SETTLED_R[k]``."""
+    return np.abs(r) <= _SETTLED_R[k]
 
 
 def _kernel_sums(cache, r, u, v, lx, ly, shifted):
@@ -613,8 +656,9 @@ class ExpBilinearModel(RatioModel):
         """Samples per stack, for samples of size n with at most nx and ny
         distinct values: the arrays a pass holds per row stay within
         ``_STACK_BYTES`` (the paired values, the moment columns, and for
-        the series a copy of the live rows' and their weighted values and
-        absolute values); the dense blocks, the exact kernels and the
+        the series a copy of the live rows' and their weighted values, and
+        absolute values only on the rows :func:`_settled` leaves to the
+        rounding guard); the dense blocks, the exact kernels and the
         series' power rows are formed in groups of rows within it."""
         cols = 1 + len(self._pairs[0]) + self.dim - 1
         return max(1, _STACK_BYTES // (8 * max(4 * cols * (nx + ny), n * (self.dim - 1))))

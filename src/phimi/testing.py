@@ -41,7 +41,7 @@ from .errors import (
     RouteMismatchError,
 )
 from .estimator import ObjectiveContext, PairedSample, estimate, estimate_resamples
-from .models import FiniteDiscreteModel
+from .models import FiniteDiscreteModel, _flat_rows
 
 __all__ = [
     "TestResult",
@@ -336,44 +336,45 @@ def kendall_tau(x, y):
 
 def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """tau_b of each row; no row is all tied."""
-    n = x.shape[1]
+    r, n = x.shape
     pos = np.arange(n)
-    xr, xtie = _dense_ranks(x)
-    yr, ytie = _dense_ranks(y)
+    xr, xtie = _ranks(x)
+    yr, ytie = _ranks(y)
     # order by x, then y, as scipy's two sorts do; ties in both are joint ties
     key = xr * n + yr
-    order = np.argsort(key, axis=1)
-    _, ntie = _runs(np.take_along_axis(key, order, axis=1))
+    order = _flat_rows(np.argsort(key, axis=1), n)
+    ntie = _runs(np.take(key, order))[1]
     # discordant pairs are the strict inversions of y in that order: those
     # of rho, y's rank there with ties broken by position
-    ys = np.take_along_axis(yr, order, axis=1)
-    rho = np.empty_like(ys)
-    np.put_along_axis(rho, np.argsort(ys * n + pos, axis=1), pos, axis=1)
-    dis = _inversions(rho)
+    ys = np.take(yr, order)
+    rho = np.empty(r * n, dtype=np.intp)
+    rho[_flat_rows(np.argsort(ys * n + pos, axis=1), n)] = pos
+    dis = _inversions(rho.reshape(r, n))
     tot = n * (n - 1) // 2
     con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
     tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
     return np.clip(tau, -1.0, 1.0)
 
 
-def _dense_ranks(v: np.ndarray):
-    """Each row's dense ranks (0 for its smallest value) and tied pairs."""
-    order = np.argsort(v, axis=1)
-    new, ties = _runs(np.take_along_axis(v, order, axis=1))
-    ranks = np.empty(v.shape, dtype=np.intp)
-    np.put_along_axis(ranks, order, np.cumsum(new, axis=1) - 1, axis=1)
-    return ranks, ties
+def _ranks(v: np.ndarray):
+    """Each row's min ranks (for each value, how many values of its row are
+    smaller), stored flat on row offsets, and its tied pairs."""
+    order = _flat_rows(np.argsort(v, axis=1), v.shape[1])
+    start, ties = _runs(np.take(v, order))
+    ranks = np.empty(v.size, dtype=np.intp)
+    ranks[order] = start
+    return ranks.reshape(v.shape), ties
 
 
 def _runs(s: np.ndarray):
-    """Where each run of equal values starts in the sorted rows ``s``, and
-    each row's tied pairs."""
+    """Where the run of equal values of each entry of the sorted rows ``s``
+    starts, and each row's tied pairs."""
     new = np.ones(s.shape, dtype=bool)
     new[:, 1:] = s[:, 1:] != s[:, :-1]
     pos = np.arange(s.shape[1])
+    start = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
     # an element is tied with every earlier one of its run
-    ties = (pos - np.maximum.accumulate(np.where(new, pos, 0), axis=1)).sum(axis=1)
-    return new, ties
+    return start, (pos - start).sum(axis=1)
 
 
 def _inversions(rho: np.ndarray) -> np.ndarray:

@@ -4,9 +4,12 @@ import time
 import tracemalloc
 from contextlib import nullcontext
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from phimi import (
@@ -38,7 +41,15 @@ from phimi.estimator import (
     estimate_samples,
     objective_terms,
 )
-from phimi.models import BASIS_REGISTRY, BasisPair, _series_terms, rank_transform
+from phimi.models import (
+    _SETTLED_R,
+    BASIS_REGISTRY,
+    BasisPair,
+    _series_sums,
+    _series_terms,
+    _settled,
+    rank_transform,
+)
 
 KL = DivergenceSpec(1.0)
 CHISQ = DivergenceSpec(2.0)
@@ -774,6 +785,146 @@ class TestLowRankCrossSums:
                                                                 "dense": 0}
         assert_cross_terms_match(model, div, theta, ctx._cache, dense_cache(ctx))
         assert_profiles_match(model, div, theta[1:], ctx._cache, dense_cache(ctx))
+
+
+def guard_everywhere():
+    """The a-priori rule off: every series row forms its rounding guard's
+    sums and takes the exact guard."""
+    return mock.patch.object(phimi.models, "_settled",
+                             lambda r, k: np.zeros(np.shape(k), dtype=bool))
+
+
+# scaled coupled values, with mass at the ends; weights, some zero
+COORD = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
+WEIGHT = st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def series_stacks(draw):
+    """A stack of series rows: scaled coupled columns t (R, mx) and s (R,
+    my) in [-1, 1], weights u (R, mx, c) and v (R, my, c), some columns
+    all zero, and rates r (R,), most near the rule's bound."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    mx, my = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def array(elements, shape):
+        return np.array(draw(st.lists(elements, min_size=math.prod(shape),
+                                      max_size=math.prod(shape)))).reshape(shape)
+
+    u, v = array(WEIGHT, (rows, mx, cols)), array(WEIGHT, (rows, my, cols))
+    zero = draw(st.integers(0, cols))
+    u[..., zero:zero + 1] = 0.0   # none where zero = cols
+    rate = st.one_of(st.floats(-3.5, 3.5), st.floats(1.3, 1.6), st.floats(-1.6, -1.3))
+    return array(COORD, (rows, mx)), array(COORD, (rows, my)), u, v, array(rate, (rows,))
+
+
+def worst_case(r, sign):
+    """One value a side with ``r t s = -|r|`` (``sign`` the sign of t) and
+    unit weights: the scale is ``e^{-|r|}``, the rounding sum ``e^{|r|}``."""
+    t = np.array([sign * 1.0])
+    cache = {"scaled_x": t, "scaled_y": -np.sign(r) * t}
+    one = np.ones((1, 1))
+    return _series_sums(cache, r, one, one, np.arange(1), np.arange(1), True)
+
+
+def settled_stacks():
+    """Stacked caches with their rows' rates r = gamma c: continuous and
+    resampled samples, rho 0 to 0.95, one with an x outlier, shifted both
+    ways, and rates from -3 to 3 across the rows (the rule settles |r| up
+    to about 1.49)."""
+    model = gaussian_model()
+    for rho in (0.0, 0.5, 0.95):
+        for shift in (-3.0, 3.0):
+            samples = [lowrank_samples(rho, n=300)[name] for name in ("continuous", "tied")]
+            x = np.array([s.x for s in samples] * 4) + shift
+            y = np.array([s.y for s in samples] * 4) - shift
+            x[-1, 0] = 40.0
+            cache = model._stack_cache(x, y)
+            yield model, cache, np.linspace(-3.0, 3.0, len(x))
+
+
+class TestSettledRows:
+    """Series rows whose rounding guard passes for any weights skip its
+    two sums; the sums and the rows declined stay those of the guard."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(series_stacks())
+    def test_settled_rows_pass_the_exact_guard(self, stack):
+        t, s, u, v, r = stack
+        lx = ly = np.arange(u.shape[-1])
+        k = _series_terms(r)[1]
+        settled = (k > 0) & _settled(r, k)
+        for shifted in (True, False):
+            with guard_everywhere():
+                exact = _series_sums({"scaled_x": t, "scaled_y": s}, r, u, v, lx, ly, shifted)
+            assert not np.isnan(exact[settled]).any()
+            got = _series_sums({"scaled_x": t, "scaled_y": s}, r, u, v, lx, ly, shifted)
+            assert got.tobytes() == exact.tobytes()
+
+    def test_bound_is_tight_on_the_worst_case(self):
+        # at K = 23 the bound is 1.487 and a rate there takes 23 terms: the
+        # worst case passes the exact guard at the bound and fails it 1e-6
+        # above, where the rule leaves the row to the guard
+        bound = _SETTLED_R[23]
+        for r in (bound, -bound):
+            above = r * (1.0 + 1e-6)
+            assert _series_terms(r)[1] == _series_terms(above)[1] == 23
+            assert _settled(r, 23) and not _settled(above, 23)
+            for sign in (1.0, -1.0):
+                with guard_everywhere():
+                    assert not np.isnan(worst_case(r, sign)).any()
+                    assert np.isnan(worst_case(above, sign)).all()
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.0, 0.5, -1.0])
+    def test_rule_changes_no_sum(self, gamma):
+        # stacks mixing settled and unsettled rows, and single rows of them:
+        # every sum, shift and declined row equals that of the exact guard
+        div = DivergenceSpec(gamma)
+        for model, cache, rates in settled_stacks():
+            theta = np.zeros((len(rates), model.dim))
+            theta[:, 1:3] = -0.05
+            theta[:, 3] = rates / (gamma * cache["scale"])
+            k = _series_terms(rates)[1]
+            assert 0 < _settled(rates, k).sum() < len(rates)
+            for second, shifted in ((False, False), (True, True)):
+                got = model._cross_sums(div, theta, cache, second, shifted)
+                with guard_everywhere():
+                    want = model._cross_sums(div, theta, cache, second, shifted)
+                for g, w in zip(got, want):
+                    assert g is w is None or g.tobytes() == w.tobytes()
+                for row in (0, len(rates) // 2, len(rates) - 1):
+                    one = model._take_rows(cache, row)
+                    got = model._cross_sums(div, theta[row], one, second, shifted)
+                    with guard_everywhere():
+                        want = model._cross_sums(div, theta[row], one, second, shifted)
+                    for g, w in zip(got, want):
+                        assert g is w is None or np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_settled_stack_forms_no_guard_sums(self, monkeypatch):
+        # a settled stack forms t^k w only; a mixed one forms the guard's
+        # sums on its unsettled rows alone, apart from the others
+        stack = phimi.models._stack_power_sums
+        calls = []
+
+        def spy(t, w, top, guard):
+            calls.append((len(t), guard))
+            return stack(t, w, top, guard)
+
+        monkeypatch.setattr(phimi.models, "_stack_power_sums", spy)
+        model, cache, _ = next(settled_stacks())
+        xw, yw, lx, ly = model._moments(cache, 4)
+        rows = len(cache["scale"])
+        for rates, want in ((np.linspace(-1.2, 1.2, rows), [(rows, False)] * 2),
+                            (np.linspace(-3.0, 3.0, rows), None)):
+            calls.clear()
+            m = _series_sums(cache, rates, xw, yw, lx, ly, True)
+            formed = list(calls)
+            with guard_everywhere():
+                assert m.tobytes() == _series_sums(cache, rates, xw, yw, lx, ly, True).tobytes()
+            if want is None:
+                settled = _settled(rates, _series_terms(rates)[1])
+                want = [(settled.sum(), False), ((~settled).sum(), True)] * 2
+            assert formed == want
 
 
 KERNEL_BASES = {"x,y,xy": ["x", "y", "xy"], "gaussian": ["x2", "y2", "xy"],

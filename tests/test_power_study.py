@@ -168,6 +168,18 @@ class TestRunStudy:
                 slack = 2.0 * np.hypot(se[lo], se[hi])
                 assert power[hi] >= power[lo] - slack
 
+    @pytest.mark.parametrize("seed, counts", [
+        (1, [("kl", 0.0, 3), ("kl", 0.1, 63), ("kendall", 0.0, 7), ("kendall", 0.1, 57)]),
+        (2, [("kl", 0.0, 8), ("kl", 0.1, 57), ("kendall", 0.0, 6), ("kendall", 0.1, 52)])])
+    def test_gaussian_study_keeps_its_recorded_counts(self, seed, counts):
+        # the benchmark's Gaussian study (perfbench gauss-ztz-n500): pins
+        # every stacked KL fit's decision and the Kendall baseline's
+        cfg = PowerStudyConfig(family="gaussian", grid=(0.0, 0.1), n=500, reps=100,
+                               alpha=0.05, tests=("kl", "kendall"), seed=seed)
+        rows = run_power_study(cfg).rows
+        assert [(r.test, r.param, r.rejections) for r in rows] == counts
+        assert all(r.reps == 100 for r in rows)
+
     @pytest.mark.parametrize("sigma", [1.0, 2.5])
     def test_ztz_critical_value_keeps_its_quantile_seed(self, sigma):
         # exact normal moments; the quantile still takes the calibration
