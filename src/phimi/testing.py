@@ -358,7 +358,8 @@ def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _ranks(v: np.ndarray):
     """Each row's min ranks (for each value, how many values of its row are
-    smaller), stored flat on row offsets, and its tied pairs."""
+    smaller), which order and tie the values as dense ranks do, and its
+    tied pairs."""
     order = _flat_rows(np.argsort(v, axis=1), v.shape[1])
     start, ties = _runs(np.take(v, order))
     ranks = np.empty(v.size, dtype=np.intp)
