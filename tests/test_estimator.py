@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from phimi import (
+    BootstrapConfig,
     DivergenceSpec,
     DomainError,
     ExpBilinearModel,
@@ -22,6 +23,7 @@ from phimi import (
     ObjectiveContext,
     PairedSample,
     SupportError,
+    bootstrap_statistics,
     estimate,
     gaussian_model,
     objective,
@@ -685,6 +687,29 @@ class TestLowRankCrossSums:
         assert k == small[0]
         assert np.allclose(coef[:k], [r**j / math.factorial(j) for j in range(k)],
                            rtol=1e-13, atol=0.0)
+
+    def test_series_terms_form_only_a_needed_prefix(self):
+        # against all 121 coefficients and the K read from them, for rows
+        # of one rate and stacks of many
+        def full(r):
+            r = np.asarray(r, dtype=float)[..., None]
+            terms = np.arange(121.0)
+            coef = np.cumprod(np.concatenate([np.ones(r.shape), r / terms[1:]], axis=-1),
+                              axis=-1)
+            mag = np.abs(coef)
+            last = (terms > np.abs(r)) & (mag <= 2.0**-60 * mag.max(axis=-1, keepdims=True))
+            return coef, last.argmax(axis=-1) * last.any(axis=-1)
+
+        rng = np.random.default_rng(24)
+        grid = np.concatenate([np.linspace(-100.0, 100.0, 4001), [0.0, 1e-300, 15.5, 16.4]])
+        stacks = [grid, rng.uniform(-2.0, 2.0, 28), rng.uniform(0.0, 100.0, 28),
+                  rng.uniform(-6.0, 6.0, (3, 9))]
+        for r in list(grid) + [np.float64(0.55), np.array(-3.0)] + stacks:
+            (coef, k), (want, want_k) = _series_terms(r), full(r)
+            assert np.array_equal(k, want_k)
+            assert coef.shape[-1] > np.max(k) or coef.shape[-1] == 121
+            top = max(np.max(k), 1)
+            assert coef[..., :top].tobytes() == want[..., :top].tobytes()
 
     def test_two_coupled_terms_stay_dense(self, monkeypatch):
         model = ExpBilinearModel(ORACLE_BASES["xy,x2y2"])
@@ -1488,6 +1513,80 @@ class TestStackRows:
         model = FiniteDiscreteModel(["c", "a", "b"], ["v", "u"])
         for div in (KL, CHISQ):
             self.check(div, model, samples)
+
+
+class TestStackSize:
+    """Rows per stack (``ExpBilinearModel._stack_size``): the rule covers
+    the cache a row holds, and the stack it cuts changes no fit."""
+
+    @staticmethod
+    def cache_row_bytes(model, samples):
+        cache = ObjectiveContext(KL, model, samples)._cache
+        return sum(np.asarray(cache[k]).nbytes for k in model._PER_ROW if k in cache) / len(samples)
+
+    def test_gaussian_rows_hold_their_cache(self):
+        model = gaussian_model()
+        size = model._stack_size(500, 500, 500)
+        assert size == 26   # a tripwire for the rule
+        samples = [sample_gaussian(GaussianSpec(0.5), 500, seed) for seed in range(size)]
+        # the rule charges a row more than _STACK_BYTES / (size + 1)
+        assert self.cache_row_bytes(model, samples) * (size + 1) <= phimi.models._STACK_BYTES
+
+    def test_tied_bootstrap_rows_hold_their_cache(self):
+        # 45 levels a side, as on the CLI's tied n = 200 CSVs; a stack of
+        # resamples is as wide as the observed sample's levels
+        model = ExpBilinearModel(["x", "y", "xy"])
+        size = model._stack_size(200, 45, 45)
+        assert size == 187   # a tripwire for the rule
+        rng = np.random.default_rng(24)
+        x = np.resize(np.arange(45.0), 200)
+        samples = [PairedSample(rng.permutation(x), rng.permutation(x)) for _ in range(4)]
+        assert all(np.unique(v).size == 45 for s in samples for v in (s.x, s.y))
+        assert self.cache_row_bytes(model, samples) * (size + 1) <= phimi.models._STACK_BYTES
+
+    @staticmethod
+    def fits_in_stacks(monkeypatch, div, samples, rows):
+        with monkeypatch.context() as patch:
+            if rows is not None:
+                patch.setattr(ExpBilinearModel, "_stack_size", lambda self, n, nx, ny: rows)
+            return estimate_samples(div, gaussian_model(), samples, range(len(samples)))
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_stack_cut_keeps_fresh_sample_fits(self, monkeypatch, rho, gamma):
+        # 30 fresh samples: 26 + 4 rows under the rule, 13 + 13 + 4, or one
+        # at a time.  Every row takes the same path and evaluations.  A
+        # row's series runs to its stack's largest K, whose zero terms may
+        # round the last bits differently: not on these samples in 13-row
+        # stacks, up to 3e-14 of an I_hat of 2e-7 in stacks of one
+        div = DivergenceSpec(gamma)
+        samples = [sample_gaussian(GaussianSpec(rho), 500, 100 + seed) for seed in range(30)]
+        want = self.fits_in_stacks(monkeypatch, div, samples, None)
+        for rows, tol in ((13, 0.0), (1, 1e-12)):
+            got = self.fits_in_stacks(monkeypatch, div, samples, rows)
+            for f, e in zip(got, want):
+                assert (f.objective_evals, f.method, f.converged) == \
+                    (e.objective_evals, e.method, e.converged)
+                theta = e.theta_hat.to_array()
+                assert np.all(np.abs(f.theta_hat.to_array() - theta)
+                              <= tol * np.maximum(1.0, np.abs(theta)))
+                assert abs(f.i_hat - e.i_hat) <= tol * abs(e.i_hat)
+
+    def test_stack_cut_keeps_tied_bootstrap_statistics(self, monkeypatch):
+        # 300 tied replicates (45 and 48 levels): 185 + 115 rows under the
+        # rule, or 145 + 145 + 10; padding may round the last bits
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal(200)
+        sample = PairedSample(np.round(x, 1), np.round(0.5 * x + rng.standard_normal(200), 1))
+        model = ExpBilinearModel(["x", "y", "xy"])
+        ctx = ObjectiveContext(CHISQ, model, sample)
+        widths = [np.unique(v).size for v in (sample.x, sample.y)]
+        assert model._stack_size(sample.n, *widths) == 185
+        cfg = BootstrapConfig(b_reps=300, seed=3)
+        want = bootstrap_statistics(ctx, cfg)
+        monkeypatch.setattr(ExpBilinearModel, "_stack_size", lambda self, n, nx, ny: 145)
+        got = bootstrap_statistics(ctx, cfg)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 class TestResampleCodes:
