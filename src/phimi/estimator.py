@@ -10,7 +10,8 @@ with ``f_theta = phi'(h_theta)`` and ``g_theta = h_theta phi'(h_theta) -
 phi(h_theta)``; the double sum runs over all n^2 cross pairs including
 i = j.  The mutual-information estimate is ``sup_theta M_n(theta)`` over
 the model's box, attained at ``theta_hat``.  The model evaluates both
-terms over a cache it builds once per :class:`ObjectiveContext`.
+terms over a cache it builds once per :class:`ObjectiveContext`, a stack
+of samples (a single sample's, a stack of one), at an (R, dim) theta.
 
 :func:`estimate` fits exponential bilinear models, finite-discrete ones
 included, by Newton's method on the profile of M_n in beta, with the
@@ -21,8 +22,9 @@ parameters, and for the copula family, L-BFGS-B on M_n does the fit.
 :func:`estimate_resamples` fits the resamples of one sample that a
 bootstrap draws as two index matrices, :func:`estimate_samples` the
 fresh samples of a power study's grid point: an exponential bilinear
-model, finite ones included, fits them as stacks, each row over its own
-distinct values, with one lockstep Newton run per stack; a row that
+model, finite ones included, fits them as stacks.  One fit routine runs
+the lockstep Newton run and its acceptance test on a context's rows,
+for :func:`estimate`'s stack of one and for each stack alike; a row that
 fails goes on to L-BFGS-B on its own context, as its own
 :func:`estimate` would.
 
@@ -126,60 +128,61 @@ class DualEstimate:
 
 
 class ObjectiveContext:
-    """Precomputed per-pair quantities for one (divergence, model, sample).
+    """Precomputed per-pair quantities for (divergence, model, samples): a
+    stack of R samples of one size, each row over its own distinct values.
 
     Immutable; objective and gradient evaluations are pure functions of
-    ``theta`` given the context and may run concurrently.  ``rows``
-    restricts both sums to those pairs of ``sample``: a held-out fold,
-    which may hold a single pair.  ``sample`` may also be a sequence of R
-    samples of one size, for a model that stacks caches
-    (``_stack_cache``): one context on all of them, each row over its own
-    distinct values, on which the objective terms and the profile take an
+    ``theta`` given the context and may run concurrently.  ``sample`` is
+    one PairedSample, a stack of one, or a sequence of samples of one size
+    for a model that stacks caches (``_stack_cache``).  ``rows`` restricts
+    both sums of a single sample to those pairs: a held-out fold, which
+    may hold a single pair.  The objective terms and the profile take an
     (R, dim) theta and give one row per sample, NaN on rows where ``h``
-    leaves the domain of phi.  A fold and a stack have no ``sample``;
-    ``resamples`` is the number of rows of a stack (``None`` elsewhere).
+    leaves the domain of phi.  ``sample`` is the one sample a context holds
+    whole (``None`` on a fold and on a stack of several); ``resamples`` is
+    R.
     """
 
     def __init__(self, divergence: DivergenceSpec, model: RatioModel, sample, rows=None):
-        samples = [sample] if isinstance(sample, PairedSample) else list(sample)
+        single = isinstance(sample, PairedSample)
+        samples = [sample] if single else list(sample)
         if any(s.kind != model.sample_kind for s in samples):
             raise SupportError(f"{model.family} models need a {model.sample_kind} sample")
+        if not single and model._stack_cache is None:
+            raise SupportError(f"{model.family} models do not stack samples")
+        if len({s.n for s in samples}) != 1:
+            raise LengthMismatchError("a stack needs one or more samples of one size")
+        if rows is not None and len(samples) > 1:
+            raise PhimiError(f"rows= selects a held-out fold of one sample, but {len(samples)} "
+                             "samples were given")
         self.divergence = divergence
         self.model = model
-        self.sample = sample if rows is None else None
-        self.resamples = None
-        if not isinstance(sample, PairedSample):
-            if model._stack_cache is None:
-                raise SupportError(f"{model.family} models do not stack samples")
-            if len({s.n for s in samples}) != 1:
-                raise LengthMismatchError("a stack needs one or more samples of one size")
-            self._stack(*model._stack_values(np.stack([s.x for s in samples]),
-                                             np.stack([s.y for s in samples])))
-            return
-        x, y = (sample.x, sample.y) if rows is None else (sample.x[rows], sample.y[rows])
-        self.n = x.size
-        self._cache = model._build_cache(x, y)
-
-    def _stack(self, x, y, levels=None):
-        """Make this context the stack of the samples ``(x_r, y_r)``, (R, n)
-        arrays of the model's stack values, or of codes into the sorted
-        distinct stack values ``levels`` = (lx, ly)."""
-        self.sample, (self.resamples, self.n) = None, x.shape
-        self._cache = self.model._stack_cache(x, y, levels)
+        x, y = np.stack([s.x for s in samples]), np.stack([s.y for s in samples])
+        if rows is not None:
+            x, y = x[:, rows], y[:, rows]
+            if x.size == 0:
+                raise PhimiError("rows= selects no pairs")
+        self.sample = samples[0] if len(samples) == 1 and rows is None else None
+        self.resamples, self.n = x.shape
+        self._cache = (model._build_cache(x[0], y[0]) if model._stack_cache is None
+                       else model._stack_cache(*model._stack_values(x, y)))
 
     @classmethod
     def _stacked(cls, divergence: DivergenceSpec, model: RatioModel, x, y,
                  levels=None) -> "ObjectiveContext":
-        """The stack of the samples ``(x_r, y_r)`` (see :meth:`_stack`),
-        built without a PairedSample."""
+        """The stack of the samples ``(x_r, y_r)``, (R, n) arrays of the
+        model's stack values, or of codes into the sorted distinct stack
+        values ``levels`` = (lx, ly), built without a PairedSample."""
         ctx = cls.__new__(cls)
-        ctx.divergence, ctx.model = divergence, model
-        ctx._stack(x, y, levels)
+        ctx.divergence, ctx.model, ctx.sample = divergence, model, None
+        ctx.resamples, ctx.n = x.shape
+        ctx._cache = model._stack_cache(x, y, levels)
         return ctx
 
 
 def _terms(ctx: ObjectiveContext, theta, need_grad: bool):
-    """Paired term, cross term and (if asked) the gradient of M_n."""
+    """Paired term, cross term and (if asked) the gradient of M_n at an
+    (R, dim) ``theta``, one row per sample of the context."""
     div = ctx.divergence
     model = ctx.model
     cache = ctx._cache
@@ -195,17 +198,34 @@ def _evaluate(ctx: ObjectiveContext, theta, need_grad: bool):
     return paired - cross, grad
 
 
+def _refuse_stack(ctx: ObjectiveContext, what: str) -> None:
+    """Refuse a context that stacks more than one sample."""
+    if ctx.resamples > 1:
+        raise PhimiError(f"{what} takes a context of one sample, but this one stacks "
+                         f"{ctx.resamples} samples; fit a stack with estimate_samples")
+
+
+def _row_terms(ctx: ObjectiveContext, theta, need_grad: bool, what: str,
+               error=ConjugateDomainError):
+    """:func:`_terms` at a 1-D ``theta`` on a context of one sample: row 0
+    of the terms at ``theta[None]``.  Raises ``error`` where the model
+    marks the row NaN: some ``h`` leaves the domain of phi."""
+    _refuse_stack(ctx, what)
+    theta = ctx.model._validate_theta(theta)
+    paired, cross, grad = (None if q is None else q[0] for q in _terms(ctx, theta[None], need_grad))
+    if np.isnan(paired) or np.isnan(cross):
+        raise error(np.nan, ctx.divergence.dom_phi_interior, what="h_theta")
+    return paired, cross, grad
+
+
 def objective(ctx: ObjectiveContext, theta) -> float:
-    """Empirical dual objective M_n(theta).
+    """Empirical dual objective M_n(theta) on a context of one sample.
 
     Raises :class:`ConjugateDomainError` when ``theta`` is infeasible for
     the divergence (the optimizer treats this as -inf).
     """
-    theta = ctx.model._validate_theta(theta)
-    try:
-        value, _ = _evaluate(ctx, theta, need_grad=False)
-    except DomainError as exc:
-        raise ConjugateDomainError(exc.value, exc.interval, what="h_theta") from exc
+    paired, cross, _ = _row_terms(ctx, theta, False, "objective")
+    value = paired - cross
     if not np.isfinite(value):
         raise ConjugateDomainError(value, ctx.divergence.dom_conj, what="M_n")
     return value
@@ -217,21 +237,19 @@ def objective_grad(ctx: ObjectiveContext, theta) -> np.ndarray:
 
 
 def objective_with_grad(ctx: ObjectiveContext, theta):
-    """One-pass value and gradient of M_n."""
-    theta = ctx.model._validate_theta(theta)
-    try:
-        value, grad = _evaluate(ctx, theta, need_grad=True)
-    except DomainError as exc:
-        raise ConjugateDomainError(exc.value, exc.interval, what="h_theta") from exc
+    """One-pass value and gradient of M_n on a context of one sample."""
+    paired, cross, grad = _row_terms(ctx, theta, True, "objective_with_grad")
+    value = paired - cross
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):
         raise ConjugateDomainError(value, ctx.divergence.dom_conj, what="M_n")
     return value, grad
 
 
 def objective_terms(ctx: ObjectiveContext, theta):
-    """(paired term, cross term) of M_n, for diagnostics and tests."""
-    paired, cross, _ = _terms(ctx, ctx.model._validate_theta(theta), need_grad=False)
-    return paired, cross
+    """(paired term, cross term) of M_n on a context of one sample, for
+    diagnostics and tests; raises DomainError where some ``h`` leaves the
+    domain of phi."""
+    return _row_terms(ctx, theta, False, "objective_terms", DomainError)[:2]
 
 
 def _projected_grad_norm(theta, grad, bounds, tol=1e-9):
@@ -279,9 +297,9 @@ def _ascent_step(value, grad, hess):
 
 def _profiled_newton(ctx: ObjectiveContext):
     """Newton's method on the profile of M_n in beta, from the box point
-    nearest the beta of the model's first suggested start (one per row of
-    a stack), or nearest beta = 0 where it suggests none; in lockstep over
-    the rows of a stack of samples, a single context being a stack of one.
+    nearest the beta of the model's first suggested start (one per row),
+    or nearest beta = 0 where it suggests none; in lockstep over the rows
+    of the context.
 
     The profile maximizes over alpha in closed form (see the model's
     ``_profile``).  Each step (:func:`_ascent_step`, one stacked ``eigh``)
@@ -290,23 +308,19 @@ def _profiled_newton(ctx: ObjectiveContext):
     one profiled pass over the rows still searching.  Returns the number
     of profiled passes and ``(alpha*, beta_hat)`` per row with alpha*
     clipped into the box, a NaN row where the pass cap is reached or no
-    halving stays in the box; for a single context, the count and the
-    point or ``None``.
+    halving stays in the box.
     """
     model, div, cache = ctx.model, ctx.divergence, ctx._cache
     lo, hi = model.bounds[:, 0], model.bounds[:, 1]
     d = model.dim - 1
     starts = model.suggest_starts(cache)
-    rows = ctx.resamples or 1
+    rows = ctx.resamples
 
     def profile(beta, idx):
         """Rows ``(value, alpha*, gradient, Hessian)`` of the profile, flat."""
-        if ctx.resamples is None:
-            value, grad, hess, alpha = model._profile(div, beta[0], cache)
-            return np.concatenate([[value, alpha], grad, hess.ravel()])[None]
         sub = cache if idx.size == rows else model._take_rows(cache, idx)   # idx ascending
         value, grad, hess, alpha = model._profile(div, beta, sub)
-        return np.column_stack([value, alpha, grad, hess.reshape(-1, d * d)])
+        return np.concatenate([value[:, None], alpha[:, None], grad, hess.reshape(-1, d * d)], 1)
 
     beta = np.broadcast_to(np.clip(starts[0][..., 1:] if starts else 0.0, lo[1:], hi[1:]),
                            (rows, d)).copy()
@@ -344,15 +358,13 @@ def _profiled_newton(ctx: ObjectiveContext):
                     break
                 todo, step, slope, t = todo[keep], step[keep], slope[keep], 0.5 * t
             live = np.sort(np.concatenate(moved)) if moved else todo[:0]
-    if ctx.resamples is None:
-        return int(passes[0]), (None if np.isnan(theta[0, 0]) else theta[0])
     return passes, theta
 
 
 def _result(model, theta, value, pgnorm, method, evals) -> DualEstimate:
     return DualEstimate(
         theta_hat=model.param_vector(theta),
-        i_hat=value,
+        i_hat=float(value),
         objective_evals=int(evals),
         converged=bool(pgnorm <= _GRAD_TOL),
         grad_norm=float(pgnorm),
@@ -360,19 +372,47 @@ def _result(model, theta, value, pgnorm, method, evals) -> DualEstimate:
     )
 
 
+def _runs_newton(model: RatioModel) -> bool:
+    """Whether the fit routine (:func:`_newton_fits`) runs Newton for ``model``."""
+    return model._profile is not None and model.dim <= _NEWTON_MAX_DIM
+
+
+def _newton_fits(ctx: ObjectiveContext) -> list:
+    """Per row of the context: its ``newton`` fit, or the number of
+    evaluations it took where that fails.
+
+    Models with a ``_profile`` (exponential bilinear, finite-discrete
+    included) and at most ``_NEWTON_MAX_DIM`` parameters run one lockstep
+    profiled Newton run (:func:`_profiled_newton`) from the model's
+    suggested start (a finite model's plug-in supremum), then one
+    evaluation of M_n and its gradient at every row's ``(alpha*,
+    beta_hat)``, alpha* clipped into its box, which gives ``i_hat`` and
+    ``grad_norm``.  A row fails where Newton hits its pass cap or cannot
+    step inside the box, the point leaves the domain of phi, the value is
+    not finite or the projected gradient exceeds ``_GRAD_TOL``.  Every row
+    of another model fails after no evaluation.
+    """
+    model = ctx.model
+    if not _runs_newton(model):
+        return [0] * ctx.resamples
+    passes, theta = _profiled_newton(ctx)
+    newton = ~np.isnan(theta[:, 0])
+    if not newton.any():   # no point to evaluate
+        return passes.tolist()
+    value, grad = _evaluate(ctx, np.where(newton[:, None], theta, 0.0), need_grad=True)
+    pgnorm = _projected_grad_norm(theta, grad, model.bounds)
+    accept = newton & np.isfinite(value) & (pgnorm <= _GRAD_TOL)
+    evals = passes + newton
+    return [_result(model, theta[i], value[i], pgnorm[i], "newton", evals[i])
+            if accept[i] else int(evals[i]) for i in range(len(theta))]
+
+
 def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
     """Maximize M_n over the model's box and return (theta_hat, I_hat).
 
-    Models with a ``_profile`` (exponential bilinear, finite-discrete
-    included) and at most ``_NEWTON_MAX_DIM`` parameters first run
-    Newton's method on the profile of M_n in beta, with alpha in closed
-    form (:func:`_profiled_newton`), from the model's suggested start (a
-    finite model's plug-in supremum), and then evaluate M_n and its
-    gradient once at ``(alpha*, beta_hat)``, alpha* clipped into its box;
-    that evaluation gives ``i_hat`` and ``grad_norm``.  The result stands
-    (``method="newton"``) unless the point leaves the domain of phi, the
-    value is not finite, the projected gradient exceeds ``_GRAD_TOL``, or
-    Newton hits its pass cap or cannot step inside the box.
+    The context's one sample is a stack of one, fitted by the routine that
+    fits stacks (:func:`_newton_fits`): its Newton fit stands
+    (``method="newton"``) where it passes its acceptance test.
 
     Otherwise, and for the copula family (``method="lbfgsb"``):
     box-constrained quasi-Newton (L-BFGS-B) with the analytic gradient,
@@ -385,42 +425,30 @@ def estimate(ctx: ObjectiveContext, *, seed: int = 0) -> DualEstimate:
 
     ``objective_evals`` counts the profiled passes and the full
     evaluations of M_n, Newton's included where L-BFGS-B takes over.
+    Raises PhimiError on a context that stacks several samples (fit those
+    with :func:`estimate_samples`).
     """
-    model = ctx.model
-    evals = 0
-    if model._profile is not None and model.dim <= _NEWTON_MAX_DIM:
-        evals, theta = _profiled_newton(ctx)
-        if theta is not None:
-            evals += 1
-            out = _evaluate_or_error(ctx, theta)
-            if not isinstance(out, DomainError) and np.isfinite(out[0]):
-                pgnorm = _projected_grad_norm(theta, out[1], model.bounds)
-                if pgnorm <= _GRAD_TOL:
-                    return _result(model, theta, out[0], pgnorm, "newton", evals)
-    return _lbfgsb(ctx, seed, evals)
-
-
-def _evaluate_or_error(ctx: ObjectiveContext, theta):
-    """M_n and its gradient at ``theta``, or the DomainError raised there."""
-    try:
-        return _evaluate(ctx, theta, need_grad=True)
-    except DomainError as exc:
-        return exc
+    _refuse_stack(ctx, "estimate")
+    fit = _newton_fits(ctx)[0]
+    return fit if isinstance(fit, DualEstimate) else _lbfgsb(ctx, seed, fit)
 
 
 def _lbfgsb(ctx: ObjectiveContext, seed, evals: int) -> DualEstimate:
-    """The L-BFGS-B fit of :func:`estimate`, after ``evals`` evaluations
-    that a failed Newton run took."""
+    """The L-BFGS-B fit of :func:`estimate` on a context of one sample,
+    after ``evals`` evaluations that a failed Newton run took."""
     model = ctx.model
     bounds = model.bounds
     last_theta, last = None, None   # the latest evaluation, reused at res.x
 
+    def at(theta):
+        """M_n and its gradient at a 1-D theta: row 0 of the stack of one."""
+        value, grad = _evaluate(ctx, theta[None], need_grad=True)
+        return value[0], grad[0]
+
     def fun(theta):
         nonlocal evals, last_theta, last
         evals += 1
-        last_theta, last = theta.copy(), _evaluate_or_error(ctx, theta)
-        if isinstance(last, DomainError):
-            return np.inf, np.zeros(model.dim)
+        last_theta, last = theta.copy(), at(theta)
         value, grad = last
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             return np.inf, np.zeros(model.dim)
@@ -432,17 +460,14 @@ def _lbfgsb(ctx: ObjectiveContext, seed, evals: int) -> DualEstimate:
     def run(x0):
         res = minimize(fun, x0, jac=True, method="L-BFGS-B",
                        bounds=scipy_bounds, options=options)
-        out = last if np.array_equal(res.x, last_theta) else _evaluate_or_error(ctx, res.x)
-        if isinstance(out, DomainError):
-            return res.x, -np.inf, np.inf
-        value, grad = out
+        value, grad = last if np.array_equal(res.x, last_theta) else at(res.x)
         if not np.isfinite(value):
             return res.x, -np.inf, np.inf
         return res.x, value, _projected_grad_norm(res.x, grad, bounds)
 
     theta, value, pgnorm = run(model.theta0)
     for x0 in model.suggest_starts(ctx._cache):
-        cand = run(x0)
+        cand = run(x0[0])
         if cand[1] > value:
             theta, value, pgnorm = cand
     if pgnorm > _GRAD_TOL:
@@ -468,17 +493,13 @@ def _stacked_fits(divergence, model, seeds, stack_values, sample, sizes) -> list
     ``sample(r)`` gives sample r as a PairedSample; ``sizes`` is n and
     bounds on every sample's distinct values on each side.
 
-    A model that stacks caches, with at most ``_NEWTON_MAX_DIM``
-    parameters, fits them first in stacks of ``_stack_size`` rows, each
-    built from ``stack_values`` alone.  One lockstep profiled Newton run
-    per stack (:func:`_profiled_newton`), then one stacked evaluation of
-    M_n and its gradient applies ``estimate``'s acceptance test to every
-    row.  A row whose Newton run stops at the pass cap or the halving
-    limit, whose point leaves the domain of phi or whose projected
-    gradient exceeds ``_GRAD_TOL`` has taken the path of its own sample's
-    Newton run: it goes on with L-BFGS-B on its own context, counting the
-    row's evaluations.  Other models, and the samples of a stack that
-    cannot be built, are fitted one at a time.
+    A model that stacks caches, and for which the fit routine runs Newton,
+    fits them in stacks of ``_stack_size`` rows, each built from
+    ``stack_values`` alone, by ``estimate``'s fit routine
+    (:func:`_newton_fits`).  A row it fails has taken the path of its own
+    sample's ``estimate``: it goes on with L-BFGS-B on its own context,
+    counting the row's evaluations.  Other models, and the samples of a
+    stack that cannot be built, are fitted one at a time.
     """
     def own(r, evals=None):
         try:
@@ -489,7 +510,7 @@ def _stacked_fits(divergence, model, seeds, stack_values, sample, sizes) -> list
             return None
 
     count = len(seeds)
-    if model._stack_cache is None or model.dim > _NEWTON_MAX_DIM:
+    if model._stack_cache is None or not _runs_newton(model):
         return [own(r) for r in range(count)]
     fits, size = [], model._stack_size(*sizes)
     for a in range(0, count, size):
@@ -499,14 +520,8 @@ def _stacked_fits(divergence, model, seeds, stack_values, sample, sizes) -> list
         except PhimiError:
             fits += [own(r) for r in range(a, b)]
             continue
-        passes, theta = _profiled_newton(ctx)
-        newton = ~np.isnan(theta[:, 0])
-        value, grad = _evaluate(ctx, np.where(newton[:, None], theta, 0.0), need_grad=True)
-        pgnorm = _projected_grad_norm(theta, grad, model.bounds)
-        accept = newton & np.isfinite(value) & (pgnorm <= _GRAD_TOL)
-        evals = passes + newton
-        fits += [_result(model, theta[i], value[i], pgnorm[i], "newton", evals[i])
-                 if accept[i] else own(a + i, int(evals[i])) for i in range(b - a)]
+        fits += [fit if isinstance(fit, DualEstimate) else own(a + i, fit)
+                 for i, fit in enumerate(_newton_fits(ctx))]
     return fits
 
 

@@ -37,7 +37,7 @@ from urllib.parse import quote, unquote
 
 import numpy as np
 
-from .errors import BoundsError, DomainError, LengthMismatchError, SupportError
+from .errors import BoundsError, LengthMismatchError, SupportError
 
 __all__ = [
     "ParamVector",
@@ -176,17 +176,12 @@ def encode_tokens(tokens, levels, which: str = "token") -> np.ndarray:
 
 def _check_exponent(divergence, s, ndim):
     """Rows of a stack (the axes of ``s`` before its last ``ndim``) where
-    some ``exp(s)`` leaves the interior of ``dom phi``; a single context (no
-    row axis) raises DomainError there instead.  exp is monotone and the
-    domain an interval: the extremes decide."""
+    some ``exp(s)`` leaves the interior of ``dom phi``.  exp is monotone
+    and the domain an interval: the extremes decide."""
     axes = tuple(range(-ndim, 0))
     with np.errstate(over="ignore"):
         extremes = np.exp([s.min(axis=axes), s.max(axis=axes)])
-    dom = divergence.dom_phi_interior
-    bad = ~dom.holds(extremes).all(axis=0)
-    if s.ndim == ndim and bad:
-        raise DomainError(dom.first_violation(extremes), dom, what="x")
-    return bad
+    return ~divergence.dom_phi_interior.holds(extremes).all(axis=0)
 
 
 def _exp_block(divergence, s, shifted: bool):
@@ -335,18 +330,16 @@ def _drawn_rows(codes, levels):
     return values, np.take(index, cells), counts
 
 
-def _power_rows(t, top, formed=None):
+def _power_rows(t, top):
     """Rows ``t^0 .. t^(top - 1)`` of each row of ``t`` (g, m), (g, top, m).
     Row k is row k - j times t^j, j the largest power of two not above k
-    (rows j .. 2j - 1 in one product), whatever ``top``: continuing the
-    rows ``formed`` (g, i, m), if given, gives the rows formed anew.  The
-    rows are formed power-major, (top, g, m), so that each product reads
-    and writes disjoint blocks (numpy copies overlapping inputs first),
-    and returned as its (g, top, m) transpose."""
+    (rows j .. 2j - 1 in one product), whatever ``top``.  The rows are
+    formed power-major, (top, g, m), so that each product reads and writes
+    disjoint blocks (numpy copies overlapping inputs first), and returned
+    as its (g, top, m) transpose."""
     p = np.empty((top, len(t), t.shape[-1]))
-    i = 1 if formed is None else formed.shape[1]
-    p[:i] = 1.0 if formed is None else formed.transpose(1, 0, 2)
-    j = 1 << (i.bit_length() - 1)
+    p[0] = 1.0
+    i = j = 1
     while i < top:
         end = min(2 * j, top)
         np.multiply(p[i - j:end - j], p[j - 1] * t, out=p[i:end])
@@ -356,29 +349,15 @@ def _power_rows(t, top, formed=None):
 
 def _power_sums(cache, side, w, top, guard):
     """``sum_i t_i^k w_i``, ``sum_i t_i^k |w_i|`` and ``sum_i |t_i^k w_i|``
-    for k < ``top``, in this order on axis -3 of the (..., 3, top, c)
-    result, from the scaled coupled column ``t`` (..., m) of one side
-    (``scaled_x`` or ``scaled_y``) and weights ``w`` (..., m, c), one
-    column per distinct moment column.  The last two, which only the
-    rounding guard reads, are formed on the rows where ``guard`` holds and
-    are 0 on the others.  A single sample's cache keeps the power rows
-    ``t^k`` formed so far and extends them as passes need more, to the
-    rows formed anew (:func:`_power_rows`); a stack forms them in each
-    call (:func:`_stack_power_sums`), its guarded rows apart from the
-    others where it holds both, so that no power rows are copied."""
+    for k < ``top``, in this order on axis -3 of the (R, 3, top, c)
+    result, from the scaled coupled column ``t`` (R, m) of one side
+    (``scaled_x`` or ``scaled_y``) and weights ``w`` (R, m, c), one column
+    per distinct moment column.  The last two, which only the rounding
+    guard reads, are formed on the rows where ``guard`` holds and are 0 on
+    the others.  A single sample is a stack of one.  The power rows ``t^k``
+    are formed in each call (:func:`_stack_power_sums`), the guarded rows
+    apart from the others, so that no power rows are copied."""
     t = cache["scaled_" + side]
-    if t.ndim == 1:
-        kept = cache.get("powers_" + side)
-        if kept is None or kept.shape[1] < top:
-            kept = cache["powers_" + side] = _power_rows(t[None], top, kept)
-        p = kept[0, :top]
-        sums = np.zeros(w.shape[:-2] + (3, top, w.shape[-1]))
-        np.matmul(p, w, out=sums[0])
-        if guard:
-            size = np.abs(w)
-            np.matmul(p, size, out=sums[1])
-            np.matmul(np.abs(p), size, out=sums[2])
-        return sums
     held = np.count_nonzero(guard)
     if held in (0, len(t)):
         return _stack_power_sums(t, w, top, held > 0)
@@ -469,9 +448,8 @@ def _kernel_sums(cache, r, u, v, lx, ly, shifted):
     of rows whose kernels stay within ``_STACK_BYTES``."""
     t, s = cache["scaled_x"], cache["scaled_y"]
     kernel = np.exp if shifted else np.expm1
-    groups = [...] if t.ndim == 1 else _row_groups(len(t), t.shape[-1] * s.shape[-1])
     m = np.empty(u.shape[:-2] + (len(lx),))
-    for rows in groups:
+    for rows in _row_groups(len(t), t.shape[-1] * s.shape[-1]):
         block = np.einsum("...i,...j->...ij", r[rows][..., None] * t[rows], s[rows])
         m[rows] = _contract(kernel(block, out=block), u[rows], v[rows])[..., lx, ly]
         del block   # before the next group's is formed
@@ -516,11 +494,14 @@ class RatioModel:
 
     # estimator hooks ------------------------------------------------------
     # Each family evaluates the dual objective's two terms itself, over a
-    # cache it builds from the raw sample (x, y) of kind ``sample_kind``.
+    # cache of a stack of R samples of kind ``sample_kind``; a single
+    # sample is a stack of one.  The terms take an (R, dim) theta.
     # _paired_term is the mean of phi'(h) over the n pairs, _cross_term
     # the mean of g(h) = h phi'(h) - phi(h) over all n^2 cross pairs; both
-    # return (value, gradient or None unless need_grad) and raise
-    # DomainError when some h leaves the interior of dom phi.
+    # return (value, gradient or None unless need_grad), one row per
+    # sample, the value NaN on a row where some h leaves the interior of
+    # dom phi.  A family that does not stack (no _stack_cache) builds the
+    # stack of one from the raw sample (x, y) by _build_cache(x, y).
 
     def _build_cache(self, x, y):
         raise NotImplementedError
@@ -537,21 +518,23 @@ class RatioModel:
 
     # A family whose dual has the normalizer alpha in closed form sets
     # _profile(divergence, beta, cache) -> (value, gradient, Hessian,
-    # alpha*), M_n maximized over alpha; estimate then fits beta by Newton.
+    # alpha*), M_n maximized over alpha, one row each for an (R, dim - 1)
+    # beta; the estimator's one fit routine then fits beta by Newton on
+    # every row at once, a single sample's as a stack of one.
     _profile = None
 
     # A family that fits many samples of one size at once sets
     # _stack_cache(x, y, levels=None) -> the cache of the R samples (x_r,
     # y_r), (R, n) arrays of its stack values or, given levels = (lx, ly),
     # of codes into those sorted distinct stack values, each row over its
-    # own distinct values, on which the terms and _profile take an (R,
-    # dim) theta and give one row each; _stack_size(n, nx, ny) -> rows per
-    # stack of samples of size n with at most nx and ny distinct values,
-    # and _take_rows(cache, rows) -> the cache of some of its rows; its
-    # _build_cache is row 0 of a stack of one.  _stack_values(x, y) maps
-    # raw samples to stack values elementwise (a finite model's level
-    # codes), so a resample's are its sample's, indexed, and its codes
-    # into the sample's distinct stack values are the sample's, indexed.
+    # own distinct values; every context of the family, a single sample's
+    # included, is built by it.  _stack_size(n, nx, ny) -> rows per stack
+    # of samples of size n with at most nx and ny distinct values, and
+    # _take_rows(cache, rows) -> the cache of some of its rows.
+    # _stack_values(x, y) maps raw samples to stack values elementwise (a
+    # finite model's level codes), so a resample's are its sample's,
+    # indexed, and its codes into the sample's distinct stack values are
+    # the sample's, indexed.
     _stack_cache = None
 
     def _stack_values(self, x, y):
@@ -608,9 +591,6 @@ class ExpBilinearModel(RatioModel):
         feats = self._features(x, y)
         w = np.concatenate([np.ones(feats.shape[:-1] + (1,)), feats], axis=-1)
         return h[..., None] * w
-
-    def _build_cache(self, x, y):
-        return self._take_rows(self._stack_cache(*self._stack_values(x[None], y[None])), 0)
 
     def _basis_rows(self, ux, uy):
         """``xi`` on distinct x values and ``zeta`` on distinct y values,
@@ -804,12 +784,12 @@ class ExpBilinearModel(RatioModel):
         """(sums of ``c_x c_y E (1, f)`` over the distinct-value block, of
         ``c_x c_y E f f'`` if ``second`` else None, shift), with ``E =
         exp(gamma s - shift)`` where ``shifted`` (no exp overflows), else
-        ``E = expm1(gamma s)`` and shift 0, raising DomainError where some
-        ``exp(s)`` leaves dom phi (NaN sums on such rows of a stack).  One
-        coupled term takes the factored sums of :meth:`_factored_sums`;
-        several or none, and the rows it declines, the dense block
-        (:meth:`_dense_sums`).  Both sum each side's distinct moment
-        columns once and return sums over all of them."""
+        ``E = expm1(gamma s)`` and shift 0, NaN sums on the rows where some
+        ``exp(s)`` leaves dom phi.  One coupled term takes the factored sums
+        of :meth:`_factored_sums`; several or none, and the rows it
+        declines, the dense block (:meth:`_dense_sums`).  Both sum each
+        side's distinct moment columns once and return sums over all of
+        them."""
         d = self.dim - 1
         cols = len(self._factors[0]) if second else 1 + d
         out = (self._factored_sums(divergence.gamma, theta, cache, cols, shifted)
@@ -818,7 +798,7 @@ class ExpBilinearModel(RatioModel):
             m, shift = self._dense_sums(divergence, theta, cache, cols, shifted)
         else:
             m, shift = out
-            declined = np.isnan(m[..., 0])   # rows of a stack only
+            declined = np.isnan(m[..., 0])
             if declined.any():
                 m[declined], shift[declined] = self._dense_sums(
                     divergence, theta[declined], self._take_rows(cache, declined), cols, shifted)
@@ -834,11 +814,8 @@ class ExpBilinearModel(RatioModel):
         columns and the shift, from the dense block ``exp(gamma s -
         shift)``, shifted by its largest entry, or ``expm1(gamma s)`` after
         its domain check: for bases with several or no coupled terms, and
-        as the oracle of :meth:`_factored_sums`.  A stack in groups of rows
-        whose blocks stay within ``_STACK_BYTES``."""
-        if theta.ndim == 1:
-            block, shift = _exp_block(divergence, self._cross_exponent(theta, cache), shifted)
-            return self._cross_moments(block, cache, cols), shift
+        as the oracle of :meth:`_factored_sums`.  In groups of rows whose
+        blocks stay within ``_STACK_BYTES``."""
         m, shift = np.empty((len(theta), cols)), np.empty(len(theta))
         for rows in _row_groups(len(theta), cache["a"].shape[-2] * cache["b"].shape[-2]):
             sub = self._take_rows(cache, rows)
@@ -876,7 +853,7 @@ class ExpBilinearModel(RatioModel):
         + A)(1 + B)``, with ``A``, ``B`` from ``expm1`` of ``gamma a``,
         ``gamma b``.  A row is declined where the bound ``max(1, |gamma|)
         (max |a| + max |b| + |c|)`` on ``|s|`` and ``|gamma s|`` passes
-        ``_EXP_BOUND``: NaN sums on such rows of a stack, ``None`` where
+        ``_EXP_BOUND``: NaN sums on such rows, ``None`` where
         every row is declined.
         """
         a, b = self._cross_parts(theta, cache)
@@ -911,8 +888,7 @@ class ExpBilinearModel(RatioModel):
 
     def _rows_of(self, rows, cache):
         """The index of the rows where ``rows`` holds and the cache of
-        them: ``...`` and the cache itself where it holds on every row (or
-        on a single context)."""
+        them: ``...`` and the cache itself where it holds on every row."""
         return (..., cache) if rows.all() else (rows, self._take_rows(cache, rows))
 
     def _cross_exponent(self, theta, cache) -> np.ndarray:
@@ -952,16 +928,17 @@ class ExpBilinearModel(RatioModel):
         bad = _check_exponent(divergence, s, 1)
         pw = cache["pw"]
         g1 = divergence.gamma - 1.0
-        with np.errstate(over="ignore"):   # M_n itself is infinite there
+        # M_n itself is infinite where a product overflows, NaN on the rows
+        # out of the domain
+        with np.errstate(over="ignore", invalid="ignore"):
             value = (self._pair_sums(pw * s, cache) if g1 == 0.0
                      else self._pair_sums(pw * np.expm1(g1 * s), cache) / g1)
-            if np.ndim(bad):   # a stack: NaN on the rows out of the domain
-                value[bad] = np.nan
+            value[bad] = np.nan
             if not need_grad:
                 return value, None
             e = pw * np.exp(g1 * s)
-        return value, np.concatenate([self._pair_sums(e, cache)[..., None],
-                                      self._paired_moments(e, cache)[0]], axis=-1)
+            return value, np.concatenate([self._pair_sums(e, cache)[..., None],
+                                          self._paired_moments(e, cache)[0]], axis=-1)
 
     def _cross_term(self, divergence, theta, cache, need_grad: bool):
         """Cross term in exponent space, over distinct values.
@@ -1131,7 +1108,7 @@ class FiniteDiscreteModel(ExpBilinearModel):
     # distinct value instead of the basis, and its feature maps are gathers
     # and bincounts over flat cells: O(K1 K2) per evaluation, where basis
     # columns take O((K1 K2)^2) and their second moments O((K1 K2)^3).
-    # Each map works on one context and, row by row, on a stack.
+    # Each map works row by row on a stack.
     _PER_ROW = ("pw", "pcells", "cells", "cw", "p", "q", "cross_mean")
     _SHARED = ("n",)
 
@@ -1151,18 +1128,20 @@ class FiniteDiscreteModel(ExpBilinearModel):
         d, block = self.dim - 1, min(nx, self.k1) * min(ny, self.k2)
         return max(1, _STACK_BYTES // (8 * (8 * d * d + 4 * block + 2 * n)))
 
-    def _flat(self, cells, ndim):
-        """``cells`` as indices into a flat (rows, dim) array: on a stack
-        (more than ``ndim`` axes), row r's offset by dim r."""
-        return cells if cells.ndim == ndim else _flat_rows(cells, self.dim)
+    def _take_rows(self, cache, rows):
+        """The rows' cache, with their cells offset by dim r on row r of
+        the rows taken (``flat_cells``, ``flat_pcells``): indices into a
+        flat (R, dim) array, formed once, not on each evaluation."""
+        sub = super()._take_rows(cache, rows)
+        for key in ("cells", "pcells"):
+            sub["flat_" + key] = _flat_rows(sub[key], self.dim)
+        return sub
 
-    def _cell_sums(self, cells, w, ndim):
-        """Sums of the weights ``w`` per flat cell of ``cells``, (dim,) on
-        each row of a stack: one bincount."""
-        rows = cells.shape[:cells.ndim - ndim]
-        sums = np.bincount(self._flat(cells, ndim).ravel(), w.ravel(),
-                           minlength=self.dim * (len(cells) if rows else 1))
-        return sums.reshape(rows + (self.dim,))
+    def _cell_sums(self, flat, w):
+        """Sums of the weights ``w`` per cell, (R, dim), from the flat cells
+        ``flat`` (R, ...) offset by row (:meth:`_take_rows`): one bincount."""
+        sums = np.bincount(flat.ravel(), w.ravel(), minlength=self.dim * len(flat))
+        return sums.reshape(len(flat), self.dim)
 
     @staticmethod
     def _cell_params(beta):   # the parameter of each cell: cell 0 has none
@@ -1174,30 +1153,30 @@ class FiniteDiscreteModel(ExpBilinearModel):
         cells = ux[:, :, None] * self.k2 + uy[:, None, :]
         cw = cache["cx"][:, :, None] * cache["cy"][:, None, :]
         pcells = _gather(ux, cache["pix"]) * self.k2 + _gather(uy, cache["piy"])
-        q = self._cell_sums(cells, cw, 2) / cache["n"] ** 2
+        q = self._cell_sums(_flat_rows(cells, self.dim), cw) / cache["n"] ** 2
         return {"cells": cells, "cw": cw, "pcells": pcells,
-                "p": self._cell_sums(pcells, cache["pw"], 1), "q": q,
+                "p": self._cell_sums(_flat_rows(pcells, self.dim), cache["pw"]), "q": q,
                 "cross_mean": np.concatenate([np.ones((len(ux), 1)), q[:, 1:]], axis=1)}
 
     def _paired_exponent(self, beta, cache):
-        return self._cell_params(beta).ravel()[self._flat(cache["pcells"], 1)]
+        return self._cell_params(beta).ravel()[cache["flat_pcells"]]
 
     # Sums over all cells add the per-cell sums over the fixed cell axis:
     # a padded entry of a stacked row shares a drawn entry's cell and adds
     # an exact zero there, so the row sums exactly what its own context sums
     def _pair_sums(self, w, cache):
-        return self._cell_sums(cache["pcells"], w, 1).sum(axis=-1)
+        return self._cell_sums(cache["flat_pcells"], w).sum(axis=-1)
 
     def _paired_moments(self, w, cache, second=False):
-        m = self._cell_sums(cache["pcells"], w, 1)[..., 1:]
+        m = self._cell_sums(cache["flat_pcells"], w)[..., 1:]
         return m, (m[..., :, None] * np.eye(self.dim - 1) if second else None)
 
     def _cross_sums(self, divergence, theta, cache, second, shifted):
-        cells = cache["cells"]
-        s = theta[..., :1, None] + self._cell_params(theta[..., 1:]).ravel()[self._flat(cells, 2)]
+        cells = cache["flat_cells"]
+        s = theta[..., :1, None] + self._cell_params(theta[..., 1:]).ravel()[cells]
         block, shift = _exp_block(divergence, s, shifted)
         w = block * cache["cw"]
-        m = self._cell_sums(cells, w, 2)
+        m = self._cell_sums(cells, w)
         m[..., 0] = m.sum(axis=-1)
         return m, (m[..., 1:, None] * np.eye(self.dim - 1) if second else None), shift
 
@@ -1260,31 +1239,34 @@ class FgmCopulaModel(RatioModel):
         g = (1.0 - 2.0 * u) * (1.0 - 2.0 * v)
         return np.asarray(g)[..., None]
 
-    # h = 1 + theta a b stays in [1 - |theta|, 1 + |theta|], inside (0, 2)
-    # on the default box, so both terms are evaluated in h space.
+    # h = 1 + theta a b with |a|, |b| < 1 stays inside (0, 2), in dom phi,
+    # so both terms are evaluated in h space.  The cache is a stack of one:
+    # a, b and their products carry a leading row axis; theta is (R, 1).
 
     def _build_cache(self, x, y):
         margins = rank_transform(x, y)
-        a = 1.0 - 2.0 * margins.u
-        b = 1.0 - 2.0 * margins.v
-        n = a.size
+        a = 1.0 - 2.0 * margins.u[None]
+        b = 1.0 - 2.0 * margins.v[None]
+        n = a.shape[1]
         return {"a": a, "b": b, "paired": a * b, "w": np.full(n, 1.0 / n), "n": n}
 
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
-        h = 1.0 + theta[0] * cache["paired"]
+        h = 1.0 + theta * cache["paired"]
         w = cache["w"]
-        value = float(w @ divergence.phi_prime(h))
+        value = divergence.phi_prime(h) @ w
         if not need_grad:
             return value, None
-        return value, np.array([(w * divergence.phi_second(h)) @ cache["paired"]])
+        return value, _rowmul(w * divergence.phi_second(h), cache["paired"][..., None])
 
     def _cross_term(self, divergence, theta, cache, need_grad: bool):
-        h = 1.0 + theta[0] * np.outer(cache["a"], cache["b"])
+        a, b = cache["a"], cache["b"]
+        h = 1.0 + theta[..., None] * (a[..., :, None] * b[..., None, :])
         w = 1.0 / cache["n"] ** 2
-        value = float(np.sum(w * divergence.conj_of_prime(h)))
+        value = (w * divergence.conj_of_prime(h)).sum(axis=(-2, -1))
         if not need_grad:
             return value, None
-        return value, np.array([cache["a"] @ (w * h * divergence.phi_second(h)) @ cache["b"]])
+        grad = a[..., None, :] @ (w * h * divergence.phi_second(h)) @ b[..., :, None]
+        return value, grad[..., 0]
 
     def to_config(self) -> str:
         return "\n".join(["family=fgm", "bounds=" + _fmt_bounds(self.bounds)])

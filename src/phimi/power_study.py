@@ -100,8 +100,8 @@ class PowerStudyConfig:
     k: int = 2
     sigma: float = 1.0
     b_reps: int = 1000
-    # ignored: normal moments are exact; kept while the benchmark's smoke
-    # config passes it (ROADMAP item 1), to be deleted by item 6
+    # ignored: normal moments are exact; kept only while the benchmark's
+    # Gaussian config (perfbench/workloads.py) still passes it
     moment_draws: int = 1_000_000
     ztz_draws: int = 10_000
 

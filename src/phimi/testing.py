@@ -40,7 +40,8 @@ from .errors import (
     OptimFailureError,
     RouteMismatchError,
 )
-from .estimator import ObjectiveContext, PairedSample, estimate, estimate_resamples
+from .estimator import (ObjectiveContext, PairedSample, _refuse_stack, estimate,
+                        estimate_resamples)
 from .models import FiniteDiscreteModel, _flat_rows
 
 __all__ = [
@@ -147,6 +148,7 @@ test_independence.__test__ = False
 
 
 def _require_sample(ctx: ObjectiveContext, what: str) -> None:
+    _refuse_stack(ctx, what)
     if ctx.sample is None:
         raise FoldContextError(f"{what} needs the whole sample, but this context holds only "
                                "a held-out fold of it (built with rows=)")

@@ -410,6 +410,12 @@ MIXED_SAMPLES, MIXED_THETA = _mixed_samples()
 MIXED_ROUTES = ["series", "kernel", "kernel", "dense"]
 
 
+def row0(hook, div, theta, cache, *args):
+    """A model hook at a 1-D ``theta`` (beta for ``_profile``) on the cache
+    of one sample, a stack of one: row 0 of the hook at ``theta[None]``."""
+    return tuple(None if q is None else q[0] for q in hook(div, theta[None], cache, *args))
+
+
 def route_rows(monkeypatch):
     """Rows, from here on, whose cross sums each route answered."""
     rows = {"series": 0, "kernel": 0, "dense": 0}
@@ -483,14 +489,14 @@ class TestStackPadding:
         for r, ctx in enumerate(singles):
             cache = ctx._cache
             self.check([q[r] for q in stacked["paired"]],
-                       model._paired_term(div, theta[r], cache, True))
+                       row0(model._paired_term, div, theta[r], cache, True))
             self.check([q[r] for q in stacked["cross"]],
-                       model._cross_term(div, theta[r], cache, True))
+                       row0(model._cross_term, div, theta[r], cache, True))
             self.check([q[r] for q in stacked["profile"]],
-                       model._profile(div, theta[r, 1:], cache))
+                       row0(model._profile, div, theta[r, 1:], cache))
             for shifted in (False, True):
                 m, pairs, shift = stacked[shifted]
-                want = model._cross_sums(div, theta[r], cache, True, shifted)
+                want = row0(model._cross_sums, div, theta[r], cache, True, shifted)
                 # xy,x2y2's row 2 (x = sign x) couples one term on its own
                 # and two in the stack: the factored sums shift by a bound on
                 # gamma s, the dense block by its largest entry
@@ -514,15 +520,17 @@ class TestStackPadding:
             for r, ctx in enumerate(singles):
                 with monkeypatch.context() as patch:
                     rows = route_rows(patch)
-                    want = model._cross_sums(div, theta[r], ctx._cache, True, shifted)
+                    want = row0(model._cross_sums, div, theta[r], ctx._cache, True, shifted)
                 assert rows[MIXED_ROUTES[r]] == 1 and sum(rows.values()) == 1, r
                 self.check([m[r], pairs[r], shift[r]], want)
         with np.errstate(over="ignore", invalid="ignore"):
             cross = model._cross_term(div, theta, stack._cache, True)
             profile = model._profile(div, theta[:, 1:], stack._cache)
         for r, ctx in enumerate(singles):
-            self.check([q[r] for q in cross], model._cross_term(div, theta[r], ctx._cache, True))
-            self.check([q[r] for q in profile], model._profile(div, theta[r, 1:], ctx._cache))
+            self.check([q[r] for q in cross],
+                       row0(model._cross_term, div, theta[r], ctx._cache, True))
+            self.check([q[r] for q in profile],
+                       row0(model._profile, div, theta[r, 1:], ctx._cache))
 
 
 def test_finite_dimension_and_theta0():
