@@ -49,7 +49,7 @@ from .errors import (
     PhimiError,
     SupportError,
 )
-from .models import ParamVector, RatioModel, encode_tokens
+from .models import ParamVector, RatioModel, _finite_floats, encode_tokens
 
 __all__ = [
     "PairedSample",
@@ -92,12 +92,7 @@ class PairedSample:
         if self.kind == "categorical":
             x, y = _tokens(self.x), _tokens(self.y)
         else:
-            x = np.asarray(self.x, dtype=float)
-            y = np.asarray(self.y, dtype=float)
-            for name, arr in (("x", x), ("y", y)):
-                if not np.isfinite(arr).all():
-                    i = np.flatnonzero(~np.isfinite(arr))[0]
-                    raise ValueError(f"{name}[{i}] = {arr.flat[i]} is not finite")
+            x, y = _finite_floats(x=self.x, y=self.y)
         if x.ndim != 1 or y.ndim != 1:
             raise ValueError("x and y must be one-dimensional")
         if x.size != y.size:
@@ -133,8 +128,8 @@ class ObjectiveContext:
 
     Immutable; objective and gradient evaluations are pure functions of
     ``theta`` given the context and may run concurrently.  ``sample`` is
-    one PairedSample, a stack of one, or a sequence of samples of one size
-    for a model that stacks caches (``_stack_cache``).  ``rows`` restricts
+    one PairedSample, a stack of one, or a sequence of samples of one
+    size, whatever the model (its ``_stack_cache``).  ``rows`` restricts
     both sums of a single sample to those pairs: a held-out fold, which
     may hold a single pair.  The objective terms and the profile take an
     (R, dim) theta and give one row per sample, NaN on rows where ``h``
@@ -144,19 +139,15 @@ class ObjectiveContext:
     """
 
     def __init__(self, divergence: DivergenceSpec, model: RatioModel, sample, rows=None):
-        single = isinstance(sample, PairedSample)
-        samples = [sample] if single else list(sample)
+        samples = [sample] if isinstance(sample, PairedSample) else list(sample)
         if any(s.kind != model.sample_kind for s in samples):
             raise SupportError(f"{model.family} models need a {model.sample_kind} sample")
-        if not single and model._stack_cache is None:
-            raise SupportError(f"{model.family} models do not stack samples")
         if len({s.n for s in samples}) != 1:
             raise LengthMismatchError("a stack needs one or more samples of one size")
         if rows is not None and len(samples) > 1:
             raise PhimiError(f"rows= selects a held-out fold of one sample, but {len(samples)} "
                              "samples were given")
-        self.divergence = divergence
-        self.model = model
+        self.divergence, self.model = divergence, model
         x, y = np.stack([s.x for s in samples]), np.stack([s.y for s in samples])
         if rows is not None:
             x, y = x[:, rows], y[:, rows]
@@ -164,8 +155,7 @@ class ObjectiveContext:
                 raise PhimiError("rows= selects no pairs")
         self.sample = samples[0] if len(samples) == 1 and rows is None else None
         self.resamples, self.n = x.shape
-        self._cache = (model._build_cache(x[0], y[0]) if model._stack_cache is None
-                       else model._stack_cache(*model._stack_values(x, y)))
+        self._cache = model._stack_cache(*model._stack_values(x, y))
 
     @classmethod
     def _stacked(cls, divergence: DivergenceSpec, model: RatioModel, x, y,
@@ -493,13 +483,13 @@ def _stacked_fits(divergence, model, seeds, stack_values, sample, sizes) -> list
     ``sample(r)`` gives sample r as a PairedSample; ``sizes`` is n and
     bounds on every sample's distinct values on each side.
 
-    A model that stacks caches, and for which the fit routine runs Newton,
-    fits them in stacks of ``_stack_size`` rows, each built from
-    ``stack_values`` alone, by ``estimate``'s fit routine
-    (:func:`_newton_fits`).  A row it fails has taken the path of its own
-    sample's ``estimate``: it goes on with L-BFGS-B on its own context,
-    counting the row's evaluations.  Other models, and the samples of a
-    stack that cannot be built, are fitted one at a time.
+    A model for which the fit routine runs Newton fits them in stacks of
+    ``_stack_size`` rows, each built from ``stack_values`` alone, by
+    ``estimate``'s fit routine (:func:`_newton_fits`).  A row it fails has
+    taken the path of its own sample's ``estimate``: it goes on with
+    L-BFGS-B on its own context, counting the row's evaluations.  Other
+    models (the copula), and the samples of a stack that cannot be built,
+    are fitted one at a time.
     """
     def own(r, evals=None):
         try:
@@ -510,7 +500,7 @@ def _stacked_fits(divergence, model, seeds, stack_values, sample, sizes) -> list
             return None
 
     count = len(seeds)
-    if model._stack_cache is None or not _runs_newton(model):
+    if not _runs_newton(model):
         return [own(r) for r in range(count)]
     fits, size = [], model._stack_size(*sizes)
     for a in range(0, count, size):
@@ -529,12 +519,12 @@ def estimate_resamples(ctx: ObjectiveContext, ix, iy) -> list[DualEstimate]:
     """Fits of the resamples ``(x[ix[b]], y[iy[b]])`` of the context's
     sample, one per row b of the index matrices ``ix`` and ``iy`` (B, m):
     those of ``estimate`` on the b-th resample's own context with
-    ``seed=b``.  A model that stacks caches fits them in stacks.  Each
+    ``seed=b``.  A model with a Newton fit takes them in stacks.  Each
     side of the sample's stack values (a finite model's level codes) is
     encoded once by ``np.unique``; a stack gets those codes indexed by
     rows of ``ix`` and ``iy``, and finds each row's drawn values by one
     bincount over (row, level), with no sort.  Only a row that goes on to
-    L-BFGS-B, and every row of a model that does not stack, gets a
+    L-BFGS-B, and every row of a model without a Newton fit, gets a
     PairedSample.  See :func:`_stacked_fits`.  Raises LengthMismatchError
     unless the two matrices have one shape.
     """
@@ -558,7 +548,7 @@ def estimate_samples(divergence: DivergenceSpec, model: RatioModel, samples,
     """Fits of the samples ``samples``, all of one size: those of
     ``estimate(ObjectiveContext(divergence, model, s), seed=seed)`` for each
     sample ``s`` and its seed in ``seeds``, or ``None`` where that raises a
-    :class:`PhimiError`.  A model that stacks caches fits them in stacks;
+    :class:`PhimiError`.  A model with a Newton fit takes them in stacks;
     see :func:`_stacked_fits`.  Raises LengthMismatchError, before any
     fit, unless there is one seed per sample and the samples have one size.
     """

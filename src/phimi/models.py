@@ -287,10 +287,9 @@ def _per_row(flat, rows, width):
 
 
 def _runs(ranked):
-    """Per row of ``ranked`` (R, n), sorted ascending: its distinct values
-    and their counts (:func:`_compact`; the run lengths are the gaps
-    between the flat run starts, each row's first entry starting a run),
-    and where each run of equal entries starts, (R, n)."""
+    """The runs of equal entries in the sorted rows ``ranked`` (R, n):
+    where each run starts, (R, n), and the runs' flat starts and lengths,
+    row by row.  Distinct values, ranks and tied pairs derive from them."""
     r, n = ranked.shape
     new = np.empty((r, n), dtype=bool)
     new[:, 0] = True
@@ -299,19 +298,48 @@ def _runs(ranked):
     lengths = np.empty_like(starts)
     np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
     lengths[-1] = r * n - starts[-1]
-    return (*_compact(_per_row(starts, r, n), ranked.ravel()[starts], lengths), new)
+    return new, starts, lengths
+
+
+def _sorted_runs(t):
+    """Each row of ``t`` (R, n) sorted by one argsort: the order as flat
+    indices, the sorted rows flat and their :func:`_runs`."""
+    order = _flat_rows(np.argsort(t, axis=1), t.shape[1]).ravel()
+    ranked = np.take(t, order)
+    return (order, ranked, *_runs(ranked.reshape(t.shape)))
 
 
 def _distinct_rows(t):
-    """Per row of a fresh sample ``t`` (R, n): the distinct values and
-    counts of :func:`_runs`, and the value index of every entry, (R, n);
+    """Per row of a fresh sample ``t`` (R, n): its distinct values and
+    counts (:func:`_compact`), and the value index of every entry, (R, n);
     one argsort per row.  Resamples of one sample share its distinct
     values and take :func:`_drawn_rows` instead."""
-    order = _flat_rows(np.argsort(t, axis=1), t.shape[1]).ravel()
-    values, counts, new = _runs(np.take(t, order).reshape(t.shape))
+    order, ranked, new, starts, lengths = _sorted_runs(t)
+    values, counts = _compact(_per_row(starts, *t.shape), ranked[starts], lengths)
     index = np.empty(t.size, dtype=np.intp)
     index[order] = np.cumsum(new, axis=1).ravel() - 1
     return values, index.reshape(t.shape), counts
+
+
+def _mid_ranks(t):
+    """The mid-ranks of each row of ``t`` (R, n), from 1: a run's first
+    and last positions' mean plus one, in halves and so exact, which is
+    what ``scipy.stats.rankdata`` gives row by row, bit for bit."""
+    order, _, _, starts, lengths = _sorted_runs(t)
+    ranks = np.empty(t.size)
+    ranks[order] = np.repeat(starts + (lengths + 1) / 2, lengths)
+    return _flat_rows(ranks.reshape(t.shape), -t.shape[1])   # less each row's flat offset
+
+
+def _finite_floats(**arrays):
+    """The named arrays as float arrays; raises ValueError naming the first
+    entry that is not finite (a sort would rank a NaN)."""
+    out = {name: np.asarray(v, dtype=float) for name, v in arrays.items()}
+    for name, v in out.items():
+        if not np.isfinite(v).all():
+            at = np.argwhere(~np.isfinite(v))[0].tolist()
+            raise ValueError(f"{name}{at} = {v[tuple(at)]} is not finite")
+    return list(out.values())
 
 
 def _drawn_rows(codes, levels):
@@ -493,17 +521,21 @@ class RatioModel:
         raise NotImplementedError
 
     # estimator hooks ------------------------------------------------------
-    # Each family evaluates the dual objective's two terms itself, over a
-    # cache of a stack of R samples of kind ``sample_kind``; a single
-    # sample is a stack of one.  The terms take an (R, dim) theta.
-    # _paired_term is the mean of phi'(h) over the n pairs, _cross_term
-    # the mean of g(h) = h phi'(h) - phi(h) over all n^2 cross pairs; both
-    # return (value, gradient or None unless need_grad), one row per
-    # sample, the value NaN on a row where some h leaves the interior of
-    # dom phi.  A family that does not stack (no _stack_cache) builds the
-    # stack of one from the raw sample (x, y) by _build_cache(x, y).
+    # Each family evaluates the dual objective's two terms itself, over the
+    # cache of a stack of R samples of kind ``sample_kind`` (a single
+    # sample's is a stack of one) that one builder makes for every context:
+    # _stack_cache(x, y, levels=None), from (R, n) arrays of the family's
+    # stack values or, given levels = (lx, ly), of codes into those sorted
+    # distinct values.  _stack_values(x, y) maps raw samples to stack
+    # values elementwise (a finite model's level codes), so a resample's
+    # values, and its codes, are its sample's, indexed.  The terms take an
+    # (R, dim) theta.  _paired_term is the mean of phi'(h) over the n
+    # pairs, _cross_term the mean of g(h) = h phi'(h) - phi(h) over all n^2
+    # cross pairs; both return (value, gradient or None unless need_grad),
+    # one row per sample, the value NaN on a row where some h leaves the
+    # interior of dom phi.
 
-    def _build_cache(self, x, y):
+    def _stack_cache(self, x, y, levels=None):
         raise NotImplementedError
 
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
@@ -520,22 +552,11 @@ class RatioModel:
     # _profile(divergence, beta, cache) -> (value, gradient, Hessian,
     # alpha*), M_n maximized over alpha, one row each for an (R, dim - 1)
     # beta; the estimator's one fit routine then fits beta by Newton on
-    # every row at once, a single sample's as a stack of one.
+    # every row at once, a single sample's as a stack of one and many
+    # samples of one size in stacks of _stack_size(n, nx, ny) rows (at
+    # most nx and ny distinct values a side); _take_rows(cache, rows) ->
+    # the cache of some rows.
     _profile = None
-
-    # A family that fits many samples of one size at once sets
-    # _stack_cache(x, y, levels=None) -> the cache of the R samples (x_r,
-    # y_r), (R, n) arrays of its stack values or, given levels = (lx, ly),
-    # of codes into those sorted distinct stack values, each row over its
-    # own distinct values; every context of the family, a single sample's
-    # included, is built by it.  _stack_size(n, nx, ny) -> rows per stack
-    # of samples of size n with at most nx and ny distinct values, and
-    # _take_rows(cache, rows) -> the cache of some of its rows.
-    # _stack_values(x, y) maps raw samples to stack values elementwise (a
-    # finite model's level codes), so a resample's are its sample's,
-    # indexed, and its codes into the sample's distinct stack values are
-    # the sample's, indexed.
-    _stack_cache = None
 
     def _stack_values(self, x, y):
         return x, y
@@ -629,7 +650,9 @@ class ExpBilinearModel(RatioModel):
             (ux, ix, cx), (uy, iy, cy) = _drawn_rows(x, levels[0]), _drawn_rows(y, levels[1])
         n, ny = x.shape[1], uy.shape[1]
         # the n pairs sit on distinct value pairs (flat cells ix ny + iy)
-        pairs, counts, _ = _runs(np.sort(ix * ny + iy, axis=1))
+        cells = np.sort(ix * ny + iy, axis=1)
+        _, starts, lengths = _runs(cells)
+        pairs, counts = _compact(_per_row(starts, *cells.shape), cells.ravel()[starts], lengths)
         cache = {"n": n, "cx": cx.astype(float), "cy": cy.astype(float),
                  "pw": counts / n}
         cache["pix"], cache["piy"] = np.divmod(pairs, ny)
@@ -1221,7 +1244,7 @@ class FgmCopulaModel(RatioModel):
     @staticmethod
     def _check_unit(t, name):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):   # NaN included
             raise SupportError(f"{name} must be margin-transformed into [0, 1]")
         return t
 
@@ -1240,20 +1263,22 @@ class FgmCopulaModel(RatioModel):
         return np.asarray(g)[..., None]
 
     # h = 1 + theta a b with |a|, |b| < 1 stays inside (0, 2), in dom phi,
-    # so both terms are evaluated in h space.  The cache is a stack of one:
-    # a, b and their products carry a leading row axis; theta is (R, 1).
+    # so both terms are evaluated in h space.  a, b and their products
+    # carry the leading row axis of a stack; theta is (R, 1).
 
-    def _build_cache(self, x, y):
-        margins = rank_transform(x, y)
-        a = 1.0 - 2.0 * margins.u[None]
-        b = 1.0 - 2.0 * margins.v[None]
-        n = a.shape[1]
+    def _stack_cache(self, x, y, levels=None):
+        """Cache of the R samples ``(x_r, y_r)``, (R, n) arrays: each row's
+        margins (:func:`_margins`) as ``a = 1 - 2u``, ``b = 1 - 2v``.  Codes
+        into sorted distinct values (``levels``) have the values' ranks."""
+        n = x.shape[1]
+        a, b = (1.0 - 2.0 * _margins(t) for t in (x, y))
         return {"a": a, "b": b, "paired": a * b, "w": np.full(n, 1.0 / n), "n": n}
 
     def _paired_term(self, divergence, theta, cache, need_grad: bool):
         h = 1.0 + theta * cache["paired"]
         w = cache["w"]
-        value = divergence.phi_prime(h) @ w
+        # one dot product a row, as on a stack of one
+        value = _rowmul(divergence.phi_prime(h), w[:, None])[..., 0]
         if not need_grad:
             return value, None
         return value, _rowmul(w * divergence.phi_second(h), cache["paired"][..., None])
@@ -1280,18 +1305,20 @@ class EmpiricalMargins:
     v: np.ndarray
 
 
+def _margins(t):
+    """Pseudo-observations ``rank/(n+1)`` of each row of ``t`` (R, n >= 2)."""
+    if t.shape[1] < 2:
+        raise LengthMismatchError("need at least two observations")
+    return _mid_ranks(t) / (t.shape[1] + 1)
+
+
 def rank_transform(x, y) -> EmpiricalMargins:
-    """Mid-rank pseudo-observations ``rank/(n+1)`` for both margins."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    """Mid-rank pseudo-observations ``rank/(n+1)`` for both margins.
+    Raises ValueError naming the first entry that is not finite."""
+    x, y = (v.ravel() for v in _finite_floats(x=x, y=y))
     if x.size != y.size:
         raise LengthMismatchError(f"len(x)={x.size} != len(y)={y.size}")
-    if x.size < 2:
-        raise LengthMismatchError("need at least two observations")
-    from scipy.stats import rankdata  # loaded on first use: slow to import
-    n = x.size
-    return EmpiricalMargins(rankdata(x, method="average") / (n + 1),
-                            rankdata(y, method="average") / (n + 1))
+    return EmpiricalMargins(_margins(x[None])[0], _margins(y[None])[0])
 
 
 def gaussian_model(alpha_bounds=(-10.0, 10.0), beta_bounds=(-10.0, 10.0)) -> ExpBilinearModel:

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .estimator import (ObjectiveContext, PairedSample, _refuse_stack, estimate,
                         estimate_resamples)
-from .models import FiniteDiscreteModel, _flat_rows
+from .models import FiniteDiscreteModel, _finite_floats, _flat_rows, _mid_ranks, _sorted_runs
 
 __all__ = [
     "TestResult",
@@ -200,16 +200,10 @@ def bootstrap_critical(ctx: ObjectiveContext, cfg: BootstrapConfig) -> float:
 MIN_BASELINE_N = 4
 
 
-def _check_baseline_sample(sample: PairedSample):
-    if sample.kind != "real":
-        raise DegenerateInputError("noncorrelation tests need real-valued data")
-    if sample.n < MIN_BASELINE_N:
-        raise DegenerateInputError(f"need at least {MIN_BASELINE_N} observations")
-    x = np.asarray(sample.x, dtype=float)
-    y = np.asarray(sample.y, dtype=float)
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise DegenerateInputError("zero variance in x or y")
-    return x, y
+def _accepted(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows of the (R, n) stacks ``x``, ``y`` that the baselines test:
+    at least ``MIN_BASELINE_N`` observations, x and y each not all tied."""
+    return (x.shape[1] >= MIN_BASELINE_N) & (np.ptp(x, axis=1) != 0.0) & (np.ptp(y, axis=1) != 0.0)
 
 
 def _t_test(r: np.ndarray, n: int, alpha: float):
@@ -239,9 +233,7 @@ def _pearson(x, y, alpha):
 
 
 def _spearman(x, y, alpha):
-    from scipy.stats import rankdata  # loaded on first use: slow to import
-    r = _pearson_r(rankdata(x, method="average", axis=1), rankdata(y, method="average", axis=1))
-    return _t_test(r, x.shape[1], alpha)
+    return _t_test(_pearson_r(_mid_ranks(x), _mid_ranks(y)), x.shape[1], alpha)
 
 
 def _kendall(x, y, alpha):
@@ -252,17 +244,19 @@ def _kendall(x, y, alpha):
 
 
 def _one_sample(statistics, sample: PairedSample, alpha: float, route: str) -> TestResult:
-    x, y = _check_baseline_sample(sample)
-    stat, crit, p = statistics(x[None], y[None], alpha)
+    x, y = sample.x[None], sample.y[None]
+    if sample.kind != "real" or not _accepted(x, y)[0]:
+        raise DegenerateInputError(f"need {MIN_BASELINE_N}+ real values, not all tied, in x and y")
+    stat, crit, p = statistics(x, y, alpha)
     return TestResult(float(stat[0]), crit, float(p[0]), bool(stat[0] > crit), route, alpha)
 
 
 def _rejections(statistics, x, y, alpha: float) -> list[bool | None]:
-    """One decision per row of the stack, ``None`` on a row that
-    :func:`_check_baseline_sample` would refuse."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ok = (x.shape[1] >= MIN_BASELINE_N) & (np.ptp(x, axis=1) != 0.0) & (np.ptp(y, axis=1) != 0.0)
+    """One decision per row of the stack, ``None`` on a row the baselines
+    do not test (:func:`_accepted`).  Raises ValueError naming the first
+    entry that is not finite."""
+    x, y = _finite_floats(x=x, y=y)
+    ok = _accepted(x, y)
     out: list[bool | None] = [None] * len(ok)
     if ok.any():
         stat, crit, _ = statistics(x[ok], y[ok], alpha)
@@ -319,10 +313,10 @@ def kendall_tau(x, y):
     (Knight 1966): pairs, ties in x, in y and in both, and discordant
     pairs, here the inversions of a permutation counted by a merge sort;
     tau_b is formed from them in scipy's order of operations.  Raises
-    DegenerateInputError when all x or all y values of a sample are tied.
+    DegenerateInputError when all x or all y values of a sample are tied,
+    ValueError naming the first entry that is not finite.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _finite_floats(x=x, y=y)
     if x.shape != y.shape or x.ndim not in (1, 2):
         raise LengthMismatchError(f"x {x.shape} and y {y.shape} must be equal 1-D or 2-D shapes")
     one = x.ndim == 1
@@ -339,45 +333,33 @@ def kendall_tau(x, y):
 def _tau_b(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """tau_b of each row; no row is all tied."""
     r, n = x.shape
-    pos = np.arange(n)
-    xr, xtie = _ranks(x)
-    yr, ytie = _ranks(y)
+    (xr, xtie), (yr, ytie) = _min_ranks(x), _min_ranks(y)
     # order by x, then y, as scipy's two sorts do; ties in both are joint ties
-    key = xr * n + yr
-    order = _flat_rows(np.argsort(key, axis=1), n)
-    ntie = _runs(np.take(key, order))[1]
-    # discordant pairs are the strict inversions of y in that order: those
-    # of rho, y's rank there with ties broken by position
-    ys = np.take(yr, order)
-    rho = np.empty(r * n, dtype=np.intp)
-    rho[_flat_rows(np.argsort(ys * n + pos, axis=1), n)] = pos
-    dis = _inversions(rho.reshape(r, n))
+    order, _, _, starts, lengths = _sorted_runs(xr * n + yr)
+    ntie = _tied_pairs(starts, lengths, x.shape)
+    # discordant pairs: the strict inversions of y's ranks in that order,
+    # ties broken by position: a permutation, as many as its inverse's
+    dis = _inversions(np.argsort(np.take(yr, order).reshape(r, n) * n + np.arange(n), axis=1))
     tot = n * (n - 1) // 2
     con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
     tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
     return np.clip(tau, -1.0, 1.0)
 
 
-def _ranks(v: np.ndarray):
-    """Each row's min ranks (for each value, how many values of its row are
-    smaller), which order and tie the values as dense ranks do, and its
-    tied pairs."""
-    order = _flat_rows(np.argsort(v, axis=1), v.shape[1])
-    start, ties = _runs(np.take(v, order))
+def _min_ranks(v: np.ndarray):
+    """Each row's min ranks (its run's start: how many values of the row are
+    smaller), which order and tie values as dense ranks do; its tied pairs."""
+    order, _, _, starts, lengths = _sorted_runs(v)
     ranks = np.empty(v.size, dtype=np.intp)
-    ranks[order] = start
-    return ranks.reshape(v.shape), ties
+    ranks[order] = np.repeat(starts, lengths)
+    return _flat_rows(ranks.reshape(v.shape), -v.shape[1]), _tied_pairs(starts, lengths, v.shape)
 
 
-def _runs(s: np.ndarray):
-    """Where the run of equal values of each entry of the sorted rows ``s``
-    starts, and each row's tied pairs."""
-    new = np.ones(s.shape, dtype=bool)
-    new[:, 1:] = s[:, 1:] != s[:, :-1]
-    pos = np.arange(s.shape[1])
-    start = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
-    # an element is tied with every earlier one of its run
-    return start, (pos - start).sum(axis=1)
+def _tied_pairs(starts, lengths, shape):
+    """Each row's tied pairs, ``sum l (l - 1) / 2 = (sum l^2 - n) / 2`` over
+    its runs' lengths l, from the flat runs of rows of ``shape`` (R, n)."""
+    r, n = shape
+    return (np.add.reduceat(lengths * lengths, np.searchsorted(starts, n * np.arange(r))) - n) // 2
 
 
 def _inversions(rho: np.ndarray) -> np.ndarray:

@@ -436,9 +436,28 @@ class TestExitCodes:
                      "--seed", "1"]) == 2
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a bare import; only rank and Kendall code needs it
-    code = "import sys, phimi, phimi.cli; sys.exit('scipy.stats' in sys.modules)"
+# an FGM fit and the rank baselines, on a small sample
+RANK_CODE = """
+import sys, numpy as np
+from phimi import (DivergenceSpec, FgmCopulaModel, ObjectiveContext, PairedSample,
+                   estimate, kendall_test, spearman_test)
+rng = np.random.default_rng(0)
+x = rng.standard_normal(30)
+sample = PairedSample(x, np.round(x + rng.standard_normal(30), 1))
+estimate(ObjectiveContext(DivergenceSpec(1.0), FgmCopulaModel(), sample))
+spearman_test(sample)
+kendall_test(sample)
+sys.exit('scipy.stats' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("code", [
+    "import sys, phimi, phimi.cli; sys.exit('scipy.stats' in sys.modules)",
+    RANK_CODE,
+], ids=["import", "ranks"])
+def test_import_leaves_scipy_stats_unloaded(code):
+    # scipy.stats takes most of a bare import, and no phimi code needs it:
+    # ranks, tie counts and the baselines' laws are phimi's own or scipy.special's
     src = os.path.dirname(os.path.dirname(phimi.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

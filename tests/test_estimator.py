@@ -1507,6 +1507,28 @@ class TestStackRows:
         assert lowrank == [False, False, False]
         self.check(DivergenceSpec(gamma), model, samples)
 
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 0.5, -1.0])
+    def test_fgm(self, gamma):
+        # continuous, tied and resampled samples of one size: row r of the
+        # stack holds sample r's margins and gives its objective and
+        # gradient, bit for bit
+        base = NEWTON_SAMPLES["dependent"]
+        rng = np.random.default_rng(22)
+        n = base.n
+        samples = [base, PairedSample(np.round(base.x, 1), np.round(base.y, 1)),
+                   PairedSample(base.x[rng.integers(0, n, n)], base.y[rng.integers(0, n, n)])]
+        div, model = DivergenceSpec(gamma), FgmCopulaModel()
+        stack = ObjectiveContext(div, model, samples)
+        theta = np.array([[0.4], [-0.7], [0.95]])
+        value, grad = phimi.estimator._evaluate(stack, theta, True)
+        for r, sample in enumerate(samples):
+            single = ObjectiveContext(div, model, sample)
+            for key in ("a", "b", "paired"):
+                assert np.array_equal(stack._cache[key][r], single._cache[key][0]), key
+            want_value, want_grad = objective_with_grad(single, theta[r])
+            assert value[r] == want_value
+            assert np.array_equal(grad[r], want_grad)
+
     def test_finite(self):
         # level order differs from the tokens' sort order; one sample
         # misses a level, one leaves the reference cell ("c", "v") empty

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import multivariate_normal, norm
+from scipy.stats import multivariate_normal, norm, rankdata
 
 from phimi import (
     BoundsError,
@@ -102,8 +102,9 @@ class TestHEval:
         with pytest.raises(SupportError):
             model.h(model.theta0, "z", "c")
         fgm = FgmCopulaModel()
-        with pytest.raises(SupportError):
-            fgm.h([0.1], 1.5, 0.5)
+        for u in (1.5, np.nan):   # a NaN margin is not in [0, 1] either
+            with pytest.raises(SupportError):
+                fgm.h([0.1], u, 0.5)
 
 
 class TestHGrad:
@@ -138,13 +139,18 @@ class TestHGrad:
 
 class TestRankTransform:
     def test_basic_ranks(self):
-        m = rank_transform([3.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-        assert np.allclose(m.u, [0.75, 0.25, 0.50])
-        assert np.allclose(m.v, [0.25, 0.50, 0.75])
+        x, y = [3.0, 1.0, 2.0], [1.0, 2.0, 3.0]
+        m = rank_transform(x, y)
+        assert np.array_equal(m.u, [0.75, 0.25, 0.50])
+        assert np.array_equal(m.v, [0.25, 0.50, 0.75])
+        assert np.array_equal(m.u, rankdata(x, "average") / 4)
+        assert np.array_equal(m.v, rankdata(y, "average") / 4)
 
     def test_mid_ranks_for_ties(self):
-        m = rank_transform([1.0, 1.0], [1.0, 2.0])
-        assert np.allclose(m.u, [0.5, 0.5])
+        x, y = [1.0, 1.0], [1.0, 2.0]
+        m = rank_transform(x, y)
+        assert np.array_equal(m.u, [0.5, 0.5])
+        assert np.array_equal(m.u, rankdata(x, "average") / 3)
 
     def test_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
@@ -165,7 +171,24 @@ class TestRankTransform:
         ys = np.arange(xs.size, dtype=float)
         before = rank_transform(xs, ys)
         after = rank_transform(np.exp(xs / 25.0), ys)
-        assert np.allclose(before.u, after.u)
+        assert np.array_equal(before.u, after.u)
+        assert np.array_equal(before.u, rankdata(xs, "average") / (xs.size + 1))
+
+
+def test_stacked_mid_ranks_are_rankdata_bit_for_bit():
+    # continuous and tied stacks: 1 to 30 rows of 2 to 800 values, every
+    # row against scipy's average ranks
+    rng = np.random.default_rng(29)
+    for case in range(120):
+        r, n = int(rng.integers(1, 31)), int(rng.integers(2, 801))
+        t = rng.standard_normal((r, n))
+        if case % 3 == 1:
+            t = np.round(t, int(rng.integers(0, 3)))   # ties from rounding
+        elif case % 3 == 2:
+            t = rng.integers(0, int(rng.integers(1, 5)), (r, n)).astype(float)   # few values
+        got = phimi.models._mid_ranks(t)
+        assert got.dtype == np.float64 and got.shape == (r, n)
+        assert np.array_equal(got, rankdata(t, "average", axis=1)), (r, n)
 
 
 class TestGaussianModel:

@@ -610,6 +610,20 @@ def test_baseline_calibration_equals_scipy_stats(alpha):
             assert res.p_value == 2.0 * float(sps.t.sf(res.statistic, n - 2))
 
 
+@pytest.mark.parametrize("entry", [
+    lambda x, y: phimi.models.rank_transform(x[0], y[0]),
+    kendall_tau, pearson_rejections, spearman_rejections, kendall_rejections,
+], ids=["rank_transform", "kendall_tau", "pearson", "spearman", "kendall"])
+def test_rank_and_baseline_stacks_refuse_nan(entry):
+    # a sort ranks NaN above every number: refused, naming the first one
+    x = np.array([[1.0, np.nan, 2.0, 3.0, 5.0, 4.0]])
+    y = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+    with pytest.raises(ValueError, match=r"x\[(0, )?1\] = nan is not finite"):
+        entry(x, y)
+    with pytest.raises(ValueError, match=r"y\[(0, )?4\] = nan is not finite"):
+        entry(y, np.where(y == 5.0, np.nan, y))
+
+
 def test_baseline_needs_enough_points():
     with pytest.raises(DegenerateInputError):
         pearson_test(PairedSample([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]))
