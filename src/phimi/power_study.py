@@ -9,8 +9,8 @@ quantile), and a single bootstrap on an independence pilot sample for
 the bootstrap route.
 
 A finite-family grid point draws all its replicates' contingency tables
-from one generator, as one (reps, K, K) count tensor, and each test's
-plug-in statistic is computed for all of them at once.  Fitted families
+from one generator, as one (reps, K, K) count tensor, and its tests
+share one plug-in cell pass over all of them.  Fitted families
 draw each replicate's sample from its own stream and fit each phi test's
 replicates together (:func:`~phimi.estimator.estimate_samples`): the
 Gaussian family's exponential bilinear model in stacks, the FGM copula
@@ -34,7 +34,7 @@ import numpy as np
 from .asymptotics import chi2_quantile, covariances_under_h0, limit_quantile_ztz, normal_margin
 from .divergence import DivergenceSpec
 from .errors import ParseError, PhimiError, RouteMismatchError
-from .estimator import ObjectiveContext, estimate_samples, plugin_statistics
+from .estimator import ObjectiveContext, _plugin_cells, _plugin_product, estimate_samples
 from .models import FgmCopulaModel, gaussian_model
 from .samplers import (
     FgmSpec,
@@ -233,12 +233,12 @@ def _finite_rejections(cfg: PowerStudyConfig, param: float, gseq,
     The grid point's stream ``gseq`` draws every replicate's contingency
     table in one call.  Dual and plug-in estimates coincide on the
     saturated finite-discrete model, so each test's statistic is the
-    plug-in one, for every table at once.
+    plug-in one, for every table at once; the tests share one cell pass.
     """
-    tables = sample_finite_tables(cfg._spec(param), cfg.n, cfg.reps, gseq)
+    cells = _plugin_cells(sample_finite_tables(cfg._spec(param), cfg.n, cfg.reps, gseq))
     rejections = {
         t: int(np.count_nonzero(
-            2.0 * cfg.n * plugin_statistics(_DIVERGENCES[t], tables) > crits[t]))
+            2.0 * cfg.n * _plugin_product(_DIVERGENCES[t], cells) > crits[t]))
         for t in cfg.tests
     }
     return rejections, cfg.reps

@@ -1806,6 +1806,51 @@ class TestPluginStatistics:
             assert list(batch) == [plugin_estimate(div, s, levels) for s in samples]
             assert batch[2] == plugin_estimate(div, samples[2])
 
+    @pytest.mark.parametrize("counts, match", [
+        (np.zeros((2, 2)), "the table counts has total 0"),
+        ([[[1, 2], [3, 4]], [[0, 0], [0, 0]]], r"the table counts\[1\] has total 0"),
+        ([[[1, 2], [3, 4]], [[1, np.nan], [3, 4]]], r"counts\[1, 0, 1\] = nan is not finite"),
+        ([[[1, 2], [3, 4]], [[1, 2], [np.inf, 4]]], r"counts\[1, 1, 0\] = inf is not finite"),
+        ([[[1, 2], [3, 4]], [[1, 2], [3, -1.33]]], r"counts\[1, 1, 1\] = -1.33 is negative"),
+        ([1, 2, 3], "at least 2 dimensions, not 1"),
+    ])
+    def test_bad_counts_raise(self, counts, match):
+        for div in (KL, DivergenceSpec(-1.0)):
+            with pytest.raises(ValueError, match=match):
+                plugin_statistics(div, counts)
+
+    @staticmethod
+    def np_sum_statistics(divergence, counts):
+        """Reference statistics with every sum, the margins' included,
+        taken by np.sum."""
+        p = np.asarray(counts, dtype=float)
+        p = p / p.sum(axis=(-2, -1), keepdims=True)
+        q = p.sum(axis=-1, keepdims=True) * p.sum(axis=-2, keepdims=True)
+        ratios = np.divide(p, q, out=np.ones_like(p), where=q > 0.0)
+        cells = p.shape[-2] * p.shape[-1]
+        rows = divergence.phi(ratios).reshape(p.shape[:-2] + (1, cells))
+        return (rows @ q.reshape(p.shape[:-2] + (cells, 1)))[..., 0, 0]
+
+    @pytest.mark.parametrize("k1, k2", [(k1, k2) for k1 in range(1, 8) for k2 in range(1, 8)]
+                             + [(k, k) for k in (8, 9, 12, 17, 30)] + [(8, 1), (1, 9), (3, 12)])
+    def test_cell_pass_matches_np_sum(self, k1, k2):
+        rng = np.random.default_rng(100 * k1 + k2)
+        # small tables far from independence and large ones close to it
+        for n, probs in ((3 * k1 * k2, rng.dirichlet(np.ones(k1 * k2))),
+                         (10**7, np.full(k1 * k2, 1.0 / (k1 * k2)))):
+            tables = rng.multinomial(n, probs, size=200).reshape(200, k1, k2)
+            tables[::7, rng.integers(k1)] = 0      # an empty row
+            tables[::5, :, rng.integers(k2)] = 0   # an empty column
+            tables[tables.sum(axis=(1, 2)) == 0, 0, 0] = 1
+            for div in (KL, CHISQ, HELL):
+                ref = self.np_sum_statistics(div, tables)
+                batch = plugin_statistics(div, tables)
+                if max(k1, k2) <= 7:
+                    assert np.array_equal(batch, ref)
+                else:
+                    tol = 16 * np.finfo(float).eps * max(1.0, np.abs(ref).max())
+                    np.testing.assert_allclose(batch, ref, rtol=0.0, atol=tol)
+
 
 class TestPairedSample:
     def test_validation(self):

@@ -272,6 +272,19 @@ class TestFiniteBatch:
             ("kl", 0.0, 5, 200), ("kl", 0.48, 124, 200),
             ("chisq", 0.0, 4, 200), ("chisq", 0.48, 116, 200)]
 
+    @pytest.mark.parametrize("seed, kl, chisq", [
+        (1, [9, 162, 578, 931], [6, 135, 538, 915]),
+        (2, [12, 165, 580, 938], [11, 143, 533, 923]),
+    ])
+    def test_table2_design_keeps_its_counts(self, seed, kl, chisq):
+        # the benchmark's Table 2 design; its tables pin the plug-in statistics
+        table = run_power_study(PowerStudyConfig(
+            family="finite", k=2, grid=(0, 0.28, 0.48, 0.68), n=30, reps=1000,
+            alpha=0.01, tests=("kl", "chisq"), seed=seed))
+        assert {t: [r.rejections for r in table.rows if r.test == t]
+                for t in ("kl", "chisq")} == {"kl": kl, "chisq": chisq}
+        assert all(r.reps == 1000 for r in table.rows)
+
 
 def replicate_streams(cfg, g=0):
     """The samples and estimate seeds of the replicates at the g-th grid
