@@ -46,6 +46,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _EIG_FLOOR = 1e-12
+_RANK_TOL = 1e-12   # share of C's largest eigenvalue below which one is zero
 
 
 @dataclass(frozen=True)
@@ -156,22 +157,26 @@ def covariances_under_h0(model, marg_x, marg_y, m: int = 1_000_000,
     return AsymptoticCovariances.from_sigmas(_sigma1(*grams), _sigma2(*grams))
 
 
-def limit_quantile_ztz(cov, alpha: float, n_draws: int = 10_000, seed: int = 0) -> float:
-    """Upper-alpha quantile of Z'Z, Z ~ N(0, C), by Monte Carlo.
-
-    The quantile is read off the linearly interpolated empirical CDF of
-    ``n_draws`` simulated values; deterministic given the seed.
+def limit_quantile_ztz(cov, alpha: float) -> float:
+    """Upper-alpha quantile of Z'Z, Z ~ N(0, C): of sum_i lambda_i chi2_1
+    over C's eigenvalues, clipped at 0, one at most ``_RANK_TOL`` of the
+    largest counting as zero.  Every registry basis couples one term
+    (``xy``), so C has one nonzero lambda and the quantile is exactly
+    lambda times the chi2_1 quantile (0 with none).  A model with several
+    coupled terms reads it off the linearly interpolated empirical CDF of
+    10,000 draws from ``default_rng(0)``.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(alpha, Interval(0.0, 1.0), what="alpha")
-    if n_draws < 1:
-        raise DomainError(n_draws, Interval(1.0, np.inf, lo_closed=True), what="n_draws")
     c = np.asarray(getattr(cov, "c_matrix", cov), dtype=float)
-    vals = np.linalg.eigvalsh(_symmetrize(c))
-    vals = np.clip(vals, 0.0, None)
-    rng = np.random.default_rng(seed)
+    vals = np.clip(np.linalg.eigvalsh(_symmetrize(c)), 0.0, None)
+    nonzero = vals[vals > _RANK_TOL * vals.max()]
+    if nonzero.size == 0:
+        return 0.0
+    if nonzero.size == 1:
+        return float(nonzero[0]) * chi2_quantile(1.0 - alpha, 1)
     # Z'Z equals sum_i lambda_i eps_i^2 for orthonormal eigenvectors
-    draws = rng.standard_normal((n_draws, vals.size)) ** 2 @ vals
+    draws = np.random.default_rng(0).standard_normal((10_000, vals.size)) ** 2 @ vals
     return float(np.quantile(draws, 1.0 - alpha, method="linear"))
 
 

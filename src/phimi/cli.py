@@ -169,7 +169,6 @@ def build_parser() -> _Parser:
     p_test.add_argument("--route", choices=["ztz", "chisq", "bootstrap"], required=True)
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--b-reps", type=int, default=1000)
-    p_test.add_argument("--n-draws", type=int, default=10_000)
     p_test.add_argument("--seed", type=int, default=None)
     p_test.add_argument("--format", choices=["text", "csv"], default="text")
     p_test.add_argument("--out", default=None, help="also write the result here")
@@ -214,8 +213,6 @@ def build_parser() -> _Parser:
     p_lim.add_argument("--csv", default=None)
     p_lim.add_argument("--x", default=None)
     p_lim.add_argument("--y", default=None)
-    p_lim.add_argument("--n-draws", type=int, default=10_000)
-    p_lim.add_argument("--seed", type=int, default=None)
 
     return parser
 
@@ -261,8 +258,7 @@ def _cmd_test(args, out) -> int:
     ctx = ObjectiveContext(_parse_divergence(args), model, sample)
     # only the bootstrap route reads (and so validates) --b-reps
     boot = BootstrapConfig(args.b_reps, args.alpha, seed) if args.route == "bootstrap" else None
-    res = test_independence(ctx, args.route, args.alpha, n_draws=args.n_draws, seed=seed,
-                            bootstrap=boot)
+    res = test_independence(ctx, args.route, args.alpha, seed=seed, bootstrap=boot)
     text = _format_test_result(res, args.format)
     out.write(text)
     if args.out:
@@ -344,7 +340,6 @@ def _cmd_power(args, out) -> int:
         k=int(take("k", "2")),
         sigma=float(take("sigma", "1.0")),
         b_reps=int(take("b_reps", "1000")),
-        ztz_draws=int(take("ztz_draws", "10000")),
     )
     seed = raw.pop("seed", None)
     if raw:
@@ -365,13 +360,12 @@ def _cmd_limits(args, out) -> int:
             raise _UsageError("provide both --k1 and --k2 for the finite route")
         df = chisq_df_finite(args.k1, args.k2)
         crit = chi2_quantile(1.0 - args.alpha, df)
-        print(f"route=chisq", file=out)
+        print("route=chisq", file=out)
         print(f"df={df}", file=out)
         print(f"critical_value={_fmt(crit)}", file=out)
         return 0
     if args.model is None:
         raise _UsageError("limits needs either --k1/--k2 or --model")
-    seed = _resolve_seed(args, out)
     model = _parse_model(args.model)
     if args.margins == "csv":
         if not (args.csv and args.x and args.y):
@@ -381,8 +375,8 @@ def _cmd_limits(args, out) -> int:
     else:
         marg_x = marg_y = normal_margin(args.sigma)
     cov = covariances_under_h0(model, marg_x, marg_y)
-    crit = limit_quantile_ztz(cov, args.alpha, n_draws=args.n_draws, seed=seed)
-    print(f"route=ztz", file=out)
+    crit = limit_quantile_ztz(cov, args.alpha)
+    print("route=ztz", file=out)
     print(f"critical_value={_fmt(crit)}", file=out)
     return 0
 

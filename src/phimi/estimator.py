@@ -46,6 +46,7 @@ from .divergence import DivergenceSpec
 from .errors import (
     ConjugateDomainError,
     DomainError,
+    FoldContextError,
     LengthMismatchError,
     PhimiError,
     SupportError,
@@ -194,6 +195,14 @@ def _refuse_stack(ctx: ObjectiveContext, what: str) -> None:
     if ctx.resamples > 1:
         raise PhimiError(f"{what} takes a context of one sample, but this one stacks "
                          f"{ctx.resamples} samples; fit a stack with estimate_samples")
+
+
+def _require_sample(ctx: ObjectiveContext, what: str) -> None:
+    """Refuse a stack, and a ``rows=`` fold context, which holds no sample."""
+    _refuse_stack(ctx, what)
+    if ctx.sample is None:
+        raise FoldContextError(f"{what} needs the whole sample, but this context holds only "
+                               "a held-out fold of it (built with rows=)")
 
 
 def _row_terms(ctx: ObjectiveContext, theta, need_grad: bool, what: str,
@@ -526,9 +535,10 @@ def estimate_resamples(ctx: ObjectiveContext, ix, iy) -> list[DualEstimate]:
     rows of ``ix`` and ``iy``, and finds each row's drawn values by one
     bincount over (row, level), with no sort.  Only a row that goes on to
     L-BFGS-B, and every row of a model without a Newton fit, gets a
-    PairedSample.  See :func:`_stacked_fits`.  Raises LengthMismatchError
-    unless the two matrices have one shape.
+    PairedSample.  See :func:`_stacked_fits`.  Refuses a stack or a fold
+    context; raises LengthMismatchError unless the two matrices have one shape.
     """
+    _require_sample(ctx, "estimate_resamples")
     s, model = ctx.sample, ctx.model
     ix, iy = np.asarray(ix), np.asarray(iy)
     if ix.ndim != 2 or ix.shape != iy.shape:

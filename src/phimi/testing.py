@@ -4,8 +4,8 @@ Three calibration routes for the phi-MI statistic:
 
 * ``"chisq"``  -- exact chi-square law with (K1-1)(K2-1) degrees of
   freedom (finite-discrete models only);
-* ``"ztz"``    -- Monte-Carlo quantile of the Z'Z limit law, with moments
-  taken exactly over the product of the empirical margins (exponential
+* ``"ztz"``    -- quantile of the Z'Z limit law, with moments taken
+  exactly over the product of the empirical margins (exponential
   bilinear models with the KL divergence only);
 * ``"bootstrap"`` -- resampling from the product of the empirical
   margins, which breaks the pairing and mimics the null whatever the
@@ -35,12 +35,11 @@ from .asymptotics import (
 )
 from .errors import (
     DegenerateInputError,
-    FoldContextError,
     LengthMismatchError,
     OptimFailureError,
     RouteMismatchError,
 )
-from .estimator import (ObjectiveContext, PairedSample, _refuse_stack, estimate,
+from .estimator import (ObjectiveContext, PairedSample, _require_sample, estimate,
                         estimate_resamples)
 from .models import FiniteDiscreteModel, _finite_floats, _flat_rows, _mid_ranks, _sorted_runs
 
@@ -91,16 +90,14 @@ class BootstrapConfig:
 
 
 def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
-                      n_draws: int = 10_000, seed: int = 0,
-                      bootstrap: BootstrapConfig | None = None) -> TestResult:
+                      seed: int = 0, bootstrap: BootstrapConfig | None = None) -> TestResult:
     """Test H0: X independent of Y with S_n = 2n I_hat at level alpha.
 
     The ztz route computes the asymptotic covariances exactly over the
     product of the observed sample's empirical margins (all n^2 pairs, no
-    draws).
-    ``n_draws`` and ``seed`` set the Monte-Carlo Z'Z quantile.  Raises
-    OptimFailureError, on every route, when the fit of the observed
-    sample does not converge.
+    draws).  ``seed`` seeds the fit and, unless ``bootstrap`` is given,
+    the bootstrap.  Raises OptimFailureError, on every route, when the fit
+    of the observed sample does not converge.
     """
     if route not in ROUTES:
         raise RouteMismatchError(f"unknown route {route!r}; choose from {ROUTES}")
@@ -130,7 +127,7 @@ def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
     elif route == "ztz":
         cov = covariances_under_h0(model, np.asarray(ctx.sample.x, dtype=float),
                                    np.asarray(ctx.sample.y, dtype=float))
-        crit = limit_quantile_ztz(cov, alpha, n_draws=n_draws, seed=seed)
+        crit = limit_quantile_ztz(cov, alpha)
         p_value = None
     else:
         cfg = bootstrap or BootstrapConfig(alpha=alpha, seed=seed)
@@ -145,13 +142,6 @@ def test_independence(ctx: ObjectiveContext, route: str, alpha: float = 0.05, *,
 
 # not a pytest case, despite the name
 test_independence.__test__ = False
-
-
-def _require_sample(ctx: ObjectiveContext, what: str) -> None:
-    _refuse_stack(ctx, what)
-    if ctx.sample is None:
-        raise FoldContextError(f"{what} needs the whole sample, but this context holds only "
-                               "a held-out fold of it (built with rows=)")
 
 
 def bootstrap_statistics(ctx: ObjectiveContext, cfg: BootstrapConfig) -> np.ndarray:

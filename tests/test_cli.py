@@ -227,19 +227,21 @@ class TestTestCommand:
 
     def test_ztz_route_critical_value_from_sample_moments(self, tmp_path):
         f = write_gaussian_csv(tmp_path / "d.csv", rho=0.3, n=40, seed=4)
-        code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y",
-                             "--model", "gaussian", "--route", "ztz",
-                             "--alpha", "0.05", "--seed", "11"])
-        assert code == 0
         sample = ingest_csv(str(f), "x", "y")
         cov = covariances_under_h0(gaussian_model(), sample.x, sample.y)
-        expected = limit_quantile_ztz(cov, 0.05, seed=11)
-        assert f"critical_value={expected!r}\n" in text
+        expected = limit_quantile_ztz(cov, 0.05)
+        for seed in ("1", "2"):   # the quantile draws nothing: one value for every seed
+            code, text = invoke(["test", "--csv", str(f), "--x", "x", "--y", "y",
+                                 "--model", "gaussian", "--route", "ztz",
+                                 "--alpha", "0.05", "--seed", seed])
+            assert code == 0
+            assert f"critical_value={expected!r}\n" in text
 
-    def test_ztz_route_has_no_m_flag(self, tmp_path):
+    @pytest.mark.parametrize("flag", [["--m", "1000"], ["--n-draws", "5000"]])
+    def test_ztz_route_has_no_draw_flags(self, tmp_path, flag):
         f = write_gaussian_csv(tmp_path / "d.csv", n=30)
         assert main(["test", "--csv", str(f), "--x", "x", "--y", "y",
-                     "--model", "gaussian", "--route", "ztz", "--m", "1000",
+                     "--model", "gaussian", "--route", "ztz", *flag,
                      "--seed", "1"]) == 1
 
     @pytest.mark.parametrize("route", ["ztz", "chisq"])
@@ -365,6 +367,7 @@ seed = 99
     @pytest.mark.parametrize("edit, message", [
         (("reps = 150", "reps = 150\nbreps = 5"), "unknown [study] key 'breps'"),
         (("n = 30\n", ""), "[study] needs the key 'n'"),
+        (("reps = 150", "reps = 150\nztz_draws = 10"), "unknown [study] key 'ztz_draws'"),
     ])
     def test_key_errors_are_named(self, tmp_path, capsys, edit, message):
         cfg = tmp_path / "study.cfg"
@@ -395,17 +398,16 @@ class TestLimitsCommand:
     def test_ztz_route_normal_margins(self):
         for sigma in (1.0, 2.5):
             code, text = invoke(["limits", "--model", "expbilinear:x2,y2,xy",
-                                 "--alpha", "0.05", "--sigma", repr(sigma),
-                                 "--n-draws", "5000", "--seed", "3"])
+                                 "--alpha", "0.05", "--sigma", repr(sigma)])
             assert code == 0
             margin = normal_margin(sigma)
             cov = covariances_under_h0(gaussian_model(), margin, margin)
-            expected = limit_quantile_ztz(cov, 0.05, n_draws=5000, seed=3)
-            assert f"critical_value={expected!r}\n" in text
+            expected = limit_quantile_ztz(cov, 0.05)
+            assert text == f"route=ztz\ncritical_value={expected!r}\n"
 
-    def test_has_no_m_flag(self):
-        assert main(["limits", "--model", "expbilinear:xy", "--m", "1000",
-                     "--seed", "1"]) == 1
+    @pytest.mark.parametrize("flag", [["--m", "1000"], ["--n-draws", "5000"], ["--seed", "1"]])
+    def test_has_no_draw_flags(self, flag):
+        assert main(["limits", "--model", "expbilinear:xy", *flag]) == 1
 
 
 class TestExitCodes:
@@ -420,20 +422,15 @@ class TestExitCodes:
                      "--y", "y", "--model", "gaussian", "--seed", "1"]) == 2
 
     def test_bad_basis_is_runtime_error(self):
-        assert main(["limits", "--model", "expbilinear:bogus", "--seed", "1"]) == 2
+        assert main(["limits", "--model", "expbilinear:bogus"]) == 2
 
     def test_bad_basis_message_has_no_repr_quotes(self, capsys):
-        assert main(["limits", "--model", "expbilinear:foo", "--seed", "1"]) == 2
+        assert main(["limits", "--model", "expbilinear:foo"]) == 2
         assert capsys.readouterr().err == "error: unknown basis name 'foo'\n"
 
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
     def test_nonpositive_sigma_is_runtime_error(self, sigma):
-        assert main(["limits", "--model", "expbilinear:xy", f"--sigma={sigma}",
-                     "--seed", "1"]) == 2
-
-    def test_zero_draw_count_is_runtime_error(self):
-        assert main(["limits", "--model", "expbilinear:xy", "--n-draws", "0",
-                     "--seed", "1"]) == 2
+        assert main(["limits", "--model", "expbilinear:xy", f"--sigma={sigma}"]) == 2
 
 
 # an FGM fit and the rank baselines, on a small sample

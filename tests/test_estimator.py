@@ -152,7 +152,7 @@ class TestObjective:
             ObjectiveContext(KL, gaussian_model(), cat)
 
     @pytest.mark.parametrize("call", ["objective", "objective_with_grad", "objective_terms",
-                                      "estimate", "bootstrap"])
+                                      "estimate", "estimate_resamples", "bootstrap"])
     def test_one_sample_calls_refuse_a_stack(self, call):
         samples = [sample_gaussian(GaussianSpec(0.3), 50, seed) for seed in range(3)]
         ctx = ObjectiveContext(KL, gaussian_model(), samples)
@@ -161,6 +161,8 @@ class TestObjective:
                "objective_with_grad": lambda: objective_with_grad(ctx, theta),
                "objective_terms": lambda: objective_terms(ctx, theta),
                "estimate": lambda: estimate(ctx),
+               "estimate_resamples": lambda: estimate_resamples(ctx, np.zeros((2, 50), int),
+                                                                np.zeros((2, 50), int)),
                "bootstrap": lambda: phimi.testing.test_independence(ctx, "bootstrap")}[call]
         with pytest.raises(PhimiError, match="stacks 3 samples.*estimate_samples"):
             run()

@@ -16,11 +16,9 @@ from phimi import (
     PowerStudyConfig,
     PowerTable,
     chi2_quantile,
-    covariances_under_h0,
     emit_results,
     estimate,
     gaussian_model,
-    limit_quantile_ztz,
     parse_results,
     plugin_statistics,
     run_power_study,
@@ -30,7 +28,6 @@ from phimi import (
 import phimi.estimator
 import phimi.models
 import phimi.power_study
-from phimi.asymptotics import normal_margin
 from phimi.cli import run as cli_run
 from phimi.errors import RouteMismatchError
 from phimi.estimator import estimate_samples
@@ -146,7 +143,7 @@ class TestRunStudy:
     def test_gaussian_family_with_baselines(self):
         cfg = PowerStudyConfig(family="gaussian", grid=(0.0, 0.8), n=40, reps=100,
                                alpha=0.05, tests=("kl", "pearson", "kendall"),
-                               seed=3, ztz_draws=4000)
+                               seed=3)
         table = run_power_study(cfg)
         assert table.power("pearson")[0.8] > 0.9
         assert table.power("kl")[0.8] > 0.8
@@ -169,8 +166,8 @@ class TestRunStudy:
                 assert power[hi] >= power[lo] - slack
 
     @pytest.mark.parametrize("seed, counts", [
-        (1, [("kl", 0.0, 3), ("kl", 0.1, 63), ("kendall", 0.0, 7), ("kendall", 0.1, 57)]),
-        (2, [("kl", 0.0, 8), ("kl", 0.1, 57), ("kendall", 0.0, 6), ("kendall", 0.1, 52)])])
+        (1, [("kl", 0.0, 5), ("kl", 0.1, 64), ("kendall", 0.0, 7), ("kendall", 0.1, 57)]),
+        (2, [("kl", 0.0, 9), ("kl", 0.1, 57), ("kendall", 0.0, 6), ("kendall", 0.1, 52)])])
     def test_gaussian_study_keeps_its_recorded_counts(self, seed, counts):
         # the benchmark's Gaussian study (perfbench gauss-ztz-n500): pins
         # every stacked KL fit's decision and the Kendall baseline's
@@ -181,20 +178,15 @@ class TestRunStudy:
         assert all(r.reps == 100 for r in rows)
 
     @pytest.mark.parametrize("sigma", [1.0, 2.5])
-    def test_ztz_critical_value_keeps_its_quantile_seed(self, sigma):
-        # exact normal moments; the quantile still takes the calibration
-        # stream's second integer
+    def test_ztz_critical_value_is_exact(self, sigma):
+        # exact normal moments and the closed-form quantile: C's one
+        # nonzero eigenvalue is 1 for any sigma
         cfg = PowerStudyConfig(family="gaussian", grid=(0.0,), n=40, reps=100,
-                               alpha=0.05, tests=("kl",), seed=7, sigma=sigma,
-                               ztz_draws=3000)
+                               alpha=0.05, tests=("kl",), seed=7, sigma=sigma)
         calib_seq, _ = np.random.SeedSequence(cfg.seed).spawn(2)
-        stream = np.random.default_rng(calib_seq)
-        stream.integers(2**63)
-        margin = normal_margin(sigma)
-        cov = covariances_under_h0(gaussian_model(), margin, margin)
-        expected = limit_quantile_ztz(cov, cfg.alpha, n_draws=cfg.ztz_draws,
-                                      seed=int(stream.integers(2**63)))
-        assert _phi_critical_values(cfg, calib_seq) == {"kl": expected}
+        crits = _phi_critical_values(cfg, calib_seq)
+        assert crits.keys() == {"kl"}
+        assert crits["kl"] == pytest.approx(chi2_quantile(0.95, 1), rel=1e-12)
 
 
 def reference_plugin(divergence, sample, levels):
@@ -298,7 +290,7 @@ def replicate_streams(cfg, g=0):
 
 def gaussian_cfg(n, rho, test, **overrides):
     base = dict(family="gaussian", grid=(rho,), n=n, reps=100, alpha=0.05, tests=(test,),
-                seed=11, b_reps=100, ztz_draws=2000)
+                seed=11, b_reps=100)
     base.update(overrides)
     return PowerStudyConfig(**base)
 

@@ -217,7 +217,8 @@ class TestBootstrap:
             BootstrapConfig(b_reps=50)
 
 
-@pytest.mark.parametrize("call", ["bootstrap_statistics", "ztz", "bootstrap"])
+@pytest.mark.parametrize("call", ["bootstrap_statistics", "estimate_resamples", "ztz",
+                                  "bootstrap"])
 def test_fold_context_fails_before_fitting(monkeypatch, call):
     # a context built with rows= holds a held-out fold and no sample
     def no_fit(*args, **kwargs):
@@ -225,11 +226,14 @@ def test_fold_context_fails_before_fitting(monkeypatch, call):
 
     monkeypatch.setattr(phimi.testing, "estimate", no_fit)
     monkeypatch.setattr(phimi.testing, "estimate_resamples", no_fit)
+    monkeypatch.setattr(phimi.estimator, "_stacked_fits", no_fit)
     s = sample_gaussian(GaussianSpec(0.2), 40, 0)
     ctx = ObjectiveContext(KL, gaussian_model(), s, rows=np.arange(20))
     with pytest.raises(FoldContextError, match="held-out fold"):
         if call == "bootstrap_statistics":
             bootstrap_statistics(ctx, BootstrapConfig(b_reps=100))
+        elif call == "estimate_resamples":
+            phimi.estimator.estimate_resamples(ctx, np.zeros((3, 40), int), np.zeros((3, 40), int))
         else:
             test_independence(ctx, call)
 
