@@ -51,7 +51,7 @@ from .errors import (
     PhimiError,
     SupportError,
 )
-from .models import ParamVector, RatioModel, _finite_floats, encode_tokens
+from .models import ParamVector, RatioModel, _finite_floats, _tables, encode_tokens
 
 __all__ = [
     "PairedSample",
@@ -126,7 +126,7 @@ class DualEstimate:
 
 class ObjectiveContext:
     """Precomputed per-pair quantities for (divergence, model, samples): a
-    stack of R samples of one size, each row over its own distinct values.
+    stack of R samples of one size, one row each.
 
     Immutable; objective and gradient evaluations are pure functions of
     ``theta`` given the context and may run concurrently.  ``sample`` is
@@ -531,9 +531,10 @@ def estimate_resamples(ctx: ObjectiveContext, ix, iy) -> list[DualEstimate]:
     those of ``estimate`` on the b-th resample's own context with
     ``seed=b``.  A model with a Newton fit takes them in stacks.  Each
     side of the sample's stack values (a finite model's level codes) is
-    encoded once by ``np.unique``; a stack gets those codes indexed by
-    rows of ``ix`` and ``iy``, and finds each row's drawn values by one
-    bincount over (row, level), with no sort.  Only a row that goes on to
+    encoded once by ``np.unique``, and a stack is built from those codes
+    indexed by rows of ``ix`` and ``iy`` with no sort: a bincount over
+    (row, level) a side gives each row's drawn values, or one over (row,
+    cell) a finite model's tables.  Only a row that goes on to
     L-BFGS-B, and every row of a model without a Newton fit, gets a
     PairedSample.  See :func:`_stacked_fits`.  Refuses a stack or a fold
     context; raises LengthMismatchError unless the two matrices have one shape.
@@ -632,6 +633,6 @@ def plugin_estimate(divergence: DivergenceSpec, sample: PairedSample, levels=Non
         except TypeError as exc:
             raise SupportError(f"tokens do not compare: {exc}") from None
     k1, k2 = (np.size(side) for side in levels)
-    cells = encode_tokens(sample.x, levels[0], "x") * k2 + encode_tokens(sample.y, levels[1], "y")
-    counts = np.bincount(cells, minlength=k1 * k2).reshape(k1, k2)
+    ix, iy = encode_tokens(sample.x, levels[0], "x"), encode_tokens(sample.y, levels[1], "y")
+    counts = _tables(ix[None], iy[None], k1, k2)[0]
     return float(plugin_statistics(divergence, counts))

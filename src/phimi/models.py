@@ -13,15 +13,16 @@ Three families are provided:
 
 Each family evaluates the two terms of the dual objective (see
 :mod:`phimi.estimator`) itself: the exponential bilinear models, finite
-ones included, in exponent space ``s = log h`` over distinct x × distinct
-y values, the copula in ``h`` space, where ``h`` is in (0, 2).  The
-exponential bilinear terms reach the basis only through three feature
-maps; the finite model implements them over flat cells.  Where the
-exponent has one coupled term ``c u(x) v(y)``, the cross sums fold the
-rest of the exponent into per-side weights and leave the kernel
-``exp(gamma c u v)``: a truncated series in ``c u v``, O((nx + ny) K)
-per distinct moment column, on large blocks, the kernel itself on
-small ones; other bases sum the dense nx × ny block.
+ones included, in exponent space ``s = log h``, over distinct x × distinct
+y values or, for a finite model, over the cells of its table; the copula
+in ``h`` space, where ``h`` is in (0, 2).  The exponential bilinear terms
+reach the basis only through three feature maps; the finite model
+implements them cell by cell.  Where the exponent has one coupled term
+``c u(x) v(y)``, the cross sums fold the rest of the exponent into
+per-side weights and leave the kernel ``exp(gamma c u v)``: a truncated
+series in ``c u v``, O((nx + ny) K) per distinct moment column, on large
+blocks, the kernel itself on small ones; other bases sum the dense nx ×
+ny block.
 
 All models are immutable after construction and safe to share between
 threads.  The parameter space is a box, so that the feasible set is
@@ -356,6 +357,14 @@ def _drawn_rows(codes, levels):
     index[drawn] = np.arange(drawn.size) - np.repeat(np.cumsum(per) - per, per)   # in its row
     values, counts = _compact(per, levels[drawn % k], table[drawn])
     return values, np.take(index, cells), counts
+
+
+def _tables(x, y, k1, k2):
+    """The contingency tables of rows of level codes, ``x`` (R, n) into k1
+    levels and ``y`` into k2: the counts, (R, k1, k2), by one bincount
+    over (row, flat cell ``i k2 + j``)."""
+    cells = _flat_rows(x * k2 + y, k1 * k2)
+    return np.bincount(cells.ravel(), minlength=len(x) * k1 * k2).reshape(len(x), k1, k2)
 
 
 def _power_rows(t, top):
@@ -1064,9 +1073,10 @@ class FiniteDiscreteModel(ExpBilinearModel):
     1), over level codes: category labels (strings or numbers, mutually
     comparable within each margin) are mapped to codes by
     :func:`encode_tokens`, once per context, stack or bootstrap (a
-    resample's codes are its sample's, indexed).  The exponent-space
-    terms, the profiled Newton fit and stacking are inherited; the
-    feature maps they use work on flat cells.
+    resample's codes are its sample's, indexed).  The sample enters M_n
+    only through its contingency table, which is the cache.  The
+    exponent-space terms, the profiled Newton fit and stacking are
+    inherited; the feature maps they use work cell by cell.
 
     The default box is wide: with empty cells the supremum sits at the
     boundary, and the box must leave the plug-in value reachable to well
@@ -1104,14 +1114,10 @@ class FiniteDiscreteModel(ExpBilinearModel):
         super().__init__(cells, alpha_bounds, beta_bounds)
 
     def encode_x(self, x) -> np.ndarray:
-        return self._encode(x, self._lx, "x")
+        return encode_tokens(np.asarray(x, dtype=object).ravel(), self._lx, "x")
 
     def encode_y(self, y) -> np.ndarray:
-        return self._encode(y, self._ly, "y")
-
-    @staticmethod
-    def _encode(tokens, levels, which) -> np.ndarray:
-        return encode_tokens(np.asarray(tokens, dtype=object).ravel(), levels, which)
+        return encode_tokens(np.asarray(y, dtype=object).ravel(), self._ly, "y")
 
     def _cell_index(self, x, y):
         """Flat cell ``i K2 + j`` of every token pair."""
@@ -1127,86 +1133,65 @@ class FiniteDiscreteModel(ExpBilinearModel):
     def _exponent(self, beta, x, y):
         return np.concatenate([[0.0], beta])[self._cell_index(x, y)]
 
-    # The cells are disjoint, so the model keeps the level code of each
-    # distinct value instead of the basis, and its feature maps are gathers
-    # and bincounts over flat cells: O(K1 K2) per evaluation, where basis
-    # columns take O((K1 K2)^2) and their second moments O((K1 K2)^3).
-    # Each map works row by row on a stack.
-    _PER_ROW = ("pw", "pcells", "cells", "cw", "p", "q", "cross_mean")
+    # The cells are disjoint, so the feature maps work cell by cell on the
+    # table: O(K1 K2) per evaluation, where basis columns take O((K1
+    # K2)^2) and their second moments O((K1 K2)^3).
+    _PER_ROW = ("pw", "cw", "q", "cross_mean")
     _SHARED = ("n",)
 
-    def _stack_values(self, x, y):
-        """The level codes of the tokens: the stack is the exponential
-        bilinear one over codes."""
+    def _stack_values(self, x, y):   # the level codes of the tokens
         return self.encode_x(x).reshape(np.shape(x)), self.encode_y(y).reshape(np.shape(y))
 
-    def _basis_rows(self, ux, uy):
-        return ux, uy
+    def _stack_cache(self, x, y, levels=None):
+        """Cache of the R samples ``(x_r, y_r)``, (R, n) level codes or codes
+        into the sorted codes ``levels`` = (lx, ly): each row's table
+        (:func:`_tables`) as the joint mass ``pw`` per cell, the float
+        product ``cw`` of its margins' counts, ``q = cw / n^2`` and the
+        cross mean of ``(1, f)``, all (R, K1 K2)."""
+        if levels is not None:
+            x, y = levels[0][x], levels[1][y]
+        n = x.shape[1]
+        counts = _tables(x, y, self.k1, self.k2)
+        cw = (counts.sum(axis=2, dtype=float)[:, :, None]
+              * counts.sum(axis=1, dtype=float)[:, None, :]).reshape(len(x), -1)
+        q = cw / n ** 2
+        return {"n": n, "pw": counts.reshape(len(x), -1) / n, "cw": cw, "q": q,
+                "cross_mean": np.concatenate([np.ones((len(x), 1)), q[:, 1:]], axis=1)}
 
     def _stack_size(self, n, nx, ny):
-        """Samples per stack, for samples of size n with at most nx and ny
-        distinct levels: the arrays a pass holds per row (about eight d ×
-        d in the profile and the Newton step, the distinct-value block and
-        the pairs) stay within ``_STACK_BYTES``."""
-        d, block = self.dim - 1, min(nx, self.k1) * min(ny, self.k2)
-        return max(1, _STACK_BYTES // (8 * (8 * d * d + 4 * block + 2 * n)))
-
-    def _take_rows(self, cache, rows):
-        """The rows' cache, with their cells offset by dim r on row r of
-        the rows taken (``flat_cells``, ``flat_pcells``): indices into a
-        flat (R, dim) array, formed once, not on each evaluation."""
-        sub = super()._take_rows(cache, rows)
-        for key in ("cells", "pcells"):
-            sub["flat_" + key] = _flat_rows(sub[key], self.dim)
-        return sub
-
-    def _cell_sums(self, flat, w):
-        """Sums of the weights ``w`` per cell, (R, dim), from the flat cells
-        ``flat`` (R, ...) offset by row (:meth:`_take_rows`): one bincount."""
-        sums = np.bincount(flat.ravel(), w.ravel(), minlength=self.dim * len(flat))
-        return sums.reshape(len(flat), self.dim)
+        """Samples per stack: the arrays a pass holds per row (about eight
+        d × d in the profile and the Newton step, d = dim - 1, and eight
+        over the cells) stay within ``_STACK_BYTES``, whatever the samples."""
+        return max(1, _STACK_BYTES // (64 * ((self.dim - 1) ** 2 + self.dim)))
 
     @staticmethod
-    def _cell_params(beta):   # the parameter of each cell: cell 0 has none
-        return np.concatenate([np.zeros(beta.shape[:-1] + (1,)), beta], axis=-1)
-
-    def _design(self, ux, uy, cache):
-        """Flat cells of the distinct-value block and of the distinct pairs;
-        the joint (``p``) and product-of-margins (``q``) mass per cell."""
-        cells = ux[:, :, None] * self.k2 + uy[:, None, :]
-        cw = cache["cx"][:, :, None] * cache["cy"][:, None, :]
-        pcells = _gather(ux, cache["pix"]) * self.k2 + _gather(uy, cache["piy"])
-        q = self._cell_sums(_flat_rows(cells, self.dim), cw) / cache["n"] ** 2
-        return {"cells": cells, "cw": cw, "pcells": pcells,
-                "p": self._cell_sums(_flat_rows(pcells, self.dim), cache["pw"]), "q": q,
-                "cross_mean": np.concatenate([np.ones((len(ux), 1)), q[:, 1:]], axis=1)}
+    def _cell_exponent(beta, w):
+        """Each cell's parameter (cell 0 has none), (R, K1 K2); a cell of zero
+        weight ``w`` takes that of its row's first cell of positive weight,
+        so it changes no shift, bound or domain check."""
+        s = np.concatenate([np.zeros(beta.shape[:-1] + (1,)), beta], axis=-1)
+        first = np.take_along_axis(s, np.argmax(w > 0.0, axis=-1)[..., None], axis=-1)
+        return np.where(w > 0.0, s, first)
 
     def _paired_exponent(self, beta, cache):
-        return self._cell_params(beta).ravel()[cache["flat_pcells"]]
-
-    # Sums over all cells add the per-cell sums over the fixed cell axis:
-    # a padded entry of a stacked row shares a drawn entry's cell and adds
-    # an exact zero there, so the row sums exactly what its own context sums
-    def _pair_sums(self, w, cache):
-        return self._cell_sums(cache["flat_pcells"], w).sum(axis=-1)
+        return self._cell_exponent(beta, cache["pw"])
 
     def _paired_moments(self, w, cache, second=False):
-        m = self._cell_sums(cache["flat_pcells"], w)[..., 1:]
+        m = w[..., 1:]
         return m, (m[..., :, None] * np.eye(self.dim - 1) if second else None)
 
     def _cross_sums(self, divergence, theta, cache, second, shifted):
-        cells = cache["flat_cells"]
-        s = theta[..., :1, None] + self._cell_params(theta[..., 1:]).ravel()[cells]
-        block, shift = _exp_block(divergence, s, shifted)
-        w = block * cache["cw"]
-        m = self._cell_sums(cells, w)
+        cw = cache["cw"]
+        s = theta[..., :1] + self._cell_exponent(theta[..., 1:], cw)
+        block, shift = _exp_block(divergence, s.reshape(-1, self.k1, self.k2), shifted)
+        m = block.reshape(cw.shape) * cw
         m[..., 0] = m.sum(axis=-1)
         return m, (m[..., 1:, None] * np.eye(self.dim - 1) if second else None), shift
 
     def suggest_starts(self, cache):
         """The plug-in supremum ``h = p / q`` per cell, clipped into the box
         (one row per row of a stack)."""
-        p, q = cache["p"], cache["q"]
+        p, q = cache["pw"], cache["q"]
         with np.errstate(divide="ignore", invalid="ignore"):
             # a cell with q = 0 has a level absent from the sample
             t = np.where(q > 0.0, np.log(p) - np.log(q), 0.0)

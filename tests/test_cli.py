@@ -238,11 +238,13 @@ class TestTestCommand:
             assert f"critical_value={expected!r}\n" in text
 
     @pytest.mark.parametrize("flag", [["--m", "1000"], ["--n-draws", "5000"]])
-    def test_ztz_route_has_no_draw_flags(self, tmp_path, flag):
+    def test_ztz_route_has_no_draw_flags(self, tmp_path, capsys, flag):
+        # --m is no prefix of --model: no flag is matched by a prefix
         f = write_gaussian_csv(tmp_path / "d.csv", n=30)
         assert main(["test", "--csv", str(f), "--x", "x", "--y", "y",
                      "--model", "gaussian", "--route", "ztz", *flag,
                      "--seed", "1"]) == 1
+        assert capsys.readouterr().err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
 
     @pytest.mark.parametrize("route", ["ztz", "chisq"])
     def test_b_reps_ignored_off_the_bootstrap_route(self, tmp_path, route):
@@ -405,9 +407,12 @@ class TestLimitsCommand:
             expected = limit_quantile_ztz(cov, 0.05)
             assert text == f"route=ztz\ncritical_value={expected!r}\n"
 
-    @pytest.mark.parametrize("flag", [["--m", "1000"], ["--n-draws", "5000"], ["--seed", "1"]])
-    def test_has_no_draw_flags(self, flag):
+    @pytest.mark.parametrize("flag", [["--m", "1000"], ["--n-draws", "5000"], ["--seed", "1"],
+                                      ["--sig", "2"]])
+    def test_has_no_draw_flags(self, capsys, flag):
+        # --sig names no flag, though it is a prefix of --sigma
         assert main(["limits", "--model", "expbilinear:xy", *flag]) == 1
+        assert capsys.readouterr().err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
 
 
 class TestExitCodes:

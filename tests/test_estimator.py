@@ -1475,10 +1475,8 @@ class TestStackRows:
         for r, sample in enumerate(samples):
             single = ObjectiveContext(div, model, sample)._cache
             # the scaled coupled columns are there where one term is coupled
-            assert single.keys() <= stack.keys()
+            assert single.keys() <= stack.keys() <= set(model._PER_ROW + model._SHARED)
             for key, want in single.items():
-                if key not in model._PER_ROW + model._SHARED:
-                    continue   # the finite model's flat cells: cells offset by row
                 got, want = ((stack[key], want) if key in model._SHARED
                              else (stack[key][r], want[0]))
                 if key in model._SHARED or np.ndim(want) == 0:
@@ -1543,6 +1541,9 @@ class TestStackRows:
         y[x == "c"] = "u"
         samples.append(PairedSample(x, y, "categorical"))
         model = FiniteDiscreteModel(["c", "a", "b"], ["v", "u"])
+        # the cache is the flat contingency table, every key on every row
+        keys = set(model._PER_ROW + model._SHARED)
+        assert ObjectiveContext(KL, model, samples)._cache.keys() == keys
         for div in (KL, CHISQ):
             self.check(div, model, samples)
 
@@ -1689,30 +1690,43 @@ class TestResampleCodes:
         self.check(model, *model._stack_values(x, y), *self.draws(rng, 50, rows))
 
     def test_resamples_never_sort(self, monkeypatch):
+        # an exponential bilinear sample's cache takes one argsort a side,
+        # its resamples one bincount a side; a finite context, observed
+        # sample and resamples alike, takes neither builder
         calls = []
-        argsort_builder = phimi.models._distinct_rows
 
-        def spy(t):
-            calls.append(len(t))
-            return argsort_builder(t)
+        def spy(name):
+            builder = getattr(phimi.models, name)
 
-        monkeypatch.setattr(phimi.models, "_distinct_rows", spy)
+            def counted(t, *levels):
+                calls.append((name, len(t)))
+                return builder(t, *levels)
+            return counted
+
+        for name in ("_distinct_rows", "_drawn_rows"):
+            monkeypatch.setattr(phimi.models, name, spy(name))
         rng = np.random.default_rng(24)
         tied = sample_gaussian(GaussianSpec(0.3), 80, 5)
         tied = PairedSample(np.round(tied.x, 1), np.round(tied.y, 1))
         a = rng.integers(0, 3, 90)
         cats = PairedSample(a, np.where(rng.random(90) < 0.3, a, rng.integers(0, 3, 90)),
                             "categorical")
-        for model, sample in [(ExpBilinearModel(["x", "y", "xy"]), tied),
-                              (finite_model(3, 3), cats)]:
+        for model, sample, observed, resampled in [
+                (ExpBilinearModel(["x", "y", "xy"]), tied,
+                 [("_distinct_rows", 1)] * 2, [("_drawn_rows", 20)] * 2),
+                (finite_model(3, 3), cats, [], [])]:
             ctx = ObjectiveContext(KL, model, sample)
-            assert calls == [1, 1]   # the observed sample's own cache
+            assert calls == observed
             calls.clear()
             fits = estimate_resamples(ctx, *rng.integers(0, sample.n, (2, 20, sample.n)))
-            assert {f.method for f in fits} == {"newton"} and calls == []
+            assert {f.method for f in fits} == {"newton"} and calls == resampled
+            calls.clear()
+        estimate_samples(KL, finite_model(3, 3), [cats.subset(rng.permutation(90))
+                                                  for _ in range(6)], range(6))
+        assert calls == []
         samples = [sample_gaussian(GaussianSpec(0.3), 80, seed) for seed in range(6)]
         estimate_samples(KL, gaussian_model(), samples, range(6))
-        assert calls[:2] == [6, 6]
+        assert calls[:2] == [("_distinct_rows", 6)] * 2
 
 
 class TestPluginEstimate:
